@@ -12,6 +12,10 @@ Pair documents are line-oriented text::
     0 0
     0 0
 
+``corpus`` classifies the ``.pair`` files of a directory one after another
+in sorted path order; a file that does not parse, or is not alternating,
+comes back as ``ok: false`` with a message and the batch goes on.
+
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 input error.
 """
 
@@ -21,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .blocks import AlternatingPair, BlockError, BlockId
@@ -285,9 +288,12 @@ def cmd_gen_block(args) -> int:
 
 
 def _classify_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = parse_pair_document(fh.read())
-    pair = doc.first_two()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = parse_pair_document(fh.read())
+        pair = doc.first_two()
+    except (ParseError, FieldError, UnicodeDecodeError) as exc:
+        return {"path": path, "ok": False, "message": str(exc)}
     report = validate(pair)
     if not report.ok:
         return {"path": path, "ok": False, "message": report.message}
@@ -308,9 +314,7 @@ def cmd_corpus(args) -> int:
         for name in os.listdir(args.dir)
         if name.endswith(".pair")
     )
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(_classify_file, paths))
-    results.sort(key=lambda r: r["path"])
+    results = [_classify_file(path) for path in paths]
     if args.json:
         print(json.dumps({"files": results}))
     else:
@@ -372,9 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default=None)
     p.set_defaults(func=cmd_gen_block)
 
-    p = sub.add_parser("corpus", help="classify every .pair file in a directory")
+    p = sub.add_parser(
+        "corpus",
+        help="classify every .pair file in a directory, serially in path order; "
+        "unparsable files come back ok: false",
+    )
     p.add_argument("dir")
-    p.add_argument("--jobs", type=int, default=4)
     p.set_defaults(func=cmd_corpus)
 
     return parser

@@ -669,6 +669,16 @@ def point_from_poly(f: Poly) -> BinaryForm:
     return homogenize(f.monic(), f.degree)
 
 
+def _times_linear(f: list[int], u2: int, u1: int, mul) -> list[int]:
+    """Coefficient list of f * (u1*x1 + u2*x2)."""
+    out = [mul(u2, c) for c in f]
+    out.append(0)
+    for i, c in enumerate(f):
+        if c:
+            out[i + 1] ^= mul(u1, c)
+    return out
+
+
 def moebius_act(q: Sequence[Sequence[int]], point: ProjPoint, spec: FieldSpec) -> ProjPoint:
     """Substitute (x1,x2) -> (x1,x2)Q into the form and renormalize.
 
@@ -677,28 +687,26 @@ def moebius_act(q: Sequence[Sequence[int]], point: ProjPoint, spec: FieldSpec) -
     act(Q1*Q2, g) = act(Q1, act(Q2, g)).
     """
     (q11, q12), (q21, q22) = q
-    det = spec.mul(q11, q22) ^ spec.mul(q12, q21)
-    if det == 0:
+    mul = spec.mul
+    if mul(q11, q22) ^ mul(q12, q21) == 0:
         raise PolyError("singular substitution matrix")
     if isinstance(point, _EpsType):
         return EPS
-    y1 = BinaryForm.make(spec, (q21, q11))
-    y2 = BinaryForm.make(spec, (q22, q12))
-    d = point.degree
-    acc = BinaryForm.zero(spec)
-    y1pow = BinaryForm.one(spec)
-    powers1 = []
-    for _ in range(d + 1):
-        powers1.append(y1pow)
-        y1pow = y1pow * y1
-    y2pow = BinaryForm.one(spec)
-    for i in range(d, -1, -1):
-        c = point.coeff(i)
+    # Horner on raw coefficients with y1, y2 the images of x1, x2:
+    # acc_{j+1} = acc_j * y1 + c_{d-j-1} * y2^(j+1), ending at sum c_i y1^i y2^(d-i).
+    coeffs = point.coeffs
+    d = len(coeffs) - 1
+    acc = list(coeffs[-1:])
+    y2pow = [1]
+    for j in range(d):
+        acc = _times_linear(acc, q21, q11, mul)
+        y2pow = _times_linear(y2pow, q22, q12, mul)
+        c = coeffs[d - j - 1]
         if c:
-            term = (powers1[i] * y2pow).scale(c)
-            acc = acc + term if not acc.is_zero() else term
-        y2pow = y2pow * y2
-    normal, _ = unital_normalize(acc)
+            for i, v in enumerate(y2pow):
+                if v:
+                    acc[i] ^= mul(c, v)
+    normal, _ = unital_normalize(BinaryForm(tuple(acc), spec))
     return normal
 
 

@@ -14,7 +14,7 @@ from .blocks import AlternatingPair
 from .field import FieldError, FieldSpec
 from .linalg import Mat, congruence
 from .pencil import ClassFunction, decompose
-from .polyring import moebius_act
+from .polyring import _EpsType, moebius_act
 
 ENUMERATION_CAP_K = 4
 
@@ -89,12 +89,16 @@ class GL2Element:
         return f"[[{self.q11:x},{self.q12:x}],[{self.q21:x},{self.q22:x}]]"
 
 
-def gl2_enumerate(spec: FieldSpec) -> Iterator[GL2Element]:
-    """All invertible 2x2 matrices; identity first, then lexicographic."""
+def _require_enumerable(spec: FieldSpec) -> None:
     if spec.k > ENUMERATION_CAP_K:
         raise CapError(
             f"GL(2) enumeration is capped at GF(2^{ENUMERATION_CAP_K}); got {spec}"
         )
+
+
+def gl2_enumerate(spec: FieldSpec) -> Iterator[GL2Element]:
+    """All invertible 2x2 matrices; identity first, then lexicographic."""
+    _require_enumerable(spec)
     yield GL2Element.identity(spec)
     q = spec.order
     mul = spec.mul
@@ -106,6 +110,30 @@ def gl2_enumerate(spec: FieldSpec) -> Iterator[GL2Element]:
                         continue
                     if mul(a, d) ^ mul(b, c):
                         yield GL2Element(a, b, c, d, spec)
+
+
+def pgl2_enumerate(spec: FieldSpec) -> Iterator[GL2Element]:
+    """One element per scalar class of GL(2), q^3 - q in all: the identity
+    first, then the invertible matrices whose first nonzero entry is 1, in
+    lexicographic order.
+
+    Scalars fix every projective point, so this set covers every orbit
+    move.  Each element is the first of its scalar class in gl2_enumerate
+    order (the other members start with a larger entry), so a scan that
+    keeps its first hit returns the matrix a full GL(2) scan would.
+    """
+    _require_enumerable(spec)
+    yield GL2Element.identity(spec)
+    q = spec.order
+    mul = spec.mul
+    for c in range(1, q):
+        for d in range(q):
+            yield GL2Element(0, 1, c, d, spec)
+    for b in range(q):
+        for c in range(q):
+            for d in range(q):
+                if (b, c, d) != (0, 0, 1) and d ^ mul(b, c):
+                    yield GL2Element(1, b, c, d, spec)
 
 
 def point_action(q: GL2Element, point):
@@ -141,16 +169,31 @@ def act_on_class(q: GL2Element, rho: ClassFunction) -> ClassFunction:
 
 def canonical_rep(rho: ClassFunction) -> tuple[ClassFunction, GL2Element]:
     """Minimum of the orbit under the serialization order, with a witness Q
-    (the identity when rho is already canonical)."""
+    (the identity when rho is already canonical).
+
+    The witness is the first minimiser in gl2_enumerate order.  The scan
+    runs over pgl2_enumerate, which finds that same matrix: every scalar
+    multiple of Q moves rho alike, and the scanned element is the first of
+    its scalar class.
+    """
     best = None
     best_q = None
-    for q in gl2_enumerate(rho.spec):
+    for q in pgl2_enumerate(rho.spec):
         moved = act_on_class(q, rho)
         key = moved.sort_key()
         if best is None or key < best[0]:
             best = (key, moved)
             best_q = q
     return best[1], best_q
+
+
+def _orbit_invariant(rho: ClassFunction) -> list[tuple[int, int, int]]:
+    """Sorted (point degree, n, mult) triples, eps as degree 0: the point
+    action keeps degrees, so weakly equivalent pairs share this."""
+    return sorted(
+        (0 if isinstance(point, _EpsType) else point.degree, n, mult)
+        for point, n, mult in rho.entries
+    )
 
 
 def transform_weak(pair: AlternatingPair, s: Mat, q: GL2Element) -> AlternatingPair:
@@ -168,14 +211,16 @@ def weakly_equivalent(
     p: AlternatingPair, r: AlternatingPair
 ) -> tuple[bool, GL2Element | None]:
     """Decide weak equivalence; on success return a witness Q with
-    r congruent to p recombined through Q."""
+    r congruent to p recombined through Q, the first in gl2_enumerate order."""
     if p.spec != r.spec:
         raise FieldError(f"mixed fields: {p.spec} vs {r.spec}")
     if p.dim != r.dim:
         return False, None
     rho_p = decompose(p)
     rho_r = decompose(r)
-    for q in gl2_enumerate(p.spec):
+    if _orbit_invariant(rho_p) != _orbit_invariant(rho_r):
+        return False, None
+    for q in pgl2_enumerate(p.spec):
         if relabel_class(rho_p, q) == rho_r:
             # confirm at pair level by re-applying the transform
             moved = transform_weak(p, Mat.identity(p.spec, p.dim), q)

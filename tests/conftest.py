@@ -9,7 +9,15 @@ from altpairs.blocks import AlternatingPair
 from altpairs.field import FieldSpec
 from altpairs.linalg import Mat
 from altpairs.pencil import ClassFunction
-from altpairs.polyring import EPS, BinaryForm, monic_irreducibles, point_from_poly
+from altpairs.polyring import (
+    EPS,
+    BinaryForm,
+    PolyError,
+    _EpsType,
+    monic_irreducibles,
+    point_from_poly,
+    unital_normalize,
+)
 
 GF2 = FieldSpec.gf2()
 GF4 = FieldSpec.gf(2)
@@ -176,3 +184,36 @@ def brute_weakly_equivalent(pa: int, pb: int, ra: int, rb: int, n: int) -> bool:
             if (na, nb) == target:
                 return True
     return False
+
+
+# -- reference GL(2) point action -------------------------------------------------
+
+
+def moebius_act_reference(q, point, spec: FieldSpec):
+    """The substitution action built from BinaryForm products: x1 -> y1,
+    x2 -> y2 with y1 = q11*x1 + q21*x2 and y2 = q12*x1 + q22*x2, summed as
+    sum_i c_i y1^i y2^(d-i), then unital-normalized."""
+    (q11, q12), (q21, q22) = q
+    det = spec.mul(q11, q22) ^ spec.mul(q12, q21)
+    if det == 0:
+        raise PolyError("singular substitution matrix")
+    if isinstance(point, _EpsType):
+        return EPS
+    y1 = BinaryForm.make(spec, (q21, q11))
+    y2 = BinaryForm.make(spec, (q22, q12))
+    d = point.degree
+    acc = BinaryForm.zero(spec)
+    y1pow = BinaryForm.one(spec)
+    powers1 = []
+    for _ in range(d + 1):
+        powers1.append(y1pow)
+        y1pow = y1pow * y1
+    y2pow = BinaryForm.one(spec)
+    for i in range(d, -1, -1):
+        c = point.coeff(i)
+        if c:
+            term = (powers1[i] * y2pow).scale(c)
+            acc = acc + term if not acc.is_zero() else term
+        y2pow = y2pow * y2
+    normal, _ = unital_normalize(acc)
+    return normal

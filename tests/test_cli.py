@@ -218,10 +218,38 @@ def test_corpus_deterministic(capsys, tmp_path):
         (tmp_path / name).write_text(text)
     code, out1, _ = run(capsys, ["--json", "corpus", str(tmp_path)])
     assert code == 0
-    code, out2, _ = run(capsys, ["--json", "corpus", str(tmp_path), "--jobs", "1"])
+    code, out2, _ = run(capsys, ["--json", "corpus", str(tmp_path)])
     assert out1 == out2
     payload = json.loads(out1)
     by_name = {entry["path"].rsplit("/", 1)[-1]: entry for entry in payload["files"]}
     assert by_name["bad.pair"]["ok"] is False
     assert by_name["one.pair"]["class"]["blocks"] == [{"g": "x2", "n": 1, "mult": 1}]
     assert [e["path"] for e in payload["files"]] == sorted(e["path"] for e in payload["files"])
+
+
+def test_corpus_survives_unparsable_file(capsys, tmp_path):
+    good = format_pair_document(build_infinity(1))
+    docs = {
+        "a-good.pair": good,
+        "b-truncated.pair": good[: good.index("matrix B")],
+        "c-nonalt.pair": "field gf2\ndim 1\nmatrix A\n1\nmatrix B\n0\n",
+    }
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "d-binary.pair").write_bytes(b"field gf2\xff\n")
+    code, out, _ = run(capsys, ["--json", "corpus", str(tmp_path)])
+    assert code == 0
+    files = json.loads(out)["files"]
+    assert [e["path"].rsplit("/", 1)[-1] for e in files] == sorted(docs) + ["d-binary.pair"]
+    good_entry, truncated, nonalt, binary = files
+    assert binary["ok"] is False
+    assert good_entry["ok"] is True
+    assert "weak_class" in good_entry
+    assert set(truncated) == {"path", "ok", "message"}
+    assert truncated["ok"] is False
+    assert "two matrices" in truncated["message"]
+    assert set(nonalt) == {"path", "ok", "message"}
+    assert nonalt["ok"] is False
+    code, out, _ = run(capsys, ["corpus", str(tmp_path)])
+    assert code == 0
+    assert "b-truncated.pair: INVALID (line 0: document needs at least two matrices)" in out

@@ -1,5 +1,6 @@
 """Polynomials, factorization, binary forms, and the GL(2) substitution."""
 
+import itertools
 import random
 
 import pytest
@@ -30,8 +31,9 @@ from altpairs.polyring import (
     series_inverse_trunc,
     unital_normalize,
 )
+from altpairs.weakeq import pgl2_enumerate
 
-from conftest import GF2, GF4
+from conftest import GF2, GF4, moebius_act_reference
 
 
 def P2(mask: int) -> Poly:
@@ -343,6 +345,20 @@ def test_moebius_permutes_unital_points_gf4():
     moved = [moebius_act(q, g, GF4) for g in pts]
     for g in moved:
         assert g.is_unital()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_moebius_matches_reference(k):
+    # every PGL(2, 2^k) element against x2, eps and the first six monic
+    # irreducible points of each degree <= 3
+    spec = FieldSpec.gf(k)
+    points = [BinaryForm.x2(spec), EPS]
+    for d in (1, 2, 3):
+        points.extend(point_from_poly(f) for f in itertools.islice(monic_irreducibles(spec, d), 6))
+    for q in pgl2_enumerate(spec):
+        rows = q.rows()
+        for g in points:
+            assert moebius_act(rows, g, spec) == moebius_act_reference(rows, g, spec)
 
 
 # -- interpolation, text forms, ordering ---------------------------------------------

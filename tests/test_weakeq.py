@@ -1,5 +1,6 @@
 """GL(2) action on class functions, canonicalization, weak equivalence."""
 
+import itertools
 import random
 
 import pytest
@@ -8,13 +9,21 @@ from altpairs.blocks import AlternatingPair, build_finite, build_infinity
 from altpairs.field import FieldError, FieldSpec
 from altpairs.linalg import Mat
 from altpairs.pencil import ClassFunction, assemble, decompose
-from altpairs.polyring import EPS, BinaryForm, parse_form, parse_poly, point_from_poly
+from altpairs.polyring import (
+    EPS,
+    BinaryForm,
+    monic_irreducibles,
+    parse_form,
+    parse_poly,
+    point_from_poly,
+)
 from altpairs.weakeq import (
     CapError,
     GL2Element,
     act_on_class,
     canonical_rep,
     gl2_enumerate,
+    pgl2_enumerate,
     relabel_class,
     transform_weak,
     weakly_equivalent,
@@ -58,6 +67,32 @@ def test_gl2_identity_first():
 def test_gl2_cap_refused():
     with pytest.raises(CapError):
         list(gl2_enumerate(FieldSpec.gf(5)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pgl2_one_element_per_scalar_class(k):
+    spec = FieldSpec.gf(k)
+    q = spec.order
+    els = [(e.q11, e.q12, e.q21, e.q22) for e in pgl2_enumerate(spec)]
+    assert len(els) == q**3 - q
+    assert els[0] == (1, 0, 0, 1)
+    # the first member of each scalar class in gl2_enumerate order, in the
+    # order gl2_enumerate first meets the classes
+    firsts, seen = [], set()
+    for e in gl2_enumerate(spec):
+        cls = frozenset(
+            tuple(spec.mul(lam, x) for x in (e.q11, e.q12, e.q21, e.q22))
+            for lam in range(1, q)
+        )
+        if cls not in seen:
+            seen.add(cls)
+            firsts.append((e.q11, e.q12, e.q21, e.q22))
+    assert els == firsts
+
+
+def test_pgl2_cap_refused():
+    with pytest.raises(CapError):
+        list(pgl2_enumerate(FieldSpec.gf(5)))
 
 
 def test_gl2_group_ops():
@@ -163,6 +198,28 @@ def test_canonical_constant_on_orbits():
             assert canonical_rep(act_on_class(q, rho))[0] == rep
 
 
+def canonical_rep_full_scan(rho):
+    """Reference: the first minimiser over all of GL(2)."""
+    best = None
+    for q in gl2_enumerate(rho.spec):
+        moved = act_on_class(q, rho)
+        if best is None or moved.sort_key() < best[0].sort_key():
+            best = (moved, q)
+    return best
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_canonical_matches_full_gl2_scan(k):
+    spec = FieldSpec.gf(k)
+    rng = random.Random(100 + k)
+    for _ in range({1: 24, 2: 16, 3: 8}[k]):
+        rho = random_class_function(spec, rng, 12)
+        rep, witness = canonical_rep(rho)
+        ref_rep, ref_witness = canonical_rep_full_scan(rho)
+        assert rep == ref_rep
+        assert witness == ref_witness
+
+
 # -- weak equivalence ------------------------------------------------------------------
 
 
@@ -254,3 +311,39 @@ def test_relabel_matches_pair_transform():
         q = qs[rng.randrange(len(qs))]
         moved = transform_weak(pair, Mat.identity(GF2, pair.dim), q)
         assert decompose(moved) == relabel_class(rho, q)
+
+
+def weakly_equivalent_full_scan(rho_p, rho_r):
+    """Reference: the first matching Q over all of GL(2), no prefilter."""
+    for q in gl2_enumerate(rho_p.spec):
+        if relabel_class(rho_p, q) == rho_r:
+            return True, q
+    return False, None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weakly_equivalent_matches_full_gl2_scan(k):
+    spec = FieldSpec.gf(k)
+    rng = random.Random(200 + k)
+    qs = list(gl2_enumerate(spec))
+    x1, x2 = BinaryForm.x1(spec), BinaryForm.x2(spec)
+    # one orbit invariant, several orbits: x1, x2 and one quadratic point
+    family = [
+        assemble(rho_of(spec, ((x1, 1), 1), ((x2, 1), 1), ((point_from_poly(f), 1), 1)))
+        for f in itertools.islice(monic_irreducibles(spec, 2), 6)
+    ]
+    cases = list(itertools.combinations(family, 2))
+    # orbit partners through a random S and a random Q from all of GL(2)
+    for _ in range({1: 8, 2: 6, 3: 3}[k]):
+        pair = assemble(random_class_function(spec, rng, 10))
+        if pair.dim:
+            s = random_invertible(spec, rng, pair.dim)
+            cases.append((pair, transform_weak(pair, s, qs[rng.randrange(len(qs))])))
+    # pairs the orbit invariant tells apart
+    cases.append((family[0], assemble(rho_of(spec, ((x1, 1), 1), ((x2, 1), 3)))))
+    outcomes = set()
+    for pair, other in cases:
+        got = weakly_equivalent(pair, other)
+        assert got == weakly_equivalent_full_scan(decompose(pair), decompose(other))
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
