@@ -23,7 +23,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .field import FieldSpec
-from .linalg import Mat
+from .linalg import Mat, _pack
 from .pencil import ClassFunction
 from .polyring import _EpsType, dehomogenize
 from .weakeq import GL2Element
@@ -382,16 +382,6 @@ class QuotientMap:
         return (xx, tuple(v % mod for v in acc))
 
 
-def _beta_of(pres: GroupPresentation, x: int, y: int) -> tuple[int, ...]:
-    par = [0] * pres.m
-    for (i, j), vec in pres.commutators:
-        if (x >> j) & 1 and (y >> i) & 1:
-            for k, bit in enumerate(vec):
-                if bit:
-                    par[k] ^= 1
-    return tuple(par)
-
-
 def _vec_times_gl2(vec: tuple[int, ...], q: GL2Element) -> tuple[int, ...]:
     rows = q.rows()
     return tuple(
@@ -437,19 +427,21 @@ def iso_from_witness(
                 acc = acc + conj[l]
         if acc.rows != rmats[k].rows:
             raise WitnessError("witness fails verification: tuples do not match")
+    src = build_quotient(p, e)
+    dst = build_quotient(r, e)
     minv = s.inv()
-    mrows = [_pack_bits(row) for row in minv.rows]
+    mrows = [_pack(row) for row in minv.rows]
     # basis discrepancies delta(e_i, e_j) = beta_R(m_i, m_j) - beta_P(e_i, e_j) Q
     deltas: dict[tuple[int, int], tuple[int, ...]] = {}
     diag: list[tuple[int, ...]] = []
     for i in range(n):
         for j in range(i + 1):
-            br = _beta_of(r, mrows[i], mrows[j])
-            bp = _beta_of(p, 1 << i, 1 << j)
+            br = dst._beta(mrows[i], mrows[j])
+            bp = src._beta(1 << i, 1 << j)
             d_ij = tuple(a ^ b for a, b in zip(br, _vec_times_gl2(bp, q)))
             # symmetry check against the transposed computation
-            br2 = _beta_of(r, mrows[j], mrows[i])
-            bp2 = _beta_of(p, 1 << j, 1 << i)
+            br2 = dst._beta(mrows[j], mrows[i])
+            bp2 = src._beta(1 << j, 1 << i)
             d_ji = tuple(a ^ b for a, b in zip(br2, _vec_times_gl2(bp2, q)))
             if d_ij != d_ji:
                 raise AssertionError("witness discrepancy is not symmetric")
@@ -471,8 +463,8 @@ def iso_from_witness(
             linear.append((0,) * 2)
     bottom = tuple(tuple(qrows[l][k] for k in range(2)) for l in range(2))
     qmap = QuotientMap(
-        src=build_quotient(p, e),
-        dst=build_quotient(r, e),
+        src=src,
+        dst=dst,
         top_rows=tuple(mrows),
         bottom=bottom,
         quad=tuple(sorted(deltas.items())),
@@ -480,14 +472,6 @@ def iso_from_witness(
     )
     verify_quotient_map(qmap)
     return qmap
-
-
-def _pack_bits(row: Sequence[int]) -> int:
-    acc = 0
-    for i, v in enumerate(row):
-        if v:
-            acc |= 1 << i
-    return acc
 
 
 def verify_quotient_map(qmap: QuotientMap, rng: random.Random | None = None) -> None:

@@ -13,8 +13,8 @@ Pair documents are line-oriented text::
     0 0
 
 ``corpus`` classifies the ``.pair`` files of a directory one after another
-in sorted path order; a file that does not parse, or is not alternating,
-comes back as ``ok: false`` with a message and the batch goes on.
+in sorted path order; a file that cannot be read, does not parse, or is not
+alternating comes back as ``ok: false`` with a message and the batch goes on.
 
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 input error.
 """
@@ -292,7 +292,7 @@ def _classify_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = parse_pair_document(fh.read())
         pair = doc.first_two()
-    except (ParseError, FieldError, UnicodeDecodeError) as exc:
+    except (ParseError, FieldError, UnicodeDecodeError, OSError) as exc:
         return {"path": path, "ok": False, "message": str(exc)}
     report = validate(pair)
     if not report.ok:
@@ -401,7 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         BlockError,
         PresentationError,
         CapError,
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from typing import Iterator
 
 MAX_K = 16
 
-# largest k for which a full 2^k x 2^k multiplication table is built lazily
+# largest k for which full multiplication and inverse tables are built
 _TABLE_MAX_K = 8
 
 
@@ -116,10 +116,17 @@ def default_modulus(k: int) -> int:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """GF(2^k) together with its defining modulus bitmask."""
+    """GF(2^k) together with its defining modulus bitmask.
+
+    For k <= 8 the full multiplication table (``mul_table[a][b]``) and the
+    inverse table (``inv_table[a]``) are set at construction, shared by all
+    specs with the same (k, modulus); above that both are None.
+    """
 
     k: int
     modulus: int
+    mul_table: list | None = field(init=False, repr=False, compare=False)
+    inv_table: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.k <= MAX_K:
@@ -128,6 +135,13 @@ class FieldSpec:
             raise FieldError(f"modulus 0x{self.modulus:x} does not have degree {self.k}")
         if not is_irreducible_gf2(self.modulus):
             raise FieldError(f"modulus 0x{self.modulus:x} is reducible over GF(2)")
+        small = self.k <= _TABLE_MAX_K
+        object.__setattr__(
+            self, "mul_table", _build_mul_table(self.k, self.modulus) if small else None
+        )
+        object.__setattr__(
+            self, "inv_table", _build_inv_table(self.k, self.modulus) if small else None
+        )
 
     # -- construction ------------------------------------------------------
 
@@ -181,18 +195,10 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    def mul_table(self):
-        """Full multiplication table for small k; None when k is too large."""
-        table = self.__dict__.get("_table_cache", _MISSING)
-        if table is _MISSING:
-            table = _build_mul_table(self.k, self.modulus) if self.k <= _TABLE_MAX_K else None
-            object.__setattr__(self, "_table_cache", table)
-        return table
-
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a & b
-        table = self.mul_table()
+        table = self.mul_table
         if table is not None:
             return table[a][b]
         return _gf2_poly_mulmod(a, b, self.modulus)
@@ -212,13 +218,8 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in " + str(self))
-        if a == 1:
-            return 1
-        if self.k <= _TABLE_MAX_K:
-            table = self.__dict__.get("_inv_table_cache")
-            if table is None:
-                table = [0, 1] + [self.pow(v, self.order - 2) for v in range(2, self.order)]
-                object.__setattr__(self, "_inv_table_cache", table)
+        table = self.inv_table
+        if table is not None:
             return table[a]
         return self.pow(a, self.order - 2)
 
@@ -243,13 +244,17 @@ class FieldSpec:
         return FieldElement(1, self)
 
 
-_MISSING = object()
-
-
 @lru_cache(maxsize=None)
 def _build_mul_table(k: int, modulus: int):
     n = 1 << k
     return [[_gf2_poly_mulmod(a, b, modulus) for b in range(n)] for a in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _build_inv_table(k: int, modulus: int):
+    """inv[a] is the b with a*b = 1; inv[0] = 0 is never read."""
+    table = _build_mul_table(k, modulus)
+    return [0] + [table[a].index(1) for a in range(1, 1 << k)]
 
 
 @dataclass(frozen=True)
@@ -328,7 +333,11 @@ class Embedding:
     src: FieldSpec
     dst: FieldSpec
     root_powers: tuple[int, ...] = field(compare=False)
-    _inverse: dict = field(compare=False, repr=False)
+    _inverse: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        inverse = {self.map(b): b for b in self.src.enumerate_bits()}
+        object.__setattr__(self, "_inverse", inverse)
 
     def map(self, bits: int) -> int:
         acc = 0
@@ -377,16 +386,4 @@ def embed(src: FieldSpec, dst: FieldSpec) -> Embedding:
         for _ in range(src.k - 1):
             acc_powers.append(dst.mul(acc_powers[-1], root))
         powers = tuple(acc_powers)
-
-    def map_bits(bits: int) -> int:
-        acc = 0
-        i = 0
-        while bits:
-            if bits & 1:
-                acc ^= powers[i]
-            bits >>= 1
-            i += 1
-        return acc
-
-    inverse = {map_bits(b): b for b in src.enumerate_bits()}
-    return Embedding(src, dst, powers, inverse)
+    return Embedding(src, dst, powers)

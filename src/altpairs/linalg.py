@@ -159,7 +159,7 @@ class Mat:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        return _rref(self)[1]
+        return _rref_full(self)[1]
 
     def nullspace(self) -> list[tuple[int, ...]]:
         """Reduced-echelon canonical basis of the right kernel."""
@@ -270,11 +270,6 @@ def _unpack(mask: int, n: int) -> tuple[int, ...]:
     return tuple(mask >> j & 1 for j in range(n))
 
 
-def _rref(m: Mat) -> tuple[list, int]:
-    rref, rank, _ = _rref_full(m)
-    return rref, rank
-
-
 def _rref_full(m: Mat) -> tuple[list[list[int]], int, list[int]]:
     """Reduced row echelon form; returns (rows, rank, pivot columns)."""
     spec = m.spec
@@ -296,13 +291,8 @@ def _rref_full(m: Mat) -> tuple[list[list[int]], int, list[int]]:
             if row == nr:
                 break
         return [list(_unpack(w, nc)) for w in work], len(pivots), pivots
-    table = spec.mul_table()
-    if table is None:
-        mul = spec.mul
-    else:
-        def mul(a, b):
-            return table[a][b]
-    inv = spec.inv
+    table = spec.mul_table
+    mul, inv = spec.mul, spec.inv
     work = [list(r) for r in m.rows]
     pivots = []
     row = 0
@@ -313,16 +303,16 @@ def _rref_full(m: Mat) -> tuple[list[list[int]], int, list[int]]:
         work[row], work[piv] = work[piv], work[row]
         pinv = inv(work[row][col])
         if pinv != 1:
-            prow = table[pinv] if table is not None else None
-            if prow is not None:
+            if table is not None:
+                prow = table[pinv]
                 work[row] = [prow[v] for v in work[row]]
             else:
                 work[row] = [mul(pinv, v) for v in work[row]]
         for r in range(nr):
             if r != row and work[r][col]:
                 f = work[r][col]
-                frow = table[f] if table is not None else None
-                if frow is not None:
+                if table is not None:
+                    frow = table[f]
                     work[r] = [a ^ frow[b] for a, b in zip(work[r], work[row])]
                 else:
                     work[r] = [a ^ mul(f, b) for a, b in zip(work[r], work[row])]
@@ -341,18 +331,6 @@ def congruence(s: Mat, a: Mat) -> Mat:
     if not s.is_invertible():
         raise LinAlgError("congruence requires an invertible transform")
     return s @ a @ s.transpose()
-
-
-def mat_inv(m: Mat) -> Mat:
-    return m.inv()
-
-
-def rank(m: Mat) -> int:
-    return m.rank()
-
-
-def nullspace(m: Mat) -> list[tuple[int, ...]]:
-    return m.nullspace()
 
 
 # -- polynomial matrices and Smith normal form ---------------------------------
@@ -407,17 +385,25 @@ def smith_form(pm: PolyMat) -> tuple[Poly, ...]:
     """Monic invariant factors d_1 | d_2 | ... | d_r over GF(2^k)[t].
 
     Classical elimination with minimum-degree pivoting and exact division;
-    r is the rank over the rational function field.  Runs on raw coefficient
-    data (int bitmasks over GF(2), tuples otherwise).
+    r is the rank over the rational function field.
+    """
+    return tuple(d.monic() for d in _smith_diagonal(pm))
+
+
+def _smith_diagonal(pm: PolyMat) -> list[Poly]:
+    """The nonzero diagonal that elimination leaves, not yet made monic.
+
+    The entries are associates of the invariant factors, in the same order.
+    Runs on raw coefficient data (int bitmasks over GF(2), tuples otherwise).
     """
     spec = pm.spec
     if spec.k == 1:
         raw = [[p.bitmask() for p in row] for row in pm.rows]
-        inv = _smith_raw(raw, pm.shape, _gf2_poly_ops())
-        return tuple(Poly.from_bitmask(spec, v) for v in inv)
+        diagonal = _smith_raw(raw, pm.shape, _gf2_poly_ops())
+        return [Poly.from_bitmask(spec, v) for v in diagonal]
     raw = [[p.coeffs for p in row] for row in pm.rows]
-    inv = _smith_raw(raw, pm.shape, _tuple_poly_ops(spec))
-    return tuple(Poly.make(spec, v).monic() for v in inv)
+    diagonal = _smith_raw(raw, pm.shape, _tuple_poly_ops(spec))
+    return [Poly.make(spec, v) for v in diagonal]
 
 
 class _RawPolyOps:
@@ -442,13 +428,8 @@ def _gf2_poly_ops() -> _RawPolyOps:
 
 
 def _tuple_poly_ops(spec: FieldSpec) -> _RawPolyOps:
-    table = spec.mul_table()
-    if table is None:
-        mul = spec.mul
-    else:
-        def mul(a, b):
-            return table[a][b]
-    inv = spec.inv
+    table = spec.mul_table
+    mul, inv = spec.mul, spec.inv
 
     def deg(a: tuple) -> int:
         return len(a) - 1

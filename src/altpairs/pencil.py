@@ -5,7 +5,9 @@ A class function maps (projective point, n) to the multiplicity of the
 corresponding canonical block.  Equality of class functions decides
 congruence; the minimal indices of the singular part come from nullity
 counts of pencil staircase matrices, the elementary divisors from Smith
-forms of t*A + B (finite points) and A + s*B (the x2 point).
+forms of t*A + B (finite points) and A + s*B (the x2 point).  The Pfaffian
+comes from the same Smith elimination of t*A + B: its diagonal multiplies
+out to det(t*A + B), and its invariant factors come in equal pairs.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .blocks import AlternatingPair, block_for_point, direct_sum
-from .field import FieldError, FieldSpec, embed
-from .linalg import Mat, PolyMat, congruence, smith_form
+from .field import FieldError, FieldSpec
+from .linalg import Mat, PolyMat, _smith_diagonal, congruence, smith_form
 from .polyring import (
     EPS,
     BinaryForm,
@@ -25,7 +27,6 @@ from .polyring import (
     factor,
     format_form,
     homogenize,
-    lagrange_interpolate,
     parse_form,
     point_from_poly,
     point_sort_key,
@@ -172,48 +173,15 @@ def assemble(rho: ClassFunction) -> AlternatingPair:
 # -- Pfaffian ---------------------------------------------------------------------
 
 
-def _sample_field(spec: FieldSpec, npoints: int) -> FieldSpec:
-    """Smallest default extension of spec with at least npoints elements."""
-    if spec.order >= npoints:
-        return spec
-    k = spec.k
-    while (1 << k) < npoints:
-        k += spec.k
-    return FieldSpec.gf(k)
-
-
-def _pencil_det_samples(pair: AlternatingPair, npoints: int):
-    """Evaluate det(x*A + B) at npoints extension-field points."""
-    spec = pair.spec
-    ext = _sample_field(spec, npoints)
-    emb = embed(spec, ext)
-    a = Mat.from_rows(ext, [[emb.map(v) for v in row] for row in pair.a.rows], pair.dim)
-    b = Mat.from_rows(ext, [[emb.map(v) for v in row] for row in pair.b.rows], pair.dim)
-    points = list(range(npoints))
-    values = []
-    for x in points:
-        values.append((a.scale(x) + b).det())
-    return ext, emb, points, values
-
-
-def det_pencil_poly(pair: AlternatingPair) -> Poly:
-    """det(t*A + B) as a polynomial over the base field."""
-    n = pair.dim
-    spec = pair.spec
-    if n == 0:
-        return Poly.one(spec)
-    ext, emb, points, values = _pencil_det_samples(pair, n + 1)
-    dpoly = lagrange_interpolate(ext, points, values)
-    return Poly.make(spec, [emb.unmap(c) for c in dpoly.coeffs])
-
-
 def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
     """The unique square root of det(x1*A + x2*B), as a binary form of
     degree dim/2; the zero form when the determinant vanishes identically.
 
-    Evaluation-interpolation: sample x1 on extension-field points at x2 = 1,
-    take the unique characteristic-2 square root of each determinant value,
-    interpolate, homogenize.
+    One Smith elimination of t*A + B gives a diagonal d_1, ..., d_r whose
+    monic parts are the invariant factors.  For an alternating pencil they
+    pair up, d_1 = d_2, d_3 = d_4, ..., so with c the product of the leading
+    coefficients, det(t*A + B) = c * (d_2 d_4 ... d_n)^2 and the Pfaffian is
+    sqrt(c) * d_2 d_4 ... d_n, homogenized.
     """
     require_valid(pair)
     n = pair.dim
@@ -222,19 +190,24 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
         return BinaryForm.one(spec)
     if n % 2 == 1:
         return BinaryForm.zero(spec)
-    ext, emb, points, values = _pencil_det_samples(pair, n + 1)
-    if all(v == 0 for v in values):
+    diagonal = _smith_diagonal(PolyMat.pencil(pair.a, pair.b))
+    if len(diagonal) < n:
         return BinaryForm.zero(spec)
-    roots = [ext.sqrt(v) for v in values]
-    half = lagrange_interpolate(ext, points, roots)
-    delta = Poly.make(spec, [emb.unmap(c) for c in half.coeffs])
-    dd = lagrange_interpolate(ext, points, values)
-    det_base = Poly.make(spec, [emb.unmap(c) for c in dd.coeffs])
-    if delta * delta != det_base:
-        raise AssertionError("pencil determinant is not a perfect square")
-    if delta.degree > n // 2:
+    # The elimination only swaps rows or columns and adds a multiple of one
+    # row or column to another; in characteristic 2 each of these has
+    # determinant 1, so the raw diagonal multiplies out to det(t*A + B).
+    c = 1
+    for d in diagonal:
+        c = spec.mul(c, d.leading)
+    factors = [d.monic() for d in diagonal]
+    half = Poly.constant(spec, spec.sqrt(c))
+    for i in range(0, n, 2):
+        if factors[i] != factors[i + 1]:
+            raise AssertionError("invariant factors of an alternating pencil do not pair up")
+        half = half * factors[i + 1]
+    if half.degree > n // 2:
         raise AssertionError("pfaffian degree exceeds dim/2")
-    return homogenize(delta, n // 2)
+    return homogenize(half, n // 2)
 
 
 # -- Kronecker invariants ----------------------------------------------------------
@@ -247,9 +220,6 @@ class KroneckerInvariants:
 
     minimal_indices: tuple[int, ...]
     elementary_divisors: tuple[tuple[tuple[ProjPoint, int], int], ...]
-
-    def divisor_dict(self) -> dict[tuple[ProjPoint, int], int]:
-        return dict(self.elementary_divisors)
 
 
 def _staircase_nullity(pair: AlternatingPair, k: int) -> int:

@@ -247,23 +247,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    spec = a.spec
-    r0, r1 = a, b
-    s0, s1 = Poly.one(spec), Poly.zero(spec)
-    t0, t1 = Poly.zero(spec), Poly.one(spec)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 + q * s1
-        t0, t1 = t1, t0 + q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = spec.inv(r0.leading)
-    return r0.scale(c), s0.scale(c), t0.scale(c)
-
-
 def derivative(f: Poly) -> Poly:
     """Formal derivative; even-exponent terms vanish in characteristic 2."""
     out = [f.coeffs[i] if i % 2 == 1 else 0 for i in range(1, len(f.coeffs))]
@@ -464,27 +447,6 @@ def monic_irreducibles(spec: FieldSpec, degree: int) -> Iterator[Poly]:
         f = Poly(tuple(coeffs), spec)
         if is_irreducible(f):
             yield f
-
-
-def lagrange_interpolate(spec: FieldSpec, points: Sequence[int], values: Sequence[int]) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points."""
-    if len(points) != len(values):
-        raise PolyError("point/value length mismatch")
-    if len(set(points)) != len(points):
-        raise PolyError("interpolation points must be distinct")
-    acc = Poly.zero(spec)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi == 0:
-            continue
-        num = Poly.one(spec)
-        denom = 1
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            num = num * Poly((xj, 1), spec)
-            denom = spec.mul(denom, xi ^ xj)
-        acc = acc + num.scale(spec.mul(yi, spec.inv(denom)))
-    return acc
 
 
 # -- homogeneous binary forms --------------------------------------------------

@@ -6,14 +6,16 @@ import random
 from functools import lru_cache
 
 from altpairs.blocks import AlternatingPair
-from altpairs.field import FieldSpec
+from altpairs.field import FieldSpec, embed
 from altpairs.linalg import Mat
-from altpairs.pencil import ClassFunction
+from altpairs.pencil import ClassFunction, require_valid
 from altpairs.polyring import (
     EPS,
     BinaryForm,
+    Poly,
     PolyError,
     _EpsType,
+    homogenize,
     monic_irreducibles,
     point_from_poly,
     unital_normalize,
@@ -62,10 +64,11 @@ def small_irreducibles(spec: FieldSpec, max_deg: int = 3):
 
 
 def random_class_function(
-    spec: FieldSpec, rng: random.Random, max_dim: int, max_eps: int = 2
+    spec: FieldSpec, rng: random.Random, max_dim: int, max_eps: int = 2, max_deg: int = 3
 ) -> ClassFunction:
-    """Random blocks until the dimension budget is spent."""
-    irr = small_irreducibles(spec)
+    """Random blocks until the dimension budget is spent; finite points have
+    degree at most max_deg."""
+    irr = small_irreducibles(spec, max_deg)
     acc: dict = {}
     dim = 0
     while True:
@@ -217,3 +220,59 @@ def moebius_act_reference(q, point, spec: FieldSpec):
         y2pow = y2pow * y2
     normal, _ = unital_normalize(acc)
     return normal
+
+
+# -- reference Pfaffian by evaluation and interpolation -----------------------------
+
+
+def lagrange_interpolate(spec: FieldSpec, points, values) -> Poly:
+    """Unique polynomial of degree < len(points) through the given points."""
+    if len(points) != len(values):
+        raise PolyError("point/value length mismatch")
+    if len(set(points)) != len(points):
+        raise PolyError("interpolation points must be distinct")
+    acc = Poly.zero(spec)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        if yi == 0:
+            continue
+        num = Poly.one(spec)
+        denom = 1
+        for j, xj in enumerate(points):
+            if j == i:
+                continue
+            num = num * Poly((xj, 1), spec)
+            denom = spec.mul(denom, xi ^ xj)
+        acc = acc + num.scale(spec.mul(yi, spec.inv(denom)))
+    return acc
+
+
+def pfaffian_interpolation_reference(pair: AlternatingPair) -> BinaryForm:
+    """The square root of det(x1*A + x2*B) by evaluation and interpolation,
+    independent of Smith elimination: embed the pair into an extension with
+    at least dim + 1 elements, take det(x*A + B) at dim + 1 points, take the
+    characteristic-2 square root of each value, interpolate, check that the
+    result squares to the interpolated determinant, homogenize."""
+    require_valid(pair)
+    n = pair.dim
+    spec = pair.spec
+    if n == 0:
+        return BinaryForm.one(spec)
+    if n % 2 == 1:
+        return BinaryForm.zero(spec)
+    k = spec.k
+    while (1 << k) < n + 1:
+        k += spec.k
+    ext = spec if k == spec.k else FieldSpec.gf(k)
+    emb = embed(spec, ext)
+    a = Mat.from_rows(ext, [[emb.map(v) for v in row] for row in pair.a.rows], n)
+    b = Mat.from_rows(ext, [[emb.map(v) for v in row] for row in pair.b.rows], n)
+    points = list(range(n + 1))
+    values = [(a.scale(x) + b).det() for x in points]
+    if all(v == 0 for v in values):
+        return BinaryForm.zero(spec)
+    half = lagrange_interpolate(ext, points, [ext.sqrt(v) for v in values])
+    delta = Poly.make(spec, [emb.unmap(c) for c in half.coeffs])
+    det = lagrange_interpolate(ext, points, values)
+    assert delta * delta == Poly.make(spec, [emb.unmap(c) for c in det.coeffs])
+    assert delta.degree <= n // 2
+    return homogenize(delta, n // 2)

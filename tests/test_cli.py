@@ -237,12 +237,16 @@ def test_corpus_survives_unparsable_file(capsys, tmp_path):
     for name, text in docs.items():
         (tmp_path / name).write_text(text)
     (tmp_path / "d-binary.pair").write_bytes(b"field gf2\xff\n")
+    (tmp_path / "sub.pair").mkdir()
     code, out, _ = run(capsys, ["--json", "corpus", str(tmp_path)])
     assert code == 0
     files = json.loads(out)["files"]
-    assert [e["path"].rsplit("/", 1)[-1] for e in files] == sorted(docs) + ["d-binary.pair"]
-    good_entry, truncated, nonalt, binary = files
+    names = [e["path"].rsplit("/", 1)[-1] for e in files]
+    assert names == sorted(docs) + ["d-binary.pair", "sub.pair"]
+    good_entry, truncated, nonalt, binary, subdir = files
     assert binary["ok"] is False
+    assert set(subdir) == {"path", "ok", "message"}
+    assert subdir["ok"] is False
     assert good_entry["ok"] is True
     assert "weak_class" in good_entry
     assert set(truncated) == {"path", "ok", "message"}
@@ -253,3 +257,18 @@ def test_corpus_survives_unparsable_file(capsys, tmp_path):
     code, out, _ = run(capsys, ["corpus", str(tmp_path)])
     assert code == 0
     assert "b-truncated.pair: INVALID (line 0: document needs at least two matrices)" in out
+
+
+def test_unreadable_inputs_exit2_without_traceback(capsys, tmp_path):
+    binary = tmp_path / "f.pair"
+    binary.write_bytes(b"field gf2\xff\n")
+    for argv in (
+        ["decompose", str(binary)],
+        ["decompose", str(tmp_path)],
+        ["corpus", str(binary)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: "), argv
+        assert "Traceback" not in err

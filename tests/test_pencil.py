@@ -10,6 +10,7 @@ from altpairs.blocks import (
     build_infinity,
     build_infinity_over,
     build_plus,
+    build_plus_over,
     direct_sum,
 )
 from altpairs.field import FieldError, FieldSpec, embed
@@ -37,6 +38,7 @@ from altpairs.polyring import (
 from conftest import (
     GF2,
     GF4,
+    pfaffian_interpolation_reference,
     random_alternating_pair,
     random_class_function,
     random_invertible,
@@ -75,10 +77,17 @@ def test_validate_asymmetric_b():
 # -- Pfaffian ----------------------------------------------------------------------
 
 
+def checked_pfaffian(pair):
+    """pfaffian_form, cross-checked against the interpolation reference."""
+    pf = pfaffian_form(pair)
+    assert pf == pfaffian_interpolation_reference(pair)
+    return pf
+
+
 def test_pfaffian_infinity_blocks():
     for n in range(1, 9):
         expected = parse_form(GF2, "x2" if n == 1 else f"x2^{n}")
-        assert pfaffian_form(build_infinity(n)) == expected
+        assert checked_pfaffian(build_infinity(n)) == expected
 
 
 def test_pfaffian_finite_blocks_power_of_point():
@@ -86,21 +95,21 @@ def test_pfaffian_finite_blocks_power_of_point():
         for f in monic_irreducibles(GF2, d):
             for n in range(1, 8 // d + 1):
                 expected = point_from_poly(f).power(n)
-                assert pfaffian_form(build_finite(f, n)) == expected
+                assert checked_pfaffian(build_finite(f, n)) == expected
 
 
 def test_pfaffian_t_block_is_x1():
-    assert pfaffian_form(build_finite(tp("t"), 1)) == BinaryForm.x1(GF2)
+    assert checked_pfaffian(build_finite(tp("t"), 1)) == BinaryForm.x1(GF2)
 
 
 def test_pfaffian_odd_block_zero():
-    assert pfaffian_form(build_plus(1)).is_zero()
-    assert pfaffian_form(build_plus(0)).is_zero()
+    assert checked_pfaffian(build_plus(1)).is_zero()
+    assert checked_pfaffian(build_plus(0)).is_zero()
 
 
 def test_pfaffian_empty_pair_is_one():
     zero = direct_sum([], spec=GF2)
-    assert pfaffian_form(zero).coeffs == (1,)
+    assert checked_pfaffian(zero).coeffs == (1,)
 
 
 def test_pfaffian_square_matches_determinant():
@@ -113,7 +122,7 @@ def test_pfaffian_square_matches_determinant():
         for _ in range(30):
             n = rng.randrange(1, 13)
             pair = random_alternating_pair(spec, rng, n)
-            pf = pfaffian_form(pair)
+            pf = checked_pfaffian(pair)
             a_ext = Mat.from_rows(ext, [[emb.map(v) for v in r] for r in pair.a.rows], n)
             b_ext = Mat.from_rows(ext, [[emb.map(v) for v in r] for r in pair.b.rows], n)
             pf_ext = BinaryForm.make(ext, tuple(emb.map(c) for c in pf.coeffs))
@@ -232,7 +241,64 @@ def test_pfaffian_recoverable_from_class_function():
         if any(p is EPS for p, _, _ in rho.entries):
             continue
         pair = assemble(rho)
-        assert pfaffian_form(pair) == pfaffian_of_class(rho)
+        assert checked_pfaffian(pair) == pfaffian_of_class(rho)
+
+
+def _rank_deficient_pair(spec, rng, n):
+    """A random n x n pair whose pencil has rank below n: a random pair of
+    smaller dimension plus a zero or eps block, scrambled by a basis change."""
+    eps = rng.randrange(0, 2) if n >= 3 else 0
+    core = random_alternating_pair(spec, rng, n - (2 * eps + 1))
+    pair = direct_sum([core, build_plus_over(spec, eps)])
+    return transform_congruence(pair, random_invertible(spec, rng, n))
+
+
+def test_pfaffian_matches_interpolation_random():
+    rng = random.Random(0x9FAF)
+    for k in (1, 2, 3, 4):
+        spec = FieldSpec.gf(k)
+        for n in range(15):
+            for _ in range(2):
+                checked_pfaffian(random_alternating_pair(spec, rng, n))
+            if n >= 1:
+                assert checked_pfaffian(_rank_deficient_pair(spec, rng, n)).is_zero()
+
+
+def test_pfaffian_matches_interpolation_scrambled_canonical_sums():
+    # det S != 1 scales the Pfaffian by det S, so sqrt(c) is not 1
+    rng = random.Random(0x5C4A)
+    for spec, count in ((GF4, 12), (FieldSpec.gf(4), 6)):
+        seen_eps = seen_scaled = False
+        for _ in range(count):
+            rho = random_class_function(spec, rng, 12, max_deg=2)
+            pair = assemble(rho)
+            if pair.dim == 0:
+                continue
+            while True:
+                s = random_invertible(spec, rng, pair.dim)
+                det_s = s.det()
+                if det_s != 1:
+                    break
+            pf = checked_pfaffian(transform_congruence(pair, s))
+            if any(p is EPS for p, _, _ in rho.entries):
+                seen_eps = True
+                assert pf.is_zero()
+            else:
+                seen_scaled = True
+                assert pf == pfaffian_of_class(rho).scale(det_s)
+        assert seen_eps and seen_scaled
+
+
+def test_pfaffian_matches_interpolation_without_mul_table():
+    spec = FieldSpec.gf(9)
+    assert spec.mul_table is None
+    rng = random.Random(0x209)
+    for n in (2, 4, 5, 6):
+        checked_pfaffian(random_alternating_pair(spec, rng, n))
+    pair = direct_sum([build_infinity_over(spec, 2), build_infinity_over(spec, 1)])
+    s = random_invertible(spec, rng, pair.dim)
+    expected = BinaryForm.x2(spec).power(3).scale(s.det())
+    assert checked_pfaffian(transform_congruence(pair, s)) == expected
 
 
 # -- class function plumbing -----------------------------------------------------------
