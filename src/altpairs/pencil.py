@@ -27,6 +27,7 @@ from .polyring import (
     factor,
     format_form,
     homogenize,
+    lagrange_interpolate,  # noqa: F401  (perfbench traces this name; see ROADMAP item 6)
     parse_form,
     point_from_poly,
     point_sort_key,

@@ -449,6 +449,27 @@ def monic_irreducibles(spec: FieldSpec, degree: int) -> Iterator[Poly]:
             yield f
 
 
+def lagrange_interpolate(spec: FieldSpec, points: Sequence[int], values: Sequence[int]) -> Poly:
+    """Unique polynomial of degree < len(points) through the given points."""
+    if len(points) != len(values):
+        raise PolyError("point/value length mismatch")
+    if len(set(points)) != len(points):
+        raise PolyError("interpolation points must be distinct")
+    acc = Poly.zero(spec)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        if yi == 0:
+            continue
+        num = Poly.one(spec)
+        denom = 1
+        for j, xj in enumerate(points):
+            if j == i:
+                continue
+            num = num * Poly((xj, 1), spec)
+            denom = spec.mul(denom, xi ^ xj)
+        acc = acc + num.scale(spec.mul(yi, spec.inv(denom)))
+    return acc
+
+
 # -- homogeneous binary forms --------------------------------------------------
 
 

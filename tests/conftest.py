@@ -16,6 +16,7 @@ from altpairs.polyring import (
     PolyError,
     _EpsType,
     homogenize,
+    lagrange_interpolate,
     monic_irreducibles,
     point_from_poly,
     unital_normalize,
@@ -223,27 +224,6 @@ def moebius_act_reference(q, point, spec: FieldSpec):
 
 
 # -- reference Pfaffian by evaluation and interpolation -----------------------------
-
-
-def lagrange_interpolate(spec: FieldSpec, points, values) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points."""
-    if len(points) != len(values):
-        raise PolyError("point/value length mismatch")
-    if len(set(points)) != len(points):
-        raise PolyError("interpolation points must be distinct")
-    acc = Poly.zero(spec)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi == 0:
-            continue
-        num = Poly.one(spec)
-        denom = 1
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            num = num * Poly((xj, 1), spec)
-            denom = spec.mul(denom, xi ^ xj)
-        acc = acc + num.scale(spec.mul(yi, spec.inv(denom)))
-    return acc
 
 
 def pfaffian_interpolation_reference(pair: AlternatingPair) -> BinaryForm:

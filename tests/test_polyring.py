@@ -18,6 +18,7 @@ from altpairs.polyring import (
     format_poly,
     homogenize,
     is_irreducible,
+    lagrange_interpolate,
     moebius_act,
     monic_irreducibles,
     parse_form,
@@ -32,7 +33,7 @@ from altpairs.polyring import (
 )
 from altpairs.weakeq import pgl2_enumerate
 
-from conftest import GF2, GF4, lagrange_interpolate, moebius_act_reference
+from conftest import GF2, GF4, moebius_act_reference
 
 
 def P2(mask: int) -> Poly:
