@@ -212,6 +212,25 @@ class BlockId:
             return BinaryForm.x2(self.spec_or_gf2()), self.n
         return EPS, self.n + 1
 
+    @staticmethod
+    def of_point(point: ProjPoint, n: int) -> "BlockId":
+        """The block labelled (point, n); the inverse of ``point()``.
+
+        This is the one place that tells eps, x2 and finite points apart.
+        A finite point is taken as a unital irreducible form without a second
+        irreducibility test.
+        """
+        if isinstance(point, _EpsType):
+            return BlockId.plus(n - 1)
+        if point.coeffs == (1, 0):
+            return BlockId.infinity(n)
+        f, x2_mult = dehomogenize(point)
+        if x2_mult != 0:
+            raise BlockError("projective point must be unital irreducible or x2")
+        if n < 1:
+            raise BlockError("multiplicity must be positive")
+        return BlockId("fin", f, n)
+
     def spec_or_gf2(self) -> FieldSpec:
         return self.f.spec if self.f is not None else FieldSpec.gf2()
 
@@ -234,10 +253,13 @@ class BlockId:
     def parse(text: str, spec: FieldSpec | None = None) -> "BlockId":
         spec = spec or FieldSpec.gf2()
         s = text.strip()
-        if s.startswith("inf:"):
-            return BlockId.infinity(int(s[4:]))
-        if s.startswith("plus:"):
-            return BlockId.plus(int(s[5:]))
+        for prefix, make in (("inf:", BlockId.infinity), ("plus:", BlockId.plus)):
+            if s.startswith(prefix):
+                try:
+                    n = int(s[len(prefix):])
+                except ValueError:
+                    raise BlockError(f"bad block size in {text!r}") from None
+                return make(n)
         if s.startswith("fin:"):
             body = s[4:]
             if "^" not in body:
@@ -253,14 +275,7 @@ class BlockId:
 
 def block_for_point(point: ProjPoint, n: int, spec: FieldSpec) -> AlternatingPair:
     """The canonical pair attached to a projective point with multiplicity n."""
-    if isinstance(point, _EpsType):
-        return build_plus_over(spec, n - 1)
-    if point.coeffs == (1, 0):  # the x2 point
-        return build_infinity_over(spec, n)
-    f, x2_mult = dehomogenize(point)
-    if x2_mult != 0:
-        raise BlockError("projective point must be unital irreducible or x2")
-    return build_finite(f, n)
+    return BlockId.of_point(point, n).build(spec)
 
 
 # -- residue-form oracle -------------------------------------------------------

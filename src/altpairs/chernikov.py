@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
+from .blocks import BlockId
 from .field import FieldSpec
 from .linalg import Mat, _pack
 from .pencil import ClassFunction
-from .polyring import _EpsType, dehomogenize
 from .weakeq import GL2Element
 
 MAX_BRUTE_ORDER = 1 << 12
@@ -222,26 +222,22 @@ def presentation_from_class(rho: ClassFunction, e: int = 1) -> GroupPresentation
     data: dict[tuple[int, int], tuple[int, ...]] = {}
     offset = 0
     for point, n, mult in rho.entries:
+        bid = BlockId.of_point(point, n)
         for _ in range(mult):
-            if isinstance(point, _EpsType):
-                eps = n - 1
-                local = _plus_block_commutators(eps)
-                size = 2 * eps + 1
-            elif point.coeffs == (1, 0):
+            if bid.kind == "plus":
+                local = _plus_block_commutators(bid.n)
+            elif bid.kind == "inf":
                 local = _infinity_block_commutators(n)
-                size = 2 * n
             else:
-                f, _ = dehomogenize(point)
-                g = f
+                g = bid.f
                 for _ in range(n - 1):
-                    g = g * f
+                    g = g * bid.f
                 d = g.degree
                 local = _finite_block_commutators([g.coeff(i) for i in range(d)], d)
-                size = 2 * d
             for (i, j), vec in local.items():
                 if any(vec):
                     data[(offset + i, offset + j)] = tuple(vec)
-            offset += size
+            offset += bid.dim
     return GroupPresentation.from_dict(offset, 2, data, e)
 
 

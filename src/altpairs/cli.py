@@ -83,10 +83,9 @@ def parse_pair_document(text: str) -> PairDocument:
             except FieldError as exc:
                 raise ParseError(lineno, str(exc)) from exc
         elif parts[0] == "dim":
-            try:
-                dim = int(parts[1])
-            except (IndexError, ValueError):
-                raise ParseError(lineno, "expected: dim <n>") from None
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise ParseError(lineno, "expected: dim <n> with n >= 0")
+            dim = int(parts[1])
         elif parts[0] == "matrix":
             if len(parts) != 2:
                 raise ParseError(lineno, "expected: matrix <name>")
@@ -154,19 +153,9 @@ def _class_text(rho: ClassFunction) -> str:
 
 
 def _block_ids(rho: ClassFunction) -> list[str]:
-    from .polyring import _EpsType, dehomogenize
-
-    out = []
-    for point, n, mult in rho.entries:
-        if isinstance(point, _EpsType):
-            bid = f"plus:{n - 1}"
-        elif point.coeffs == (1, 0):
-            bid = f"inf:{n}"
-        else:
-            f, _ = dehomogenize(point)
-            bid = f"fin:{f}^{n}"
-        out.extend([bid] * mult)
-    return out
+    return [
+        str(BlockId.of_point(point, n)) for point, n, mult in rho.entries for _ in range(mult)
+    ]
 
 
 # -- commands ---------------------------------------------------------------------

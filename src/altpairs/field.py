@@ -25,21 +25,11 @@ def _gf2_poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def _gf2_poly_mulmod(a: int, b: int, modulus: int) -> int:
-    """Carry-less product of bitmask polynomials, reduced mod ``modulus``."""
-    deg = _gf2_poly_degree(modulus)
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a >> deg & 1:
-            a ^= modulus
-    return r
+# -- the GF(2)[t] kernel on int bitmasks (bit i = coefficient of t^i) ---------
 
 
 def _gf2_poly_mul(a: int, b: int) -> int:
+    """Carry-less product."""
     r = 0
     while b:
         if b & 1:
@@ -49,28 +39,41 @@ def _gf2_poly_mul(a: int, b: int) -> int:
     return r
 
 
-def _gf2_poly_mod(a: int, m: int) -> int:
-    dm = _gf2_poly_degree(m)
-    da = _gf2_poly_degree(a)
-    while da >= dm:
-        a ^= m << (da - dm)
-        da = _gf2_poly_degree(a)
-    return a
+def _gf2_poly_divmod(a: int, b: int) -> tuple[int, int]:
+    """(a // b, a % b) for b != 0."""
+    db = b.bit_length()
+    q = 0
+    shift = a.bit_length() - db
+    while shift >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - db
+    return q, a
+
+
+def _gf2_poly_submul(a: int, q: int, b: int) -> int:
+    """a + q*b (addition and subtraction coincide)."""
+    return a ^ _gf2_poly_mul(q, b)
+
+
+def _gf2_poly_mulmod(a: int, b: int, modulus: int) -> int:
+    """Product of bitmask polynomials, reduced mod ``modulus``."""
+    return _gf2_poly_divmod(_gf2_poly_mul(a, b), modulus)[1]
 
 
 def _gf2_poly_gcd(a: int, b: int) -> int:
     while b:
-        a, b = b, _gf2_poly_mod(a, b)
+        a, b = b, _gf2_poly_divmod(a, b)[1]
     return a
 
 
 def _gf2_poly_powmod(a: int, n: int, m: int) -> int:
     r = 1
-    a = _gf2_poly_mod(a, m)
+    a = _gf2_poly_divmod(a, m)[1]
     while n:
         if n & 1:
-            r = _gf2_poly_mod(_gf2_poly_mul(r, a), m)
-        a = _gf2_poly_mod(_gf2_poly_mul(a, a), m)
+            r = _gf2_poly_mulmod(r, a, m)
+        a = _gf2_poly_mulmod(a, a, m)
         n >>= 1
     return r
 
@@ -84,20 +87,21 @@ def is_irreducible_gf2(p: int) -> bool:
         return True
     # x^(2^d) == x mod p, and x^(2^(d/q)) - x coprime to p for prime q | d
     x = 0b10
-    if _gf2_poly_powmod(x, 1 << d, p) != _gf2_poly_mod(x, p):
+    x_mod_p = _gf2_poly_divmod(x, p)[1]
+    if _gf2_poly_powmod(x, 1 << d, p) != x_mod_p:
         return False
     q = 2
     dd = d
     while q * q <= dd:
         if dd % q == 0:
-            t = _gf2_poly_powmod(x, 1 << (d // q), p) ^ _gf2_poly_mod(x, p)
+            t = _gf2_poly_powmod(x, 1 << (d // q), p) ^ x_mod_p
             if _gf2_poly_gcd(p, t) != 1:
                 return False
             while dd % q == 0:
                 dd //= q
         q += 1
     if dd > 1:
-        t = _gf2_poly_powmod(x, 1 << (d // dd), p) ^ _gf2_poly_mod(x, p)
+        t = _gf2_poly_powmod(x, 1 << (d // dd), p) ^ x_mod_p
         if _gf2_poly_gcd(p, t) != 1:
             return False
     return True
@@ -118,15 +122,17 @@ def default_modulus(k: int) -> int:
 class FieldSpec:
     """GF(2^k) together with its defining modulus bitmask.
 
-    For k <= 8 the full multiplication table (``mul_table[a][b]``) and the
-    inverse table (``inv_table[a]``) are set at construction, shared by all
-    specs with the same (k, modulus); above that both are None.
+    ``mul_table[a][b]`` is a*b and ``inv_table[a]`` the inverse of a != 0,
+    both set at construction and shared by all specs with the same
+    (k, modulus).  For k <= 8 they are lists; above that they are
+    ``_Computed`` stand-ins that compute each entry on read, so every
+    caller indexes them the same way.
     """
 
     k: int
     modulus: int
-    mul_table: list | None = field(init=False, repr=False, compare=False)
-    inv_table: list | None = field(init=False, repr=False, compare=False)
+    mul_table: list | _Computed = field(init=False, repr=False, compare=False)
+    inv_table: list | _Computed = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.k <= MAX_K:
@@ -135,13 +141,8 @@ class FieldSpec:
             raise FieldError(f"modulus 0x{self.modulus:x} does not have degree {self.k}")
         if not is_irreducible_gf2(self.modulus):
             raise FieldError(f"modulus 0x{self.modulus:x} is reducible over GF(2)")
-        small = self.k <= _TABLE_MAX_K
-        object.__setattr__(
-            self, "mul_table", _build_mul_table(self.k, self.modulus) if small else None
-        )
-        object.__setattr__(
-            self, "inv_table", _build_inv_table(self.k, self.modulus) if small else None
-        )
+        object.__setattr__(self, "mul_table", _build_mul_table(self.k, self.modulus))
+        object.__setattr__(self, "inv_table", _build_inv_table(self.k, self.modulus))
 
     # -- construction ------------------------------------------------------
 
@@ -198,10 +199,7 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a & b
-        table = self.mul_table
-        if table is not None:
-            return table[a][b]
-        return _gf2_poly_mulmod(a, b, self.modulus)
+        return self.mul_table[a][b]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -218,10 +216,7 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in " + str(self))
-        table = self.inv_table
-        if table is not None:
-            return table[a]
-        return self.pow(a, self.order - 2)
+        return self.inv_table[a]
 
     def sqrt(self, a: int) -> int:
         """Unique square root: the Frobenius inverse a^(2^(k-1))."""
@@ -244,15 +239,32 @@ class FieldSpec:
         return FieldElement(1, self)
 
 
+class _Computed:
+    """Read-only table whose entry ``table[x]`` is ``fn(x)``, computed on
+    each read; stands in for the lists above _TABLE_MAX_K."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, x):
+        return self.fn(x)
+
+
 @lru_cache(maxsize=None)
 def _build_mul_table(k: int, modulus: int):
+    if k > _TABLE_MAX_K:
+        return _Computed(lambda a: _Computed(lambda b: _gf2_poly_mulmod(a, b, modulus)))
     n = 1 << k
     return [[_gf2_poly_mulmod(a, b, modulus) for b in range(n)] for a in range(n)]
 
 
 @lru_cache(maxsize=None)
 def _build_inv_table(k: int, modulus: int):
-    """inv[a] is the b with a*b = 1; inv[0] = 0 is never read."""
+    """inv[a] is the b with a*b = 1, a^(2^k - 2); inv[0] = 0 is never read."""
+    if k > _TABLE_MAX_K:
+        return _Computed(lambda a: _gf2_poly_powmod(a, (1 << k) - 2, modulus))
     table = _build_mul_table(k, modulus)
     return [0] + [table[a].index(1) for a in range(1, 1 << k)]
 

@@ -2,17 +2,21 @@
 
 Matrices store raw field bitmasks row-major.  Rank, nullspace, inverse and
 determinant run Gaussian elimination; over GF(2) the rows are packed into
-int bitsets first.  Smith normal form of polynomial matrices uses classical
-minimum-degree pivoting with exact division.
+int bitsets first, otherwise row operations read rows of
+``FieldSpec.mul_table``.  Smith normal form of polynomial matrices uses
+classical minimum-degree pivoting with exact division, on raw coefficient
+data through the one polynomial kernel (``field`` for GF(2)[t] bitmasks,
+``polyring`` for GF(2^k)[t] tuples).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
-from .field import FieldError, FieldSpec
-from .polyring import Poly
+from .field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_submul
+from .polyring import Poly, _poly_divmod, _poly_submul
 
 
 class LinAlgError(ValueError):
@@ -291,8 +295,7 @@ def _rref_full(m: Mat) -> tuple[list[list[int]], int, list[int]]:
             if row == nr:
                 break
         return [list(_unpack(w, nc)) for w in work], len(pivots), pivots
-    table = spec.mul_table
-    mul, inv = spec.mul, spec.inv
+    rows, inv = spec.mul_table, spec.inv
     work = [list(r) for r in m.rows]
     pivots = []
     row = 0
@@ -303,19 +306,12 @@ def _rref_full(m: Mat) -> tuple[list[list[int]], int, list[int]]:
         work[row], work[piv] = work[piv], work[row]
         pinv = inv(work[row][col])
         if pinv != 1:
-            if table is not None:
-                prow = table[pinv]
-                work[row] = [prow[v] for v in work[row]]
-            else:
-                work[row] = [mul(pinv, v) for v in work[row]]
+            prow = rows[pinv]
+            work[row] = [prow[v] for v in work[row]]
         for r in range(nr):
             if r != row and work[r][col]:
-                f = work[r][col]
-                if table is not None:
-                    frow = table[f]
-                    work[r] = [a ^ frow[b] for a, b in zip(work[r], work[row])]
-                else:
-                    work[r] = [a ^ mul(f, b) for a, b in zip(work[r], work[row])]
+                frow = rows[work[r][col]]
+                work[r] = [a ^ frow[b] for a, b in zip(work[r], work[row])]
         pivots.append(col)
         row += 1
         if row == nr:
@@ -394,171 +390,57 @@ def _smith_diagonal(pm: PolyMat) -> list[Poly]:
     """The nonzero diagonal that elimination leaves, not yet made monic.
 
     The entries are associates of the invariant factors, in the same order.
-    Runs on raw coefficient data (int bitmasks over GF(2), tuples otherwise).
+    Runs on raw coefficient data through the polynomial kernels: int
+    bitmasks and the ``field`` GF(2)[t] kernel over GF(2), coefficient
+    tuples and the ``polyring`` GF(2^k)[t] kernel otherwise.
     """
     spec = pm.spec
     if spec.k == 1:
         raw = [[p.bitmask() for p in row] for row in pm.rows]
-        diagonal = _smith_raw(raw, pm.shape, _gf2_poly_ops())
+        diagonal = _smith_raw(
+            raw, pm.shape, int.bit_length, _gf2_poly_divmod, _gf2_poly_submul, 1
+        )
         return [Poly.from_bitmask(spec, v) for v in diagonal]
     raw = [[p.coeffs for p in row] for row in pm.rows]
-    diagonal = _smith_raw(raw, pm.shape, _tuple_poly_ops(spec))
-    return [Poly.make(spec, v) for v in diagonal]
+    rows = spec.mul_table
+    # positional binding: keyword partials measurably slow the inner loop
+    diagonal = _smith_raw(
+        raw,
+        pm.shape,
+        len,
+        partial(_poly_divmod, rows, spec.inv_table),
+        partial(_poly_submul, rows),
+        (1,),
+    )
+    return [Poly(v, spec) for v in diagonal]
 
 
-class _RawPolyOps:
-    """Degree / divmod / a + q*b on a raw polynomial representation."""
+def _smith_raw(m: list[list], shape: tuple[int, int], size, divmod_, submul, one) -> list:
+    """Diagonalize m in place by unimodular row and column operations and
+    return the nonzero diagonal.
 
-    __slots__ = ("deg", "divmod", "submul", "zero")
-
-    def __init__(self, deg, divmod_, submul, zero):
-        self.deg = deg
-        self.divmod = divmod_
-        self.submul = submul
-        self.zero = zero
-
-
-def _gf2_poly_ops() -> _RawPolyOps:
-    from .polyring import _clmul, _gf2_divmod
-
-    def submul(a: int, q: int, b: int) -> int:
-        return a ^ _clmul(q, b)
-
-    return _RawPolyOps(lambda a: a.bit_length() - 1, _gf2_divmod, submul, 0)
-
-
-def _tuple_poly_ops(spec: FieldSpec) -> _RawPolyOps:
-    table = spec.mul_table
-    mul, inv = spec.mul, spec.inv
-
-    def deg(a: tuple) -> int:
-        return len(a) - 1
-
-    if table is not None:
-
-        def divmod_(a: tuple, b: tuple) -> tuple:
-            db = len(b) - 1
-            if db == 0:
-                lead_row = table[inv(b[0])]
-                return tuple(lead_row[c] for c in a), ()
-            rem = list(a)
-            lead_row = table[inv(b[-1])]
-            quot = [0] * max(0, len(rem) - db)
-            for i in range(len(rem) - 1, db - 1, -1):
-                c = rem[i]
-                if c:
-                    f = lead_row[c]
-                    quot[i - db] = f
-                    frow = table[f]
-                    base = i - db
-                    for j, bc in enumerate(b):
-                        if bc:
-                            rem[base + j] ^= frow[bc]
-            nq = len(quot)
-            while nq and quot[nq - 1] == 0:
-                nq -= 1
-            nr = len(rem)
-            while nr and rem[nr - 1] == 0:
-                nr -= 1
-            return tuple(quot[:nq]), tuple(rem[:nr])
-
-        def submul(a: tuple, q: tuple, b: tuple) -> tuple:
-            if not q or not b:
-                return a
-            if len(q) == 1:
-                qrow = table[q[0]]
-                if len(a) >= len(b):
-                    out = list(a)
-                    for j, bj in enumerate(b):
-                        if bj:
-                            out[j] ^= qrow[bj]
-                else:
-                    out = [qrow[bj] for bj in b]
-                    for i, ai in enumerate(a):
-                        out[i] ^= ai
-                while out and out[-1] == 0:
-                    out.pop()
-                return tuple(out)
-            prod = [0] * (len(q) + len(b) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    qrow = table[qi]
-                    for j, bj in enumerate(b):
-                        if bj:
-                            prod[i + j] ^= qrow[bj]
-            n = max(len(a), len(prod))
-            out = prod + [0] * (n - len(prod))
-            for i, ai in enumerate(a):
-                out[i] ^= ai
-            while out and out[-1] == 0:
-                out.pop()
-            return tuple(out)
-
-    else:
-
-        def divmod_(a: tuple, b: tuple) -> tuple:
-            rem = list(a)
-            db = len(b) - 1
-            lead_inv = inv(b[-1])
-            quot = [0] * max(0, len(rem) - db)
-            for i in range(len(rem) - 1, db - 1, -1):
-                c = rem[i]
-                if c:
-                    f = mul(c, lead_inv)
-                    quot[i - db] = f
-                    for j, bc in enumerate(b):
-                        rem[i - db + j] ^= mul(f, bc)
-            nq = len(quot)
-            while nq and quot[nq - 1] == 0:
-                nq -= 1
-            nr = len(rem)
-            while nr and rem[nr - 1] == 0:
-                nr -= 1
-            return tuple(quot[:nq]), tuple(rem[:nr])
-
-        def submul(a: tuple, q: tuple, b: tuple) -> tuple:
-            if not q or not b:
-                return a
-            prod = [0] * (len(q) + len(b) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            prod[i + j] ^= mul(qi, bj)
-            n = max(len(a), len(prod))
-            out = prod + [0] * (n - len(prod))
-            for i, ai in enumerate(a):
-                out[i] ^= ai
-            while out and out[-1] == 0:
-                out.pop()
-            return tuple(out)
-
-    return _RawPolyOps(deg, divmod_, submul, ())
-
-
-def _smith_raw(m: list[list], shape: tuple[int, int], ops: _RawPolyOps) -> list:
+    Entries are raw polynomials whose zero is falsy; ``size(p)`` is
+    deg p + 1, ``divmod_`` and ``submul`` (a + q*b) are the kernel
+    operations and ``one`` is the unit polynomial.
+    """
     nr, nc = shape
-    deg = ops.deg
-    divmod_ = ops.divmod
-    submul = ops.submul
-    zero = ops.zero
     invariants = []
     for k in range(min(nr, nc)):
         while True:
             best = None
-            best_deg = None
+            best_size = None
             for i in range(k, nr):
                 row = m[i]
                 for j in range(k, nc):
                     p = row[j]
-                    if p != zero:
-                        d = deg(p)
-                        if best_deg is None or d < best_deg:
+                    if p:
+                        d = size(p)
+                        if best_size is None or d < best_size:
                             best = (i, j)
-                            best_deg = d
-                            if d == 0:
+                            best_size = d
+                            if d == 1:
                                 break
-                if best_deg == 0:
+                if best_size == 1:
                     break
             if best is None:
                 return invariants
@@ -571,30 +453,30 @@ def _smith_raw(m: list[list], shape: tuple[int, int], ops: _RawPolyOps) -> list:
             pivot = m[k][k]
             clean = True
             for i in range(k + 1, nr):
-                if m[i][k] != zero:
+                if m[i][k]:
                     q, _ = divmod_(m[i][k], pivot)
-                    if q != zero:
+                    if q:
                         mk = m[k]
                         m[i] = [submul(a, q, b) for a, b in zip(m[i], mk)]
-                    if m[i][k] != zero:
+                    if m[i][k]:
                         clean = False
             for j in range(k + 1, nc):
-                if m[k][j] != zero:
+                if m[k][j]:
                     q, _ = divmod_(m[k][j], pivot)
-                    if q != zero:
+                    if q:
                         for i in range(k, nr):
                             m[i][j] = submul(m[i][j], q, m[i][k])
-                    if m[k][j] != zero:
+                    if m[k][j]:
                         clean = False
             if not clean:
                 continue
-            if deg(pivot) == 0:
+            if size(pivot) == 1:
                 break  # a unit divides everything
             offender = None
             for i in range(k + 1, nr):
                 row = m[i]
                 for j in range(k + 1, nc):
-                    if row[j] != zero and divmod_(row[j], pivot)[1] != zero:
+                    if row[j] and divmod_(row[j], pivot)[1]:
                         offender = i
                         break
                 if offender is not None:
@@ -602,6 +484,6 @@ def _smith_raw(m: list[list], shape: tuple[int, int], ops: _RawPolyOps) -> list:
             if offender is None:
                 break
             off = m[offender]
-            m[k] = [submul(a, (1,) if zero == () else 1, b) for a, b in zip(m[k], off)]
+            m[k] = [submul(a, one, b) for a, b in zip(m[k], off)]
         invariants.append(m[k][k])
     return invariants

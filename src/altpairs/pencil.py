@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .blocks import AlternatingPair, block_for_point, direct_sum
+from .blocks import AlternatingPair, BlockId, block_for_point, direct_sum
 from .field import FieldError, FieldSpec
 from .linalg import Mat, PolyMat, _smith_diagonal, congruence, smith_form
 from .polyring import (
@@ -78,11 +78,7 @@ def require_valid(pair: AlternatingPair) -> None:
 
 def point_dim(point: ProjPoint, n: int) -> int:
     """Dimension of the canonical block at (point, n)."""
-    if isinstance(point, _EpsType):
-        return 2 * n - 1
-    if point.coeffs == (1, 0):
-        return 2 * n
-    return 2 * n * point.degree
+    return BlockId.of_point(point, n).dim
 
 
 def point_text(point: ProjPoint) -> str:

@@ -2,8 +2,11 @@
 GL(2) substitution action on projective points.
 
 Polynomials are coefficient tuples (index i = coefficient of t^i, raw field
-bitmasks, no trailing zeros).  Over GF(2) the arithmetic kernels convert to
-int bitmasks, which keeps Smith-form elimination and factoring fast.
+bitmasks, no trailing zeros).  The GF(2^k)[t] kernel below (``_poly_mul``,
+``_poly_submul``, ``_poly_divmod``) is the one product and one division on
+such tuples; ``Poly``, ``BinaryForm`` and the Smith elimination in
+``linalg`` all call it.  Over GF(2) they use the bitmask kernel of
+``field`` instead, which keeps Smith-form elimination and factoring fast.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .field import FieldError, FieldSpec
+from .field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_mul
 
 
 class PolyError(ValueError):
@@ -25,6 +28,64 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+# -- the GF(2^k)[t] kernel on coefficient tuples -------------------------------
+#
+# ``rows`` is FieldSpec.mul_table (rows[c][x] = c*x) and ``inv`` is
+# FieldSpec.inv_table.  The product loop lives in _poly_submul, fused with
+# the addition because Smith elimination spends its time there.
+
+
+def _poly_submul(rows, a: tuple, q: tuple, b: tuple) -> tuple:
+    """a + q*b (addition and subtraction coincide), trimmed."""
+    if not q or not b:
+        return a
+    out = list(a)
+    short = len(q) + len(b) - 1 - len(out)
+    if short > 0:
+        out.extend([0] * short)
+    for i, qi in enumerate(q):
+        if qi:
+            row = rows[qi]
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] ^= row[bj]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _poly_mul(rows, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """a*b over len(a) + len(b) - 1 coefficients, so that binary forms, whose
+    coefficient tuples may end in zeros, keep their degree."""
+    if not a or not b:
+        return ()
+    out = _poly_submul(rows, (), a, b)
+    return out + (0,) * (len(a) + len(b) - 1 - len(out))
+
+
+def _poly_divmod(rows, inv, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """(a // b, a % b) for nonzero b."""
+    db = len(b) - 1
+    lead_row = rows[inv[b[-1]]]
+    if db == 0:
+        return tuple(lead_row[c] for c in a), ()
+    rem = list(a)
+    quot = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            f = lead_row[c]
+            base = i - db
+            quot[base] = f
+            row = rows[f]
+            for j, bc in enumerate(b):
+                if bc:
+                    rem[base + j] ^= row[bc]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quot), tuple(rem)
 
 
 @dataclass(frozen=True)
@@ -128,28 +189,17 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         other = self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly((), self.spec)
         spec = self.spec
         if spec.k == 1:
-            return Poly.from_bitmask(spec, _clmul(self.bitmask(), other.bitmask()))
-        mul = spec.mul
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] ^= mul(ai, bj)
-        return Poly(_trim(out), spec)
+            return Poly.from_bitmask(spec, _gf2_poly_mul(self.bitmask(), other.bitmask()))
+        return Poly(_poly_mul(spec.mul_table, self.coeffs, other.coeffs), spec)
 
     def scale(self, bits: int) -> "Poly":
         if bits == 0:
             return Poly((), self.spec)
         if bits == 1:
             return self
-        mul = self.spec.mul
-        return Poly(tuple(mul(bits, c) for c in self.coeffs), self.spec)
+        return Poly(_poly_mul(self.spec.mul_table, (bits,), self.coeffs), self.spec)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         other = self._check(other)
@@ -157,21 +207,10 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
         if spec.k == 1:
-            q, r = _gf2_divmod(self.bitmask(), other.bitmask())
+            q, r = _gf2_poly_divmod(self.bitmask(), other.bitmask())
             return Poly.from_bitmask(spec, q), Poly.from_bitmask(spec, r)
-        rem = list(self.coeffs)
-        db = other.degree
-        lead_inv = spec.inv(other.leading)
-        mul = spec.mul
-        quot = [0] * max(0, len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                factor = mul(c, lead_inv)
-                quot[i - db] = factor
-                for j, bc in enumerate(other.coeffs):
-                    rem[i - db + j] ^= mul(factor, bc)
-        return Poly(_trim(quot), spec), Poly(_trim(rem), spec)
+        q, r = _poly_divmod(spec.mul_table, spec.inv_table, self.coeffs, other.coeffs)
+        return Poly(q, spec), Poly(r, spec)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -215,28 +254,6 @@ class Poly:
             base = (base * base) % modulus
             n >>= 1
         return r
-
-
-def _clmul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    return r
-
-
-def _gf2_divmod(a: int, b: int) -> tuple[int, int]:
-    db = b.bit_length() - 1
-    q = 0
-    da = a.bit_length() - 1
-    while da >= db:
-        shift = da - db
-        q |= 1 << shift
-        a ^= b << shift
-        da = a.bit_length() - 1
-    return q, a
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -520,16 +537,7 @@ class BinaryForm:
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         other = self._check(other)
-        if self.is_zero() or other.is_zero():
-            return BinaryForm((), self.spec)
-        mul = self.spec.mul
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] ^= mul(a, b)
-        return BinaryForm(tuple(out), self.spec)
+        return BinaryForm(_poly_mul(self.spec.mul_table, self.coeffs, other.coeffs), self.spec)
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         other = self._check(other)
@@ -546,8 +554,7 @@ class BinaryForm:
             return BinaryForm((), self.spec)
         if bits == 1:
             return self
-        mul = self.spec.mul
-        return BinaryForm(tuple(mul(bits, c) for c in self.coeffs), self.spec)
+        return BinaryForm(_poly_mul(self.spec.mul_table, (bits,), self.coeffs), self.spec)
 
     def power(self, n: int) -> "BinaryForm":
         acc = BinaryForm.one(self.spec)
@@ -652,16 +659,6 @@ def point_from_poly(f: Poly) -> BinaryForm:
     return homogenize(f.monic(), f.degree)
 
 
-def _times_linear(f: list[int], u2: int, u1: int, mul) -> list[int]:
-    """Coefficient list of f * (u1*x1 + u2*x2)."""
-    out = [mul(u2, c) for c in f]
-    out.append(0)
-    for i, c in enumerate(f):
-        if c:
-            out[i + 1] ^= mul(u1, c)
-    return out
-
-
 def moebius_act(q: Sequence[Sequence[int]], point: ProjPoint, spec: FieldSpec) -> ProjPoint:
     """Substitute (x1,x2) -> (x1,x2)Q into the form and renormalize.
 
@@ -670,25 +667,27 @@ def moebius_act(q: Sequence[Sequence[int]], point: ProjPoint, spec: FieldSpec) -
     act(Q1*Q2, g) = act(Q1, act(Q2, g)).
     """
     (q11, q12), (q21, q22) = q
-    mul = spec.mul
-    if mul(q11, q22) ^ mul(q12, q21) == 0:
+    rows = spec.mul_table
+    if rows[q11][q22] ^ rows[q12][q21] == 0:
         raise PolyError("singular substitution matrix")
     if isinstance(point, _EpsType):
         return EPS
     # Horner on raw coefficients with y1, y2 the images of x1, x2:
     # acc_{j+1} = acc_j * y1 + c_{d-j-1} * y2^(j+1), ending at sum c_i y1^i y2^(d-i).
+    # The forms keep their trailing zeros, so the sum is not _poly_submul.
     coeffs = point.coeffs
     d = len(coeffs) - 1
-    acc = list(coeffs[-1:])
-    y2pow = [1]
+    acc = coeffs[-1:]
+    y2pow = (1,)
     for j in range(d):
-        acc = _times_linear(acc, q21, q11, mul)
-        y2pow = _times_linear(y2pow, q22, q12, mul)
+        acc = list(_poly_mul(rows, acc, (q21, q11)))
+        y2pow = _poly_mul(rows, y2pow, (q22, q12))
         c = coeffs[d - j - 1]
         if c:
+            crow = rows[c]
             for i, v in enumerate(y2pow):
                 if v:
-                    acc[i] ^= mul(c, v)
+                    acc[i] ^= crow[v]
     normal, _ = unital_normalize(BinaryForm(tuple(acc), spec))
     return normal
 

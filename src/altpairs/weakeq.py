@@ -164,7 +164,10 @@ def act_on_class(q: GL2Element, rho: ClassFunction) -> ClassFunction:
 
     Composition is contravariant: act(Q1*Q2, rho) = act(Q2, act(Q1, rho)).
     """
-    return _relabel(rho, q.inv())
+    # The adjugate is det(Q) * Q^-1 in characteristic 2, and scalars fix
+    # every projective point, so it moves points as Q^-1 does without a
+    # field inversion.
+    return _relabel(rho, GL2Element(q.q22, q.q12, q.q21, q.q11, q.spec))
 
 
 def canonical_rep(rho: ClassFunction) -> tuple[ClassFunction, GL2Element]:

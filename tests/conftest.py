@@ -24,6 +24,8 @@ from altpairs.polyring import (
 
 GF2 = FieldSpec.gf2()
 GF4 = FieldSpec.gf(2)
+GF16 = FieldSpec.gf(4)
+GF512 = FieldSpec.gf(9)  # above the table limit: multiplication rows are computed
 
 
 # -- random generators ---------------------------------------------------------

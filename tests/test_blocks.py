@@ -253,6 +253,9 @@ def test_block_id_points():
     assert point.coeffs == (1, 0) and n == 3
     point, n = BlockId.parse("plus:2").point()
     assert point is EPS and n == 3
+    for text in ("fin:t^2+t+1^2", "fin:t^1", "inf:3", "plus:0", "plus:2"):
+        bid = BlockId.parse(text)
+        assert BlockId.of_point(*bid.point()) == bid
 
 
 def test_block_id_build_matches_constructors():
@@ -265,3 +268,6 @@ def test_block_id_rejects_bad_text():
         BlockId.parse("fin:t^2+t+1")  # missing multiplicity
     with pytest.raises(BlockError):
         BlockId.parse("spam:1")
+    for text in ("plus:abc", "inf:x", "inf:", "plus:-1", "inf:0"):
+        with pytest.raises(BlockError):
+            BlockId.parse(text)

@@ -67,6 +67,10 @@ def test_parse_document_errors_carry_line_numbers():
     assert "line 4" in str(exc.value)
     with pytest.raises(ParseError):
         parse_pair_document("dim 2\nmatrix A\n0 0\n0 0\nmatrix B\n0 0\n0 0\n")
+    for dim_line in ("dim 2 7", "dim -1", "dim", "dim two"):
+        with pytest.raises(ParseError) as exc:
+            parse_pair_document(f"field gf2\n{dim_line}\nmatrix A\n0 1\n1 0\n")
+        assert "line 2" in str(exc.value), dim_line
 
 
 def test_parse_document_field_from_environment(monkeypatch):
@@ -266,6 +270,8 @@ def test_unreadable_inputs_exit2_without_traceback(capsys, tmp_path):
         ["decompose", str(binary)],
         ["decompose", str(tmp_path)],
         ["corpus", str(binary)],
+        ["gen-block", "plus:abc"],
+        ["gen-block", "inf:x"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2, argv

@@ -9,7 +9,7 @@ from altpairs.field import FieldSpec
 from altpairs.linalg import LinAlgError, Mat, PolyMat, congruence, smith_form
 from altpairs.polyring import Poly, parse_poly, reverse_star, series_inverse_trunc
 
-from conftest import GF2, GF4, random_alternating, random_invertible, random_matrix
+from conftest import GF2, GF4, GF16, GF512, random_alternating, random_invertible, random_matrix
 
 
 def test_rank_identity():
@@ -158,7 +158,7 @@ def test_smith_finite_block_pencil():
 
 def test_smith_divisibility_chain():
     rng = random.Random(13)
-    for spec in (GF2, GF4):
+    for spec in (GF2, GF4, GF16, GF512):
         for _ in range(25):
             nr = rng.randrange(1, 5)
             nc = rng.randrange(1, 5)
@@ -204,7 +204,7 @@ def _random_unimodular_transform(pm: PolyMat, rng: random.Random) -> PolyMat:
 
 def test_smith_invariant_under_unimodular():
     rng = random.Random(29)
-    for spec in (GF2, GF4):
+    for spec in (GF2, GF4, GF16, GF512):
         for _ in range(15):
             nr = rng.randrange(1, 4)
             nc = rng.randrange(1, 4)

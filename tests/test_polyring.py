@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from altpairs.field import FieldSpec
+from altpairs.field import FieldSpec, _gf2_poly_mulmod
 from altpairs.polyring import (
     EPS,
     BinaryForm,
@@ -33,7 +33,7 @@ from altpairs.polyring import (
 )
 from altpairs.weakeq import pgl2_enumerate
 
-from conftest import GF2, GF4, moebius_act_reference
+from conftest import GF2, GF4, GF16, GF512, moebius_act_reference
 
 
 def P2(mask: int) -> Poly:
@@ -60,7 +60,7 @@ def test_divmod_example():
 
 def test_divmod_invariant_random():
     rng = random.Random(11)
-    for spec in (GF2, GF4):
+    for spec in (GF2, GF4, GF16, GF512):
         for _ in range(200):
             a = Poly.make(spec, [rng.randrange(spec.order) for _ in range(rng.randrange(1, 10))])
             b = Poly.make(spec, [rng.randrange(spec.order) for _ in range(rng.randrange(1, 6))])
@@ -69,6 +69,42 @@ def test_divmod_invariant_random():
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.is_zero() or r.degree < b.degree
+
+
+def _schoolbook_mul(spec, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] ^= _gf2_poly_mulmod(ai, bj, spec.modulus)
+    return Poly.make(spec, out)
+
+
+def _schoolbook_divmod(spec, a, b):
+    """Long division with field inverses found by search over the
+    nonzero elements."""
+    lead_inv = next(
+        x for x in range(1, spec.order) if _gf2_poly_mulmod(x, b[-1], spec.modulus) == 1
+    )
+    rem = list(a)
+    quot = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        f = _gf2_poly_mulmod(rem[i + len(b) - 1], lead_inv, spec.modulus)
+        quot[i] = f
+        for j, bj in enumerate(b):
+            rem[i + j] ^= _gf2_poly_mulmod(f, bj, spec.modulus)
+    return Poly.make(spec, quot), Poly.make(spec, rem)
+
+
+def test_kernel_matches_schoolbook_without_mul_table():
+    rng = random.Random(0x209)
+    spec = GF512
+    for _ in range(60):
+        a = Poly.make(spec, [rng.randrange(spec.order) for _ in range(rng.randrange(0, 9))])
+        b = Poly.make(spec, [rng.randrange(spec.order) for _ in range(rng.randrange(1, 6))])
+        if a.is_zero() or b.is_zero():
+            continue
+        assert a * b == _schoolbook_mul(spec, a.coeffs, b.coeffs)
+        assert divmod(a, b) == _schoolbook_divmod(spec, a.coeffs, b.coeffs)
 
 
 def test_division_by_zero():
