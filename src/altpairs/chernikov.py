@@ -23,8 +23,8 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .blocks import BlockId
-from .field import FieldSpec
-from .linalg import Mat, _pack
+from .field import FieldSpec, Packing
+from .linalg import Mat
 from .pencil import ClassFunction
 from .weakeq import GL2Element
 
@@ -426,7 +426,8 @@ def iso_from_witness(
     src = build_quotient(p, e)
     dst = build_quotient(r, e)
     minv = s.inv()
-    mrows = [_pack(row) for row in minv.rows]
+    pack = Packing(s.spec, n).pack
+    mrows = [pack(row) for row in minv.rows]
     # basis discrepancies delta(e_i, e_j) = beta_R(m_i, m_j) - beta_P(e_i, e_j) Q
     deltas: dict[tuple[int, int], tuple[int, ...]] = {}
     diag: list[tuple[int, ...]] = []

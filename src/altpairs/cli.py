@@ -16,7 +16,8 @@ Pair documents are line-oriented text::
 in sorted path order; a file that cannot be read, does not parse, or is not
 alternating comes back as ``ok: false`` with a message and the batch goes on.
 
-Exit codes: 0 success (or predicate true), 1 predicate false, 2 input error.
+Exit codes: 0 success (or predicate true), 1 predicate false, 2 input error,
+3 internal error (a failed internal invariant, reported with the input file).
 """
 
 from __future__ import annotations
@@ -303,7 +304,13 @@ def cmd_corpus(args) -> int:
         for name in os.listdir(args.dir)
         if name.endswith(".pair")
     )
-    results = [_classify_file(path) for path in paths]
+    results = []
+    for path in paths:
+        try:
+            results.append(_classify_file(path))
+        except AssertionError as exc:
+            exc.path = path  # main reports the file being classified
+            raise
     if args.json:
         print(json.dumps({"files": results}))
     else:
@@ -395,6 +402,11 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        inputs = [vars(args)[name] for name in ("file", "file1", "file2") if name in vars(args)]
+        where = getattr(exc, "path", None) or ", ".join(inputs) or args.command
+        print(f"internal error: {where}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

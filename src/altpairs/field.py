@@ -1,15 +1,21 @@
-"""Exact arithmetic in GF(2^k) for small k.
+"""Exact arithmetic in GF(2^k) for small k, and the packed GF(2^k)[t] kernel.
 
 Elements are represented by their coefficient bitmask: bit i of ``bits`` is
 the coefficient of t^i in the residue class modulo the defining polynomial.
 GF(2) (k = 1) is plain XOR/AND and never touches the modulus.
+
+``Packing`` stores a polynomial over GF(2^k), or a whole matrix row, as one
+int with coefficient i in bits [i*w, (i+1)*w), w = 2k - 1: a carry-less
+product leaves each slot an unreduced sum of products of two field elements,
+and k - 1 masked multiplications by the modulus reduce every slot at once.
+At k = 1, w = 1 and a packed polynomial is the GF(2)[t] bitmask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 MAX_K = 16
 
@@ -29,13 +35,14 @@ def _gf2_poly_degree(p: int) -> int:
 
 
 def _gf2_poly_mul(a: int, b: int) -> int:
-    """Carry-less product."""
+    """Carry-less product, over the set bits of the shorter operand."""
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
     r = 0
     while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
+        low = b & -b
+        r ^= a << (low.bit_length() - 1)
+        b ^= low
     return r
 
 
@@ -49,11 +56,6 @@ def _gf2_poly_divmod(a: int, b: int) -> tuple[int, int]:
         a ^= b << shift
         shift = a.bit_length() - db
     return q, a
-
-
-def _gf2_poly_submul(a: int, q: int, b: int) -> int:
-    """a + q*b (addition and subtraction coincide)."""
-    return a ^ _gf2_poly_mul(q, b)
 
 
 def _gf2_poly_mulmod(a: int, b: int, modulus: int) -> int:
@@ -267,6 +269,68 @@ def _build_inv_table(k: int, modulus: int):
         return _Computed(lambda a: _gf2_poly_powmod(a, (1 << k) - 2, modulus))
     table = _build_mul_table(k, modulus)
     return [0] + [table[a].index(1) for a in range(1, 1 << k)]
+
+
+class Packing:
+    """GF(2^k)[t] on packed ints of up to ``nslots`` slots of w = 2k - 1 bits.
+
+    A row over GF(2^k) packs entry j into slot j, so a field element times
+    the row scales every entry.  A row over GF(2^k)[t] gives each entry a
+    field of several slots; a polynomial times the row multiplies every
+    entry, provided each product stays inside its field.
+    """
+
+    __slots__ = ("k", "w", "mask", "modulus", "masks", "mul_table", "inv_table")
+
+    def __init__(self, spec: FieldSpec, nslots: int):
+        k = self.k = spec.k
+        w = self.w = 2 * k - 1
+        self.mask = (1 << k) - 1
+        self.modulus = spec.modulus
+        self.mul_table = spec.mul_table
+        self.inv_table = spec.inv_table
+        ones = ((1 << (nslots * w)) - 1) // ((1 << w) - 1)  # bit 0 of every slot
+        # bit i of every slot, for i from 2k - 2 down to k: the bits to clear
+        self.masks = tuple(ones << i for i in range(2 * k - 2, k - 1, -1))
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 1:
+            return b
+        r = _gf2_poly_mul(a, b)
+        k, modulus = self.k, self.modulus
+        for hi in self.masks:
+            # the bits of r & hi lie w apart and the modulus has k + 1 <= w bits,
+            # so this product is carry-free; it clears bit i of every slot
+            r ^= ((r & hi) >> k) * modulus
+        return r
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """(a // b, a % b) of packed polynomials, b != 0."""
+        w = self.w
+        top = (b.bit_length() - 1) // w * w  # bit offset of the leading slot of b
+        inv = self.inv_table[b >> top]
+        if not top:
+            return self.mul(inv, a), 0
+        row = self.mul_table[inv]
+        mul = self.mul
+        q = 0
+        while (n := a.bit_length()) > top:
+            s = (n - 1) // w * w - top
+            f = row[a >> (s + top)]
+            q |= f << s
+            a ^= mul(f, b) << s
+        return q, a
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        w = self.w
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc << w | c
+        return acc
+
+    def unpack(self, v: int, n: int) -> tuple[int, ...]:
+        mask = self.mask
+        return tuple(v >> s & mask for s in range(0, n * self.w, self.w))
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,24 @@
 """Dense exact matrix algebra over GF(2^k) and over GF(2^k)[t].
 
-Matrices store raw field bitmasks row-major.  Rank, nullspace, inverse and
-determinant run Gaussian elimination; over GF(2) the rows are packed into
-int bitsets first, otherwise row operations read rows of
-``FieldSpec.mul_table``.  Smith normal form of polynomial matrices uses
-classical minimum-degree pivoting with exact division, on raw coefficient
-data through the one polynomial kernel (``field`` for GF(2)[t] bitmasks,
-``polyring`` for GF(2^k)[t] tuples).
+Matrices store raw field bitmasks row-major.  Elimination packs each row
+into one int (``field.Packing``): over GF(2^k) entry j sits in slot j, so
+scaling a row by a field element, or adding such a multiple of one row to
+another, is one kernel product however many columns there are.  Rank,
+nullspace, determinant and inverse share one elimination, ``_rref``.  Smith
+normal form of polynomial matrices gives each entry a field of several
+slots, so a row operation with a polynomial multiplier is again one kernel
+product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import reduce
+from operator import xor
 from typing import Iterable, Sequence
 
-from .field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_submul
-from .polyring import Poly, _poly_divmod, _poly_submul
+from .field import FieldError, FieldSpec, Packing
+from .polyring import Poly
 
 
 class LinAlgError(ValueError):
@@ -111,48 +113,33 @@ class Mat:
         )
 
     def scale(self, bits: int) -> "Mat":
-        mul = self.spec.mul
-        return Mat(tuple(tuple(mul(bits, v) for v in r) for r in self.rows), self.cols, self.spec)
+        row = self.spec.mul_table[bits]
+        return Mat(tuple(tuple(row[v] for v in r) for r in self.rows), self.cols, self.spec)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         other = self._check(other)
         if self.cols != other.nrows:
             raise LinAlgError(f"shape mismatch {self.shape} @ {other.shape}")
-        spec = self.spec
-        if spec.k == 1:
-            packed = [_pack(r) for r in other.rows]
-            out = []
-            for row in self.rows:
-                acc = 0
-                for j, v in enumerate(row):
-                    if v:
-                        acc ^= packed[j]
-                out.append(_unpack(acc, other.cols))
-            return Mat(tuple(out), other.cols, spec)
-        mul = spec.mul
-        ocols = other.cols
-        out_rows = []
+        pk = Packing(self.spec, other.cols)
+        mul = pk.mul
+        packed = [pk.pack(r) for r in other.rows]
+        out = []
         for row in self.rows:
-            acc = [0] * ocols
-            for j, v in enumerate(row):
-                if v:
-                    orow = other.rows[j]
-                    for c in range(ocols):
-                        w = orow[c]
-                        if w:
-                            acc[c] ^= mul(v, w)
-            out_rows.append(tuple(acc))
-        return Mat(tuple(out_rows), ocols, spec)
+            acc = 0
+            for v, b in zip(row, packed):
+                if v == 1:
+                    acc ^= b
+                elif v:
+                    acc ^= mul(v, b)
+            out.append(pk.unpack(acc, other.cols))
+        return Mat(tuple(out), other.cols, self.spec)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise LinAlgError("vector length mismatch")
-        spec = self.spec
-        mul = spec.mul
-        return tuple(
-            _xor_sum(mul(row[j], vec[j]) for j in range(self.cols)) for row in self.rows
-        )
+        table = self.spec.mul_table
+        return tuple(reduce(xor, (table[a][b] for a, b in zip(row, vec)), 0) for row in self.rows)
 
     def is_zero(self) -> bool:
         return all(v == 0 for r in self.rows for v in r)
@@ -163,57 +150,27 @@ class Mat:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        return _rref_full(self)[1]
+        return len(_rref(*self._packed(), reduced=False)[0])
 
     def nullspace(self) -> list[tuple[int, ...]]:
         """Reduced-echelon canonical basis of the right kernel."""
-        rref, _, pivots = _rref_full(self)
+        pk, work, cols = self._packed()
+        pivots, _ = _rref(pk, work, cols)
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
-        for f in free:
-            vec = [0] * self.cols
+        for f in (c for c in range(cols) if c not in pivot_set):
+            vec = [0] * cols
             vec[f] = 1
-            for i, p in enumerate(pivots):
-                vec[p] = rref[i][f]
+            for row, p in zip(work, pivots):
+                vec[p] = row >> (f * pk.w) & pk.mask
             basis.append(tuple(vec))
         return basis
 
     def det(self) -> int:
         if self.nrows != self.cols:
             raise LinAlgError("determinant of a non-square matrix")
-        spec = self.spec
-        n = self.nrows
-        if n == 0:
-            return 1
-        if spec.k == 1:
-            work = [_pack(r) for r in self.rows]
-            for col in range(n):
-                piv = next((r for r in range(col, n) if work[r] >> col & 1), None)
-                if piv is None:
-                    return 0
-                work[col], work[piv] = work[piv], work[col]
-                for r in range(col + 1, n):
-                    if work[r] >> col & 1:
-                        work[r] ^= work[col]
-            return 1
-        work = [list(r) for r in self.rows]
-        mul, inv = spec.mul, spec.inv
-        detval = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col]), None)
-            if piv is None:
-                return 0
-            work[col], work[piv] = work[piv], work[col]
-            pv = work[col][col]
-            detval = mul(detval, pv)
-            pinv = inv(pv)
-            for r in range(col + 1, n):
-                f = work[r][col]
-                if f:
-                    f = mul(f, pinv)
-                    work[r] = [a ^ mul(f, b) for a, b in zip(work[r], work[col])]
-        return detval
+        pivots, det = _rref(*self._packed(), reduced=False)
+        return det if len(pivots) == self.nrows else 0
 
     def is_invertible(self) -> bool:
         return self.nrows == self.cols and self.det() != 0
@@ -222,101 +179,57 @@ class Mat:
         if self.nrows != self.cols:
             raise LinAlgError("inverse of a non-square matrix")
         n = self.nrows
-        spec = self.spec
-        if spec.k == 1:
-            work = [_pack(r) | (1 << (n + i)) for i, r in enumerate(self.rows)]
-            row = 0
-            for col in range(n):
-                piv = next((r for r in range(row, n) if work[r] >> col & 1), None)
-                if piv is None:
-                    raise LinAlgError("matrix is singular")
-                work[row], work[piv] = work[piv], work[row]
-                for r in range(n):
-                    if r != row and (work[r] >> col & 1):
-                        work[r] ^= work[row]
-                row += 1
-            return Mat(tuple(_unpack(w >> n, n) for w in work), n, spec)
-        mul, inv = spec.mul, spec.inv
-        work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
-        row = 0
-        for col in range(n):
-            piv = next((r for r in range(row, n) if work[r][col]), None)
-            if piv is None:
-                raise LinAlgError("matrix is singular")
-            work[row], work[piv] = work[piv], work[row]
-            pinv = inv(work[row][col])
-            if pinv != 1:
-                work[row] = [mul(pinv, v) for v in work[row]]
-            for r in range(n):
-                if r != row and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [a ^ mul(f, b) for a, b in zip(work[r], work[row])]
-            row += 1
-        return Mat(tuple(tuple(w[n:]) for w in work), n, spec)
+        pk = Packing(self.spec, 2 * n)
+        shift = n * pk.w
+        # reduce [M | I] on M's columns: then the right half is M^-1
+        work = [pk.pack(r) | 1 << (shift + i * pk.w) for i, r in enumerate(self.rows)]
+        if len(_rref(pk, work, n)[0]) < n:
+            raise LinAlgError("matrix is singular")
+        return Mat(tuple(pk.unpack(r >> shift, n) for r in work), n, self.spec)
+
+    def _packed(self) -> tuple[Packing, list[int], int]:
+        pk = Packing(self.spec, self.cols)
+        return pk, [pk.pack(r) for r in self.rows], self.cols
 
 
-def _xor_sum(items) -> int:
-    acc = 0
-    for v in items:
-        acc ^= v
-    return acc
+def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool = True) -> tuple[list[int], int]:
+    """Bring packed rows to echelon form in place, pivoting on the first
+    ``ncols`` columns; the pivot rows end up first, in order.  With
+    ``reduced`` the pivots are also cleared above (reduced row echelon form).
 
-
-def _pack(row: Sequence[int]) -> int:
-    acc = 0
-    for j, v in enumerate(row):
-        if v:
-            acc |= 1 << j
-    return acc
-
-
-def _unpack(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(mask >> j & 1 for j in range(n))
-
-
-def _rref_full(m: Mat) -> tuple[list[list[int]], int, list[int]]:
-    """Reduced row echelon form; returns (rows, rank, pivot columns)."""
-    spec = m.spec
-    nr, nc = m.shape
-    if spec.k == 1:
-        work = [_pack(r) for r in m.rows]
-        pivots = []
-        row = 0
-        for col in range(nc):
-            piv = next((r for r in range(row, nr) if work[r] >> col & 1), None)
-            if piv is None:
-                continue
-            work[row], work[piv] = work[piv], work[row]
-            for r in range(nr):
-                if r != row and (work[r] >> col & 1):
-                    work[r] ^= work[row]
-            pivots.append(col)
-            row += 1
-            if row == nr:
-                break
-        return [list(_unpack(w, nc)) for w in work], len(pivots), pivots
-    rows, inv = spec.mul_table, spec.inv
-    work = [list(r) for r in m.rows]
+    Returns the pivot columns and the product of the pivot values before
+    they are scaled to 1.  Row swaps and added multiples keep the
+    determinant in characteristic 2, so for a square matrix of full rank
+    that product is its determinant.
+    """
+    w, mask, mul, inv, table = pk.w, pk.mask, pk.mul, pk.inv_table, pk.mul_table
+    nr = len(work)
     pivots = []
-    row = 0
-    for col in range(nc):
-        piv = next((r for r in range(row, nr) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        pinv = inv(work[row][col])
-        if pinv != 1:
-            prow = rows[pinv]
-            work[row] = [prow[v] for v in work[row]]
-        for r in range(nr):
-            if r != row and work[r][col]:
-                frow = rows[work[r][col]]
-                work[r] = [a ^ frow[b] for a, b in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
+    det = 1
+    for col in range(ncols):
+        row = len(pivots)
         if row == nr:
             break
-    return work, len(pivots), pivots
+        shift = col * w
+        piv = next((r for r in range(row, nr) if work[r] >> shift & mask), None)
+        if piv is None:
+            continue
+        p = work[piv]
+        work[piv] = work[row]
+        work[row] = 0  # the pivot row sits out the loop below
+        f = p >> shift & mask
+        if f != 1:
+            det = table[det][f]
+            p = mul(inv[f], p)
+        for r in range(0 if reduced else row + 1, nr):
+            f = work[r] >> shift & mask
+            if f == 1:
+                work[r] ^= p
+            elif f:
+                work[r] ^= mul(f, p)
+        work[row] = p
+        pivots.append(col)
+    return pivots, det
 
 
 def congruence(s: Mat, a: Mat) -> Mat:
@@ -363,8 +276,8 @@ class PolyMat:
             raise LinAlgError("pencil needs equal shapes")
         spec = a.spec
         rows = tuple(
-            tuple(Poly.make(spec, (b.rows[i][j], a.rows[i][j])) for j in range(a.cols))
-            for i in range(a.nrows)
+            tuple(Poly((y, x) if x else (y,) if y else (), spec) for x, y in zip(ra, rb))
+            for ra, rb in zip(a.rows, b.rows)
         )
         return PolyMat(rows, a.cols, spec)
 
@@ -380,8 +293,10 @@ class PolyMat:
 def smith_form(pm: PolyMat) -> tuple[Poly, ...]:
     """Monic invariant factors d_1 | d_2 | ... | d_r over GF(2^k)[t].
 
-    Classical elimination with minimum-degree pivoting and exact division;
-    r is the rank over the rational function field.
+    Classical elimination with exact division; each step starts from an
+    entry of least degree in the first nonzero row and moves to the least
+    remainder until the pivot divides its row, its column and the rest.  r is
+    the rank over the rational function field.
     """
     return tuple(d.monic() for d in _smith_diagonal(pm))
 
@@ -390,100 +305,119 @@ def _smith_diagonal(pm: PolyMat) -> list[Poly]:
     """The nonzero diagonal that elimination leaves, not yet made monic.
 
     The entries are associates of the invariant factors, in the same order.
-    Runs on raw coefficient data through the polynomial kernels: int
-    bitmasks and the ``field`` GF(2)[t] kernel over GF(2), coefficient
-    tuples and the ``polyring`` GF(2^k)[t] kernel otherwise.
+    Each row is one packed int (``field.Packing``) in which entry j owns a
+    field of ``width`` slots, so adding q times the pivot row to a row is
+    one kernel product.  Column operations run only once the pivot column
+    is clean below the pivot, so they touch the pivot row alone.  Each step
+    swaps rows or adds a multiple of one row or column to another, which in
+    characteristic 2 keeps the determinant.
     """
     spec = pm.spec
-    if spec.k == 1:
-        raw = [[p.bitmask() for p in row] for row in pm.rows]
-        diagonal = _smith_raw(
-            raw, pm.shape, int.bit_length, _gf2_poly_divmod, _gf2_poly_submul, 1
-        )
-        return [Poly.from_bitmask(spec, v) for v in diagonal]
-    raw = [[p.coeffs for p in row] for row in pm.rows]
-    rows = spec.mul_table
-    # positional binding: keyword partials measurably slow the inner loop
-    diagonal = _smith_raw(
-        raw,
-        pm.shape,
-        len,
-        partial(_poly_divmod, rows, spec.inv_table),
-        partial(_poly_submul, rows),
-        (1,),
-    )
-    return [Poly(v, spec) for v in diagonal]
-
-
-def _smith_raw(m: list[list], shape: tuple[int, int], size, divmod_, submul, one) -> list:
-    """Diagonalize m in place by unimodular row and column operations and
-    return the nonzero diagonal.
-
-    Entries are raw polynomials whose zero is falsy; ``size(p)`` is
-    deg p + 1, ``divmod_`` and ``submul`` (a + q*b) are the kernel
-    operations and ``one`` is the unit polynomial.
-    """
-    nr, nc = shape
-    invariants = []
-    for k in range(min(nr, nc)):
-        while True:
-            best = None
-            best_size = None
-            for i in range(k, nr):
-                row = m[i]
-                for j in range(k, nc):
-                    p = row[j]
-                    if p:
-                        d = size(p)
-                        if best_size is None or d < best_size:
-                            best = (i, j)
-                            best_size = d
-                            if d == 1:
-                                break
-                if best_size == 1:
-                    break
-            if best is None:
-                return invariants
-            bi, bj = best
-            if bi != k:
-                m[k], m[bi] = m[bi], m[k]
-            if bj != k:
-                for row in m:
-                    row[k], row[bj] = row[bj], row[k]
-            pivot = m[k][k]
-            clean = True
-            for i in range(k + 1, nr):
-                if m[i][k]:
-                    q, _ = divmod_(m[i][k], pivot)
-                    if q:
-                        mk = m[k]
-                        m[i] = [submul(a, q, b) for a, b in zip(m[i], mk)]
-                    if m[i][k]:
-                        clean = False
-            for j in range(k + 1, nc):
-                if m[k][j]:
-                    q, _ = divmod_(m[k][j], pivot)
-                    if q:
-                        for i in range(k, nr):
-                            m[i][j] = submul(m[i][j], q, m[i][k])
-                    if m[k][j]:
-                        clean = False
-            if not clean:
-                continue
-            if size(pivot) == 1:
-                break  # a unit divides everything
-            offender = None
-            for i in range(k + 1, nr):
-                row = m[i]
-                for j in range(k + 1, nc):
-                    if row[j] and divmod_(row[j], pivot)[1]:
-                        offender = i
+    nr, nc = pm.shape
+    width = 4  # slots per entry; doubles before a product would overflow
+    while width <= max((p.degree for row in pm.rows for p in row), default=0):
+        width *= 2
+    pk = Packing(spec, nc * width)
+    w = pk.w
+    size = width * w
+    mask = (1 << size) - 1
+    m = [sum(pk.pack(p.coeffs) << (j * size) for j, p in enumerate(row)) for row in pm.rows]
+    unit = spec.k  # the bit length of a degree-0 entry is at most k
+    diagonal = []
+    for s in range(min(nr, nc)):
+        # pivot: an entry of least degree in the first nonzero row (finished
+        # columns are zero here)
+        best = 0
+        for i in range(s, nr):
+            for j, e in _entries(m[i], size):
+                if not best or e.bit_length() < best:
+                    best, bi, bj = e.bit_length(), i, j
+                    if best <= unit:
                         break
-                if offender is not None:
-                    break
+            if best:
+                break
+        if not best:
+            break
+        while True:
+            m[s], m[bi] = m[bi], m[s]
+            c = bj * size
+            p = m[s] >> c & mask
+            dp = (p.bit_length() - 1) // w
+            # divide by the monic associate pn = p / lead, and subtract the
+            # quotients times the pivot row scaled the same way
+            inv = pk.inv_table[p >> (dp * w)]
+            pn = pk.mul(inv, p)
+            # row operations clear column c below the pivot up to remainders;
+            # the least of these is the next pivot
+            best = 0
+            ops = []
+            for i in range(s + 1, nr):
+                e = m[i] >> c & mask
+                if e:
+                    q, r = pk.divmod(e, pn)
+                    if q:
+                        ops.append((i, q))
+                    if r and (not best or r.bit_length() < best):
+                        best, bi = r.bit_length(), i
+            if ops:
+                top = _max_degree(m[s], nc, size, w) + (max(q for _, q in ops).bit_length() - 1) // w
+                if top >= width:
+                    while top >= width:
+                        width *= 2
+                    new = width * w
+                    m[s:] = [sum(e << (j * new) for j, e in _entries(v, size)) for v in m[s:]]
+                    pk = Packing(spec, nc * width)
+                    size = new
+                    mask = (1 << size) - 1
+                    c = bj * size
+                prow = pk.mul(inv, m[s])
+                for i, q in ops:
+                    m[i] ^= pk.mul(q, prow)
+            if best:
+                continue
+            # column c is clean, so column operations only reduce the pivot
+            # row mod p; the least remainder is the next pivot
+            row = p << c
+            for j, e in _entries(m[s] ^ row if dp else 0, size):
+                r = pk.divmod(e, pn)[1]
+                if r:
+                    row |= r << (j * size)
+                    if not best or r.bit_length() < best:
+                        best, bj = r.bit_length(), j
+            m[s] = row
+            bi = s
+            if best:
+                continue
+            if not dp:
+                break  # a unit divides everything
+            offender = next(
+                (i for i in range(s + 1, nr) if any(pk.divmod(e, pn)[1] for _, e in _entries(m[i], size))),
+                None,
+            )
             if offender is None:
                 break
-            off = m[offender]
-            m[k] = [submul(a, one, b) for a, b in zip(m[k], off)]
-        invariants.append(m[k][k])
-    return invariants
+            # the pivot stays; the next column pass leaves the offender's
+            # remainders in the pivot row
+            m[s] ^= m[offender]
+        diagonal.append(Poly(pk.unpack(p, dp + 1), spec))
+    return diagonal
+
+
+def _entries(v: int, size: int):
+    """(j, entry) for each nonzero field of ``size`` bits in a packed row."""
+    mask = (1 << size) - 1
+    j = 0
+    while v:
+        if v & mask:
+            yield j, v & mask
+        v >>= size
+        j += 1
+
+
+def _max_degree(v: int, n: int, size: int, w: int) -> int:
+    """Largest degree among the n entry fields of a packed row: OR the
+    upper half of the fields onto the lower half until one is left."""
+    while n > 1:
+        n = (n + 1) // 2
+        v = v >> (n * size) | v & ((1 << (n * size)) - 1)
+    return (v.bit_length() - 1) // w

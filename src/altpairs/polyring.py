@@ -3,10 +3,10 @@ GL(2) substitution action on projective points.
 
 Polynomials are coefficient tuples (index i = coefficient of t^i, raw field
 bitmasks, no trailing zeros).  The GF(2^k)[t] kernel below (``_poly_mul``,
-``_poly_submul``, ``_poly_divmod``) is the one product and one division on
-such tuples; ``Poly``, ``BinaryForm`` and the Smith elimination in
-``linalg`` all call it.  Over GF(2) they use the bitmask kernel of
-``field`` instead, which keeps Smith-form elimination and factoring fast.
+``_poly_divmod``) is the one product and one division on such tuples; ``Poly``, ``BinaryForm`` and ``moebius_act`` call it.  Over
+GF(2) ``Poly`` uses the bitmask kernel of ``field`` instead, which keeps
+factoring fast.  Matrices over GF(2^k)[t] do not use these tuples: ``linalg``
+packs each of their rows into one int (``field.Packing``).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_mul
@@ -33,27 +34,7 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
 # -- the GF(2^k)[t] kernel on coefficient tuples -------------------------------
 #
 # ``rows`` is FieldSpec.mul_table (rows[c][x] = c*x) and ``inv`` is
-# FieldSpec.inv_table.  The product loop lives in _poly_submul, fused with
-# the addition because Smith elimination spends its time there.
-
-
-def _poly_submul(rows, a: tuple, q: tuple, b: tuple) -> tuple:
-    """a + q*b (addition and subtraction coincide), trimmed."""
-    if not q or not b:
-        return a
-    out = list(a)
-    short = len(q) + len(b) - 1 - len(out)
-    if short > 0:
-        out.extend([0] * short)
-    for i, qi in enumerate(q):
-        if qi:
-            row = rows[qi]
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] ^= row[bj]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+# FieldSpec.inv_table.
 
 
 def _poly_mul(rows, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -61,8 +42,14 @@ def _poly_mul(rows, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     coefficient tuples may end in zeros, keep their degree."""
     if not a or not b:
         return ()
-    out = _poly_submul(rows, (), a, b)
-    return out + (0,) * (len(a) + len(b) - 1 - len(out))
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            row = rows[ai]
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] ^= row[bj]
+    return tuple(out)
 
 
 def _poly_divmod(rows, inv, a: tuple, b: tuple) -> tuple[tuple, tuple]:
@@ -453,17 +440,16 @@ def factor(g: Poly, rng: random.Random | None = None) -> list[tuple[Poly, int]]:
 
 def monic_irreducibles(spec: FieldSpec, degree: int) -> Iterator[Poly]:
     """All monic irreducible polynomials of the given degree, in sort order."""
+    return iter(_monic_irreducibles(spec, degree))
+
+
+@lru_cache(maxsize=64)
+def _monic_irreducibles(spec: FieldSpec, degree: int) -> tuple[Poly, ...]:
     q = spec.order
-    for idx in range(q**degree):
-        coeffs = []
-        v = idx
-        for _ in range(degree):
-            coeffs.append(v % q)
-            v //= q
-        coeffs.append(1)
-        f = Poly(tuple(coeffs), spec)
-        if is_irreducible(f):
-            yield f
+    monics = (
+        Poly(tuple(idx // q**i % q for i in range(degree)) + (1,), spec) for idx in range(q**degree)
+    )
+    return tuple(f for f in monics if is_irreducible(f))
 
 
 def lagrange_interpolate(spec: FieldSpec, points: Sequence[int], values: Sequence[int]) -> Poly:
@@ -674,7 +660,7 @@ def moebius_act(q: Sequence[Sequence[int]], point: ProjPoint, spec: FieldSpec) -
         return EPS
     # Horner on raw coefficients with y1, y2 the images of x1, x2:
     # acc_{j+1} = acc_j * y1 + c_{d-j-1} * y2^(j+1), ending at sum c_i y1^i y2^(d-i).
-    # The forms keep their trailing zeros, so the sum is not _poly_submul.
+    # The forms keep their trailing zeros, so the sum is added in place.
     coeffs = point.coeffs
     d = len(coeffs) - 1
     acc = coeffs[-1:]

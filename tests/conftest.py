@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from altpairs.blocks import AlternatingPair
-from altpairs.field import FieldSpec, embed
-from altpairs.linalg import Mat
+from altpairs.field import FieldSpec, _gf2_poly_divmod, _gf2_poly_mul, embed
+from altpairs.linalg import Mat, PolyMat
 from altpairs.pencil import ClassFunction, require_valid
 from altpairs.polyring import (
     EPS,
@@ -15,6 +15,7 @@ from altpairs.polyring import (
     Poly,
     PolyError,
     _EpsType,
+    _poly_divmod,
     homogenize,
     lagrange_interpolate,
     monic_irreducibles,
@@ -258,3 +259,158 @@ def pfaffian_interpolation_reference(pair: AlternatingPair) -> BinaryForm:
     assert delta * delta == Poly.make(spec, [emb.unmap(c) for c in det.coeffs])
     assert delta.degree <= n // 2
     return homogenize(delta, n // 2)
+
+
+# -- reference Smith elimination and row reduction, one entry at a time -----------
+
+
+def _gf2_poly_submul(a: int, q: int, b: int) -> int:
+    """a + q*b on GF(2)[t] bitmasks."""
+    return a ^ _gf2_poly_mul(q, b)
+
+
+def _poly_submul(rows, a: tuple, q: tuple, b: tuple) -> tuple:
+    """a + q*b on coefficient tuples, trimmed; rows[c][x] = c*x."""
+    if not q or not b:
+        return a
+    out = list(a)
+    short = len(q) + len(b) - 1 - len(out)
+    if short > 0:
+        out.extend([0] * short)
+    for i, qi in enumerate(q):
+        if qi:
+            row = rows[qi]
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] ^= row[bj]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _smith_raw(m: list[list], shape: tuple[int, int], size, divmod_, submul, one) -> list:
+    """Diagonalize m in place by unimodular row and column operations and
+    return the nonzero diagonal.
+
+    Entries are raw polynomials whose zero is falsy; ``size(p)`` is
+    deg p + 1, ``divmod_`` and ``submul`` (a + q*b) are the kernel
+    operations and ``one`` is the unit polynomial.
+    """
+    nr, nc = shape
+    invariants = []
+    for k in range(min(nr, nc)):
+        while True:
+            best = None
+            best_size = None
+            for i in range(k, nr):
+                row = m[i]
+                for j in range(k, nc):
+                    p = row[j]
+                    if p:
+                        d = size(p)
+                        if best_size is None or d < best_size:
+                            best = (i, j)
+                            best_size = d
+                            if d == 1:
+                                break
+                if best_size == 1:
+                    break
+            if best is None:
+                return invariants
+            bi, bj = best
+            if bi != k:
+                m[k], m[bi] = m[bi], m[k]
+            if bj != k:
+                for row in m:
+                    row[k], row[bj] = row[bj], row[k]
+            pivot = m[k][k]
+            clean = True
+            for i in range(k + 1, nr):
+                if m[i][k]:
+                    q, _ = divmod_(m[i][k], pivot)
+                    if q:
+                        mk = m[k]
+                        m[i] = [submul(a, q, b) for a, b in zip(m[i], mk)]
+                    if m[i][k]:
+                        clean = False
+            for j in range(k + 1, nc):
+                if m[k][j]:
+                    q, _ = divmod_(m[k][j], pivot)
+                    if q:
+                        for i in range(k, nr):
+                            m[i][j] = submul(m[i][j], q, m[i][k])
+                    if m[k][j]:
+                        clean = False
+            if not clean:
+                continue
+            if size(pivot) == 1:
+                break  # a unit divides everything
+            offender = None
+            for i in range(k + 1, nr):
+                row = m[i]
+                for j in range(k + 1, nc):
+                    if row[j] and divmod_(row[j], pivot)[1]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            off = m[offender]
+            m[k] = [submul(a, one, b) for a, b in zip(m[k], off)]
+        invariants.append(m[k][k])
+    return invariants
+
+
+def smith_reference(pm: PolyMat) -> list[Poly]:
+    """The raw Smith diagonal by elimination one entry at a time: GF(2)[t]
+    bitmasks over GF(2), coefficient tuples and the ``polyring`` tuple
+    kernel otherwise.  Independent of the packed rows of
+    ``linalg._smith_diagonal``; for a square pencil of full rank the
+    leading coefficients of either diagonal multiply out to its determinant."""
+    spec = pm.spec
+    if spec.k == 1:
+        raw = [[p.bitmask() for p in row] for row in pm.rows]
+        diagonal = _smith_raw(raw, pm.shape, int.bit_length, _gf2_poly_divmod, _gf2_poly_submul, 1)
+        return [Poly.from_bitmask(spec, v) for v in diagonal]
+    raw = [[p.coeffs for p in row] for row in pm.rows]
+    rows = spec.mul_table
+    diagonal = _smith_raw(
+        raw,
+        pm.shape,
+        len,
+        partial(_poly_divmod, rows, spec.inv_table),
+        partial(_poly_submul, rows),
+        (1,),
+    )
+    return [Poly(v, spec) for v in diagonal]
+
+
+def rref_reference(m: Mat) -> tuple[list[list[int]], int, list[int]]:
+    """Reduced row echelon form by Gaussian elimination on lists of entries,
+    reading rows of ``FieldSpec.mul_table``; returns (rows, rank, pivot
+    columns)."""
+    spec = m.spec
+    nr, nc = m.shape
+    rows, inv = spec.mul_table, spec.inv
+    work = [list(r) for r in m.rows]
+    pivots = []
+    row = 0
+    for col in range(nc):
+        piv = next((r for r in range(row, nr) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[row], work[piv] = work[piv], work[row]
+        pinv = inv(work[row][col])
+        if pinv != 1:
+            prow = rows[pinv]
+            work[row] = [prow[v] for v in work[row]]
+        for r in range(nr):
+            if r != row and work[r][col]:
+                frow = rows[work[r][col]]
+                work[r] = [a ^ frow[b] for a, b in zip(work[r], work[row])]
+        pivots.append(col)
+        row += 1
+        if row == nr:
+            break
+    return work, len(pivots), pivots

@@ -278,3 +278,21 @@ def test_unreadable_inputs_exit2_without_traceback(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: "), argv
         assert "Traceback" not in err
+
+
+def test_internal_error_exit3_names_the_file(capsys, monkeypatch, tmp_path):
+    def broken(pair):
+        raise AssertionError("invariant factors do not pair up")
+
+    monkeypatch.setattr("altpairs.cli.decompose", broken)
+    for name in ("a.pair", "b.pair"):
+        (tmp_path / name).write_text(INF1_DOC)
+    doc = str(tmp_path / "b.pair")
+    for argv, where in (
+        (["decompose", doc], doc),
+        (["--json", "corpus", str(tmp_path)], str(tmp_path / "a.pair")),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err == f"internal error: {where}: invariant factors do not pair up\n"

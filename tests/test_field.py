@@ -1,10 +1,13 @@
-"""Field arithmetic in GF(2^k)."""
+"""Field arithmetic in GF(2^k) and the packed GF(2^k)[t] kernel."""
+
+import random
 
 import pytest
 
 from altpairs.field import (
     FieldError,
     FieldSpec,
+    Packing,
     default_modulus,
     embed,
     field_add,
@@ -14,7 +17,9 @@ from altpairs.field import (
     is_irreducible_gf2,
 )
 
-from conftest import GF2, GF4
+from altpairs.polyring import Poly
+
+from conftest import GF2, GF4, GF16, GF512
 
 
 def test_add_is_xor_of_representatives():
@@ -190,3 +195,27 @@ def test_immutability():
     a = GF4.element(2)
     with pytest.raises(Exception):
         a.bits = 3
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
+def test_packing_matches_poly_and_table(spec):
+    # products and division of packed polynomials against Poly, and a field
+    # element times a packed row against mul_table, entry by entry
+    rng = random.Random(83 + spec.k)
+    pk = Packing(spec, 24)
+
+    def rand_poly(n):
+        return Poly.make(spec, [rng.randrange(spec.order) for _ in range(n)])
+
+    for _ in range(60):
+        a, b = rand_poly(rng.randrange(0, 13)), rand_poly(rng.randrange(1, 12))
+        assert pk.mul(pk.pack(a.coeffs), pk.pack(b.coeffs)) == pk.pack((a * b).coeffs)
+        if b:
+            q, r = divmod(a, b)
+            assert pk.divmod(pk.pack(a.coeffs), pk.pack(b.coeffs)) == (
+                pk.pack(q.coeffs),
+                pk.pack(r.coeffs),
+            )
+        row = [rng.randrange(spec.order) for _ in range(24)]
+        f = rng.randrange(spec.order)
+        assert pk.unpack(pk.mul(f, pk.pack(row)), 24) == tuple(spec.mul_table[f][v] for v in row)

@@ -4,12 +4,29 @@ import random
 
 import pytest
 
-from altpairs.blocks import build_finite
-from altpairs.field import FieldSpec
-from altpairs.linalg import LinAlgError, Mat, PolyMat, congruence, smith_form
-from altpairs.polyring import Poly, parse_poly, reverse_star, series_inverse_trunc
+from altpairs.blocks import build_finite, direct_sum
+from altpairs.linalg import LinAlgError, Mat, PolyMat, _smith_diagonal, congruence, smith_form
+from altpairs.pencil import assemble, transform_congruence
+from altpairs.polyring import (
+    Poly,
+    monic_irreducibles,
+    parse_poly,
+    reverse_star,
+    series_inverse_trunc,
+)
 
-from conftest import GF2, GF4, GF16, GF512, random_alternating, random_invertible, random_matrix
+from conftest import (
+    GF2,
+    GF4,
+    GF16,
+    GF512,
+    random_alternating,
+    random_class_function,
+    random_invertible,
+    random_matrix,
+    rref_reference,
+    smith_reference,
+)
 
 
 def test_rank_identity():
@@ -37,7 +54,7 @@ def test_nullspace_is_kernel():
 
 def test_inverse_roundtrip():
     rng = random.Random(9)
-    for spec in (GF2, GF4):
+    for spec in (GF2, GF4, GF16, GF512):
         for n in (1, 2, 5):
             s = random_invertible(spec, rng, n)
             assert (s @ s.inv()).rows == Mat.identity(spec, n).rows
@@ -50,7 +67,7 @@ def test_inverse_of_singular_raises():
 
 def test_det_multiplicative():
     rng = random.Random(31)
-    for spec in (GF2, GF4):
+    for spec in (GF2, GF4, GF16, GF512):
         for _ in range(30):
             n = rng.randrange(1, 5)
             a = random_matrix(spec, rng, n, n)
@@ -239,26 +256,101 @@ def test_matmul_shapes_and_errors():
 
 
 def test_generic_and_packed_paths_agree():
-    # the GF(2) bitset path must match the generic table path entry for entry
+    # products of packed rows must match the schoolbook product entry for entry
     rng = random.Random(44)
-    spec_generic = FieldSpec.gf(1) if False else GF2
-    for _ in range(20):
-        n = rng.randrange(1, 6)
-        a = random_matrix(GF2, rng, n, n)
-        b = random_matrix(GF2, rng, n, n)
-        prod_packed = a @ b
-        mul = GF2.mul
-        expected = [
-            [
-                0
-                for _ in range(n)
-            ]
-            for _ in range(n)
+    for spec in (GF2, GF4, GF16, GF512):
+        for _ in range(20):
+            n = rng.randrange(1, 6)
+            a = random_matrix(spec, rng, n, n)
+            b = random_matrix(spec, rng, n, n)
+            prod_packed = a @ b
+            mul = spec.mul
+            expected = [[0 for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    acc = 0
+                    for k in range(n):
+                        acc ^= mul(a.rows[i][k], b.rows[k][j])
+                    expected[i][j] = acc
+            assert [list(r) for r in prod_packed.rows] == expected
+
+
+# -- packed rows against the entry-at-a-time references ---------------------------
+
+
+def _rank_deficient(spec, rng, nrows, ncols):
+    """X @ Y with X of nrows x r and r < min(nrows, ncols)."""
+    r = rng.randrange(0, max(1, min(nrows, ncols)))
+    return random_matrix(spec, rng, nrows, r) @ random_matrix(spec, rng, r, ncols)
+
+
+def _lead_product(spec, diagonal):
+    c = 1
+    for d in diagonal:
+        c = spec.mul(c, d.leading)
+    return c
+
+
+def assert_smith_matches_reference(pm: PolyMat) -> list[Poly]:
+    got = _smith_diagonal(pm)
+    ref = smith_reference(pm)
+    assert [d.monic() for d in got] == [d.monic() for d in ref]
+    assert smith_form(pm) == tuple(d.monic() for d in ref)
+    if pm.nrows == pm.cols == len(ref):
+        # both multiply out to det(pm)
+        assert _lead_product(pm.spec, got) == _lead_product(pm.spec, ref)
+    return got
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
+def test_smith_matches_reference_random_pencils(spec):
+    rng = random.Random(71 + spec.k)
+    for n in range(0, 21):
+        m = n + rng.randrange(1, 4)
+        pencils = [
+            (random_matrix(spec, rng, n, n), random_matrix(spec, rng, n, n)),
+            (random_matrix(spec, rng, n, m), random_matrix(spec, rng, n, m)),
+            (random_matrix(spec, rng, m, n), random_matrix(spec, rng, m, n)),
+            (_rank_deficient(spec, rng, n, n), _rank_deficient(spec, rng, n, n)),
+            (random_alternating(spec, rng, n), random_alternating(spec, rng, n)),
         ]
-        for i in range(n):
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    acc ^= mul(a.rows[i][k], b.rows[k][j])
-                expected[i][j] = acc
-        assert [list(r) for r in prod_packed.rows] == expected
+        for a, b in pencils:
+            assert_smith_matches_reference(PolyMat.pencil(a, b))
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF16], ids=str)
+def test_smith_matches_reference_scrambled_canonical_sums(spec):
+    # finite blocks with n >= 4 have an invariant factor g^n of degree >= 4,
+    # so the entries outgrow the four slots a linear pencil starts with
+    rng = random.Random(73 + spec.k)
+    points = [g for d in (1, 2) for g in monic_irreducibles(spec, d)]
+    for _ in range(4):
+        blocks = [build_finite(rng.choice(points[:4]), rng.randrange(4, 7))]
+        rho = random_class_function(spec, rng, 8)
+        pair = direct_sum(blocks + [assemble(rho)], spec=spec)
+        pair = transform_congruence(pair, random_invertible(spec, rng, pair.dim))
+        for a, b in ((pair.a, pair.b), (pair.b, pair.a)):
+            got = assert_smith_matches_reference(PolyMat.pencil(a, b))
+            if a is pair.a:
+                assert max(d.degree for d in got) >= 4
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
+def test_rank_and_nullspace_match_reference(spec):
+    rng = random.Random(79 + spec.k)
+    for _ in range(30):
+        nr, nc = rng.randrange(0, 21), rng.randrange(0, 21)
+        make = random_matrix if rng.randrange(2) else _rank_deficient
+        m = make(spec, rng, nr, nc)
+        rref, rank, pivots = rref_reference(m)
+        assert m.rank() == rank
+        expected = []
+        for f in (c for c in range(nc) if c not in pivots):
+            vec = [0] * nc
+            vec[f] = 1
+            for i, p in enumerate(pivots):
+                vec[p] = rref[i][f]
+            expected.append(tuple(vec))
+        assert m.nullspace() == expected
+        if nr == nc:
+            assert (m.det() != 0) == (rank == nr)
