@@ -37,7 +37,6 @@ from .weakeq import GL2Element, act_on_class, canonical_rep, gl2_enumerate, weak
 from .chernikov import (
     FiniteQuotient,
     GroupPresentation,
-    brute_force_isomorphic,
     build_quotient,
     iso_from_witness,
     presentation_from_class,
@@ -62,7 +61,6 @@ __all__ = [
     "PolyMat",
     "act_on_class",
     "assemble",
-    "brute_force_isomorphic",
     "build_finite",
     "build_infinity",
     "build_plus",

@@ -4,15 +4,21 @@ A presentation has involutive top generators h_1..h_num_h over a central
 bottom (Z/2^e)^m; the commutator [h_i, h_j] is a vector of order-2 bottom
 elements read off a tuple of alternating matrices over GF(2).  The explicit
 finite model multiplies exponent vectors with the standard lower-triangle
-2-cocycle, so h-lifts square to the identity.
+2-cocycle, so h-lifts square to the identity.  The cocycle is stored once,
+per bottom coordinate, as packed lower-triangle row masks, and evaluated by
+one popcount parity (``_parities``).
 
 ``iso_from_witness`` turns a weak-equivalence witness (S, Q) into an explicit
 isomorphism of finite models.  The top maps through S^-1 and the bottom
-through a 0/1 lift of Q; a quadratic correction absorbs the cocycle
-discrepancy introduced by S.  The linear half of that correction needs a
-square root of a socle element, which exists only for e >= 2; for e = 1 a
-nonzero diagonal discrepancy is a hard obstruction (the two models can even
-be non-isomorphic groups) and is reported as such.
+through a 0/1 lift of Q; a quadratic correction, in the same packed form as
+the cocycle, absorbs the cocycle discrepancy introduced by S.  The linear
+half of that correction needs a square root of a socle element, which exists
+only for e >= 2; for e = 1 a nonzero diagonal discrepancy is a hard
+obstruction (the two models can even be non-isomorphic groups) and is
+reported as such.  Every map is checked by ``verify_quotient_map``, an exact
+certificate for every order: the homomorphism defect is bilinear, so n^2
+generator pairs decide it, and the map is triangular, so two GF(2) ranks
+decide bijectivity.
 """
 
 from __future__ import annotations
@@ -24,11 +30,9 @@ from typing import Iterator, Sequence
 
 from .blocks import BlockId
 from .field import FieldSpec, Packing
-from .linalg import Mat
+from .linalg import LinAlgError, Mat, _rref
 from .pencil import ClassFunction
 from .weakeq import GL2Element
-
-MAX_BRUTE_ORDER = 1 << 12
 
 
 class PresentationError(ValueError):
@@ -69,14 +73,6 @@ class GroupPresentation:
     def from_dict(num_h: int, m: int, data: dict, e: int = 1) -> "GroupPresentation":
         items = tuple(sorted((ij, tuple(vec)) for ij, vec in data.items() if any(vec)))
         return GroupPresentation(num_h, m, items, e)
-
-    def commutator_vector(self, i: int, j: int) -> tuple[int, ...]:
-        if i > j:
-            i, j = j, i
-        for (a, b), vec in self.commutators:
-            if (a, b) == (i, j):
-                return vec
-        return (0,) * self.m
 
     def matrices(self) -> list[Mat]:
         """The m alternating matrices over GF(2) carrying the commutator data."""
@@ -243,6 +239,42 @@ def presentation_from_class(rho: ClassFunction, e: int = 1) -> GroupPresentation
 
 # -- explicit finite models ------------------------------------------------------
 
+# Per bottom coordinate k, row masks over the exponent bits: bit j of
+# forms[k][i] is the coefficient of x_i y_j in form k.
+Forms = tuple[tuple[int, ...], ...]
+
+
+def _xor_rows(rows: Sequence[int], x: int) -> int:
+    """Bitmask vector x times the GF(2) matrix with packed ``rows``: the xor
+    of the rows x selects."""
+    acc = 0
+    while x:
+        low = x & -x
+        acc ^= rows[low.bit_length() - 1]
+        x ^= low
+    return acc
+
+
+def _parities(forms: Forms, x: int, y: int) -> tuple[int, ...]:
+    """Values of GF(2)-bilinear forms on bitmask vectors x and y: for each
+    form, the popcount parity of y masked by the xor of the rows x selects."""
+    return tuple([(_xor_rows(rows, x) & y).bit_count() & 1 for rows in forms])
+
+
+def _transpose(rows: Sequence[int], n: int) -> list[int]:
+    return [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(n)]
+
+
+def _lower_forms(pres: GroupPresentation) -> Forms:
+    """The commutator table as lower-triangle row masks: bit i of row j of
+    form k is coordinate k of [h_i, h_j], i < j."""
+    rows = [[0] * pres.num_h for _ in range(pres.m)]
+    for (i, j), vec in pres.commutators:
+        for k, bit in enumerate(vec):
+            if bit:
+                rows[k][j] |= 1 << i
+    return tuple(tuple(r) for r in rows)
+
 
 @dataclass(frozen=True)
 class FiniteQuotient:
@@ -253,7 +285,7 @@ class FiniteQuotient:
     num_h: int
     m: int
     e: int
-    commutators: CommutatorTable
+    cocycle: Forms  # lower-triangle row masks per bottom coordinate
 
     @property
     def order(self) -> int:
@@ -269,24 +301,15 @@ class FiniteQuotient:
 
     def _beta(self, x: int, y: int) -> tuple[int, ...]:
         """Cocycle parity vector: sum over i > j of x_i y_j c_ij (mod 2)."""
-        par = [0] * self.m
-        for (i, j), vec in self.commutators:
-            if (x >> j) & 1 and (y >> i) & 1:
-                for k, bit in enumerate(vec):
-                    if bit:
-                        par[k] ^= 1
-        return tuple(par)
+        return _parities(self.cocycle, x, y)
 
     def mul(self, g: Element, h: Element) -> Element:
         x, a = g
         y, b = h
         beta = self._beta(x, y)
         mod = 1 << self.e
-        socle = self.socle_unit
-        return (
-            x ^ y,
-            tuple((av + bv + socle * p) % mod for av, bv, p in zip(a, b, beta)),
-        )
+        socle = mod >> 1
+        return (x ^ y, tuple([(av + bv + socle * p) % mod for av, bv, p in zip(a, b, beta)]))
 
     def inv(self, g: Element) -> Element:
         x, a = g
@@ -297,16 +320,6 @@ class FiniteQuotient:
 
     def commutator(self, g: Element, h: Element) -> Element:
         return self.mul(self.mul(self.inv(g), self.inv(h)), self.mul(g, h))
-
-    def order_of_element(self, g: Element) -> int:
-        acc = g
-        n = 1
-        while acc != self.identity:
-            acc = self.mul(acc, g)
-            n += 1
-            if n > self.order:
-                raise AssertionError("element order exceeded group order")
-        return n
 
     def h_generator(self, i: int) -> Element:
         return (1 << i, (0,) * self.m)
@@ -323,13 +336,13 @@ class FiniteQuotient:
                 yield (x, a)
 
     def is_abelian(self) -> bool:
-        return not self.commutators
+        return not any(any(rows) for rows in self.cocycle)
 
 
 def build_quotient(pres: GroupPresentation, e: int) -> FiniteQuotient:
     if e < 1:
         raise PresentationError("quotient exponent must be positive")
-    return FiniteQuotient(pres.num_h, pres.m, e, pres.commutators)
+    return FiniteQuotient(pres.num_h, pres.m, e, _lower_forms(pres))
 
 
 # -- isomorphisms from weak-equivalence witnesses ---------------------------------
@@ -345,44 +358,27 @@ class QuotientMap:
     dst: FiniteQuotient
     top_rows: tuple[int, ...]  # packed rows of the top matrix
     bottom: tuple[tuple[int, ...], ...]  # m x m integer lift
-    quad: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]  # socle corrections
+    quad: Forms  # socle correction q(x) = _parities(quad, x, x), lower-triangle rows
     linear: tuple[tuple[int, ...], ...]  # per-generator corrections mod 2^e
 
     def apply(self, g: Element) -> Element:
         x, a = g
         mod = 1 << self.dst.e
-        # top: row vector times matrix = xor of selected packed rows
-        xx = 0
-        acc = [0] * self.dst.m
+        socle = self.dst.socle_unit
+        acc = [socle * p for p in _parities(self.quad, x, x)]
         xi = x
         i = 0
         while xi:
             if xi & 1:
-                xx ^= self.top_rows[i]
-                for k in range(self.dst.m):
-                    acc[k] += self.linear[i][k]
+                for k, v in enumerate(self.linear[i]):
+                    acc[k] += v
             xi >>= 1
             i += 1
-        socle = self.dst.socle_unit
-        for (i, j), vec in self.quad:
-            if (x >> i) & 1 and (x >> j) & 1:
-                for k, bit in enumerate(vec):
-                    if bit:
-                        acc[k] += socle
-        for l in range(self.src.m):
-            al = a[l]
+        for al, row in zip(a, self.bottom):
             if al:
-                for k in range(self.dst.m):
-                    if self.bottom[l][k]:
-                        acc[k] += al * self.bottom[l][k]
-        return (xx, tuple(v % mod for v in acc))
-
-
-def _vec_times_gl2(vec: tuple[int, ...], q: GL2Element) -> tuple[int, ...]:
-    rows = q.rows()
-    return tuple(
-        (sum(vec[l] * rows[l][k] for l in range(2))) & 1 for k in range(2)
-    )
+                for k, v in enumerate(row):
+                    acc[k] += al * v
+        return (_xor_rows(self.top_rows, x), tuple([v % mod for v in acc]))
 
 
 def iso_from_witness(
@@ -397,9 +393,10 @@ def iso_from_witness(
 
     Top vectors map through S^-1, the bottom through the 0/1 lift of Q; the
     cocycle discrepancy of the basis change is absorbed by a quadratic
-    correction plus, for e >= 2, a linear half-socle part.  The map is
-    verified (exhaustively on exponent pairs, by enumeration for bijectivity)
-    before being returned.
+    correction plus, for e >= 2, a linear half-socle part.  Before it is
+    returned the map passes ``verify_quotient_map``: the exact certificate
+    (n^2 generator pairs for the homomorphism property, GF(2) ranks of S^-1
+    and Q for bijectivity) and a random spot check of products.
     """
     if p.m != 2 or r.m != 2:
         raise WitnessError("witness maps need bottom rank 2")
@@ -410,6 +407,10 @@ def iso_from_witness(
     n = p.num_h
     if s.shape != (n, n):
         raise WitnessError(f"S has shape {s.shape}, need ({n}, {n})")
+    try:
+        minv = s.inv()
+    except LinAlgError as exc:
+        raise WitnessError("S is singular") from exc
     # verify the witness: R_k = sum_l q_lk S A_l S^T
     amats = p.matrices()
     rmats = r.matrices()
@@ -425,178 +426,105 @@ def iso_from_witness(
             raise WitnessError("witness fails verification: tuples do not match")
     src = build_quotient(p, e)
     dst = build_quotient(r, e)
-    minv = s.inv()
     pack = Packing(s.spec, n).pack
     mrows = [pack(row) for row in minv.rows]
-    # basis discrepancies delta(e_i, e_j) = beta_R(m_i, m_j) - beta_P(e_i, e_j) Q
-    deltas: dict[tuple[int, int], tuple[int, ...]] = {}
-    diag: list[tuple[int, ...]] = []
-    for i in range(n):
-        for j in range(i + 1):
-            br = dst._beta(mrows[i], mrows[j])
-            bp = src._beta(1 << i, 1 << j)
-            d_ij = tuple(a ^ b for a, b in zip(br, _vec_times_gl2(bp, q)))
-            # symmetry check against the transposed computation
-            br2 = dst._beta(mrows[j], mrows[i])
-            bp2 = src._beta(1 << j, 1 << i)
-            d_ji = tuple(a ^ b for a, b in zip(br2, _vec_times_gl2(bp2, q)))
-            if d_ij != d_ji:
-                raise AssertionError("witness discrepancy is not symmetric")
-            if i == j:
-                diag.append(d_ij)
-            elif any(d_ij):
-                deltas[(j, i)] = d_ij
+    # discrepancy forms delta(x, y) = beta_R(x S^-1, y S^-1) - beta_P(x, y) Q
+    # as full row masks; the pullback of a form with matrix L is S^-1 L S^-T
+    mcols = _transpose(mrows, n)
+    delta = []
+    for k in range(2):
+        rows = [_xor_rows(mcols, _xor_rows(dst.cocycle[k], t)) for t in mrows]
+        for l in range(2):
+            if qrows[l][k]:
+                rows = [a ^ b for a, b in zip(rows, src.cocycle[l])]
+        if _transpose(rows, n) != rows:
+            raise AssertionError("witness discrepancy is not symmetric")
+        delta.append(rows)
+    diag = [tuple(rows[i] >> i & 1 for rows in delta) for i in range(n)]
     if e == 1 and any(any(d) for d in diag):
         raise IsoObstructionError(
             "e = 1 quotients admit no map of the prescribed shape for this "
             "witness: the basis change flips the square of a lifted generator"
         )
-    linear = []
-    for i in range(n):
-        if any(diag[i]):
-            # half-socle square root of the diagonal discrepancy (e >= 2)
-            linear.append(tuple((1 << (e - 2)) * bit for bit in diag[i]))
-        else:
-            linear.append((0,) * 2)
+    # half-socle square root of the diagonal discrepancy (e >= 2)
+    linear = tuple(
+        tuple((1 << (e - 2)) * bit for bit in d) if any(d) else (0, 0) for d in diag
+    )
     bottom = tuple(tuple(qrows[l][k] for k in range(2)) for l in range(2))
     qmap = QuotientMap(
         src=src,
         dst=dst,
         top_rows=tuple(mrows),
         bottom=bottom,
-        quad=tuple(sorted(deltas.items())),
-        linear=tuple(linear),
+        # off the diagonal delta is absorbed by q(x) = sum_{j < i} x_i x_j delta_ij
+        quad=tuple(tuple(r & ((1 << i) - 1) for i, r in enumerate(rows)) for rows in delta),
+        linear=linear,
     )
     verify_quotient_map(qmap)
     return qmap
 
 
 def verify_quotient_map(qmap: QuotientMap, rng: random.Random | None = None) -> None:
-    """Homomorphism and bijectivity verification.
+    """Exact certificate that ``qmap`` is an isomorphism, for every order.
 
-    Within the exhaustive cap (order <= 2^12): the bottom part of the map is
-    linear, so the homomorphism property for all pairs reduces exactly to
-    pairs of pure exponent vectors, which are all checked (4^num_h pairs),
-    and bijectivity is checked by mapping every element.  Above the cap the
-    product property is sampled on random pairs.  The literal product
-    property is additionally spot-checked on random pairs either way.
+    Notation: n = num_h, s = 2^(e-1) the socle unit, x, y exponent bitmasks
+    read as 0/1 vectors.  The map is
+
+        phi(x, a) = (T x, a Q + L(x) + s q(x))  mod 2^e,
+
+    with T x the xor of the ``top_rows`` x selects, Q = ``bottom``, L(x) the
+    integer sum of the ``linear`` rows x selects and q(x) the quadratic
+    parity vector of ``quad``.  Both models multiply as
+    (x, a)(y, b) = (x xor y, a + b + s beta(x, y)), beta GF(2)-bilinear.
+
+    Homomorphism.  T is GF(2)-linear, so phi(gh) and phi(g) phi(h) have the
+    same top; (a + b) Q = a Q + b Q, so their bottoms differ by
+
+        D(x, y) = s beta_P(x, y) Q - 2 L(x and y)
+                  + s (q(x xor y) - q(x) - q(y) - beta_R(T x, T y))  mod 2^e,
+
+    whatever a and b are.  D is bilinear mod 2^e in the 0/1 coordinates:
+    L(x and y) = sum_i x_i y_i L(e_i); a term s c depends on c mod 2 only,
+    so a GF(2)-bilinear c gives s c(x, y) = sum_ij x_i y_j s c(e_i, e_j);
+    beta_R(T x, T y) is GF(2)-bilinear because T is linear; and since
+    (x xor y)_i = x_i + y_i mod 2, q(x xor y) - q(x) - q(y) is the polar
+    form of q, GF(2)-bilinear too.  So D(x, y) = sum_ij x_i y_j D(e_i, e_j),
+    and phi is a homomorphism iff D vanishes on the n^2 ordered generator
+    pairs (e_i, e_j), i = j included; these are checked.
+
+    Bijectivity.  phi(x, a) = (T x, a Q + f(x)) is triangular.  If T is
+    invertible over GF(2) and Q is invertible mod 2^e, the inverse is
+    (y, c) -> (T^-1 y, (c - f(T^-1 y)) Q^-1).  If T is singular the tops
+    miss some values; if Q is singular mod 2^e, a Q = a' Q for some a != a'
+    and phi(x, a) = phi(x, a').  Q is invertible mod 2^e iff det Q is odd,
+    that is iff Q is invertible mod 2.  Both ranks are taken over GF(2).
+
+    The literal product property is also spot-checked on 500 random pairs
+    of elements.  Raises ``WitnessError`` if any check fails.
     """
     src, dst = qmap.src, qmap.dst
-    if src.order != dst.order:
-        raise WitnessError("source and target orders differ")
-    n = src.num_h
-    exhaustive = src.order <= MAX_BRUTE_ORDER
-    if exhaustive:
-        zero = (0,) * src.m
-        tops = [(x, zero) for x in range(1 << n)]
-        images = [qmap.apply(g) for g in tops]
-        for xi, g in enumerate(tops):
-            for yi, h in enumerate(tops):
-                left = qmap.apply(src.mul(g, h))
-                right = dst.mul(images[xi], images[yi])
-                if left != right:
-                    raise WitnessError(
-                        f"homomorphism fails on exponent pair {g[0]:#x}, {h[0]:#x}"
-                    )
-        seen = set()
-        for g in src.elements():
-            seen.add(qmap.apply(g))
-        if len(seen) != src.order:
-            raise WitnessError("map is not a bijection")
+    n, m, e = src.num_h, src.m, src.e
+    if (dst.num_h, dst.m, dst.e) != (n, m, e):
+        raise WitnessError("source and target models differ in shape")
+    gf2 = FieldSpec.gf2()
+    bottom = [Packing(gf2, m).pack([v & 1 for v in row]) for row in qmap.bottom]
+    if (
+        any(row >> n for row in qmap.top_rows)  # a top outside the target's n bits
+        or len(_rref(Packing(gf2, n), list(qmap.top_rows), n, reduced=False)[0]) < n
+        or len(_rref(Packing(gf2, m), bottom, m, reduced=False)[0]) < m
+    ):
+        raise WitnessError("map is not a bijection")
+    zero = (0,) * m
+    basis = [(1 << i, zero) for i in range(n)]
+    images = [qmap.apply(g) for g in basis]
+    for i, g in enumerate(basis):
+        for j, h in enumerate(basis):
+            if qmap.apply(src.mul(g, h)) != dst.mul(images[i], images[j]):
+                raise WitnessError(f"homomorphism fails on generator pair h{i + 1}, h{j + 1}")
     rng = rng or random.Random(0xC0C)
-    mod = 1 << src.e
-    for _ in range(2000 if not exhaustive else 500):
-        g = (rng.randrange(1 << n), tuple(rng.randrange(mod) for _ in range(src.m)))
-        h = (rng.randrange(1 << n), tuple(rng.randrange(mod) for _ in range(src.m)))
+    mod = 1 << e
+    for _ in range(500):
+        g = (rng.randrange(1 << n), tuple(rng.randrange(mod) for _ in range(m)))
+        h = (rng.randrange(1 << n), tuple(rng.randrange(mod) for _ in range(m)))
         if qmap.apply(src.mul(g, h)) != dst.mul(qmap.apply(g), qmap.apply(h)):
             raise WitnessError("homomorphism fails on a sampled pair")
-
-
-# -- brute-force isomorphism oracle -----------------------------------------------
-
-
-def _order_histogram(g: FiniteQuotient) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for el in g.elements():
-        o = g.order_of_element(el)
-        hist[o] = hist.get(o, 0) + 1
-    return hist
-
-
-def _generating_set(g: FiniteQuotient) -> list[Element]:
-    gens: list[Element] = []
-    closure = {g.identity}
-    for el in g.elements():
-        if el in closure:
-            continue
-        gens.append(el)
-        closure = _closure(g, gens)
-        if len(closure) == g.order:
-            break
-    return gens
-
-
-def _closure(g: FiniteQuotient, gens: list[Element]) -> set[Element]:
-    seen = {g.identity}
-    frontier = [g.identity]
-    while frontier:
-        w = frontier.pop()
-        for x in gens:
-            wx = g.mul(w, x)
-            if wx not in seen:
-                seen.add(wx)
-                frontier.append(wx)
-    return seen
-
-
-def _try_hom(
-    g1: FiniteQuotient, g2: FiniteQuotient, pairs: list[tuple[Element, Element]]
-) -> dict[Element, Element] | None:
-    hom = {g1.identity: g2.identity}
-    frontier = [g1.identity]
-    while frontier:
-        w = frontier.pop()
-        img = hom[w]
-        for x, y in pairs:
-            wx = g1.mul(w, x)
-            imgy = g2.mul(img, y)
-            if wx in hom:
-                if hom[wx] != imgy:
-                    return None
-            else:
-                hom[wx] = imgy
-                frontier.append(wx)
-    return hom
-
-
-def brute_force_isomorphic(g1: FiniteQuotient, g2: FiniteQuotient) -> bool:
-    """Backtracking isomorphism search; a test oracle for small orders."""
-    if g1.order > MAX_BRUTE_ORDER or g2.order > MAX_BRUTE_ORDER:
-        raise PresentationError(f"brute force is capped at order {MAX_BRUTE_ORDER}")
-    if g1.order != g2.order:
-        return False
-    if _order_histogram(g1) != _order_histogram(g2):
-        return False
-    gens = _generating_set(g1)
-    by_order: dict[int, list[Element]] = {}
-    for el in g2.elements():
-        by_order.setdefault(g2.order_of_element(el), []).append(el)
-
-    def backtrack(idx: int, pairs: list[tuple[Element, Element]]) -> bool:
-        if idx == len(gens):
-            hom = _try_hom(g1, g2, pairs)
-            if hom is None or len(hom) != g1.order:
-                return False
-            return len(set(hom.values())) == g1.order
-        gen = gens[idx]
-        o = g1.order_of_element(gen)
-        for cand in by_order.get(o, ()):
-            pairs.append((gen, cand))
-            hom = _try_hom(g1, g2, pairs)
-            if hom is not None and len(set(hom.values())) == len(hom):
-                if backtrack(idx + 1, pairs):
-                    return True
-            pairs.pop()
-        return False
-
-    return backtrack(0, [])

@@ -6,9 +6,10 @@ import random
 from functools import lru_cache, partial
 
 from altpairs.blocks import AlternatingPair
+from altpairs.chernikov import PresentationError
 from altpairs.field import FieldSpec, _gf2_poly_divmod, _gf2_poly_mul, embed
 from altpairs.linalg import Mat, PolyMat
-from altpairs.pencil import ClassFunction, require_valid
+from altpairs.pencil import ClassFunction, assemble, require_valid
 from altpairs.polyring import (
     EPS,
     BinaryForm,
@@ -22,6 +23,7 @@ from altpairs.polyring import (
     point_from_poly,
     unital_normalize,
 )
+from altpairs.weakeq import gl2_enumerate, transform_weak
 
 GF2 = FieldSpec.gf2()
 GF4 = FieldSpec.gf(2)
@@ -94,19 +96,50 @@ def random_class_function(
     return ClassFunction.from_dict(spec, acc)
 
 
+def random_weak_pairs_with_witness(rng: random.Random, count: int, max_dim: int = 8) -> list:
+    """(pair, moved, S, Q) with moved the weak transform of a random
+    GF(2) pair of dimension at most max_dim."""
+    qs = list(gl2_enumerate(GF2))
+    out = []
+    while len(out) < count:
+        rho = random_class_function(GF2, rng, max_dim)
+        pair = assemble(rho)
+        if pair.dim == 0:
+            continue
+        s = random_invertible(GF2, rng, pair.dim)
+        q = qs[rng.randrange(len(qs))]
+        moved = transform_weak(pair, s, q)
+        out.append((pair, moved, s, q))
+    return out
+
+
 # -- exhaustive GL(n, 2) and packed-congruence oracles ----------------------------
 
 
 @lru_cache(maxsize=None)
 def gl_n_2(n: int) -> tuple[Mat, ...]:
-    """Every invertible n x n matrix over GF(2), by brute force."""
+    """Every invertible n x n matrix over GF(2), by brute force: a bitmask
+    rank filters the candidates, and only the invertible ones become Mats."""
     out = []
+    full = (1 << n) - 1
     for bits in range(1 << (n * n)):
-        rows = [[(bits >> (n * i + j)) & 1 for j in range(n)] for i in range(n)]
-        m = Mat.from_rows(GF2, rows, n)
-        if m.det():
-            out.append(m)
+        if _gf2_rank([(bits >> (n * i)) & full for i in range(n)]) == n:
+            rows = [[(bits >> (n * i + j)) & 1 for j in range(n)] for i in range(n)]
+            out.append(Mat.from_rows(GF2, rows, n))
     return tuple(out)
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of bitmask rows, by xor elimination on the lowest bit."""
+    rank = 0
+    rows = list(rows)
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
 
 
 def pack_alternating(m: Mat) -> int:
@@ -414,3 +447,137 @@ def rref_reference(m: Mat) -> tuple[list[list[int]], int, list[int]]:
         if row == nr:
             break
     return work, len(pivots), pivots
+
+
+# -- group-layer oracles ---------------------------------------------------------------
+
+MAX_BRUTE_ORDER = 1 << 12
+
+
+def verify_exhaustive(qmap) -> bool:
+    """Whether a quotient map is an isomorphism, by enumeration (orders up
+    to ``MAX_BRUTE_ORDER``): bijectivity by mapping every element, and the
+    product property on all 4^num_h pairs of pure exponent vectors, which
+    decide it because the map is linear in the bottom part.  Independent of
+    the certificate in ``chernikov.verify_quotient_map``."""
+    src, dst = qmap.src, qmap.dst
+    if src.order > MAX_BRUTE_ORDER:
+        raise ValueError(f"exhaustive check is capped at order {MAX_BRUTE_ORDER}")
+    if src.order != dst.order:
+        return False
+    image = {g: qmap.apply(g) for g in src.elements()}
+    if len(set(image.values())) != src.order:
+        return False
+    tops, products = _pure_top_products(src)
+    for g, row in zip(tops, products):
+        fg = image[g]
+        for h, gh in zip(tops, row):
+            if image[gh] != dst.mul(fg, image[h]):
+                return False
+    return True
+
+
+@lru_cache(maxsize=1)
+def _pure_top_products(g) -> tuple[list, list]:
+    """The pure exponent vectors of a model and the table of their products;
+    the mutants of one map share it."""
+    zero = (0,) * g.m
+    tops = [(x, zero) for x in range(1 << g.num_h)]
+    return tops, [[g.mul(a, b) for b in tops] for a in tops]
+
+
+def order_of_element(g, el) -> int:
+    acc = el
+    n = 1
+    while acc != g.identity:
+        acc = g.mul(acc, el)
+        n += 1
+        if n > g.order:
+            raise AssertionError("element order exceeded group order")
+    return n
+
+
+def _order_histogram(g) -> dict[int, int]:
+    hist: dict[int, int] = {}
+    for el in g.elements():
+        o = order_of_element(g, el)
+        hist[o] = hist.get(o, 0) + 1
+    return hist
+
+
+def _generating_set(g) -> list:
+    gens: list = []
+    closure = {g.identity}
+    for el in g.elements():
+        if el in closure:
+            continue
+        gens.append(el)
+        closure = _closure(g, gens)
+        if len(closure) == g.order:
+            break
+    return gens
+
+
+def _closure(g, gens: list) -> set:
+    seen = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        w = frontier.pop()
+        for x in gens:
+            wx = g.mul(w, x)
+            if wx not in seen:
+                seen.add(wx)
+                frontier.append(wx)
+    return seen
+
+
+def _try_hom(g1, g2, pairs: list) -> dict | None:
+    hom = {g1.identity: g2.identity}
+    frontier = [g1.identity]
+    while frontier:
+        w = frontier.pop()
+        img = hom[w]
+        for x, y in pairs:
+            wx = g1.mul(w, x)
+            imgy = g2.mul(img, y)
+            if wx in hom:
+                if hom[wx] != imgy:
+                    return None
+            else:
+                hom[wx] = imgy
+                frontier.append(wx)
+    return hom
+
+
+def brute_force_isomorphic(g1, g2) -> bool:
+    """Backtracking isomorphism search between finite models; an oracle for
+    orders up to ``MAX_BRUTE_ORDER``."""
+    if g1.order > MAX_BRUTE_ORDER or g2.order > MAX_BRUTE_ORDER:
+        raise PresentationError(f"brute force is capped at order {MAX_BRUTE_ORDER}")
+    if g1.order != g2.order:
+        return False
+    if _order_histogram(g1) != _order_histogram(g2):
+        return False
+    gens = _generating_set(g1)
+    by_order: dict[int, list] = {}
+    for el in g2.elements():
+        by_order.setdefault(order_of_element(g2, el), []).append(el)
+
+    def backtrack(idx: int, pairs: list) -> bool:
+        if idx == len(gens):
+            hom = _try_hom(g1, g2, pairs)
+            if hom is None or len(hom) != g1.order:
+                return False
+            return len(set(hom.values())) == g1.order
+        gen = gens[idx]
+        o = order_of_element(g1, gen)
+        for cand in by_order.get(o, ()):
+            pairs.append((gen, cand))
+            hom = _try_hom(g1, g2, pairs)
+            if hom is not None and len(set(hom.values())) == len(hom):
+                if backtrack(idx + 1, pairs):
+                    return True
+            pairs.pop()
+        return False
+
+    return backtrack(0, [])

@@ -53,6 +53,7 @@ from conftest import (
     random_alternating_pair,
     random_class_function,
     random_invertible,
+    random_weak_pairs_with_witness,
     unpack_alternating,
 )
 
@@ -243,21 +244,6 @@ def test_criterion_6_orbit_sanity():
 # -- 7: group layer --------------------------------------------------------------------
 
 
-def _random_weak_pairs_with_witness(rng, count, max_dim=8):
-    qs = list(gl2_enumerate(GF2))
-    out = []
-    while len(out) < count:
-        rho = random_class_function(GF2, rng, max_dim)
-        pair = assemble(rho)
-        if pair.dim == 0:
-            continue
-        s = random_invertible(GF2, rng, pair.dim)
-        q = qs[rng.randrange(len(qs))]
-        moved = transform_weak(pair, s, q)
-        out.append((pair, moved, s, q))
-    return out
-
-
 def test_criterion_7_group_layer_e2_and_table():
     started = time.perf_counter()
     # Table-derived presentations match the block matrices for d <= 4
@@ -278,9 +264,11 @@ def test_criterion_7_group_layer_e2_and_table():
         from_mats = presentation_from_tuple(list(assemble(rho).matrices))
         assert pres.commutators == from_mats.commutators
     # 50 random weakly equivalent pairs, witness isomorphisms at e = 2,
-    # exhaustive verification inside iso_from_witness (orders <= 2^12)
+    # each checked inside iso_from_witness by the exact certificate of
+    # verify_quotient_map; orders stay <= 2^12, where test_chernikov.py
+    # checks the certificate against the exhaustive oracle on these maps
     rng = random.Random(0xACC7)
-    for pair, moved, s, q in _random_weak_pairs_with_witness(rng, 50):
+    for pair, moved, s, q in random_weak_pairs_with_witness(rng, 50):
         p1 = presentation_from_tuple(list(pair.matrices))
         p2 = presentation_from_tuple(list(moved.matrices))
         qmap = iso_from_witness(p1, p2, s, q, 2)
@@ -300,7 +288,7 @@ def test_criterion_7_group_layer_e2_and_table():
 )
 def test_criterion_7_group_layer_e1_as_stated():
     rng = random.Random(0xACC7)
-    for pair, moved, s, q in _random_weak_pairs_with_witness(rng, 50):
+    for pair, moved, s, q in random_weak_pairs_with_witness(rng, 50):
         p1 = presentation_from_tuple(list(pair.matrices))
         p2 = presentation_from_tuple(list(moved.matrices))
         try:

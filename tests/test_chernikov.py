@@ -1,6 +1,7 @@
 """Group presentations, finite models, witness isomorphisms, brute force."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,6 @@ from altpairs.chernikov import (
     IsoObstructionError,
     PresentationError,
     WitnessError,
-    brute_force_isomorphic,
     build_quotient,
     iso_from_witness,
     presentation_from_class,
@@ -22,7 +22,18 @@ from altpairs.pencil import ClassFunction, assemble
 from altpairs.polyring import EPS, BinaryForm, monic_irreducibles, parse_poly, point_from_poly
 from altpairs.weakeq import GL2Element, gl2_enumerate, transform_weak
 
-from conftest import GF2, GF4, random_class_function, random_invertible
+from conftest import (
+    GF2,
+    GF4,
+    MAX_BRUTE_ORDER,
+    brute_force_isomorphic,
+    order_of_element,
+    random_alternating_pair,
+    random_class_function,
+    random_invertible,
+    random_weak_pairs_with_witness,
+    verify_exhaustive,
+)
 
 
 def tp(text):
@@ -33,13 +44,18 @@ def rho_of(*entries):
     return ClassFunction.from_dict(GF2, {key: mult for key, mult in entries})
 
 
+def commutator_vector(pres, i, j):
+    """The table entry of [h_i, h_j], i < j; zero when absent."""
+    return dict(pres.commutators).get((i, j), (0,) * pres.m)
+
+
 # -- presentations ---------------------------------------------------------------
 
 
 def test_presentation_infinity_block():
     pres = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
     assert pres.num_h == 2
-    assert pres.commutator_vector(0, 1) == (0, 1)  # [h1, h2] = a2
+    assert commutator_vector(pres, 0, 1) == (0, 1)  # [h1, h2] = a2
 
 
 def test_presentation_eps_block_abelian():
@@ -52,7 +68,7 @@ def test_presentation_quadratic_block_last_column():
     pres = presentation_from_class(rho_of(((point_from_poly(tp("t^2+t+1")), 1), 1)))
     assert pres.num_h == 4
     # [h2, h4] = a1 + lambda_1 a2 with lambda_1 = 1
-    assert pres.commutator_vector(1, 3) == (1, 1)
+    assert commutator_vector(pres, 1, 3) == (1, 1)
 
 
 def test_presentation_matches_block_matrices():
@@ -79,18 +95,18 @@ def test_presentation_from_class_multi_block_offsets():
     rho = rho_of(((BinaryForm.x2(GF2), 1), 2), ((EPS, 1), 1))
     pres = presentation_from_class(rho)
     assert pres.num_h == 5
-    assert pres.commutator_vector(1, 2) == (0, 1)
-    assert pres.commutator_vector(3, 4) == (0, 1)
+    assert commutator_vector(pres, 1, 2) == (0, 1)
+    assert commutator_vector(pres, 3, 4) == (0, 1)
     # cross-block commutators vanish
-    assert pres.commutator_vector(0, 1) == (0, 0)
-    assert pres.commutator_vector(2, 3) == (0, 0)
+    assert commutator_vector(pres, 0, 1) == (0, 0)
+    assert commutator_vector(pres, 2, 3) == (0, 0)
 
 
 def test_presentation_from_tuple_single_matrix():
     a = Mat.from_rows(GF2, [[0, 1], [1, 0]])
     pres = presentation_from_tuple([a])
     assert pres.m == 1
-    assert pres.commutator_vector(0, 1) == (1,)
+    assert commutator_vector(pres, 0, 1) == (1,)
 
 
 def test_presentation_from_tuple_zero_is_abelian():
@@ -103,7 +119,7 @@ def test_presentation_from_tuple_triple():
     mats[2] = Mat.from_rows(GF2, [[0, 1], [1, 0]])
     pres = presentation_from_tuple(mats)
     assert pres.m == 3
-    assert pres.commutator_vector(0, 1) == (0, 0, 1)
+    assert commutator_vector(pres, 0, 1) == (0, 0, 1)
 
 
 def test_presentation_from_tuple_rejects_bad_input():
@@ -195,7 +211,7 @@ def test_quotient_inverses_and_orders():
         for _ in range(200):
             a = els[rng.randrange(len(els))]
             assert g.mul(a, g.inv(a)) == g.identity
-            o = g.order_of_element(a)
+            o = order_of_element(g, a)
             assert g.order % o == 0
 
 
@@ -252,7 +268,8 @@ def test_iso_swap_witness_order16():
     assert brute_force_isomorphic(build_quotient(p1, 1), build_quotient(p2, 1))
 
 
-def test_iso_random_witnesses_e2_and_above():
+def _random_witnesses():
+    """(p1, p2, S, Q) for weak transforms of random GF(2) pairs up to dim 6."""
     rng = random.Random(23)
     qs = list(gl2_enumerate(GF2))
     for _ in range(10):
@@ -265,6 +282,11 @@ def test_iso_random_witnesses_e2_and_above():
         moved = transform_weak(pair, s, q)
         p1 = presentation_from_tuple(list(pair.matrices))
         p2 = presentation_from_tuple(list(moved.matrices))
+        yield p1, p2, s, q
+
+
+def test_iso_random_witnesses_e2_and_above():
+    for p1, p2, s, q in _random_witnesses():
         for e in (2, 3, 4):
             iso_from_witness(p1, p2, s, q, e)  # raises on failure
 
@@ -292,6 +314,14 @@ def test_iso_rejects_bad_witness():
         iso_from_witness(p1, p2, Mat.identity(GF2, 2), GL2Element.identity(GF2), 1)
 
 
+def test_iso_singular_s_is_a_witness_error():
+    # with zero tuples every S passes the tuple check, so S = 0 must be
+    # refused as a witness before anything inverts it
+    zero = presentation_from_tuple([Mat.zeros(GF2, 3, 3), Mat.zeros(GF2, 3, 3)])
+    with pytest.raises(WitnessError):
+        iso_from_witness(zero, zero, Mat.zeros(GF2, 3, 3), GL2Element.identity(GF2), 2)
+
+
 def test_verify_catches_corrupted_map():
     pair = build_finite(tp("t"), 1)
     q = GL2Element.swap(GF2)
@@ -308,8 +338,8 @@ def test_verify_catches_corrupted_map():
 
 
 def test_reduced_verification_matches_literal_all_pairs():
-    # the verifier reduces the homomorphism check to exponent-vector pairs;
-    # on a small group the literal all-pairs check must agree
+    # the certificate checks generator pairs only; on a small group the
+    # literal product property must hold on all pairs of elements
     pair = build_finite(tp("t"), 1)
     q = GL2Element.swap(GF2)
     s = Mat.identity(GF2, 2)
@@ -323,6 +353,139 @@ def test_reduced_verification_matches_literal_all_pairs():
         fa = qmap.apply(a)
         for b in els:
             assert qmap.apply(g1.mul(a, b)) == g2.mul(fa, qmap.apply(b))
+
+
+# -- the certificate against the exhaustive oracle -----------------------------------
+
+
+def _set(rows, i, k, value):
+    """rows with entry (i, k) replaced."""
+    row = list(rows[i])
+    row[k] = value
+    return rows[:i] + (tuple(row),) + rows[i + 1:]
+
+
+def _mutants(qmap, rng):
+    """The map as built, then with one entry changed: a quad bit below the
+    diagonal; a linear entry moved by the half-socle (e >= 2) and set to a
+    random value; a top_rows bit; a bottom entry moved by 1 and by 2."""
+    n, e = qmap.src.num_h, qmap.src.e
+    mod = 1 << e
+    yield qmap
+    k, l = rng.randrange(2), rng.randrange(2)
+    if n >= 2:
+        i = rng.randrange(1, n)
+        yield replace(qmap, quad=_set(qmap.quad, k, i, qmap.quad[k][i] ^ 1 << rng.randrange(i)))
+    i = rng.randrange(n)
+    if e >= 2:
+        moved = (qmap.linear[i][k] + (1 << (e - 2))) % mod
+        yield replace(qmap, linear=_set(qmap.linear, i, k, moved))
+    yield replace(qmap, linear=_set(qmap.linear, i, k, rng.randrange(mod)))
+    top = list(qmap.top_rows)
+    top[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    yield replace(qmap, top_rows=tuple(top))
+    for step in (1, 2):
+        yield replace(qmap, bottom=_set(qmap.bottom, l, k, qmap.bottom[l][k] + step))
+
+
+class _NoSamples(random.Random):
+    """Draws only zeros: the spot check then multiplies identities, and the
+    certificate alone decides."""
+
+    def randrange(self, *args):
+        return 0
+
+
+def _certificate_accepts(qmap):
+    try:
+        verify_quotient_map(qmap, _NoSamples())
+    except WitnessError:
+        return False
+    return True
+
+
+def _small_maps():
+    pres = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
+    yield iso_from_witness(pres, pres, Mat.identity(GF2, 2), GL2Element.identity(GF2), 1)
+    pair = build_finite(tp("t"), 1)
+    p1 = presentation_from_tuple(list(pair.matrices))
+    for s, q, exps in (
+        (Mat.identity(GF2, 2), GL2Element.swap(GF2), (1, 2)),
+        (Mat.from_rows(GF2, [[1, 1], [0, 1]]), GL2Element.identity(GF2), (2,)),
+    ):
+        p2 = presentation_from_tuple(list(transform_weak(pair, s, q).matrices))
+        for e in exps:
+            yield iso_from_witness(p1, p2, s, q, e)
+
+
+def _acceptance_7_maps():
+    # the 50 witnesses of test_criterion_7_group_layer_e2_and_table
+    for pair, moved, s, q in random_weak_pairs_with_witness(random.Random(0xACC7), 50):
+        p1 = presentation_from_tuple(list(pair.matrices))
+        p2 = presentation_from_tuple(list(moved.matrices))
+        yield iso_from_witness(p1, p2, s, q, 2)
+
+
+def _random_witness_maps():
+    # the maps of test_iso_random_witnesses_e2_and_above within the oracle's cap
+    for p1, p2, s, q in _random_witnesses():
+        for e in (2, 3, 4):
+            if 1 << (p1.num_h + 2 * e) <= MAX_BRUTE_ORDER:
+                yield iso_from_witness(p1, p2, s, q, e)
+
+
+@pytest.mark.parametrize(
+    "maps", [_small_maps, _acceptance_7_maps, _random_witness_maps], ids=lambda f: f.__name__
+)
+def test_certificate_matches_exhaustive_oracle(maps):
+    rng = random.Random(maps.__name__)
+    verdicts = []
+    for qmap in maps():
+        for mutant in _mutants(qmap, rng):
+            verdicts.append((_certificate_accepts(mutant), verify_exhaustive(mutant)))
+    assert all(cert == oracle for cert, oracle in verdicts)
+    # both verdicts occur: the maps as built and the bottom moves by 2 are
+    # isomorphisms, most other mutants are not
+    assert {cert for cert, _ in verdicts} == {True, False}
+
+
+def test_certificate_rejects_trivial_map_at_n12():
+    # above the old exhaustive cap only products were sampled, and the map
+    # sending every element to the identity is a homomorphism
+    rng = random.Random(12)
+    pair = random_alternating_pair(GF2, rng, 12)
+    pres = presentation_from_tuple(list(pair.matrices))
+    qmap = iso_from_witness(pres, pres, Mat.identity(GF2, 12), GL2Element.identity(GF2), 2)
+    trivial = replace(
+        qmap,
+        top_rows=(0,) * 12,
+        bottom=((0, 0), (0, 0)),
+        quad=((0,) * 12, (0,) * 12),
+        linear=((0, 0),) * 12,
+    )
+    for g in (qmap.src.h_generator(3), (5, (1, 3))):
+        assert trivial.apply(g) == trivial.dst.identity
+    with pytest.raises(WitnessError):
+        verify_quotient_map(trivial)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_iso_large_witnesses(n):
+    rng = random.Random(n)
+    pair = random_alternating_pair(GF2, rng, n)
+    s = random_invertible(GF2, rng, n)
+    qs = list(gl2_enumerate(GF2))
+    q = qs[rng.randrange(len(qs))]
+    p1 = presentation_from_tuple(list(pair.matrices))
+    p2 = presentation_from_tuple(list(transform_weak(pair, s, q).matrices))
+    for e in (2, 3):
+        qmap = iso_from_witness(p1, p2, s, q, e)
+        assert qmap.src.order == 1 << (n + 2 * e)
+        i = rng.randrange(1, n)
+        k = rng.randrange(2)
+        bad = replace(qmap, quad=_set(qmap.quad, k, i, qmap.quad[k][i] ^ 1 << rng.randrange(i)))
+        with pytest.raises(WitnessError):
+            verify_quotient_map(bad)
 
 
 # -- brute force oracle ---------------------------------------------------------------
