@@ -9,7 +9,6 @@ from .blocks import (
     build_plus,
     companion,
     direct_sum,
-    residue_oracle,
 )
 from .field import FieldElement, FieldSpec, field_add, field_enumerate, field_inv, field_mul
 from .linalg import Mat, PolyMat, congruence, smith_form
@@ -85,7 +84,6 @@ __all__ = [
     "pfaffian_form",
     "presentation_from_class",
     "presentation_from_tuple",
-    "residue_oracle",
     "reverse_star",
     "series_inverse_trunc",
     "smith_form",

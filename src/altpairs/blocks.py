@@ -1,4 +1,4 @@
-"""Canonical indecomposable alternating pairs and the residue-form oracle.
+"""Canonical indecomposable alternating pairs.
 
 Three block families over GF(2^k):
 
@@ -8,10 +8,6 @@ Three block families over GF(2^k):
   nilpotent lower Jordan block;
 * plus blocks of odd dimension 2*eps+1 built from the eps x (eps+1)
   staircase matrices [I|0] and [0|I].
-
-``residue_oracle`` rebuilds the finite blocks from the residue pairing
-u, v |-> res of t^j / f^n at infinity, entirely independently of the
-companion construction, and serves as a correctness oracle for it.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from .polyring import (
     EPS,
     BinaryForm,
     Poly,
-    PolyError,
     ProjPoint,
     _EpsType,
     dehomogenize,
@@ -276,53 +271,3 @@ class BlockId:
 def block_for_point(point: ProjPoint, n: int, spec: FieldSpec) -> AlternatingPair:
     """The canonical pair attached to a projective point with multiplicity n."""
     return BlockId.of_point(point, n).build(spec)
-
-
-# -- residue-form oracle -------------------------------------------------------
-
-
-def res_at_infinity(num: Poly, den: Poly) -> int:
-    """Residue at infinity of num/den: the t^-1 coefficient of the Laurent
-    expansion in 1/t.  Matching coefficients in (num mod den) = den * (c1/t +
-    c2/t^2 + ...) gives c1 as the t^(deg den - 1) coefficient of num mod den.
-    """
-    if den.is_zero():
-        raise PolyError("residue needs a nonzero denominator")
-    den = den.monic()
-    r = num % den
-    return r.coeff(den.degree - 1)
-
-
-def residue_oracle(f: Poly, n: int) -> AlternatingPair:
-    """Gram matrices of the residue pairing on the module for f^n, in the
-    basis u_k = t^(d-k-1) u, v_k = t^k v.
-
-    The pairing sends (u, v) to 1/f^n and (u, u), (v, v) to 0; the two Gram
-    matrices take the residues of F(u_l, v_k) and F(t u_l, v_k).  Works for
-    f = t as well (direct expansion in the same basis).
-    """
-    if n < 1:
-        raise BlockError("multiplicity must be positive")
-    if not f.is_monic() or not is_irreducible(f):
-        raise BlockError(f"{f} is not monic irreducible")
-    spec = f.spec
-    g = f
-    for _ in range(n - 1):
-        g = g * f
-    d = g.degree
-    a_rows = [[0] * (2 * d) for _ in range(2 * d)]
-    b_rows = [[0] * (2 * d) for _ in range(2 * d)]
-    for l in range(d):
-        for k in range(d):
-            # F(u_l, v_k) = t^(d+k-l-1)/g; F(t u_l, v_k) = t^(d+k-l)/g
-            av = res_at_infinity(Poly.monomial(spec, d + k - l - 1), g)
-            bv = res_at_infinity(Poly.monomial(spec, d + k - l), g)
-            if av:
-                a_rows[l][d + k] = av
-                a_rows[d + k][l] = av
-            if bv:
-                b_rows[l][d + k] = bv
-                b_rows[d + k][l] = bv
-    return AlternatingPair(
-        Mat.from_rows(spec, a_rows), Mat.from_rows(spec, b_rows)
-    )

@@ -155,16 +155,8 @@ class Mat:
     def nullspace(self) -> list[tuple[int, ...]]:
         """Reduced-echelon canonical basis of the right kernel."""
         pk, work, cols = self._packed()
-        pivots, _ = _rref(pk, work, cols)
-        pivot_set = set(pivots)
-        basis = []
-        for f in (c for c in range(cols) if c not in pivot_set):
-            vec = [0] * cols
-            vec[f] = 1
-            for row, p in zip(work, pivots):
-                vec[p] = row >> (f * pk.w) & pk.mask
-            basis.append(tuple(vec))
-        return basis
+        units = [1 << (j * pk.w) for j in range(cols)]
+        return [pk.unpack(v, cols) for v in _kernel_images(pk, work, cols, units)]
 
     def det(self) -> int:
         if self.nrows != self.cols:
@@ -230,6 +222,23 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool = True) -> tup
         work[row] = p
         pivots.append(col)
     return pivots, det
+
+
+def _kernel_images(pk: Packing, work: list[int], ncols: int, images: list[int]) -> list[int]:
+    """Images under e_j -> images[j] of the reduced-echelon basis of the right
+    kernel of the packed rows ``work`` (reduced in place).  The basis vector
+    of free column f is e_f plus, at each pivot, the entry in column f of the
+    pivot's row (characteristic 2)."""
+    pivots, _ = _rref(pk, work, ncols)
+    w, mask, mul = pk.w, pk.mask, pk.mul
+    out = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        acc = images[f]
+        for row, p in zip(work, pivots):
+            if c := row >> (f * w) & mask:
+                acc ^= mul(c, images[p])
+        out.append(acc)
+    return out
 
 
 def congruence(s: Mat, a: Mat) -> Mat:

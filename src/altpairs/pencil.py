@@ -3,11 +3,13 @@ Kronecker invariants, and decomposition into class functions.
 
 A class function maps (projective point, n) to the multiplicity of the
 corresponding canonical block.  Equality of class functions decides
-congruence; the minimal indices of the singular part come from nullity
-counts of pencil staircase matrices, the elementary divisors from Smith
-forms of t*A + B (finite points) and A + s*B (the x2 point).  The Pfaffian
-comes from the same Smith elimination of t*A + B: its diagonal multiplies
-out to det(t*A + B), and its invariant factors come in equal pairs.
+congruence.  One Smith elimination of t*A + B gives the rank of the pencil
+and its invariant factors, hence the elementary divisors at the finite
+points; Wong sequences of n x n eliminations give the minimal indices of
+the singular part and the divisors at the x2 point (``kronecker_invariants``
+has the proof).  The Pfaffian comes from the same Smith elimination: its
+diagonal multiplies out to det(t*A + B), and its invariant factors come in
+equal pairs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Mapping
 
 from .blocks import AlternatingPair, BlockId, block_for_point, direct_sum
 from .field import FieldError, FieldSpec
-from .linalg import Mat, PolyMat, _smith_diagonal, congruence, smith_form
+from .linalg import Mat, PolyMat, _kernel_images, _smith_diagonal, congruence, smith_form
 from .polyring import (
     EPS,
     BinaryForm,
@@ -219,73 +221,100 @@ class KroneckerInvariants:
     elementary_divisors: tuple[tuple[tuple[ProjPoint, int], int], ...]
 
 
-def _staircase_nullity(pair: AlternatingPair, k: int) -> int:
-    """Dimension of {v(t) of degree < k : (tA + B) v(t) = 0}."""
-    n = pair.dim
-    spec = pair.spec
-    zero = [0] * n
-    rows = []
-    for p in range(k + 1):
-        for i in range(n):
-            row: list[int] = []
-            for j in range(k):
-                if j == p - 1:
-                    row.extend(pair.a.rows[i])
-                elif j == p:
-                    row.extend(pair.b.rows[i])
-                else:
-                    row.extend(zero)
-            rows.append(row)
-    m = Mat.from_rows(spec, rows, k * n)
-    return k * n - m.rank()
+def _wong_dims(a: Mat, b: Mat, stop: int | None = None) -> list[int]:
+    """dim W_0, dim W_1, ... for W_0 = 0, W_(i+1) = {v : a v in b W_i}, up to
+    dimension ``stop`` or until W_i repeats (the W_i increase, so then it
+    stays).
+
+    Rows of C a cut out W_i (C = I for W_1).  As b is symmetric, the images
+    under b of their kernel basis are the rows of W_i^T b, whose kernel is
+    the left kernel C' of b W_i; the images under a of its basis are the rows
+    of C' a, which cut out W_(i+1).  So a step is two packed eliminations."""
+    pk, rows_a, n = a._packed()
+    rows_b = b._packed()[1]
+    dims, rows = [0], list(rows_a)
+    while True:
+        image = _kernel_images(pk, rows, n, rows_b)
+        if len(image) == dims[-1]:
+            break
+        dims.append(len(image))
+        if len(image) == stop:
+            break
+        rows = _kernel_images(pk, image, n, rows_a)
+    return dims
 
 
-def _minimal_indices(pair: AlternatingPair, count: int) -> tuple[int, ...]:
-    """Recover the multiset of minimal indices from staircase nullities.
-
-    nullity_k = sum over indices of max(0, k - eps), so the difference
-    nullity_{k+1} - nullity_k counts the indices <= k.
-    """
-    if count == 0:
-        return ()
-    indices: list[int] = []
-    prev_nullity = 0
-    prev_le = 0
-    k = 0
-    while len(indices) < count:
-        nullity = _staircase_nullity(pair, k + 1)
-        le_k = nullity - prev_nullity
-        indices.extend([k] * (le_k - prev_le))
-        prev_nullity = nullity
-        prev_le = le_k
-        k += 1
-        if k > pair.dim + 1:
-            raise AssertionError("staircase failed to locate all minimal indices")
-    return tuple(sorted(indices))
+def _chains(dims: list[int], known: Mapping[int, int]) -> dict[int, int]:
+    """Length -> number of the chains that Wong dimensions count, less the
+    ``known`` ones: dims[i] - dims[i - 1] chains have length >= i."""
+    top = max([len(dims) - 1, *known])
+    at_least = [dims[i] - dims[i - 1] for i in range(1, len(dims))] + [0] * (top + 2 - len(dims))
+    for s, count in known.items():
+        at_least[:s] = [c - count for c in at_least[:s]]
+    counts = {s: at_least[s - 1] - at_least[s] for s in range(1, top + 1)}
+    if min(counts.values(), default=0) < 0:
+        raise AssertionError(f"Wong sequence {dims} less {dict(known)} gives negative counts")
+    return {s: c for s, c in counts.items() if c}
 
 
 def kronecker_invariants(pair: AlternatingPair) -> KroneckerInvariants:
+    """Minimal indices and homogeneous elementary divisors of t*A + B.
+
+    One Smith pass gives the rank r and the invariant factors d_1 | ... | d_r.
+    Their irreducibles all divide d_r, so d_r is factored once and each
+    exponent e > 0 of f in a d_i, read by division, is a divisor (f, e).
+    There are n - r eps blocks, and x2 carries divisors iff rank A < r: the
+    rank drops at a point by its number of divisors, and singular blocks
+    keep their rank everywhere.
+
+    The Wong sequence W_0 = 0, W_(i+1) = {v : A v in B W_i} (Berger,
+    Ilchmann and Trenn, SIAM J. Matrix Anal. Appl. 33 (2012)) adds over
+    direct sums, and congruence by S moves it to S^-T W_i.  In Kronecker
+    form, L_eps (A-part [I | 0], B-part [0 | I]) has W_1 spanned by the last
+    unit vector, each step adding the one before, which gives
+    min(i, eps + 1); L_eps^T and finite blocks have an injective A-part and
+    give 0; a nilpotent block t*N + I of size e, one divisor (x2, e), has
+    W_i = ker N^i, which gives min(i, e).  An odd block holds one L_eps and
+    one L_eps^T, so dim W_i is the sum of min(i, eps + 1) over the minimal
+    indices and of mult * min(i, e) over the divisors (x2, e).  Swapping A
+    and B keeps the minimal indices and moves the divisors (x1, e), at
+    t = 0, into the nilpotent part.  So W(A, B) gives the minimal indices
+    when x2 carries nothing and the x2 divisors when r = n; otherwise
+    W(B, A) less the divisors at t = 0 gives the minimal indices, and W(A, B)
+    less those the x2 divisors.  The limit of W(A, B), sum(eps + 1) plus the
+    x2 degrees, is n - deg(d_1 ... d_r) - sum(eps), since the blocks fill
+    n; without x2 divisors they also give sum(eps) = (r - deg(d_1 ... d_r)) / 2.
+    W(A, B) stops there without a repeat step.
+    """
     require_valid(pair)
-    spec = pair.spec
-    finite_factors = smith_form(PolyMat.pencil(pair.a, pair.b))
+    n, spec = pair.dim, pair.spec
+    factors = smith_form(PolyMat.pencil(pair.a, pair.b))
+    r, degree = len(factors), sum(d.degree for d in factors)
     divisors: dict[tuple[ProjPoint, int], int] = {}
-    for inv in finite_factors:
-        for f, e in factor(inv):
+    for f, _ in factor(factors[-1]) if r and factors[-1].degree else ():
+        for d in reversed(factors):
+            e = 0
+            while d.degree >= f.degree and not (qr := divmod(d, f))[1]:
+                d, e = qr[0], e + 1
+            if not e:
+                break  # nor does f divide the earlier factors
             key = (point_from_poly(f), e)
             divisors[key] = divisors.get(key, 0) + 1
-    infinite_factors = smith_form(PolyMat.pencil(pair.b, pair.a))
-    t = Poly.t(spec)
-    for inv in infinite_factors:
-        e = 0
-        while inv.degree > 0 and inv.coeff(0) == 0:
-            inv = inv // t
-            e += 1
-        if e:
-            key = (BinaryForm.x2(spec), e)
-            divisors[key] = divisors.get(key, 0) + 1
-    rank_generic = len(finite_factors)
-    count = pair.dim - rank_generic
-    minimal = _minimal_indices(pair, count)
+    eps: dict[int, int] = {}  # eps + 1 -> number of odd blocks
+    if pair.a.rank() == r:
+        if r < n:
+            eps = _chains(_wong_dims(pair.a, pair.b, n - (r + degree) // 2), {})
+    else:
+        if r < n:
+            x1 = point_from_poly(Poly.t(spec))
+            at_x1 = {e: m for (p, e), m in divisors.items() if p == x1}
+            eps = _chains(_wong_dims(pair.b, pair.a), at_x1)
+        stop = n - degree - sum((s - 1) * m for s, m in eps.items())
+        for e, m in _chains(_wong_dims(pair.a, pair.b, stop), eps).items():
+            divisors[(BinaryForm.x2(spec), e)] = m
+    if sum(eps.values()) != n - r:
+        raise AssertionError(f"{sum(eps.values())} minimal indices for rank {r} of {n}")
+    minimal = tuple(s - 1 for s in sorted(eps) for _ in range(eps[s]))
     ordered = sorted(divisors.items(), key=lambda kv: (point_sort_key(kv[0][0]), kv[0][1]))
     return KroneckerInvariants(minimal, tuple(ordered))
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 import random
 from functools import lru_cache, partial
 
-from altpairs.blocks import AlternatingPair
+from altpairs.blocks import AlternatingPair, BlockError
 from altpairs.chernikov import PresentationError
 from altpairs.field import FieldSpec, _gf2_poly_divmod, _gf2_poly_mul, embed
-from altpairs.linalg import Mat, PolyMat
-from altpairs.pencil import ClassFunction, assemble, require_valid
+from altpairs.linalg import Mat, PolyMat, smith_form
+from altpairs.pencil import ClassFunction, KroneckerInvariants, assemble, require_valid
 from altpairs.polyring import (
     EPS,
     BinaryForm,
@@ -17,10 +17,13 @@ from altpairs.polyring import (
     PolyError,
     _EpsType,
     _poly_divmod,
+    factor,
     homogenize,
+    is_irreducible,
     lagrange_interpolate,
     monic_irreducibles,
     point_from_poly,
+    point_sort_key,
     unital_normalize,
 )
 from altpairs.weakeq import gl2_enumerate, transform_weak
@@ -294,6 +297,83 @@ def pfaffian_interpolation_reference(pair: AlternatingPair) -> BinaryForm:
     return homogenize(delta, n // 2)
 
 
+# -- reference Kronecker invariants by two Smith passes and staircase nullities ----
+
+
+def _staircase_nullity(pair: AlternatingPair, k: int) -> int:
+    """Dimension of {v(t) of degree < k : (tA + B) v(t) = 0}."""
+    n = pair.dim
+    spec = pair.spec
+    zero = [0] * n
+    rows = []
+    for p in range(k + 1):
+        for i in range(n):
+            row: list[int] = []
+            for j in range(k):
+                if j == p - 1:
+                    row.extend(pair.a.rows[i])
+                elif j == p:
+                    row.extend(pair.b.rows[i])
+                else:
+                    row.extend(zero)
+            rows.append(row)
+    m = Mat.from_rows(spec, rows, k * n)
+    return k * n - m.rank()
+
+
+def _minimal_indices(pair: AlternatingPair, count: int) -> tuple[int, ...]:
+    """Recover the multiset of minimal indices from staircase nullities.
+
+    nullity_k = sum over indices of max(0, k - eps), so the difference
+    nullity_{k+1} - nullity_k counts the indices <= k.
+    """
+    if count == 0:
+        return ()
+    indices: list[int] = []
+    prev_nullity = 0
+    prev_le = 0
+    k = 0
+    while len(indices) < count:
+        nullity = _staircase_nullity(pair, k + 1)
+        le_k = nullity - prev_nullity
+        indices.extend([k] * (le_k - prev_le))
+        prev_nullity = nullity
+        prev_le = le_k
+        k += 1
+        if k > pair.dim + 1:
+            raise AssertionError("staircase failed to locate all minimal indices")
+    return tuple(sorted(indices))
+
+
+def kronecker_reference(pair: AlternatingPair) -> KroneckerInvariants:
+    """Kronecker invariants independent of Wong sequences: every invariant
+    factor of t*A + B factored on its own for the finite divisors, a second
+    Smith pass of t*B + A for the powers of t that give the x2 divisors, and
+    minimal indices from the nullities of (k + 1)n x kn staircase matrices."""
+    require_valid(pair)
+    spec = pair.spec
+    finite_factors = smith_form(PolyMat.pencil(pair.a, pair.b))
+    divisors: dict = {}
+    for inv in finite_factors:
+        for f, e in factor(inv):
+            key = (point_from_poly(f), e)
+            divisors[key] = divisors.get(key, 0) + 1
+    infinite_factors = smith_form(PolyMat.pencil(pair.b, pair.a))
+    t = Poly.t(spec)
+    for inv in infinite_factors:
+        e = 0
+        while inv.degree > 0 and inv.coeff(0) == 0:
+            inv = inv // t
+            e += 1
+        if e:
+            key = (BinaryForm.x2(spec), e)
+            divisors[key] = divisors.get(key, 0) + 1
+    count = pair.dim - len(finite_factors)
+    minimal = _minimal_indices(pair, count)
+    ordered = sorted(divisors.items(), key=lambda kv: (point_sort_key(kv[0][0]), kv[0][1]))
+    return KroneckerInvariants(minimal, tuple(ordered))
+
+
 # -- reference Smith elimination and row reduction, one entry at a time -----------
 
 
@@ -447,6 +527,57 @@ def rref_reference(m: Mat) -> tuple[list[list[int]], int, list[int]]:
         if row == nr:
             break
     return work, len(pivots), pivots
+
+
+# -- residue-form oracle for the finite blocks ------------------------------------
+
+
+def res_at_infinity(num: Poly, den: Poly) -> int:
+    """Residue at infinity of num/den: the t^-1 coefficient of the Laurent
+    expansion in 1/t.  Matching coefficients in (num mod den) = den * (c1/t +
+    c2/t^2 + ...) gives c1 as the t^(deg den - 1) coefficient of num mod den.
+    """
+    if den.is_zero():
+        raise PolyError("residue needs a nonzero denominator")
+    den = den.monic()
+    r = num % den
+    return r.coeff(den.degree - 1)
+
+
+def residue_oracle(f: Poly, n: int) -> AlternatingPair:
+    """Gram matrices of the residue pairing on the module for f^n, in the
+    basis u_k = t^(d-k-1) u, v_k = t^k v; rebuilds the finite blocks
+    independently of the companion construction of ``build_finite``.
+
+    The pairing sends (u, v) to 1/f^n and (u, u), (v, v) to 0; the two Gram
+    matrices take the residues of F(u_l, v_k) and F(t u_l, v_k).  Works for
+    f = t as well (direct expansion in the same basis).
+    """
+    if n < 1:
+        raise BlockError("multiplicity must be positive")
+    if not f.is_monic() or not is_irreducible(f):
+        raise BlockError(f"{f} is not monic irreducible")
+    spec = f.spec
+    g = f
+    for _ in range(n - 1):
+        g = g * f
+    d = g.degree
+    a_rows = [[0] * (2 * d) for _ in range(2 * d)]
+    b_rows = [[0] * (2 * d) for _ in range(2 * d)]
+    for l in range(d):
+        for k in range(d):
+            # F(u_l, v_k) = t^(d+k-l-1)/g; F(t u_l, v_k) = t^(d+k-l)/g
+            av = res_at_infinity(Poly.monomial(spec, d + k - l - 1), g)
+            bv = res_at_infinity(Poly.monomial(spec, d + k - l), g)
+            if av:
+                a_rows[l][d + k] = av
+                a_rows[d + k][l] = av
+            if bv:
+                b_rows[l][d + k] = bv
+                b_rows[d + k][l] = bv
+    return AlternatingPair(
+        Mat.from_rows(spec, a_rows), Mat.from_rows(spec, b_rows)
+    )
 
 
 # -- group-layer oracles ---------------------------------------------------------------

@@ -13,14 +13,12 @@ from altpairs.blocks import (
     build_plus_over,
     companion,
     direct_sum,
-    res_at_infinity,
-    residue_oracle,
 )
 from altpairs.linalg import Mat, PolyMat, smith_form
 from altpairs.pencil import decompose, pfaffian_form, transform_congruence, validate
 from altpairs.polyring import EPS, Poly, monic_irreducibles, parse_poly, point_from_poly
 
-from conftest import GF2, GF4
+from conftest import GF2, GF4, res_at_infinity, residue_oracle
 
 
 def tp(text, spec=GF2):

@@ -296,3 +296,21 @@ def test_internal_error_exit3_names_the_file(capsys, monkeypatch, tmp_path):
         assert code == 3, argv
         assert out == ""
         assert err == f"internal error: {where}: invariant factors do not pair up\n"
+
+
+def test_dropped_invariant_factor_exit3(capsys, monkeypatch, tmp_path):
+    # a Smith pass that loses its last invariant factor contradicts the Wong
+    # sequences: the count of minimal indices no longer matches the rank
+    from altpairs import pencil
+
+    smith_form = pencil.smith_form
+    monkeypatch.setattr(pencil, "smith_form", lambda pm: smith_form(pm)[:-1])
+    docs = {"inf.pair": INF1_DOC, "fin.pair": format_pair_document(build_finite(tp("t^2+t+1"), 1))}
+    for name, text in docs.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, ["canonical", str(path)])
+        assert code == 3, name
+        assert out == ""
+        assert err.startswith(f"internal error: {path}: ")
+        assert "Traceback" not in err

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from altpairs import pencil
 from altpairs.blocks import (
     AlternatingPair,
     build_finite,
@@ -17,6 +18,7 @@ from altpairs.field import FieldError, FieldSpec, _Computed, embed
 from altpairs.linalg import Mat
 from altpairs.pencil import (
     ClassFunction,
+    KroneckerInvariants,
     assemble,
     congruent,
     decompose,
@@ -38,6 +40,9 @@ from altpairs.polyring import (
 from conftest import (
     GF2,
     GF4,
+    GF16,
+    GF512,
+    kronecker_reference,
     pfaffian_interpolation_reference,
     random_alternating_pair,
     random_class_function,
@@ -166,6 +171,132 @@ def test_invariants_mixed_sum():
     inv = kronecker_invariants(pair)
     assert inv.minimal_indices == (0, 2)
     assert dict(inv.elementary_divisors) == {(BinaryForm.x2(GF2), 1): 2}
+
+
+def checked_invariants(pair):
+    """kronecker_invariants, cross-checked against the two-pass reference."""
+    inv = kronecker_invariants(pair)
+    assert inv == kronecker_reference(pair)
+    return inv
+
+
+def scrambled(spec, rng, blocks):
+    """The canonical sum of ``blocks`` ((point, n) -> mult) under a random
+    congruence."""
+    pair = assemble(ClassFunction.from_dict(spec, blocks))
+    return transform_congruence(pair, random_invertible(spec, rng, pair.dim))
+
+
+def divisor_points(inv):
+    return {point for (point, _), _ in inv.elementary_divisors}
+
+
+INVARIANT_FIELDS = [GF2, GF4, GF16, GF512]
+
+
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_invariants_match_reference_random_pairs(spec):
+    rng = random.Random(0x3A11 + spec.k)
+    top = 13 if spec.k < 9 else 7
+    for n in range(top):
+        checked_invariants(random_alternating_pair(spec, rng, n))
+        if n >= 1:
+            assert checked_invariants(_rank_deficient_pair(spec, rng, n)).minimal_indices
+
+
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_invariants_match_reference_long_chains(spec):
+    # eps >= 5 and x2 blocks of size >= 3: Wong sequences of six or more steps
+    rng = random.Random(0xC4A1 + spec.k)
+    x2, x1 = BinaryForm.x2(spec), BinaryForm.x1(spec)
+    cases = [
+        {(EPS, 6): 1},
+        {(EPS, 6): 1, (EPS, 1): 1, (x2, 3): 1},
+        {(EPS, 7): 1, (x2, 4): 1, (x1, 1): 1},
+        {(x2, 3): 2, (x2, 1): 1},
+    ]
+    if spec.k < 9:
+        f = next(monic_irreducibles(spec, 2))
+        cases.append({(EPS, 6): 1, (x2, 3): 1, (point_from_poly(f), 1): 1})
+    for blocks in cases:
+        inv = checked_invariants(scrambled(spec, rng, blocks))
+        eps_sizes = sorted(n - 1 for (p, n), m in blocks.items() if p is EPS for _ in range(m))
+        assert list(inv.minimal_indices) == eps_sizes
+
+
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_invariants_match_reference_divisor_at_zero(spec):
+    # eps blocks, x2 divisors and divisors at t = 0 together: the minimal
+    # indices come from W(B, A) less the divisors at t = 0
+    rng = random.Random(0x7E0 + spec.k)
+    x2, x1 = BinaryForm.x2(spec), BinaryForm.x1(spec)
+    for _ in range(6 if spec.k < 9 else 2):
+        blocks = {
+            (EPS, rng.randrange(1, 5)): 1,
+            (x2, rng.randrange(1, 4)): rng.randrange(1, 3),
+            (x1, rng.randrange(1, 4)): 1,
+        }
+        if rng.randrange(2):
+            blocks[(x1, rng.randrange(1, 3))] = 1
+        inv = checked_invariants(scrambled(spec, rng, blocks))
+        assert inv.minimal_indices
+        assert {x1, x2} <= divisor_points(inv)
+
+
+def test_invariants_match_reference_all_gf2_points():
+    # GF(2) has three rational points; here x2, x1 (t) and t + 1 all carry
+    # divisors, with and without eps blocks
+    rng = random.Random(0x6F2)
+    x2, x1 = BinaryForm.x2(GF2), BinaryForm.x1(GF2)
+    x1x2 = point_from_poly(tp("t+1"))
+    for eps in (None, 0, 2, 5):
+        for _ in range(3):
+            blocks = {
+                (x2, rng.randrange(1, 4)): 1,
+                (x1, rng.randrange(1, 3)): 1,
+                (x1x2, rng.randrange(1, 3)): rng.randrange(1, 3),
+            }
+            if eps is not None:
+                blocks[(EPS, eps + 1)] = 1
+            inv = checked_invariants(scrambled(GF2, rng, blocks))
+            assert {x2, x1, x1x2} <= divisor_points(inv)
+
+
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_invariants_edge_cases(spec):
+    assert checked_invariants(direct_sum([], spec=spec)) == KroneckerInvariants((), ())
+    for n in (1, 2, 5):
+        zero = AlternatingPair(Mat.zeros(spec, n, n), Mat.zeros(spec, n, n))
+        inv = checked_invariants(zero)
+        assert inv.minimal_indices == (0,) * n
+        assert inv.elementary_divisors == ()
+
+
+def test_invariants_one_smith_pass_and_one_factor_call(monkeypatch):
+    calls = {"smith": 0, "factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pencil, "smith_form", counted("smith", pencil.smith_form))
+    monkeypatch.setattr(pencil, "factor", counted("factor", pencil.factor))
+    rng = random.Random(0x1CA11)
+    x2, x1 = BinaryForm.x2(GF4), BinaryForm.x1(GF4)
+    pairs = [
+        random_alternating_pair(GF4, rng, 10),
+        _rank_deficient_pair(GF4, rng, 9),
+        scrambled(GF4, rng, {(EPS, 3): 1, (x2, 2): 1, (x1, 2): 1}),
+        assemble(random_class_function(GF4, rng, 16)),
+    ]
+    for pair in pairs:
+        calls.update(smith=0, factor=0)
+        kronecker_invariants(pair)
+        assert calls["smith"] == 1
+        assert calls["factor"] <= 1
 
 
 # -- decomposition --------------------------------------------------------------------
