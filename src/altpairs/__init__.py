@@ -29,8 +29,6 @@ from .polyring import (
     factor,
     homogenize,
     moebius_act,
-    reverse_star,
-    series_inverse_trunc,
 )
 from .weakeq import GL2Element, act_on_class, canonical_rep, gl2_enumerate, weakly_equivalent
 from .chernikov import (
@@ -84,8 +82,6 @@ __all__ = [
     "pfaffian_form",
     "presentation_from_class",
     "presentation_from_tuple",
-    "reverse_star",
-    "series_inverse_trunc",
     "smith_form",
     "validate",
     "weakly_equivalent",

@@ -41,7 +41,8 @@ from .pencil import (
     validate,
 )
 from .polyring import PolyError, format_form, set_factor_seed
-from .weakeq import CapError, GL2Element, canonical_rep, weakly_equivalent
+from .weakeq import ANCHORED_CAP_K, ENUMERATION_CAP_K, CapError, GL2Element
+from .weakeq import canonical_rep, weakly_equivalent
 
 ENV_FIELD = "ALTPAIRS_FIELD"
 
@@ -353,7 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=cmd_canonical)
 
-    p = sub.add_parser("weak-class", help="weak-equivalence canonical representative")
+    p = sub.add_parser(
+        "weak-class",
+        help="weak-equivalence canonical representative; over GF(2^k) up to "
+        f"k = {ANCHORED_CAP_K} for classes with two or more degree-1 points, "
+        f"up to k = {ENUMERATION_CAP_K} otherwise",
+    )
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=cmd_weak_class)
 

@@ -396,70 +396,3 @@ def field_inv(a: FieldElement) -> FieldElement:
 def field_enumerate(spec: FieldSpec) -> list[FieldElement]:
     """All 2^k elements, ordered by increasing bitmask (0, 1, t, t+1, ...)."""
     return [FieldElement(b, spec) for b in spec.enumerate_bits()]
-
-
-# -- subfield embeddings -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Ring embedding GF(2^k) -> GF(2^(k*j)) determined by a root of the
-    source modulus in the target field."""
-
-    src: FieldSpec
-    dst: FieldSpec
-    root_powers: tuple[int, ...] = field(compare=False)
-    _inverse: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        inverse = {self.map(b): b for b in self.src.enumerate_bits()}
-        object.__setattr__(self, "_inverse", inverse)
-
-    def map(self, bits: int) -> int:
-        acc = 0
-        i = 0
-        while bits:
-            if bits & 1:
-                acc ^= self.root_powers[i]
-            bits >>= 1
-            i += 1
-        return acc
-
-    def unmap(self, bits: int) -> int:
-        try:
-            return self._inverse[bits]
-        except KeyError:
-            raise FieldError(
-                f"0x{bits:x} is not in the image of {self.src} inside {self.dst}"
-            ) from None
-
-
-@lru_cache(maxsize=None)
-def embed(src: FieldSpec, dst: FieldSpec) -> Embedding:
-    """Find an embedding of src into dst (requires src.k | dst.k)."""
-    if dst.k % src.k != 0:
-        raise FieldError(f"{src} does not embed into {dst}")
-    if src == dst or src.k == 1:
-        powers = tuple(1 << i for i in range(src.k))
-    else:
-        root = None
-        for x in dst.enumerate_bits():
-            # evaluate the source modulus (a GF(2) polynomial) at x in dst
-            acc = 0
-            xp = 1
-            m = src.modulus
-            while m:
-                if m & 1:
-                    acc ^= xp
-                xp = dst.mul(xp, x)
-                m >>= 1
-            if acc == 0 and x != 0:
-                root = x
-                break
-        if root is None:
-            raise AssertionError("no root of subfield modulus found")  # unreachable
-        acc_powers = [1]
-        for _ in range(src.k - 1):
-            acc_powers.append(dst.mul(acc_powers[-1], root))
-        powers = tuple(acc_powers)
-    return Embedding(src, dst, powers)

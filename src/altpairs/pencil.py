@@ -263,6 +263,8 @@ def kronecker_invariants(pair: AlternatingPair) -> KroneckerInvariants:
     One Smith pass gives the rank r and the invariant factors d_1 | ... | d_r.
     Their irreducibles all divide d_r, so d_r is factored once and each
     exponent e > 0 of f in a d_i, read by division, is a divisor (f, e).
+    The factors pair up, d_(2i-1) = d_(2i), so one of each pair is divided
+    and its divisors counted twice.
     There are n - r eps blocks, and x2 carries divisors iff rank A < r: the
     rank drops at a point by its number of divisors, and singular blocks
     keep their rank everywhere.
@@ -290,16 +292,18 @@ def kronecker_invariants(pair: AlternatingPair) -> KroneckerInvariants:
     n, spec = pair.dim, pair.spec
     factors = smith_form(PolyMat.pencil(pair.a, pair.b))
     r, degree = len(factors), sum(d.degree for d in factors)
+    if factors[::2] != factors[1::2]:
+        raise AssertionError("invariant factors of an alternating pencil do not pair up")
     divisors: dict[tuple[ProjPoint, int], int] = {}
     for f, _ in factor(factors[-1]) if r and factors[-1].degree else ():
-        for d in reversed(factors):
+        for d in reversed(factors[1::2]):
             e = 0
             while d.degree >= f.degree and not (qr := divmod(d, f))[1]:
                 d, e = qr[0], e + 1
             if not e:
                 break  # nor does f divide the earlier factors
             key = (point_from_poly(f), e)
-            divisors[key] = divisors.get(key, 0) + 1
+            divisors[key] = divisors.get(key, 0) + 2
     eps: dict[int, int] = {}  # eps + 1 -> number of odd blocks
     if pair.a.rank() == r:
         if r < n:

@@ -265,39 +265,6 @@ def poly_sqrt(f: Poly) -> Poly:
     return Poly(_trim([spec.sqrt(c) for c in f.coeffs[::2]]), spec)
 
 
-def reverse_star(g: Poly) -> Poly:
-    """Coefficient reversal t^d * g(1/t); requires g(0) != 0."""
-    if g.is_zero():
-        raise PolyError("reverse of the zero polynomial")
-    if g.coeff(0) == 0:
-        raise PolyError("reverse requires a nonzero constant term")
-    return Poly(tuple(reversed(g.coeffs)), g.spec)
-
-
-def series_inverse_trunc(g: Poly, m: int) -> Poly:
-    """The unique h of degree < m with g*h = 1 mod t^m (needs g(0) = 1).
-
-    Coefficients follow the convolution recurrence
-    h_j = g_1 h_{j-1} + g_2 h_{j-2} + ... + g_j h_0 with h_0 = 1.
-    """
-    if m < 1:
-        raise PolyError("truncation order must be positive")
-    if g.coeff(0) != 1:
-        raise PolyError("series inverse requires constant term 1")
-    spec = g.spec
-    mul = spec.mul
-    h = [0] * m
-    h[0] = 1
-    for j in range(1, m):
-        acc = 0
-        for i in range(1, j + 1):
-            gi = g.coeff(i)
-            if gi and h[j - i]:
-                acc ^= mul(gi, h[j - i])
-        h[j] = acc
-    return Poly(_trim(h), spec)
-
-
 # -- irreducibility and factorization -----------------------------------------
 
 

@@ -1,22 +1,32 @@
 """Weak equivalence: the GL(2) action on class functions, canonical orbit
-representatives over small fields, and witness-producing equivalence tests.
+representatives with their witnesses, and witness-producing equivalence
+tests.
 
 A weak transform recombines the two forms through an invertible 2x2 matrix
 on top of a simultaneous basis change: B_k = sum_l q_lk (S A_l S^T).
+
+Canonical forms are found by lexicographic canonisation through point
+stabilisers (McKay and Piperno, "Practical graph isomorphism, II",
+J. Symbolic Comput. 60 (2014)): the degree-1 points of the class anchor the
+few elements of PGL(2, q) that can reach the least form, and only a class
+without degree-1 points scans the whole group.  ``canonical_rep`` carries
+the proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import permutations
+from typing import Iterable, Iterator
 
 from .blocks import AlternatingPair
 from .field import FieldError, FieldSpec
 from .linalg import Mat, congruence
-from .pencil import ClassFunction, decompose
+from .pencil import ClassFunction, decompose, require_valid
 from .polyring import _EpsType, moebius_act
 
-ENUMERATION_CAP_K = 4
+ENUMERATION_CAP_K = 4  # whole-group scans, and classes with one degree-1 point
+ANCHORED_CAP_K = 8  # classes with two or more degree-1 points
 
 
 class CapError(ValueError):
@@ -56,8 +66,9 @@ class GL2Element:
     def transpose(self) -> "GL2Element":
         return GL2Element(self.q11, self.q21, self.q12, self.q22, self.spec)
 
-    def entry(self, l: int, k: int) -> int:
-        return self.rows()[l][k]
+    def adj(self) -> "GL2Element":
+        """The adjugate, det(Q) * Q^-1 in characteristic 2."""
+        return GL2Element(self.q22, self.q12, self.q21, self.q11, self.spec)
 
     def __mul__(self, other: "GL2Element") -> "GL2Element":
         if other.spec != self.spec:
@@ -71,17 +82,6 @@ class GL2Element:
             self.spec,
         )
 
-    def inv(self) -> "GL2Element":
-        s = self.spec
-        dinv = s.inv(self.det)
-        return GL2Element(
-            s.mul(dinv, self.q22),
-            s.mul(dinv, self.q12),
-            s.mul(dinv, self.q21),
-            s.mul(dinv, self.q11),
-            s,
-        )
-
     def to_mat(self) -> Mat:
         return Mat.from_rows(self.spec, [[self.q11, self.q12], [self.q21, self.q22]])
 
@@ -89,16 +89,14 @@ class GL2Element:
         return f"[[{self.q11:x},{self.q12:x}],[{self.q21:x},{self.q22:x}]]"
 
 
-def _require_enumerable(spec: FieldSpec) -> None:
-    if spec.k > ENUMERATION_CAP_K:
-        raise CapError(
-            f"GL(2) enumeration is capped at GF(2^{ENUMERATION_CAP_K}); got {spec}"
-        )
+def _require_k(spec: FieldSpec, cap: int, what: str) -> None:
+    if spec.k > cap:
+        raise CapError(f"{what} is capped at GF(2^{cap}); got {spec}")
 
 
 def gl2_enumerate(spec: FieldSpec) -> Iterator[GL2Element]:
     """All invertible 2x2 matrices; identity first, then lexicographic."""
-    _require_enumerable(spec)
+    _require_k(spec, ENUMERATION_CAP_K, "GL(2) enumeration")
     yield GL2Element.identity(spec)
     q = spec.order
     mul = spec.mul
@@ -122,7 +120,7 @@ def pgl2_enumerate(spec: FieldSpec) -> Iterator[GL2Element]:
     order (the other members start with a larger entry), so a scan that
     keeps its first hit returns the matrix a full GL(2) scan would.
     """
-    _require_enumerable(spec)
+    _require_k(spec, ENUMERATION_CAP_K, "GL(2) enumeration")
     yield GL2Element.identity(spec)
     q = spec.order
     mul = spec.mul
@@ -164,30 +162,114 @@ def act_on_class(q: GL2Element, rho: ClassFunction) -> ClassFunction:
 
     Composition is contravariant: act(Q1*Q2, rho) = act(Q2, act(Q1, rho)).
     """
-    # The adjugate is det(Q) * Q^-1 in characteristic 2, and scalars fix
-    # every projective point, so it moves points as Q^-1 does without a
-    # field inversion.
-    return _relabel(rho, GL2Element(q.q22, q.q12, q.q21, q.q11, q.spec))
+    # Scalars fix every projective point, so the adjugate moves points as
+    # Q^-1 does without a field inversion.
+    return _relabel(rho, q.adj())
+
+
+def _anchored(spec: FieldSpec, za, zb, t11: int, t21: int, t22: int) -> GL2Element:
+    """adj(M) [[t11, 0], [t21, t22]] with M = rows(za, zb): it moves the
+    point with zero za to x2, and with t21 = 0 the one with zero zb to x1."""
+    (m11, m12), (m21, m22) = za, zb
+    m = spec.mul
+    return GL2Element(
+        m(m22, t11) ^ m(m12, t21), m(m12, t22), m(m21, t11) ^ m(m11, t21), m(m11, t22), spec
+    )
+
+
+def _candidates(rho: ClassFunction) -> Iterator[GL2Element]:
+    """Elements of GL(2) that hold every minimiser of the orbit up to a
+    scalar (see canonical_rep); CapError when the field is too large."""
+    spec, q, mul = rho.spec, rho.spec.order, rho.spec.mul
+    lines = (p for p, _, _ in rho.entries if not isinstance(p, _EpsType) and p.degree == 1)
+    zeros = list(dict.fromkeys(p.coeffs for p in lines))
+    if len(zeros) < 2:
+        what = "the weak canonical form of a class with fewer than two degree-1 points"
+        _require_k(spec, ENUMERATION_CAP_K, what)
+    _require_k(spec, ANCHORED_CAP_K, "the weak canonical form")
+    if not zeros:
+        yield from pgl2_enumerate(spec)
+    elif len(zeros) == 1:
+        za = zeros[0]
+        w = (0, 1) if za == (1, 0) else (1, 0)  # det rows(za, w) = 1
+        for t21 in range(q):
+            for t22 in range(1, q):
+                yield _anchored(spec, za, w, 1, t21, t22)
+    elif len(zeros) == 2:
+        for za, zb in permutations(zeros):
+            for t22 in range(1, q):
+                yield _anchored(spec, za, zb, 1, 0, t22)
+    else:
+        for za, zb, (c1, c2) in permutations(zeros, 3):
+            (m11, m12), (m21, m22) = za, zb
+            alpha = mul(c1, m22) ^ mul(c2, m21)
+            beta = mul(c1, m12) ^ mul(c2, m11)
+            yield _anchored(spec, za, zb, beta, 0, alpha)
+
+
+def _minimisers(rho: ClassFunction) -> tuple[ClassFunction, list[GL2Element]]:
+    """The least form in the orbit of rho and the candidates that reach it."""
+    best, rep, found = None, None, []
+    for q in _candidates(rho):
+        moved = act_on_class(q, rho)
+        key = moved.sort_key()
+        if best is None or key < best:
+            best, rep, found = key, moved, [q]
+        elif key == best:
+            found.append(q)
+    return rep, found
+
+
+def _first(qs: Iterable[GL2Element]) -> GL2Element:
+    """The first of the scalar classes of qs in gl2_enumerate order: each is
+    scaled so that its first nonzero entry is 1, and the identity comes
+    before the rest, which follow in lexicographic order."""
+
+    def scaled(q: GL2Element) -> GL2Element:
+        lam, mul = q.spec.inv(q.q11 or q.q12), q.spec.mul
+        return GL2Element(*(mul(lam, x) for x in (q.q11, q.q12, q.q21, q.q22)), q.spec)
+
+    return min(map(scaled, qs), key=lambda q: (q.rows() != ((1, 0), (0, 1)), q.rows()))
 
 
 def canonical_rep(rho: ClassFunction) -> tuple[ClassFunction, GL2Element]:
-    """Minimum of the orbit under the serialization order, with a witness Q
-    (the identity when rho is already canonical).
+    """Minimum of the orbit under the serialization order, with a witness Q:
+    the first minimiser in gl2_enumerate order, so the identity when rho is
+    already canonical.
 
-    The witness is the first minimiser in gl2_enumerate order.  The scan
-    runs over pgl2_enumerate, which finds that same matrix: every scalar
-    multiple of Q moves rho alike, and the scanned element is the first of
-    its scalar class.
+    Act(Q) moves the point with zero z to the one with zero zQ and fixes
+    eps.  The key lists eps entries first, then points by degree, and the
+    three least degree-1 points are x2 < x1 < x1 + x2, with zeros (1, 0),
+    (0, 1) and (1, 1).  Let s be the number of distinct degree-1 points in
+    the support.  A minimiser's image holds x2 when s >= 1: otherwise PGL(2)
+    is transitive on degree-1 points, so some element moves the least
+    degree-1 point of the image onto x2 and keeps the eps entries before it,
+    which lowers the key.  Likewise it holds x1 when s >= 2, or the
+    stabiliser of x2 would move the next degree-1 point onto x1 and keep
+    every entry before it, and x1 + x2 when s >= 3, through the stabiliser
+    of x2 and x1.  So every minimiser sends some distinct support points
+    a, b, c to x2, x1, x1 + x2, as far as s reaches, and with
+    M = rows(z_a, z_b) the candidates are, up to scalars:
+
+    - s >= 3: adj(M) diag(beta, alpha) with (alpha, beta) = z_c adj(M),
+      one per ordered triple, as PGL(2) is sharply 3-transitive;
+    - s = 2: adj(M) diag(1, mu), mu != 0, q - 1 per ordered pair;
+    - s = 1: adj(M) [[1, 0], [t, mu]], mu != 0, with z_b any vector that
+      makes M invertible, the coset of order q(q - 1) sending a to x2;
+    - s = 0: all of PGL(2, q).
+
+    Scalars move no point, and in gl2_enumerate order the first member of a
+    scalar class is the one whose first nonzero entry is 1, with the
+    identity before all the rest.  So the scan's witness is the least
+    minimiser, scaled so, under the key (not the identity, then
+    (q11, q12, q21, q22) lexicographic).
+
+    CapError: classes with s >= 2 run at k <= ANCHORED_CAP_K, with at most
+    s(s - 1) max(s - 2, q - 1) candidates; the others at
+    k <= ENUMERATION_CAP_K.
     """
-    best = None
-    best_q = None
-    for q in pgl2_enumerate(rho.spec):
-        moved = act_on_class(q, rho)
-        key = moved.sort_key()
-        if best is None or key < best[0]:
-            best = (key, moved)
-            best_q = q
-    return best[1], best_q
+    rep, found = _minimisers(rho)
+    return rep, _first(found)
 
 
 def _orbit_invariant(rho: ClassFunction) -> list[tuple[int, int, int]]:
@@ -214,20 +296,32 @@ def weakly_equivalent(
     p: AlternatingPair, r: AlternatingPair
 ) -> tuple[bool, GL2Element | None]:
     """Decide weak equivalence; on success return a witness Q with
-    r congruent to p recombined through Q, the first in gl2_enumerate order."""
+    r congruent to p recombined through Q, the first in gl2_enumerate order.
+
+    The pairs are equivalent iff their canonical reps agree.  The moves g
+    with act(g, rho_p) = rho_r are then M adj(Q_r) for M over the
+    minimisers of rho_p and one minimiser Q_r of rho_r (act(g Q_r, rho_p)
+    is the rep), and canonical_rep's candidates hold all of those M.  The
+    recombination moves points by act(adj(Q)^T), so Q = (Q_r adj(M))^T,
+    and the witness is the first such scalar class, as in canonical_rep.
+    """
     if p.spec != r.spec:
         raise FieldError(f"mixed fields: {p.spec} vs {r.spec}")
+    require_valid(p)
+    require_valid(r)
     if p.dim != r.dim:
         return False, None
     rho_p = decompose(p)
     rho_r = decompose(r)
     if _orbit_invariant(rho_p) != _orbit_invariant(rho_r):
         return False, None
-    for q in pgl2_enumerate(p.spec):
-        if relabel_class(rho_p, q) == rho_r:
-            # confirm at pair level by re-applying the transform
-            moved = transform_weak(p, Mat.identity(p.spec, p.dim), q)
-            if decompose(moved) != rho_r:
-                raise AssertionError("witness failed pair-level verification")
-            return True, q
-    return False, None
+    rep_p, found_p = _minimisers(rho_p)
+    rep_r, found_r = _minimisers(rho_r)
+    if rep_p != rep_r:
+        return False, None
+    q = _first((found_r[0] * m.adj()).transpose() for m in found_p)
+    # confirm at pair level by re-applying the transform
+    moved = transform_weak(p, Mat.identity(p.spec, p.dim), q)
+    if decompose(moved) != rho_r:
+        raise AssertionError("witness failed pair-level verification")
+    return True, q

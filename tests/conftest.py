@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from altpairs.blocks import AlternatingPair, BlockError
 from altpairs.chernikov import PresentationError
-from altpairs.field import FieldSpec, _gf2_poly_divmod, _gf2_poly_mul, embed
+from altpairs.field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_mul
 from altpairs.linalg import Mat, PolyMat, smith_form
-from altpairs.pencil import ClassFunction, KroneckerInvariants, assemble, require_valid
+from altpairs.pencil import ClassFunction, KroneckerInvariants, assemble, decompose, require_valid
 from altpairs.polyring import (
     EPS,
     BinaryForm,
@@ -17,6 +18,7 @@ from altpairs.polyring import (
     PolyError,
     _EpsType,
     _poly_divmod,
+    _trim,
     factor,
     homogenize,
     is_irreducible,
@@ -26,7 +28,7 @@ from altpairs.polyring import (
     point_sort_key,
     unital_normalize,
 )
-from altpairs.weakeq import gl2_enumerate, transform_weak
+from altpairs.weakeq import GL2Element, act_on_class, gl2_enumerate, relabel_class, transform_weak
 
 GF2 = FieldSpec.gf2()
 GF4 = FieldSpec.gf(2)
@@ -229,6 +231,57 @@ def brute_weakly_equivalent(pa: int, pb: int, ra: int, rb: int, n: int) -> bool:
     return False
 
 
+# -- reference GL(2) scans ----------------------------------------------------------
+
+
+def gl2_inv(q: GL2Element) -> GL2Element:
+    """The inverse of Q through its determinant."""
+    s = q.spec
+    dinv = s.inv(q.det)
+    return GL2Element(
+        s.mul(dinv, q.q22), s.mul(dinv, q.q12), s.mul(dinv, q.q21), s.mul(dinv, q.q11), s
+    )
+
+
+def pgl2_uncapped(spec: FieldSpec):
+    """pgl2_enumerate without its field cap: the identity, then the
+    invertible matrices whose first nonzero entry is 1, lexicographically."""
+    yield GL2Element.identity(spec)
+    q = spec.order
+    for c in range(1, q):
+        for d in range(q):
+            yield GL2Element(0, 1, c, d, spec)
+    for b in range(q):
+        for c in range(q):
+            for d in range(q):
+                if (b, c, d) != (0, 0, 1) and d ^ spec.mul(b, c):
+                    yield GL2Element(1, b, c, d, spec)
+
+
+def canonical_rep_scan(rho: ClassFunction) -> tuple[ClassFunction, GL2Element]:
+    """Reference canonical form: the first minimiser over all of PGL(2, q),
+    which is the first minimiser in gl2_enumerate order."""
+    best = None
+    for q in pgl2_uncapped(rho.spec):
+        moved = act_on_class(q, rho)
+        key = moved.sort_key()
+        if best is None or key < best[0]:
+            best = (key, moved, q)
+    return best[1], best[2]
+
+
+def weakly_equivalent_scan(p: AlternatingPair, r: AlternatingPair):
+    """Reference weak equivalence: the first Q over all of PGL(2, q) that
+    moves the class of p onto that of r."""
+    if p.dim != r.dim:
+        return False, None
+    rho_p, rho_r = decompose(p), decompose(r)
+    for q in pgl2_uncapped(p.spec):
+        if relabel_class(rho_p, q) == rho_r:
+            return True, q
+    return False, None
+
+
 # -- reference GL(2) point action -------------------------------------------------
 
 
@@ -260,6 +313,106 @@ def moebius_act_reference(q, point, spec: FieldSpec):
         y2pow = y2pow * y2
     normal, _ = unital_normalize(acc)
     return normal
+
+
+# -- subfield embeddings and truncated series -------------------------------------
+
+
+@dataclass(frozen=True)
+class Embedding:
+    """Ring embedding GF(2^k) -> GF(2^(k*j)) determined by a root of the
+    source modulus in the target field."""
+
+    src: FieldSpec
+    dst: FieldSpec
+    root_powers: tuple[int, ...] = field(compare=False)
+    _inverse: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        inverse = {self.map(b): b for b in self.src.enumerate_bits()}
+        object.__setattr__(self, "_inverse", inverse)
+
+    def map(self, bits: int) -> int:
+        acc = 0
+        i = 0
+        while bits:
+            if bits & 1:
+                acc ^= self.root_powers[i]
+            bits >>= 1
+            i += 1
+        return acc
+
+    def unmap(self, bits: int) -> int:
+        try:
+            return self._inverse[bits]
+        except KeyError:
+            raise FieldError(
+                f"0x{bits:x} is not in the image of {self.src} inside {self.dst}"
+            ) from None
+
+
+@lru_cache(maxsize=None)
+def embed(src: FieldSpec, dst: FieldSpec) -> Embedding:
+    """Find an embedding of src into dst (requires src.k | dst.k)."""
+    if dst.k % src.k != 0:
+        raise FieldError(f"{src} does not embed into {dst}")
+    if src == dst or src.k == 1:
+        powers = tuple(1 << i for i in range(src.k))
+    else:
+        root = None
+        for x in dst.enumerate_bits():
+            # evaluate the source modulus (a GF(2) polynomial) at x in dst
+            acc = 0
+            xp = 1
+            m = src.modulus
+            while m:
+                if m & 1:
+                    acc ^= xp
+                xp = dst.mul(xp, x)
+                m >>= 1
+            if acc == 0 and x != 0:
+                root = x
+                break
+        if root is None:
+            raise AssertionError("no root of subfield modulus found")  # unreachable
+        acc_powers = [1]
+        for _ in range(src.k - 1):
+            acc_powers.append(dst.mul(acc_powers[-1], root))
+        powers = tuple(acc_powers)
+    return Embedding(src, dst, powers)
+
+
+def reverse_star(g: Poly) -> Poly:
+    """Coefficient reversal t^d * g(1/t); requires g(0) != 0."""
+    if g.is_zero():
+        raise PolyError("reverse of the zero polynomial")
+    if g.coeff(0) == 0:
+        raise PolyError("reverse requires a nonzero constant term")
+    return Poly(tuple(reversed(g.coeffs)), g.spec)
+
+
+def series_inverse_trunc(g: Poly, m: int) -> Poly:
+    """The unique h of degree < m with g*h = 1 mod t^m (needs g(0) = 1).
+
+    Coefficients follow the convolution recurrence
+    h_j = g_1 h_{j-1} + g_2 h_{j-2} + ... + g_j h_0 with h_0 = 1.
+    """
+    if m < 1:
+        raise PolyError("truncation order must be positive")
+    if g.coeff(0) != 1:
+        raise PolyError("series inverse requires constant term 1")
+    spec = g.spec
+    mul = spec.mul
+    h = [0] * m
+    h[0] = 1
+    for j in range(1, m):
+        acc = 0
+        for i in range(1, j + 1):
+            gi = g.coeff(i)
+            if gi and h[j - i]:
+                acc ^= mul(gi, h[j - i])
+        h[j] = acc
+    return Poly(_trim(h), spec)
 
 
 # -- reference Pfaffian by evaluation and interpolation -----------------------------

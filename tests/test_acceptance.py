@@ -22,7 +22,7 @@ from altpairs.chernikov import (
     presentation_from_class,
     presentation_from_tuple,
 )
-from altpairs.field import FieldSpec, embed
+from altpairs.field import FieldSpec
 from altpairs.linalg import Mat
 from altpairs.pencil import (
     assemble,
@@ -49,6 +49,7 @@ from conftest import (
     GF4,
     brute_congruent,
     brute_weakly_equivalent,
+    embed,
     pack_alternating,
     random_alternating_pair,
     random_class_function,

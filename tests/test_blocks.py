@@ -18,7 +18,14 @@ from altpairs.linalg import Mat, PolyMat, smith_form
 from altpairs.pencil import decompose, pfaffian_form, transform_congruence, validate
 from altpairs.polyring import EPS, Poly, monic_irreducibles, parse_poly, point_from_poly
 
-from conftest import GF2, GF4, res_at_infinity, residue_oracle
+from conftest import (
+    GF2,
+    GF4,
+    res_at_infinity,
+    residue_oracle,
+    reverse_star,
+    series_inverse_trunc,
+)
 
 
 def tp(text, spec=GF2):
@@ -171,8 +178,6 @@ def test_res_at_infinity_basics():
 def test_residue_oracle_beta_toeplitz_shape():
     # the (u, v) Gram block is unitriangular Toeplitz in the series-inverse
     # coefficients of the reversed polynomial
-    from altpairs.polyring import reverse_star, series_inverse_trunc
-
     f = tp("t^2+t+1")
     pair = residue_oracle(f, 1)
     d = 2

@@ -12,8 +12,9 @@ from altpairs.cli import (
     main,
     parse_pair_document,
 )
-from altpairs.pencil import ClassFunction, decompose
-from altpairs.polyring import parse_poly
+from altpairs.field import FieldSpec
+from altpairs.pencil import ClassFunction, assemble, decompose
+from altpairs.polyring import BinaryForm, parse_poly
 
 from conftest import GF2, GF4
 
@@ -176,6 +177,45 @@ def test_equiv_false_exit1(capsys, tmp_path):
     assert "not weakly equivalent" in out
 
 
+def test_equiv_non_alternating_exit2(capsys, tmp_path):
+    bad = tmp_path / "bad.pair"
+    bad.write_text("field gf2\ndim 2\nmatrix A\n1 0\n0 0\nmatrix B\n0 0\n0 0\n")
+    for dim in (2, 4):  # the same dimension as bad.pair, and another
+        good = tmp_path / f"good{dim}.pair"
+        good.write_text(format_pair_document(build_infinity(dim // 2)))
+        for argv in (["equiv", str(bad), str(good)], ["equiv", str(good), str(bad)]):
+            code, out, err = run(capsys, argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: "), argv
+
+
+def test_weak_class_anchored_above_enumeration_cap(capsys, tmp_path):
+    # two degree-1 points anchor the weak canonical form over GF(2^8); one
+    # point over GF(2^5) keeps the enumeration cap
+    gf256, gf32 = FieldSpec.gf(8), FieldSpec.gf(5)
+    x1, x2 = BinaryForm.x1(gf256), BinaryForm.x2(gf256)
+    two = ClassFunction.from_dict(gf256, {(x1, 1): 1, (x2, 2): 1})
+    one = ClassFunction.from_dict(gf32, {(BinaryForm.x1(gf32), 1): 1})
+    (tmp_path / "a-two.pair").write_text(format_pair_document(assemble(two)))
+    (tmp_path / "b-one.pair").write_text(format_pair_document(assemble(one)))
+    code, out, _ = run(capsys, ["--json", "weak-class", str(tmp_path / "a-two.pair")])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["class"]["blocks"] == [{"g": "x2", "n": 1, "mult": 1}, {"g": "x1", "n": 2, "mult": 1}]
+    assert payload["witness"]["Q"] == [["0x0", "0x1"], ["0x1", "0x0"]]
+    code, out, _ = run(capsys, ["--json", "corpus", str(tmp_path)])
+    assert code == 0
+    two_entry, one_entry = json.loads(out)["files"]
+    assert two_entry["weak_class"] == payload["class"]
+    assert "weak_class_error" not in two_entry
+    assert "weak_class" not in one_entry
+    assert "capped at GF(2^4)" in one_entry["weak_class_error"]
+    code, _, err = run(capsys, ["weak-class", str(tmp_path / "b-one.pair")])
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_group_command(capsys, monkeypatch):
     code, out, _ = run(capsys, ["group"], stdin=INF1_DOC, monkeypatch=monkeypatch)
     assert code == 0
@@ -299,8 +339,8 @@ def test_internal_error_exit3_names_the_file(capsys, monkeypatch, tmp_path):
 
 
 def test_dropped_invariant_factor_exit3(capsys, monkeypatch, tmp_path):
-    # a Smith pass that loses its last invariant factor contradicts the Wong
-    # sequences: the count of minimal indices no longer matches the rank
+    # a Smith pass that loses its last invariant factor leaves an odd count,
+    # so the invariant factors no longer pair up
     from altpairs import pencil
 
     smith_form = pencil.smith_form
@@ -313,4 +353,5 @@ def test_dropped_invariant_factor_exit3(capsys, monkeypatch, tmp_path):
         assert code == 3, name
         assert out == ""
         assert err.startswith(f"internal error: {path}: ")
+        assert "do not pair up" in err
         assert "Traceback" not in err

@@ -9,7 +9,6 @@ from altpairs.field import (
     FieldSpec,
     Packing,
     default_modulus,
-    embed,
     field_add,
     field_enumerate,
     field_inv,
@@ -19,7 +18,7 @@ from altpairs.field import (
 
 from altpairs.polyring import Poly
 
-from conftest import GF2, GF4, GF16, GF512
+from conftest import GF2, GF4, GF16, GF512, embed
 
 
 def test_add_is_xor_of_representatives():

@@ -11,8 +11,6 @@ from altpairs.polyring import (
     Poly,
     monic_irreducibles,
     parse_poly,
-    reverse_star,
-    series_inverse_trunc,
 )
 
 from conftest import (
@@ -24,7 +22,9 @@ from conftest import (
     random_class_function,
     random_invertible,
     random_matrix,
+    reverse_star,
     rref_reference,
+    series_inverse_trunc,
     smith_reference,
 )
 

@@ -14,7 +14,7 @@ from altpairs.blocks import (
     build_plus_over,
     direct_sum,
 )
-from altpairs.field import FieldError, FieldSpec, _Computed, embed
+from altpairs.field import FieldError, FieldSpec, _Computed
 from altpairs.linalg import Mat
 from altpairs.pencil import (
     ClassFunction,
@@ -42,6 +42,7 @@ from conftest import (
     GF4,
     GF16,
     GF512,
+    embed,
     kronecker_reference,
     pfaffian_interpolation_reference,
     random_alternating_pair,

@@ -27,13 +27,19 @@ from altpairs.polyring import (
     point_sort_key,
     poly_gcd,
     poly_sqrt,
-    reverse_star,
-    series_inverse_trunc,
     unital_normalize,
 )
 from altpairs.weakeq import pgl2_enumerate
 
-from conftest import GF2, GF4, GF16, GF512, moebius_act_reference
+from conftest import (
+    GF2,
+    GF4,
+    GF16,
+    GF512,
+    moebius_act_reference,
+    reverse_star,
+    series_inverse_trunc,
+)
 
 
 def P2(mask: int) -> Poly:

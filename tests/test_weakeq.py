@@ -12,12 +12,16 @@ from altpairs.pencil import ClassFunction, assemble, decompose
 from altpairs.polyring import (
     EPS,
     BinaryForm,
+    Poly,
+    is_irreducible,
     monic_irreducibles,
     parse_form,
     parse_poly,
     point_from_poly,
 )
 from altpairs.weakeq import (
+    ANCHORED_CAP_K,
+    ENUMERATION_CAP_K,
     CapError,
     GL2Element,
     act_on_class,
@@ -32,9 +36,12 @@ from altpairs.weakeq import (
 from conftest import (
     GF2,
     GF4,
+    canonical_rep_scan,
+    gl2_inv,
     random_alternating_pair,
     random_class_function,
     random_invertible,
+    weakly_equivalent_scan,
 )
 
 
@@ -44,6 +51,46 @@ def tp(text, spec=GF2):
 
 def rho_of(spec, *entries):
     return ClassFunction.from_dict(spec, {key: mult for key, mult in entries})
+
+
+def random_point(spec, rng, degree):
+    """A random point of the given degree; x2 among the degree-1 points."""
+    if degree == 1 and rng.randrange(spec.order + 1) == 0:
+        return BinaryForm.x2(spec)
+    while True:
+        f = Poly(tuple(rng.randrange(spec.order) for _ in range(degree)) + (1,), spec)
+        if is_irreducible(f):
+            return point_from_poly(f)
+
+
+def anchored_class(spec, rng, s):
+    """A random class function with exactly s distinct degree-1 points in
+    its support, around them up to two points of degree 2 or 3 and maybe
+    an eps entry.  Half the time every degree-1 point carries the same
+    single entry, so the stabiliser of the least form is large."""
+    lines = []
+    while len(lines) < s:
+        p = random_point(spec, rng, 1)
+        if p not in lines:
+            lines.append(p)
+    uniform = rng.randrange(2)
+    acc = {}
+    for p in lines:
+        acc[(p, 1 if uniform else rng.randrange(1, 3))] = 1
+        if not uniform and rng.randrange(3) == 0:
+            acc[(p, 3)] = 1
+    for _ in range(rng.randrange(3)):
+        acc[(random_point(spec, rng, rng.randrange(2, 4)), 1)] = 1
+    if rng.randrange(2):
+        acc[(EPS, rng.randrange(1, 3))] = 1
+    return ClassFunction.from_dict(spec, acc)
+
+
+def random_gl2(spec, rng):
+    while True:
+        q = tuple(rng.randrange(spec.order) for _ in range(4))
+        if spec.mul(q[0], q[3]) ^ spec.mul(q[1], q[2]):
+            return GL2Element(*q, spec)
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -98,8 +145,11 @@ def test_pgl2_cap_refused():
 def test_gl2_group_ops():
     els = list(gl2_enumerate(GF2))
     for q in els:
-        prod = q * q.inv()
+        prod = q * gl2_inv(q)
         assert (prod.q11, prod.q12, prod.q21, prod.q22) == (1, 0, 0, 1)
+    for q in gl2_enumerate(GF4):
+        prod = q * q.adj()
+        assert (prod.q11, prod.q12, prod.q21, prod.q22) == (q.det, 0, 0, q.det)
     with pytest.raises(ValueError):
         GL2Element(1, 1, 1, 1, GF2)
 
@@ -218,6 +268,64 @@ def test_canonical_matches_full_gl2_scan(k):
         ref_rep, ref_witness = canonical_rep_full_scan(rho)
         assert rep == ref_rep
         assert witness == ref_witness
+
+
+def anchor_counts(spec):
+    """Every number of distinct degree-1 points a class can hold, up to 5."""
+    return range(min(5, spec.order + 1) + 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_canonical_matches_pgl2_scan_every_anchor_count(k):
+    spec = FieldSpec.gf(k)
+    rng = random.Random(300 + k)
+    for s in anchor_counts(spec):
+        for _ in range({1: 8, 2: 6, 3: 4, 4: 2}[k]):
+            rho = anchored_class(spec, rng, s)
+            assert canonical_rep(rho) == canonical_rep_scan(rho), (s, rho)
+
+
+def test_canonical_matches_uncapped_scan_at_k5():
+    # k = 5 is above ENUMERATION_CAP_K; two or more degree-1 points anchor
+    spec = FieldSpec.gf(5)
+    rng = random.Random(305)
+    for s in (2, 3):
+        rho = anchored_class(spec, rng, s)
+        assert canonical_rep(rho) == canonical_rep_scan(rho), (s, rho)
+
+
+def test_canonical_witness_prefers_identity():
+    # swap fixes this canonical class and precedes the identity
+    # lexicographically; the identity is still the witness
+    x1, x2 = BinaryForm.x1(GF4), BinaryForm.x2(GF4)
+    rho = rho_of(GF4, ((x2, 1), 1), ((x1, 1), 1))
+    assert act_on_class(GL2Element.swap(GF4), rho) == rho
+    rep, witness = canonical_rep(rho)
+    assert rep == rho
+    assert witness == GL2Element.identity(GF4)
+
+
+def test_anchored_search_runs_at_k8():
+    spec = FieldSpec.gf(ANCHORED_CAP_K)
+    rng = random.Random(308)
+    for s in (2, 3, 5):
+        rho = anchored_class(spec, rng, s)
+        rep, witness = canonical_rep(rho)
+        assert act_on_class(witness, rho) == rep
+        assert canonical_rep(rep) == (rep, GL2Element.identity(spec))
+        assert canonical_rep(act_on_class(random_gl2(spec, rng), rho))[0] == rep
+
+
+def test_canonical_caps():
+    spec = FieldSpec.gf(ENUMERATION_CAP_K + 1)
+    rng = random.Random(309)
+    for s in (0, 1):
+        with pytest.raises(CapError):
+            canonical_rep(anchored_class(spec, rng, s))
+    with pytest.raises(CapError):
+        canonical_rep(rho_of(spec, ((EPS, 1), 1)))
+    with pytest.raises(CapError):
+        canonical_rep(anchored_class(FieldSpec.gf(ANCHORED_CAP_K + 1), rng, 3))
 
 
 # -- weak equivalence ------------------------------------------------------------------
@@ -347,3 +455,51 @@ def test_weakly_equivalent_matches_full_gl2_scan(k):
         assert got == weakly_equivalent_full_scan(decompose(pair), decompose(other))
         outcomes.add(got[0])
     assert outcomes == {True, False}
+
+
+def weak_cases(spec, rng, s):
+    """A pair with s degree-1 points and two partners: its image under a
+    random weak transform, and a pair with one point of the same degree
+    moved off the support where one is free, which shares the orbit
+    invariant and may or may not be weakly equivalent."""
+    rho = anchored_class(spec, rng, s)
+    pair = assemble(rho)
+    moved = transform_weak(pair, random_invertible(spec, rng, pair.dim), random_gl2(spec, rng))
+    points = [p for p, _, _ in rho.entries if p is not EPS]
+    acc = {(p, n): m for p, n, m in rho.entries}
+    if points:
+        old = points[rng.randrange(len(points))]
+        for _ in range(8):
+            new = random_point(spec, rng, old.degree)
+            if new not in points:
+                acc = {(new if p == old else p, n): m for (p, n), m in acc.items()}
+                break
+    return [(pair, moved), (pair, assemble(ClassFunction.from_dict(spec, acc)))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_weakly_equivalent_matches_pgl2_scan_every_anchor_count(k):
+    spec = FieldSpec.gf(k)
+    rng = random.Random(400 + k)
+    # at k = 5 (above ENUMERATION_CAP_K) four degree-1 points, so that
+    # moving one of them can leave the orbit
+    counts = (4,) if k == 5 else anchor_counts(spec)
+    outcomes = set()
+    for s in counts:
+        for pair, other in weak_cases(spec, rng, s):
+            got = weakly_equivalent(pair, other)
+            assert got == weakly_equivalent_scan(pair, other), s
+            outcomes.add(got[0])
+    # over GF(2) every moved point stays in the orbit; the full-scan test
+    # above has the negative cases there
+    assert outcomes == ({True} if k == 1 else {True, False})
+
+
+def test_weakly_equivalent_at_k8():
+    spec = FieldSpec.gf(ANCHORED_CAP_K)
+    rng = random.Random(408)
+    pair = assemble(anchored_class(spec, rng, 3))
+    q = random_gl2(spec, rng)
+    ok, witness = weakly_equivalent(pair, transform_weak(pair, Mat.identity(spec, pair.dim), q))
+    assert ok
+    assert relabel_class(decompose(pair), witness) == relabel_class(decompose(pair), q)
