@@ -41,7 +41,7 @@ from .pencil import (
     validate,
 )
 from .polyring import PolyError, format_form, set_factor_seed
-from .weakeq import ANCHORED_CAP_K, ENUMERATION_CAP_K, CapError, GL2Element
+from .weakeq import CANDIDATE_CAP, ENUMERATION_CAP_K, CapError, GL2Element
 from .weakeq import canonical_rep, weakly_equivalent
 
 ENV_FIELD = "ALTPAIRS_FIELD"
@@ -357,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "weak-class",
         help="weak-equivalence canonical representative; over GF(2^k) up to "
-        f"k = {ANCHORED_CAP_K} for classes with two or more degree-1 points, "
-        f"up to k = {ENUMERATION_CAP_K} otherwise",
+        f"k = {ENUMERATION_CAP_K} for classes with fewer than two degree-1 points, "
+        f"otherwise while the search tries at most {CANDIDATE_CAP} moves: "
+        "2(2^k - 1) with two degree-1 points, s(s - 1)(s - 2) with s >= 3",
     )
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=cmd_weak_class)

@@ -25,8 +25,9 @@ from .linalg import Mat, congruence
 from .pencil import ClassFunction, decompose, require_valid
 from .polyring import _EpsType, moebius_act
 
-ENUMERATION_CAP_K = 4  # whole-group scans, and classes with one degree-1 point
-ANCHORED_CAP_K = 8  # classes with two or more degree-1 points
+ENUMERATION_CAP_K = 4
+# canonical_rep tries at most as many moves as a PGL(2, 2^ENUMERATION_CAP_K) scan
+CANDIDATE_CAP = 2 ** (3 * ENUMERATION_CAP_K) - 2**ENUMERATION_CAP_K
 
 
 class CapError(ValueError):
@@ -167,44 +168,40 @@ def act_on_class(q: GL2Element, rho: ClassFunction) -> ClassFunction:
     return _relabel(rho, q.adj())
 
 
-def _anchored(spec: FieldSpec, za, zb, t11: int, t21: int, t22: int) -> GL2Element:
-    """adj(M) [[t11, 0], [t21, t22]] with M = rows(za, zb): it moves the
-    point with zero za to x2, and with t21 = 0 the one with zero zb to x1."""
+def _anchored(spec: FieldSpec, za, zb, t11: int, t22: int) -> GL2Element:
+    """adj(M) diag(t11, t22) with M = rows(za, zb): it moves the point with
+    zero za to x2 and the one with zero zb to x1."""
     (m11, m12), (m21, m22) = za, zb
     m = spec.mul
-    return GL2Element(
-        m(m22, t11) ^ m(m12, t21), m(m12, t22), m(m21, t11) ^ m(m11, t21), m(m11, t22), spec
-    )
+    return GL2Element(m(m22, t11), m(m12, t22), m(m21, t11), m(m11, t22), spec)
 
 
 def _candidates(rho: ClassFunction) -> Iterator[GL2Element]:
     """Elements of GL(2) that hold every minimiser of the orbit up to a
-    scalar (see canonical_rep); CapError when the field is too large."""
+    scalar (see canonical_rep); CapError when there are too many."""
     spec, q, mul = rho.spec, rho.spec.order, rho.spec.mul
     lines = (p for p, _, _ in rho.entries if not isinstance(p, _EpsType) and p.degree == 1)
     zeros = list(dict.fromkeys(p.coeffs for p in lines))
-    if len(zeros) < 2:
-        what = "the weak canonical form of a class with fewer than two degree-1 points"
-        _require_k(spec, ENUMERATION_CAP_K, what)
-    _require_k(spec, ANCHORED_CAP_K, "the weak canonical form")
-    if not zeros:
+    s = len(zeros)
+    if s < 2:
         yield from pgl2_enumerate(spec)
-    elif len(zeros) == 1:
-        za = zeros[0]
-        w = (0, 1) if za == (1, 0) else (1, 0)  # det rows(za, w) = 1
-        for t21 in range(q):
-            for t22 in range(1, q):
-                yield _anchored(spec, za, w, 1, t21, t22)
-    elif len(zeros) == 2:
+        return
+    count = 2 * (q - 1) if s == 2 else s * (s - 1) * (s - 2)
+    if count > CANDIDATE_CAP:
+        raise CapError(
+            f"the weak canonical form of a class with {s} degree-1 points over {spec} "
+            f"tries {count} moves; capped at {CANDIDATE_CAP}"
+        )
+    if s == 2:
         for za, zb in permutations(zeros):
             for t22 in range(1, q):
-                yield _anchored(spec, za, zb, 1, 0, t22)
+                yield _anchored(spec, za, zb, 1, t22)
     else:
         for za, zb, (c1, c2) in permutations(zeros, 3):
             (m11, m12), (m21, m22) = za, zb
             alpha = mul(c1, m22) ^ mul(c2, m21)
             beta = mul(c1, m12) ^ mul(c2, m11)
-            yield _anchored(spec, za, zb, beta, 0, alpha)
+            yield _anchored(spec, za, zb, beta, alpha)
 
 
 def _minimisers(rho: ClassFunction) -> tuple[ClassFunction, list[GL2Element]]:
@@ -254,9 +251,7 @@ def canonical_rep(rho: ClassFunction) -> tuple[ClassFunction, GL2Element]:
     - s >= 3: adj(M) diag(beta, alpha) with (alpha, beta) = z_c adj(M),
       one per ordered triple, as PGL(2) is sharply 3-transitive;
     - s = 2: adj(M) diag(1, mu), mu != 0, q - 1 per ordered pair;
-    - s = 1: adj(M) [[1, 0], [t, mu]], mu != 0, with z_b any vector that
-      makes M invertible, the coset of order q(q - 1) sending a to x2;
-    - s = 0: all of PGL(2, q).
+    - s <= 1: all of PGL(2, q), through pgl2_enumerate.
 
     Scalars move no point, and in gl2_enumerate order the first member of a
     scalar class is the one whose first nonzero entry is 1, with the
@@ -264,9 +259,10 @@ def canonical_rep(rho: ClassFunction) -> tuple[ClassFunction, GL2Element]:
     minimiser, scaled so, under the key (not the identity, then
     (q11, q12, q21, q22) lexicographic).
 
-    CapError: classes with s >= 2 run at k <= ANCHORED_CAP_K, with at most
-    s(s - 1) max(s - 2, q - 1) candidates; the others at
-    k <= ENUMERATION_CAP_K.
+    CapError when the candidates outnumber CANDIDATE_CAP, the size of
+    PGL(2, 16): s(s - 1)(s - 2) of them for s >= 3 (so s <= 17 at any k),
+    2(q - 1) for s = 2 (so k <= 10), and s <= 1 keeps pgl2_enumerate's
+    cap of k <= ENUMERATION_CAP_K.
     """
     rep, found = _minimisers(rho)
     return rep, _first(found)

@@ -20,7 +20,7 @@ from altpairs.polyring import (
     point_from_poly,
 )
 from altpairs.weakeq import (
-    ANCHORED_CAP_K,
+    CANDIDATE_CAP,
     ENUMERATION_CAP_K,
     CapError,
     GL2Element,
@@ -306,7 +306,7 @@ def test_canonical_witness_prefers_identity():
 
 
 def test_anchored_search_runs_at_k8():
-    spec = FieldSpec.gf(ANCHORED_CAP_K)
+    spec = FieldSpec.gf(8)
     rng = random.Random(308)
     for s in (2, 3, 5):
         rho = anchored_class(spec, rng, s)
@@ -317,15 +317,44 @@ def test_anchored_search_runs_at_k8():
 
 
 def test_canonical_caps():
+    # fewer than two degree-1 points keep pgl2_enumerate's field cap
     spec = FieldSpec.gf(ENUMERATION_CAP_K + 1)
     rng = random.Random(309)
     for s in (0, 1):
-        with pytest.raises(CapError):
+        with pytest.raises(CapError, match="capped at GF"):
             canonical_rep(anchored_class(spec, rng, s))
     with pytest.raises(CapError):
         canonical_rep(rho_of(spec, ((EPS, 1), 1)))
-    with pytest.raises(CapError):
-        canonical_rep(anchored_class(FieldSpec.gf(ANCHORED_CAP_K + 1), rng, 3))
+    # otherwise the number of moves tried is capped, not the field
+    assert CANDIDATE_CAP == 16**3 - 16
+    gf1024, gf2048 = FieldSpec.gf(10), FieldSpec.gf(11)
+    assert 2 * (gf1024.order - 1) <= CANDIDATE_CAP < 2 * (gf2048.order - 1)
+    rho = anchored_class(gf1024, rng, 2)
+    rep, witness = canonical_rep(rho)
+    assert act_on_class(witness, rho) == rep
+    with pytest.raises(CapError, match="2 degree-1 points .* tries 4094 moves"):
+        canonical_rep(anchored_class(gf2048, rng, 2))
+    assert 17 * 16 * 15 <= CANDIDATE_CAP < 18 * 17 * 16
+    with pytest.raises(CapError, match="18 degree-1 points .* tries 4896 moves"):
+        canonical_rep(anchored_class(spec, rng, 18))
+
+
+def test_canonical_every_point_at_k4():
+    # all 17 degree-1 points of GF(16): exactly CANDIDATE_CAP triples
+    spec = FieldSpec.gf(4)
+    rho = anchored_class(spec, random.Random(310), 17)
+    assert canonical_rep(rho) == canonical_rep_scan(rho)
+
+
+def test_anchored_search_runs_at_k16():
+    # three degree-1 points leave six candidates whatever the field
+    spec = FieldSpec.gf(16)
+    rng = random.Random(316)
+    rho = anchored_class(spec, rng, 3)
+    rep, witness = canonical_rep(rho)
+    assert act_on_class(witness, rho) == rep
+    assert canonical_rep(rep) == (rep, GL2Element.identity(spec))
+    assert canonical_rep(act_on_class(random_gl2(spec, rng), rho))[0] == rep
 
 
 # -- weak equivalence ------------------------------------------------------------------
@@ -496,7 +525,7 @@ def test_weakly_equivalent_matches_pgl2_scan_every_anchor_count(k):
 
 
 def test_weakly_equivalent_at_k8():
-    spec = FieldSpec.gf(ANCHORED_CAP_K)
+    spec = FieldSpec.gf(8)
     rng = random.Random(408)
     pair = assemble(anchored_class(spec, rng, 3))
     q = random_gl2(spec, rng)
