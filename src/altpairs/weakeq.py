@@ -9,8 +9,8 @@ Canonical forms are found by lexicographic canonisation through point
 stabilisers (McKay and Piperno, "Practical graph isomorphism, II",
 J. Symbolic Comput. 60 (2014)): the degree-1 points of the class anchor the
 few elements of PGL(2, q) that can reach the least form, and only a class
-without degree-1 points scans the whole group.  ``canonical_rep`` carries
-the proof.
+with fewer than two degree-1 points scans the whole group.
+``canonical_rep`` carries the proof.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ CANDIDATE_CAP = 2 ** (3 * ENUMERATION_CAP_K) - 2**ENUMERATION_CAP_K
 
 
 class CapError(ValueError):
-    """Field too large for enumeration-based canonicalization."""
+    """Field too large for GL(2) enumeration, or too many candidate moves."""
 
 
 @dataclass(frozen=True)
