@@ -4,9 +4,12 @@ A presentation has involutive top generators h_1..h_num_h over a central
 bottom (Z/2^e)^m; the commutator [h_i, h_j] is a vector of order-2 bottom
 elements read off a tuple of alternating matrices over GF(2).  The explicit
 finite model multiplies exponent vectors with the standard lower-triangle
-2-cocycle, so h-lifts square to the identity.  The cocycle is stored once,
-per bottom coordinate, as packed lower-triangle row masks, and evaluated by
-one popcount parity (``_parities``).
+2-cocycle, so h-lifts square to the identity.  Its m forms are stored once
+as n strided rows, form k at bits [k n, (k+1) n) of each row (packed GF(2)
+rows, as in Albrecht, Bard and Hart, ACM TOMS 2010), so one xor pass over
+the set bits of x gives all of them.  A ``QuotientMap`` holds its top map and
+m quadratic corrections in one such set of rows and its linear corrections
+as e bit-planes per bottom coordinate, so ``apply`` also makes one pass.
 
 ``iso_from_witness`` turns a weak-equivalence witness (S, Q) into an explicit
 isomorphism of finite models.  The top maps through S^-1 and the bottom
@@ -239,10 +242,6 @@ def presentation_from_class(rho: ClassFunction, e: int = 1) -> GroupPresentation
 
 # -- explicit finite models ------------------------------------------------------
 
-# Per bottom coordinate k, row masks over the exponent bits: bit j of
-# forms[k][i] is the coefficient of x_i y_j in form k.
-Forms = tuple[tuple[int, ...], ...]
-
 
 def _xor_rows(rows: Sequence[int], x: int) -> int:
     """Bitmask vector x times the GF(2) matrix with packed ``rows``: the xor
@@ -255,25 +254,24 @@ def _xor_rows(rows: Sequence[int], x: int) -> int:
     return acc
 
 
-def _parities(forms: Forms, x: int, y: int) -> tuple[int, ...]:
-    """Values of GF(2)-bilinear forms on bitmask vectors x and y: for each
-    form, the popcount parity of y masked by the xor of the rows x selects."""
-    return tuple([(_xor_rows(rows, x) & y).bit_count() & 1 for rows in forms])
+def _transpose(rows: Sequence[int], n: int, m: int = 1) -> list[int]:
+    """Strided rows with each of their m n x n fields transposed."""
+    return [
+        sum((r >> (k * n + c) & 1) << (k * n + i) for k in range(m) for i, r in enumerate(rows))
+        for c in range(n)
+    ]
 
 
-def _transpose(rows: Sequence[int], n: int) -> list[int]:
-    return [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(n)]
-
-
-def _lower_forms(pres: GroupPresentation) -> Forms:
-    """The commutator table as lower-triangle row masks: bit i of row j of
-    form k is coordinate k of [h_i, h_j], i < j."""
-    rows = [[0] * pres.num_h for _ in range(pres.m)]
+def _strided_forms(pres: GroupPresentation) -> tuple[int, ...]:
+    """The commutator table as strided lower-triangle rows: bit k*n + i of
+    row j is coordinate k of [h_i, h_j], i < j."""
+    n = pres.num_h
+    rows = [0] * n
     for (i, j), vec in pres.commutators:
         for k, bit in enumerate(vec):
             if bit:
-                rows[k][j] |= 1 << i
-    return tuple(tuple(r) for r in rows)
+                rows[j] |= 1 << (k * n + i)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -285,7 +283,9 @@ class FiniteQuotient:
     num_h: int
     m: int
     e: int
-    cocycle: Forms  # lower-triangle row masks per bottom coordinate
+    # n strided rows: bits [k*n, (k+1)*n) of row i are row i of form k, and
+    # bit k*n + j is the coefficient of x_i y_j
+    cocycle: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -299,35 +299,17 @@ class FiniteQuotient:
     def socle_unit(self) -> int:
         return 1 << (self.e - 1)
 
-    def _beta(self, x: int, y: int) -> tuple[int, ...]:
-        """Cocycle parity vector: sum over i > j of x_i y_j c_ij (mod 2)."""
-        return _parities(self.cocycle, x, y)
-
     def mul(self, g: Element, h: Element) -> Element:
         x, a = g
         y, b = h
-        beta = self._beta(x, y)
-        mod = 1 << self.e
-        socle = mod >> 1
-        return (x ^ y, tuple([(av + bv + socle * p) % mod for av, bv, p in zip(a, b, beta)]))
-
-    def inv(self, g: Element) -> Element:
-        x, a = g
-        beta = self._beta(x, x)
-        mod = 1 << self.e
-        socle = self.socle_unit
-        return (x, tuple((-(av + socle * p)) % mod for av, p in zip(a, beta)))
-
-    def commutator(self, g: Element, h: Element) -> Element:
-        return self.mul(self.mul(self.inv(g), self.inv(h)), self.mul(g, h))
-
-    def h_generator(self, i: int) -> Element:
-        return (1 << i, (0,) * self.m)
-
-    def socle_element(self, k: int) -> Element:
-        vec = [0] * self.m
-        vec[k] = self.socle_unit
-        return (0, tuple(vec))
+        n, socle, mask = self.num_h, self.socle_unit, (1 << self.e) - 1
+        # beta_k(x, y): the parity of y masked by field k of the rows x selects
+        acc = _xor_rows(self.cocycle, x)
+        out = []
+        for av, bv in zip(a, b):
+            out.append((av + bv + socle * ((acc & y).bit_count() & 1)) & mask)
+            acc >>= n
+        return (x ^ y, tuple(out))
 
     def elements(self) -> Iterator[Element]:
         mod = 1 << self.e
@@ -335,14 +317,11 @@ class FiniteQuotient:
             for a in product(range(mod), repeat=self.m):
                 yield (x, a)
 
-    def is_abelian(self) -> bool:
-        return not any(any(rows) for rows in self.cocycle)
-
 
 def build_quotient(pres: GroupPresentation, e: int) -> FiniteQuotient:
     if e < 1:
         raise PresentationError("quotient exponent must be positive")
-    return FiniteQuotient(pres.num_h, pres.m, e, _lower_forms(pres))
+    return FiniteQuotient(pres.num_h, pres.m, e, _strided_forms(pres))
 
 
 # -- isomorphisms from weak-equivalence witnesses ---------------------------------
@@ -356,29 +335,30 @@ class QuotientMap:
 
     src: FiniteQuotient
     dst: FiniteQuotient
-    top_rows: tuple[int, ...]  # packed rows of the top matrix
+    # n strided rows: bits [0, n) of row i are the top image of h_i, bits
+    # [(k+1)*n, (k+2)*n) row i of the lower-triangle quadratic form q_k, read
+    # as q_k(x) = parity of x masked by that field of the rows x selects
+    rows: tuple[int, ...]
     bottom: tuple[tuple[int, ...], ...]  # m x m integer lift
-    quad: Forms  # socle correction q(x) = _parities(quad, x, x), lower-triangle rows
-    linear: tuple[tuple[int, ...], ...]  # per-generator corrections mod 2^e
+    # per bottom coordinate, e bit-planes over the generators: bit i of
+    # plane b is bit b of h_i's linear correction
+    linear: tuple[tuple[int, ...], ...]
 
     def apply(self, g: Element) -> Element:
         x, a = g
-        mod = 1 << self.dst.e
-        socle = self.dst.socle_unit
-        acc = [socle * p for p in _parities(self.quad, x, x)]
-        xi = x
-        i = 0
-        while xi:
-            if xi & 1:
-                for k, v in enumerate(self.linear[i]):
-                    acc[k] += v
-            xi >>= 1
-            i += 1
-        for al, row in zip(a, self.bottom):
-            if al:
-                for k, v in enumerate(row):
-                    acc[k] += al * v
-        return (_xor_rows(self.top_rows, x), tuple([v % mod for v in acc]))
+        n, socle, mask = self.src.num_h, self.dst.socle_unit, (1 << self.dst.e) - 1
+        acc = _xor_rows(self.rows, x)
+        top = acc & ((1 << n) - 1)
+        out = []
+        for k, planes in enumerate(self.linear):
+            acc >>= n
+            v = socle * ((acc & x).bit_count() & 1)
+            for b, plane in enumerate(planes):
+                v += (x & plane).bit_count() << b
+            for al, row in zip(a, self.bottom):
+                v += al * row[k]
+            out.append(v & mask)
+        return (top, tuple(out))
 
 
 def iso_from_witness(
@@ -424,41 +404,39 @@ def iso_from_witness(
                 acc = acc + conj[l]
         if acc.rows != rmats[k].rows:
             raise WitnessError("witness fails verification: tuples do not match")
-    src = build_quotient(p, e)
-    dst = build_quotient(r, e)
+    src, dst = build_quotient(p, e), build_quotient(r, e)
     pack = Packing(s.spec, n).pack
     mrows = [pack(row) for row in minv.rows]
+    full = (1 << n) - 1
     # discrepancy forms delta(x, y) = beta_R(x S^-1, y S^-1) - beta_P(x, y) Q
-    # as full row masks; the pullback of a form with matrix L is S^-1 L S^-T
-    mcols = _transpose(mrows, n)
+    # as strided full rows; the pullback of a form with matrix L is
+    # S^-1 L S^-T, so each field of a row of S^-1 C_R goes through S^-T
+    pull = [c << (k * n) for k in range(2) for c in _transpose(mrows, n)]
     delta = []
-    for k in range(2):
-        rows = [_xor_rows(mcols, _xor_rows(dst.cocycle[k], t)) for t in mrows]
+    for t, row_p in zip(mrows, src.cocycle):
+        row = _xor_rows(pull, _xor_rows(dst.cocycle, t))
         for l in range(2):
-            if qrows[l][k]:
-                rows = [a ^ b for a, b in zip(rows, src.cocycle[l])]
-        if _transpose(rows, n) != rows:
-            raise AssertionError("witness discrepancy is not symmetric")
-        delta.append(rows)
-    diag = [tuple(rows[i] >> i & 1 for rows in delta) for i in range(n)]
-    if e == 1 and any(any(d) for d in diag):
+            for k in range(2):
+                if qrows[l][k]:
+                    row ^= (row_p >> (l * n) & full) << (k * n)
+        delta.append(row)
+    if _transpose(delta, n, 2) != delta:
+        raise AssertionError("witness discrepancy is not symmetric")
+    # half-socle root of the diagonal discrepancy (e >= 2), a plane per coordinate
+    diag = [sum((row >> (k * n + i) & 1) << i for i, row in enumerate(delta)) for k in range(2)]
+    if e == 1 and any(diag):
         raise IsoObstructionError(
             "e = 1 quotients admit no map of the prescribed shape for this "
             "witness: the basis change flips the square of a lifted generator"
         )
-    # half-socle square root of the diagonal discrepancy (e >= 2)
-    linear = tuple(
-        tuple((1 << (e - 2)) * bit for bit in d) if any(d) else (0, 0) for d in diag
-    )
-    bottom = tuple(tuple(qrows[l][k] for k in range(2)) for l in range(2))
+    # off the diagonal delta is absorbed by q(x) = sum_{j < i} x_i x_j delta_ij
+    lower = [((1 << i) - 1) * (1 | 1 << n) for i in range(n)]
     qmap = QuotientMap(
         src=src,
         dst=dst,
-        top_rows=tuple(mrows),
-        bottom=bottom,
-        # off the diagonal delta is absorbed by q(x) = sum_{j < i} x_i x_j delta_ij
-        quad=tuple(tuple(r & ((1 << i) - 1) for i, r in enumerate(rows)) for rows in delta),
-        linear=linear,
+        rows=tuple(t | (row & low) << n for t, row, low in zip(mrows, delta, lower)),
+        bottom=tuple(tuple(qrows[l][k] for k in range(2)) for l in range(2)),
+        linear=tuple(tuple(d if b == e - 2 else 0 for b in range(e)) for d in diag),
     )
     verify_quotient_map(qmap)
     return qmap
@@ -472,9 +450,11 @@ def verify_quotient_map(qmap: QuotientMap, rng: random.Random | None = None) -> 
 
         phi(x, a) = (T x, a Q + L(x) + s q(x))  mod 2^e,
 
-    with T x the xor of the ``top_rows`` x selects, Q = ``bottom``, L(x) the
-    integer sum of the ``linear`` rows x selects and q(x) the quadratic
-    parity vector of ``quad``.  Both models multiply as
+    with T x the top field of the xor of the ``rows`` x selects, Q =
+    ``bottom``, L(x) = sum_b 2^b popcount(x and plane_b) over the ``linear``
+    bit-planes, the integer sum of the generators' corrections x selects,
+    and q(x) the parity vector of the quadratic fields of the same xor,
+    masked by x.  Both models multiply as
     (x, a)(y, b) = (x xor y, a + b + s beta(x, y)), beta GF(2)-bilinear.
 
     Homomorphism.  T is GF(2)-linear, so phi(gh) and phi(g) phi(h) have the
@@ -499,18 +479,28 @@ def verify_quotient_map(qmap: QuotientMap, rng: random.Random | None = None) -> 
     and phi(x, a) = phi(x, a').  Q is invertible mod 2^e iff det Q is odd,
     that is iff Q is invertible mod 2.  Both ranks are taken over GF(2).
 
-    The literal product property is also spot-checked on 500 random pairs
-    of elements.  Raises ``WitnessError`` if any check fails.
+    A bit outside the fields (n rows of (m + 1) n bits, m times e planes of
+    n bits) is refused first.  The literal product property is also
+    spot-checked on 500 pairs of elements, each drawn uniformly from the
+    group by one ``getrandbits(n + e m)``: x, then e bits per bottom
+    coordinate.  Raises ``WitnessError`` if any check fails.
     """
     src, dst = qmap.src, qmap.dst
     n, m, e = src.num_h, src.m, src.e
     if (dst.num_h, dst.m, dst.e) != (n, m, e):
         raise WitnessError("source and target models differ in shape")
+    if (
+        len(qmap.rows) != n
+        or any(row >> ((m + 1) * n) for row in qmap.rows)
+        or len(qmap.linear) != m
+        or any(len(planes) != e or any(p >> n for p in planes) for planes in qmap.linear)
+    ):
+        raise WitnessError("map has a bit outside its field")
     gf2 = FieldSpec.gf2()
+    full = (1 << n) - 1
     bottom = [Packing(gf2, m).pack([v & 1 for v in row]) for row in qmap.bottom]
     if (
-        any(row >> n for row in qmap.top_rows)  # a top outside the target's n bits
-        or len(_rref(Packing(gf2, n), list(qmap.top_rows), n, reduced=False)[0]) < n
+        len(_rref(Packing(gf2, n), [row & full for row in qmap.rows], n, reduced=False)[0]) < n
         or len(_rref(Packing(gf2, m), bottom, m, reduced=False)[0]) < m
     ):
         raise WitnessError("map is not a bijection")
@@ -522,9 +512,13 @@ def verify_quotient_map(qmap: QuotientMap, rng: random.Random | None = None) -> 
             if qmap.apply(src.mul(g, h)) != dst.mul(images[i], images[j]):
                 raise WitnessError(f"homomorphism fails on generator pair h{i + 1}, h{j + 1}")
     rng = rng or random.Random(0xC0C)
-    mod = 1 << e
+    mask = (1 << e) - 1
+
+    def draw() -> Element:
+        bits = rng.getrandbits(n + e * m)
+        return (bits & full, tuple([bits >> (n + e * k) & mask for k in range(m)]))
+
     for _ in range(500):
-        g = (rng.randrange(1 << n), tuple(rng.randrange(mod) for _ in range(m)))
-        h = (rng.randrange(1 << n), tuple(rng.randrange(mod) for _ in range(m)))
+        g, h = draw(), draw()
         if qmap.apply(src.mul(g, h)) != dst.mul(qmap.apply(g), qmap.apply(h)):
             raise WitnessError("homomorphism fails on a sampled pair")

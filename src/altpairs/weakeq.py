@@ -180,8 +180,11 @@ def _candidates(rho: ClassFunction) -> Iterator[GL2Element]:
     """Elements of GL(2) that hold every minimiser of the orbit up to a
     scalar (see canonical_rep); CapError when there are too many."""
     spec, q, mul = rho.spec, rho.spec.order, rho.spec.mul
-    lines = (p for p, _, _ in rho.entries if not isinstance(p, _EpsType) and p.degree == 1)
-    zeros = list(dict.fromkeys(p.coeffs for p in lines))
+    points = [p for p, _, _ in rho.entries if not isinstance(p, _EpsType)]
+    if not points:
+        yield GL2Element.identity(spec)
+        return
+    zeros = list(dict.fromkeys(p.coeffs for p in points if p.degree == 1))
     s = len(zeros)
     if s < 2:
         yield from pgl2_enumerate(spec)
@@ -251,7 +254,9 @@ def canonical_rep(rho: ClassFunction) -> tuple[ClassFunction, GL2Element]:
     - s >= 3: adj(M) diag(beta, alpha) with (alpha, beta) = z_c adj(M),
       one per ordered triple, as PGL(2) is sharply 3-transitive;
     - s = 2: adj(M) diag(1, mu), mu != 0, q - 1 per ordered pair;
-    - s <= 1: all of PGL(2, q), through pgl2_enumerate.
+    - s <= 1: all of PGL(2, q), through pgl2_enumerate, unless every entry
+      is eps: then every element fixes rho, and the identity, the first of
+      them, stands alone.
 
     Scalars move no point, and in gl2_enumerate order the first member of a
     scalar class is the one whose first nonzero entry is 1, with the
@@ -262,7 +267,7 @@ def canonical_rep(rho: ClassFunction) -> tuple[ClassFunction, GL2Element]:
     CapError when the candidates outnumber CANDIDATE_CAP, the size of
     PGL(2, 16): s(s - 1)(s - 2) of them for s >= 3 (so s <= 17 at any k),
     2(q - 1) for s = 2 (so k <= 10), and s <= 1 keeps pgl2_enumerate's
-    cap of k <= ENUMERATION_CAP_K.
+    cap of k <= ENUMERATION_CAP_K unless every entry is eps.
     """
     rep, found = _minimisers(rho)
     return rep, _first(found)
@@ -297,7 +302,8 @@ def weakly_equivalent(
     The pairs are equivalent iff their canonical reps agree.  The moves g
     with act(g, rho_p) = rho_r are then M adj(Q_r) for M over the
     minimisers of rho_p and one minimiser Q_r of rho_r (act(g Q_r, rho_p)
-    is the rep), and canonical_rep's candidates hold all of those M.  The
+    is the rep), and canonical_rep's candidates hold all of those M (or,
+    when every entry is eps and every g qualifies, the identity).  The
     recombination moves points by act(adj(Q)^T), so Q = (Q_r adj(M))^T,
     and the witness is the first such scalar class, as in canonical_rep.
     """

@@ -735,6 +735,101 @@ def residue_oracle(f: Poly, n: int) -> AlternatingPair:
 
 # -- group-layer oracles ---------------------------------------------------------------
 
+
+def h_generator(g, i: int):
+    """The lift of generator h_(i+1) of a finite model."""
+    return (1 << i, (0,) * g.m)
+
+
+def socle_element(g, k: int):
+    """The order-2 element of bottom coordinate k of a finite model."""
+    vec = [0] * g.m
+    vec[k] = g.socle_unit
+    return (0, tuple(vec))
+
+
+def is_abelian(g) -> bool:
+    return not any(g.cocycle)
+
+
+def inverse(g, el):
+    """(x, a)^-1 = (x, -a - c) in a finite model, where (x, 0)^2 = (0, c)."""
+    x, a = el
+    _, square = g.mul((x, (0,) * g.m), (x, (0,) * g.m))
+    return (x, tuple((-(u + v)) % (1 << g.e) for u, v in zip(a, square)))
+
+
+def commutator(g, a, b):
+    return g.mul(g.mul(inverse(g, a), inverse(g, b)), g.mul(a, b))
+
+
+def _xor_selected(rows, x: int) -> int:
+    acc, i = 0, 0
+    while x:
+        if x & 1:
+            acc ^= rows[i]
+        x >>= 1
+        i += 1
+    return acc
+
+
+def _parities_reference(forms, x: int, y: int) -> tuple[int, ...]:
+    return tuple([(_xor_selected(rows, x) & y).bit_count() & 1 for rows in forms])
+
+
+def cocycle_forms(g) -> tuple[tuple[int, ...], ...]:
+    """The cocycle of a finite model per bottom coordinate: row i of form k
+    is field k of strided row i."""
+    n, full = g.num_h, (1 << g.num_h) - 1
+    return tuple(tuple(row >> (k * n) & full for row in g.cocycle) for k in range(g.m))
+
+
+def map_parts(qmap) -> tuple:
+    """A quotient map's data per form: top rows, the m quadratic forms and
+    the linear corrections per generator, read off the strided rows and the
+    bit-planes."""
+    n, m, full = qmap.src.num_h, qmap.dst.m, (1 << qmap.src.num_h) - 1
+    top = tuple(row & full for row in qmap.rows)
+    quad = tuple(tuple(row >> ((k + 1) * n) & full for row in qmap.rows) for k in range(m))
+    linear = tuple(
+        tuple(sum((plane >> i & 1) << b for b, plane in enumerate(planes)) for planes in qmap.linear)
+        for i in range(n)
+    )
+    return top, quad, linear
+
+
+def mul_reference(g, a, b):
+    """FiniteQuotient.mul one form at a time, on the per-form cocycle."""
+    x, av = a
+    y, bv = b
+    beta = _parities_reference(cocycle_forms(g), x, y)
+    mod = 1 << g.e
+    socle = mod >> 1
+    return (x ^ y, tuple([(u + v + socle * p) % mod for u, v, p in zip(av, bv, beta)]))
+
+
+def apply_reference(qmap, g):
+    """QuotientMap.apply one form and one generator at a time, on the
+    per-form data of ``map_parts``."""
+    top, quad, linear = map_parts(qmap)
+    x, a = g
+    mod = 1 << qmap.dst.e
+    socle = qmap.dst.socle_unit
+    acc = [socle * p for p in _parities_reference(quad, x, x)]
+    xi, i = x, 0
+    while xi:
+        if xi & 1:
+            for k, v in enumerate(linear[i]):
+                acc[k] += v
+        xi >>= 1
+        i += 1
+    for al, row in zip(a, qmap.bottom):
+        if al:
+            for k, v in enumerate(row):
+                acc[k] += al * v
+    return (_xor_selected(top, x), tuple([v % mod for v in acc]))
+
+
 MAX_BRUTE_ORDER = 1 << 12
 
 

@@ -7,9 +7,11 @@ import pytest
 
 from altpairs.blocks import build_finite
 from altpairs.chernikov import (
+    FiniteQuotient,
     GroupPresentation,
     IsoObstructionError,
     PresentationError,
+    QuotientMap,
     WitnessError,
     build_quotient,
     iso_from_witness,
@@ -26,12 +28,21 @@ from conftest import (
     GF2,
     GF4,
     MAX_BRUTE_ORDER,
+    apply_reference,
     brute_force_isomorphic,
+    cocycle_forms,
+    commutator,
+    h_generator,
+    inverse,
+    is_abelian,
+    map_parts,
+    mul_reference,
     order_of_element,
     random_alternating_pair,
     random_class_function,
     random_invertible,
     random_weak_pairs_with_witness,
+    socle_element,
     verify_exhaustive,
 )
 
@@ -172,12 +183,12 @@ def test_quotient_infinity_block_order16():
     pres = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
     g = build_quotient(pres, 1)
     assert g.order == 16
-    assert not g.is_abelian()
+    assert not is_abelian(g)
     els = list(g.elements())
     center = [z for z in els if all(g.mul(z, w) == g.mul(w, z) for w in els)]
     assert len(center) >= 4
-    h1, h2 = g.h_generator(0), g.h_generator(1)
-    assert g.commutator(h1, h2) == g.socle_element(1)
+    h1, h2 = h_generator(g, 0), h_generator(g, 1)
+    assert commutator(g, h1, h2) == socle_element(g, 1)
 
 
 def test_quotient_associativity_exhaustive_small():
@@ -210,7 +221,7 @@ def test_quotient_inverses_and_orders():
         els = list(g.elements())
         for _ in range(200):
             a = els[rng.randrange(len(els))]
-            assert g.mul(a, g.inv(a)) == g.identity
+            assert g.mul(a, inverse(g, a)) == g.identity
             o = order_of_element(g, a)
             assert g.order % o == 0
 
@@ -220,7 +231,7 @@ def test_quotient_h_lifts_are_involutions():
     for e in (1, 2, 3):
         g = build_quotient(presentation_from_class(rho), e)
         for i in range(g.num_h):
-            h = g.h_generator(i)
+            h = h_generator(g, i)
             assert g.mul(h, h) == g.identity
 
 
@@ -234,7 +245,7 @@ def test_quotient_commutators_lie_in_socle():
         for _ in range(300):
             a = els[rng.randrange(len(els))]
             b = els[rng.randrange(len(els))]
-            x, vec = g.commutator(a, b)
+            x, vec = commutator(g, a, b)
             assert x == 0
             assert all(v % socle_unit == 0 for v in vec)
 
@@ -365,35 +376,77 @@ def _set(rows, i, k, value):
     return rows[:i] + (tuple(row),) + rows[i + 1:]
 
 
+def _flip(qmap, i, bit):
+    """qmap with one bit of strided row i flipped."""
+    rows = list(qmap.rows)
+    rows[i] ^= 1 << bit
+    return replace(qmap, rows=tuple(rows))
+
+
+def _with_linear(qmap, i, k, value):
+    """qmap with the linear correction of generator h_(i+1) at bottom
+    coordinate k set to value, written into the bit-planes."""
+    planes = tuple(
+        plane & ~(1 << i) | (value >> b & 1) << i for b, plane in enumerate(qmap.linear[k])
+    )
+    return replace(qmap, linear=qmap.linear[:k] + (planes,) + qmap.linear[k + 1:])
+
+
 def _mutants(qmap, rng):
-    """The map as built, then with one entry changed: a quad bit below the
-    diagonal; a linear entry moved by the half-socle (e >= 2) and set to a
-    random value; a top_rows bit; a bottom entry moved by 1 and by 2."""
-    n, e = qmap.src.num_h, qmap.src.e
+    """(mutant, refused) pairs: the map as built, then with one entry
+    changed: a quad bit below the diagonal; a linear entry moved by the
+    half-socle (e >= 2) and set to a random value; a top bit; a bottom entry
+    moved by 1 and by 2.  Last, a bit outside its field, in a row and in a
+    bit-plane: the map is the same function, but the certificate refuses
+    it."""
+    n, m, e = qmap.src.num_h, qmap.src.m, qmap.src.e
     mod = 1 << e
-    yield qmap
+    yield qmap, False
     k, l = rng.randrange(2), rng.randrange(2)
     if n >= 2:
         i = rng.randrange(1, n)
-        yield replace(qmap, quad=_set(qmap.quad, k, i, qmap.quad[k][i] ^ 1 << rng.randrange(i)))
+        yield _flip(qmap, i, (k + 1) * n + rng.randrange(i)), False
     i = rng.randrange(n)
+    linear = map_parts(qmap)[2]
     if e >= 2:
-        moved = (qmap.linear[i][k] + (1 << (e - 2))) % mod
-        yield replace(qmap, linear=_set(qmap.linear, i, k, moved))
-    yield replace(qmap, linear=_set(qmap.linear, i, k, rng.randrange(mod)))
-    top = list(qmap.top_rows)
-    top[rng.randrange(n)] ^= 1 << rng.randrange(n)
-    yield replace(qmap, top_rows=tuple(top))
+        yield _with_linear(qmap, i, k, (linear[i][k] + (1 << (e - 2))) % mod), False
+    yield _with_linear(qmap, i, k, rng.randrange(mod)), False
+    yield _flip(qmap, rng.randrange(n), rng.randrange(n)), False
     for step in (1, 2):
-        yield replace(qmap, bottom=_set(qmap.bottom, l, k, qmap.bottom[l][k] + step))
+        yield replace(qmap, bottom=_set(qmap.bottom, l, k, qmap.bottom[l][k] + step)), False
+    yield _flip(qmap, rng.randrange(n), (m + 1) * n + rng.randrange(n)), True
+    planes = list(qmap.linear[k])
+    planes[rng.randrange(e)] |= 1 << (n + rng.randrange(n))
+    yield replace(qmap, linear=qmap.linear[:k] + (tuple(planes),) + qmap.linear[k + 1:]), True
 
 
 class _NoSamples(random.Random):
     """Draws only zeros: the spot check then multiplies identities, and the
     certificate alone decides."""
 
-    def randrange(self, *args):
+    def getrandbits(self, k):
         return 0
+
+
+class _CountingDraws(random.Random):
+    """Records the width of every getrandbits draw."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+def test_spot_check_draws_whole_elements():
+    # 500 pairs, each element one draw over all n + e*m bits of the group
+    for qmap in _small_maps():
+        rng = _CountingDraws(0xC0C)
+        verify_quotient_map(qmap, rng)
+        n, m, e = qmap.src.num_h, qmap.src.m, qmap.src.e
+        assert rng.widths == [n + e * m] * 1000
 
 
 def _certificate_accepts(qmap):
@@ -441,8 +494,14 @@ def test_certificate_matches_exhaustive_oracle(maps):
     rng = random.Random(maps.__name__)
     verdicts = []
     for qmap in maps():
-        for mutant in _mutants(qmap, rng):
-            verdicts.append((_certificate_accepts(mutant), verify_exhaustive(mutant)))
+        for mutant, refused in _mutants(qmap, rng):
+            if refused:
+                with pytest.raises(WitnessError, match="outside its field"):
+                    verify_quotient_map(mutant)
+                # the same function as qmap
+                assert all(mutant.apply(g) == qmap.apply(g) for g in qmap.src.elements())
+            else:
+                verdicts.append((_certificate_accepts(mutant), verify_exhaustive(mutant)))
     assert all(cert == oracle for cert, oracle in verdicts)
     # both verdicts occur: the maps as built and the bottom moves by 2 are
     # isomorphisms, most other mutants are not
@@ -456,14 +515,8 @@ def test_certificate_rejects_trivial_map_at_n12():
     pair = random_alternating_pair(GF2, rng, 12)
     pres = presentation_from_tuple(list(pair.matrices))
     qmap = iso_from_witness(pres, pres, Mat.identity(GF2, 12), GL2Element.identity(GF2), 2)
-    trivial = replace(
-        qmap,
-        top_rows=(0,) * 12,
-        bottom=((0, 0), (0, 0)),
-        quad=((0,) * 12, (0,) * 12),
-        linear=((0, 0),) * 12,
-    )
-    for g in (qmap.src.h_generator(3), (5, (1, 3))):
+    trivial = replace(qmap, rows=(0,) * 12, bottom=((0, 0), (0, 0)), linear=((0, 0), (0, 0)))
+    for g in (h_generator(qmap.src, 3), (5, (1, 3))):
         assert trivial.apply(g) == trivial.dst.identity
     with pytest.raises(WitnessError):
         verify_quotient_map(trivial)
@@ -483,9 +536,79 @@ def test_iso_large_witnesses(n):
         assert qmap.src.order == 1 << (n + 2 * e)
         i = rng.randrange(1, n)
         k = rng.randrange(2)
-        bad = replace(qmap, quad=_set(qmap.quad, k, i, qmap.quad[k][i] ^ 1 << rng.randrange(i)))
+        bad = _flip(qmap, i, (k + 1) * n + rng.randrange(i))  # a quad bit below the diagonal
         with pytest.raises(WitnessError):
             verify_quotient_map(bad)
+
+
+# -- the packed layout against the per-form references ---------------------------------
+
+
+def _random_model(rng, n, m, e):
+    return FiniteQuotient(n, m, e, tuple(rng.getrandbits(m * n) for _ in range(n)))
+
+
+def _random_map(rng, n, m, e):
+    """Arbitrary data in every field, an isomorphism or not."""
+    return QuotientMap(
+        _random_model(rng, n, m, e),
+        _random_model(rng, n, m, e),
+        rows=tuple(rng.getrandbits((m + 1) * n) for _ in range(n)),
+        bottom=tuple(tuple(rng.randrange(4 << e) for _ in range(m)) for _ in range(m)),
+        linear=tuple(tuple(rng.getrandbits(n) for _ in range(e)) for _ in range(m)),
+    )
+
+
+def _random_element(rng, g):
+    return (rng.getrandbits(g.num_h), tuple(rng.randrange(1 << g.e) for _ in range(g.m)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 33, 64])
+def test_packed_layout_matches_per_form_reference(n):
+    rng = random.Random(n)
+    for m in (1, 2, 3):
+        for e in (1, 2, 3):
+            for _ in range(3):
+                qmap = _random_map(rng, n, m, e)
+                for _ in range(20):
+                    g, h = _random_element(rng, qmap.src), _random_element(rng, qmap.src)
+                    assert qmap.src.mul(g, h) == mul_reference(qmap.src, g, h)
+                    assert qmap.apply(g) == apply_reference(qmap, g)
+
+
+def test_packed_mul_matches_reference_on_every_pair():
+    rng = random.Random(41)
+    for n, m, e in ((0, 1, 2), (1, 2, 1), (2, 3, 1), (3, 1, 2), (3, 2, 1), (4, 1, 1)):
+        g = _random_model(rng, n, m, e)
+        els = list(g.elements())
+        for a in els:
+            for b in els:
+                assert g.mul(a, b) == mul_reference(g, a, b)
+
+
+def test_witness_maps_respect_every_product_at_small_orders():
+    maps = [*_small_maps(), *(f for f in _random_witness_maps() if f.src.order <= 1 << 8)]
+    assert len(maps) > len(list(_small_maps()))
+    for qmap in maps:
+        src, dst = qmap.src, qmap.dst
+        els = list(src.elements())
+        image = {g: qmap.apply(g) for g in els}
+        assert all(image[g] == apply_reference(qmap, g) for g in els)
+        assert len(set(image.values())) == src.order
+        for a in els:
+            for b in els:
+                assert image[src.mul(a, b)] == dst.mul(image[a], image[b])
+
+
+def test_cocycle_rows_are_the_commutator_table():
+    rho = rho_of(((point_from_poly(tp("t^2+t+1")), 1), 1), ((BinaryForm.x2(GF2), 1), 1))
+    pres = presentation_from_class(rho)
+    forms = cocycle_forms(build_quotient(pres, 2))
+    for (i, j), vec in pres.commutators:
+        assert tuple(forms[k][j] >> i & 1 for k in range(2)) == vec
+    assert sum(bin(row).count("1") for rows in forms for row in rows) == sum(
+        sum(vec) for _, vec in pres.commutators
+    )
 
 
 # -- brute force oracle ---------------------------------------------------------------

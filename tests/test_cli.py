@@ -14,7 +14,7 @@ from altpairs.cli import (
 )
 from altpairs.field import FieldSpec
 from altpairs.pencil import ClassFunction, assemble, decompose
-from altpairs.polyring import BinaryForm, parse_poly
+from altpairs.polyring import EPS, BinaryForm, parse_poly
 
 from conftest import GF2, GF4
 
@@ -214,6 +214,26 @@ def test_weak_class_anchored_above_enumeration_cap(capsys, tmp_path):
     code, _, err = run(capsys, ["weak-class", str(tmp_path / "b-one.pair")])
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_weak_class_eps_only_at_k8(capsys, tmp_path):
+    # a class of eps entries only is its own weak form, with the identity,
+    # in any field; above GF(16) it used to exceed the PGL(2) scan's cap
+    gf256 = FieldSpec.gf(8)
+    rho = ClassFunction.from_dict(gf256, {(EPS, 1): 1, (EPS, 2): 1})
+    path = tmp_path / "eps.pair"
+    path.write_text(format_pair_document(assemble(rho)))
+    blocks = [{"g": "eps", "n": 1, "mult": 1}, {"g": "eps", "n": 2, "mult": 1}]
+    identity = [["0x1", "0x0"], ["0x0", "0x1"]]
+    code, out, _ = run(capsys, ["--json", "weak-class", str(path)])
+    assert code == 0
+    assert json.loads(out) == {"class": {"blocks": blocks}, "witness": {"Q": identity}}
+    code, out, _ = run(capsys, ["--json", "corpus", str(tmp_path)])
+    assert code == 0
+    (entry,) = json.loads(out)["files"]
+    assert entry["weak_class"] == {"blocks": blocks}
+    assert entry["witness"] == {"Q": identity}
+    assert "weak_class_error" not in entry
 
 
 def test_group_command(capsys, monkeypatch):

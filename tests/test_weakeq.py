@@ -323,8 +323,9 @@ def test_canonical_caps():
     for s in (0, 1):
         with pytest.raises(CapError, match="capped at GF"):
             canonical_rep(anchored_class(spec, rng, s))
-    with pytest.raises(CapError):
-        canonical_rep(rho_of(spec, ((EPS, 1), 1)))
+    # a class of eps entries only is its own form, with the identity
+    eps_only = rho_of(spec, ((EPS, 1), 1))
+    assert canonical_rep(eps_only) == (eps_only, GL2Element.identity(spec))
     # otherwise the number of moves tried is capped, not the field
     assert CANDIDATE_CAP == 16**3 - 16
     gf1024, gf2048 = FieldSpec.gf(10), FieldSpec.gf(11)
@@ -337,6 +338,38 @@ def test_canonical_caps():
     assert 17 * 16 * 15 <= CANDIDATE_CAP < 18 * 17 * 16
     with pytest.raises(CapError, match="18 degree-1 points .* tries 4896 moves"):
         canonical_rep(anchored_class(spec, rng, 18))
+
+
+def eps_only_classes(spec):
+    """The empty class and classes whose entries are all eps."""
+    yield ClassFunction.from_dict(spec, {})
+    yield rho_of(spec, ((EPS, 1), 1))
+    yield rho_of(spec, ((EPS, 1), 1), ((EPS, 2), 1))
+    yield rho_of(spec, ((EPS, 2), 2), ((EPS, 3), 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_canonical_eps_only_matches_pgl2_scan(k):
+    spec = FieldSpec.gf(k)
+    rng = random.Random(320 + k)
+    for rho in eps_only_classes(spec):
+        assert canonical_rep(rho) == canonical_rep_scan(rho) == (rho, GL2Element.identity(spec))
+        pair = assemble(rho)
+        s = random_invertible(spec, rng, pair.dim) if pair.dim else Mat.identity(spec, 0)
+        moved = transform_weak(pair, s, random_gl2(spec, rng))
+        assert weakly_equivalent(pair, moved) == weakly_equivalent_scan(pair, moved)
+
+
+@pytest.mark.parametrize("k", [5, 8])
+def test_canonical_eps_only_above_enumeration_cap(k):
+    # the old scan of PGL(2) refused these above GF(16)
+    spec = FieldSpec.gf(k)
+    rng = random.Random(330 + k)
+    for rho in eps_only_classes(spec):
+        assert canonical_rep(rho) == (rho, GL2Element.identity(spec))
+        pair = assemble(rho)
+        moved = transform_weak(pair, Mat.identity(spec, pair.dim), random_gl2(spec, rng))
+        assert weakly_equivalent(pair, moved) == (True, GL2Element.identity(spec))
 
 
 def test_canonical_every_point_at_k4():
