@@ -105,18 +105,12 @@ def build_finite(f: Poly, n: int) -> AlternatingPair:
     return AlternatingPair(a, b)
 
 
-def build_infinity(n: int) -> AlternatingPair:
+def build_infinity(n: int, spec: FieldSpec | None = None) -> AlternatingPair:
     """The 2n x 2n block at the infinite point; equals the finite block for
     t^n with its two matrices swapped."""
     if n < 1:
         raise BlockError("size must be positive")
-    spec = FieldSpec.gf2()
-    return build_infinity_over(spec, n)
-
-
-def build_infinity_over(spec: FieldSpec, n: int) -> AlternatingPair:
-    if n < 1:
-        raise BlockError("size must be positive")
+    spec = spec or FieldSpec.gf2()
     jordan = Mat.from_rows(
         spec, [[1 if j == i - 1 else 0 for j in range(n)] for i in range(n)], n
     )
@@ -125,16 +119,11 @@ def build_infinity_over(spec: FieldSpec, n: int) -> AlternatingPair:
     return AlternatingPair(a, b)
 
 
-def build_plus(eps: int) -> AlternatingPair:
-    if eps < 0:
-        raise BlockError("minimal index must be nonnegative")
-    return build_plus_over(FieldSpec.gf2(), eps)
-
-
-def build_plus_over(spec: FieldSpec, eps: int) -> AlternatingPair:
+def build_plus(eps: int, spec: FieldSpec | None = None) -> AlternatingPair:
     """Odd block of dimension 2*eps+1; eps = 0 is the 1 x 1 zero pair."""
     if eps < 0:
         raise BlockError("minimal index must be nonnegative")
+    spec = spec or FieldSpec.gf2()
     left = Mat.from_rows(
         spec, [[1 if j == i else 0 for j in range(eps + 1)] for i in range(eps)], eps + 1
     )
@@ -232,10 +221,9 @@ class BlockId:
     def build(self, spec: FieldSpec | None = None) -> AlternatingPair:
         if self.kind == "fin":
             return build_finite(self.f, self.n)
-        spec = spec or FieldSpec.gf2()
         if self.kind == "inf":
-            return build_infinity_over(spec, self.n)
-        return build_plus_over(spec, self.n)
+            return build_infinity(self.n, spec)
+        return build_plus(self.n, spec)
 
     def __str__(self) -> str:
         if self.kind == "fin":

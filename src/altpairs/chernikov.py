@@ -2,7 +2,9 @@
 
 A presentation has involutive top generators h_1..h_num_h over a central
 bottom (Z/2^e)^m; the commutator [h_i, h_j] is a vector of order-2 bottom
-elements read off a tuple of alternating matrices over GF(2).  The explicit
+elements read off a tuple of alternating matrices over GF(2).  A class
+function's group reads the same table off its canonical pair, so the block
+matrices of ``blocks.py`` are the one definition of each block.  The explicit
 finite model multiplies exponent vectors with the standard lower-triangle
 2-cocycle, so h-lifts square to the identity.  Its m forms are stored once
 as n strided rows, form k at bits [k n, (k+1) n) of each row (packed GF(2)
@@ -14,8 +16,10 @@ as e bit-planes per bottom coordinate, so ``apply`` also makes one pass.
 ``iso_from_witness`` turns a weak-equivalence witness (S, Q) into an explicit
 isomorphism of finite models.  The top maps through S^-1 and the bottom
 through a 0/1 lift of Q; a quadratic correction, in the same packed form as
-the cocycle, absorbs the cocycle discrepancy introduced by S.  The linear
-half of that correction needs a square root of a socle element, which exists
+the cocycle, absorbs the cocycle discrepancy introduced by S.  That
+discrepancy is symmetric exactly when (S, Q) carries one tuple to the other,
+so it also decides the witness, with no dense matrix products.  The linear
+half of the correction needs a square root of a socle element, which exists
 only for e >= 2; for e = 1 a nonzero diagonal discrepancy is a hard
 obstruction (the two models can even be non-isomorphic groups) and is
 reported as such.  Every map is checked by ``verify_quotient_map``, an exact
@@ -31,10 +35,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .blocks import BlockId
 from .field import FieldSpec, Packing
 from .linalg import LinAlgError, Mat, _rref
-from .pencil import ClassFunction
+from .pencil import ClassFunction, assemble
 from .weakeq import GL2Element
 
 
@@ -66,6 +69,8 @@ class GroupPresentation:
     e: int = 1
 
     def __post_init__(self):
+        if self.e < 1:
+            raise PresentationError("quotient exponent must be positive")
         for (i, j), vec in self.commutators:
             if not 0 <= i < j < self.num_h:
                 raise PresentationError(f"bad commutator index ({i}, {j})")
@@ -170,74 +175,12 @@ def presentation_from_tuple(mats: Sequence[Mat], e: int = 1) -> GroupPresentatio
     return GroupPresentation.from_dict(n, len(mats), data, e)
 
 
-def _finite_block_commutators(g_coeffs: list[int], d: int) -> dict:
-    """Local commutators of a finite block from the coefficients of f^n.
-
-    g_coeffs[i] is the t^i coefficient of f^n (0 <= i < d); indices 1-based
-    within the block, first group 1..d, second d+1..2d.
-    """
-    out: dict[tuple[int, int], list[int]] = {}
-
-    def put(i: int, j: int, a1: int, a2: int):
-        key = (i - 1, j - 1)
-        cur = out.setdefault(key, [0, 0])
-        cur[0] ^= a1
-        cur[1] ^= a2
-
-    for i in range(1, d):
-        put(i, d + i, 1, 0)
-    for i in range(2, d + 1):
-        put(i, d + i - 1, 0, 1)
-    for i in range(1, d):
-        if g_coeffs[i - 1]:
-            put(i, 2 * d, 0, 1)
-    put(d, 2 * d, 1, g_coeffs[d - 1])
-    return out
-
-
-def _infinity_block_commutators(n: int) -> dict:
-    out = {}
-    for i in range(1, n + 1):
-        out[(i - 1, n + i - 1)] = [0, 1]
-    for i in range(2, n + 1):
-        out[(i - 1, n + i - 2)] = [1, 0]
-    return out
-
-
-def _plus_block_commutators(eps: int) -> dict:
-    out = {}
-    for i in range(1, eps + 1):
-        out[(i - 1, eps + i - 1)] = [1, 0]
-        out[(i - 1, eps + i)] = [0, 1]
-    return out
-
-
 def presentation_from_class(rho: ClassFunction, e: int = 1) -> GroupPresentation:
     """Presentation of the group attached to a class function over GF(2):
-    one generator batch per block, commutators from the canonical block
-    data, all cross-block commutators zero."""
-    if rho.spec.k != 1:
-        raise PresentationError("group construction is specific to GF(2)")
-    data: dict[tuple[int, int], tuple[int, ...]] = {}
-    offset = 0
-    for point, n, mult in rho.entries:
-        bid = BlockId.of_point(point, n)
-        for _ in range(mult):
-            if bid.kind == "plus":
-                local = _plus_block_commutators(bid.n)
-            elif bid.kind == "inf":
-                local = _infinity_block_commutators(n)
-            else:
-                g = bid.f
-                for _ in range(n - 1):
-                    g = g * bid.f
-                d = g.degree
-                local = _finite_block_commutators([g.coeff(i) for i in range(d)], d)
-            for (i, j), vec in local.items():
-                if any(vec):
-                    data[(offset + i, offset + j)] = tuple(vec)
-            offset += bid.dim
-    return GroupPresentation.from_dict(offset, 2, data, e)
+    the commutator table of its canonical pair ``assemble(rho)``, so each
+    block's commutators are its block matrices and cross-block ones vanish.
+    ``presentation_from_tuple`` refuses any other field."""
+    return presentation_from_tuple(list(assemble(rho).matrices), e)
 
 
 # -- explicit finite models ------------------------------------------------------
@@ -287,6 +230,10 @@ class FiniteQuotient:
     # bit k*n + j is the coefficient of x_i y_j
     cocycle: tuple[int, ...]
 
+    def __post_init__(self):
+        if self.e < 1:
+            raise PresentationError("quotient exponent must be positive")
+
     @property
     def order(self) -> int:
         return 1 << (self.num_h + self.e * self.m)
@@ -319,8 +266,6 @@ class FiniteQuotient:
 
 
 def build_quotient(pres: GroupPresentation, e: int) -> FiniteQuotient:
-    if e < 1:
-        raise PresentationError("quotient exponent must be positive")
     return FiniteQuotient(pres.num_h, pres.m, e, _strided_forms(pres))
 
 
@@ -369,14 +314,27 @@ def iso_from_witness(
     e: int,
 ) -> QuotientMap:
     """Isomorphism FiniteQuotient(p, e) -> FiniteQuotient(r, e) from a
-    verified witness with r's tuple equal to the S, Q transform of p's.
+    witness with r's tuple equal to the S, Q transform of p's, that is
+    R_k = sum_l q_lk S A_l S^T.
 
     Top vectors map through S^-1, the bottom through the 0/1 lift of Q; the
     cocycle discrepancy of the basis change is absorbed by a quadratic
-    correction plus, for e >= 2, a linear half-socle part.  Before it is
-    returned the map passes ``verify_quotient_map``: the exact certificate
-    (n^2 generator pairs for the homomorphism property, GF(2) ranks of S^-1
-    and Q for bijectivity) and a random spot check of products.
+    correction plus, for e >= 2, a linear half-socle part.
+
+    The discrepancy also decides the witness.  With C_P,l and C_R,k the
+    lower triangles of A_l and R_k (so C + C^T is the alternating matrix),
+    the discrepancy form k has matrix
+
+        delta_k = S^-1 C_R,k S^-T + sum_l q_lk C_P,l.
+
+    In characteristic 2, delta_k + delta_k^T = S^-1 R_k S^-T + sum_l q_lk A_l,
+    which is zero iff R_k = sum_l q_lk S A_l S^T.  So the tuples match iff
+    every delta_k is symmetric; otherwise ``WitnessError`` is raised.
+    Refusals come in this order: shape, singular S, witness, then the e = 1
+    obstruction.  Before it is returned the map passes
+    ``verify_quotient_map``: the exact certificate (n^2 generator pairs for
+    the homomorphism property, GF(2) ranks of S^-1 and Q for bijectivity)
+    and a random spot check of products.
     """
     if p.m != 2 or r.m != 2:
         raise WitnessError("witness maps need bottom rank 2")
@@ -391,20 +349,8 @@ def iso_from_witness(
         minv = s.inv()
     except LinAlgError as exc:
         raise WitnessError("S is singular") from exc
-    # verify the witness: R_k = sum_l q_lk S A_l S^T
-    amats = p.matrices()
-    rmats = r.matrices()
-    smat_t = s.transpose()
-    conj = [s @ a @ smat_t for a in amats]
     qrows = q.rows()
-    for k in range(2):
-        acc = Mat.zeros(s.spec, n, n)
-        for l in range(2):
-            if qrows[l][k]:
-                acc = acc + conj[l]
-        if acc.rows != rmats[k].rows:
-            raise WitnessError("witness fails verification: tuples do not match")
-    src, dst = build_quotient(p, e), build_quotient(r, e)
+    cocycle_p, cocycle_r = _strided_forms(p), _strided_forms(r)
     pack = Packing(s.spec, n).pack
     mrows = [pack(row) for row in minv.rows]
     full = (1 << n) - 1
@@ -413,15 +359,15 @@ def iso_from_witness(
     # S^-1 L S^-T, so each field of a row of S^-1 C_R goes through S^-T
     pull = [c << (k * n) for k in range(2) for c in _transpose(mrows, n)]
     delta = []
-    for t, row_p in zip(mrows, src.cocycle):
-        row = _xor_rows(pull, _xor_rows(dst.cocycle, t))
+    for t, row_p in zip(mrows, cocycle_p):
+        row = _xor_rows(pull, _xor_rows(cocycle_r, t))
         for l in range(2):
             for k in range(2):
                 if qrows[l][k]:
                     row ^= (row_p >> (l * n) & full) << (k * n)
         delta.append(row)
     if _transpose(delta, n, 2) != delta:
-        raise AssertionError("witness discrepancy is not symmetric")
+        raise WitnessError("witness fails verification: tuples do not match")
     # half-socle root of the diagonal discrepancy (e >= 2), a plane per coordinate
     diag = [sum((row >> (k * n + i) & 1) << i for i, row in enumerate(delta)) for k in range(2)]
     if e == 1 and any(diag):
@@ -429,6 +375,7 @@ def iso_from_witness(
             "e = 1 quotients admit no map of the prescribed shape for this "
             "witness: the basis change flips the square of a lifted generator"
         )
+    src, dst = FiniteQuotient(n, 2, e, cocycle_p), FiniteQuotient(n, 2, e, cocycle_r)
     # off the diagonal delta is absorbed by q(x) = sum_{j < i} x_i x_j delta_ij
     lower = [((1 << i) - 1) * (1 | 1 << n) for i in range(n)]
     qmap = QuotientMap(

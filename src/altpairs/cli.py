@@ -285,10 +285,10 @@ def _classify_file(path: str) -> dict:
         pair = doc.first_two()
     except (ParseError, FieldError, UnicodeDecodeError, OSError) as exc:
         return {"path": path, "ok": False, "message": str(exc)}
-    report = validate(pair)
-    if not report.ok:
-        return {"path": path, "ok": False, "message": report.message}
-    rho = decompose(pair)
+    try:
+        rho = decompose(pair)
+    except PencilError as exc:
+        return {"path": path, "ok": False, "message": str(exc)}
     entry: dict = {"path": path, "ok": True, "class": rho.to_json_dict()}
     try:
         rep, witness = canonical_rep(rho)

@@ -6,8 +6,8 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from altpairs.blocks import AlternatingPair, BlockError
-from altpairs.chernikov import PresentationError
+from altpairs.blocks import AlternatingPair, BlockError, BlockId
+from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_mul
 from altpairs.linalg import Mat, PolyMat, smith_form
 from altpairs.pencil import ClassFunction, KroneckerInvariants, assemble, decompose, require_valid
@@ -734,6 +734,91 @@ def residue_oracle(f: Poly, n: int) -> AlternatingPair:
 
 
 # -- group-layer oracles ---------------------------------------------------------------
+
+
+def _finite_block_commutators(g_coeffs: list[int], d: int) -> dict:
+    """Local commutators of a finite block from the coefficients of f^n.
+
+    g_coeffs[i] is the t^i coefficient of f^n (0 <= i < d); indices 1-based
+    within the block, first group 1..d, second d+1..2d.
+    """
+    out: dict[tuple[int, int], list[int]] = {}
+
+    def put(i: int, j: int, a1: int, a2: int):
+        cur = out.setdefault((i - 1, j - 1), [0, 0])
+        cur[0] ^= a1
+        cur[1] ^= a2
+
+    for i in range(1, d):
+        put(i, d + i, 1, 0)
+    for i in range(2, d + 1):
+        put(i, d + i - 1, 0, 1)
+    for i in range(1, d):
+        if g_coeffs[i - 1]:
+            put(i, 2 * d, 0, 1)
+    put(d, 2 * d, 1, g_coeffs[d - 1])
+    return out
+
+
+def _infinity_block_commutators(n: int) -> dict:
+    out = {}
+    for i in range(1, n + 1):
+        out[(i - 1, n + i - 1)] = [0, 1]
+    for i in range(2, n + 1):
+        out[(i - 1, n + i - 2)] = [1, 0]
+    return out
+
+
+def _plus_block_commutators(eps: int) -> dict:
+    out = {}
+    for i in range(1, eps + 1):
+        out[(i - 1, eps + i - 1)] = [1, 0]
+        out[(i - 1, eps + i)] = [0, 1]
+    return out
+
+
+def block_commutators_reference(rho: ClassFunction, e: int = 1) -> GroupPresentation:
+    """The group presentation of a GF(2) class function from hand-written
+    commutator tables, one per block family, with no block matrices: one
+    generator batch per block, cross-block commutators zero.  Independent of
+    ``chernikov.presentation_from_class``, which reads the canonical pair."""
+    data: dict[tuple[int, int], tuple[int, ...]] = {}
+    offset = 0
+    for point, n, mult in rho.entries:
+        bid = BlockId.of_point(point, n)
+        for _ in range(mult):
+            if bid.kind == "plus":
+                local = _plus_block_commutators(bid.n)
+            elif bid.kind == "inf":
+                local = _infinity_block_commutators(n)
+            else:
+                g = bid.f
+                for _ in range(n - 1):
+                    g = g * bid.f
+                local = _finite_block_commutators([g.coeff(i) for i in range(g.degree)], g.degree)
+            for (i, j), vec in local.items():
+                if any(vec):
+                    data[(offset + i, offset + j)] = tuple(vec)
+            offset += bid.dim
+    return GroupPresentation.from_dict(offset, 2, data, e)
+
+
+def iso_from_witness_dense(p, r, s: Mat, q: GL2Element, e: int):
+    """``iso_from_witness`` with the witness first decided by dense products,
+    R_k = sum_l q_lk S A_l S^T, on the presentations' matrices; the refusals
+    before it (shape, singular S) and everything after are the library's."""
+    n = p.num_h
+    valid_shape = p.m == r.m == 2 and r.num_h == n and s.spec.k == q.spec.k == 1
+    if valid_shape and s.shape == (n, n) and s.rank() == n:
+        conj = [s @ a @ s.transpose() for a in p.matrices()]
+        for k, target in enumerate(r.matrices()):
+            acc = Mat.zeros(s.spec, n, n)
+            for l, row in enumerate(q.rows()):
+                if row[k]:
+                    acc = acc + conj[l]
+            if acc.rows != target.rows:
+                raise WitnessError("witness fails verification: tuples do not match")
+    return iso_from_witness(p, r, s, q, e)
 
 
 def h_generator(g, i: int):

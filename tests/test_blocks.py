@@ -8,9 +8,7 @@ from altpairs.blocks import (
     BlockId,
     build_finite,
     build_infinity,
-    build_infinity_over,
     build_plus,
-    build_plus_over,
     companion,
     direct_sum,
 )
@@ -124,8 +122,8 @@ def test_build_plus_zero_pfaffian():
 
 def test_all_blocks_are_valid_pairs():
     blocks = [build_infinity(3), build_plus(2), build_finite(tp("t^3+t+1"), 1)]
-    blocks.append(build_infinity_over(GF4, 2))
-    blocks.append(build_plus_over(GF4, 1))
+    blocks.append(build_infinity(2, GF4))
+    blocks.append(build_plus(1, GF4))
     blocks.append(build_finite(Poly.make(GF4, [2, 1]), 2))
     for b in blocks:
         assert validate(b).ok
@@ -154,7 +152,7 @@ def test_direct_sum():
 
 def test_direct_sum_rejects_mixed_fields():
     with pytest.raises(BlockError):
-        direct_sum([build_infinity(1), build_infinity_over(GF4, 1)])
+        direct_sum([build_infinity(1), build_infinity(1, GF4)])
 
 
 def test_direct_sum_empty_needs_spec():

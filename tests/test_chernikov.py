@@ -29,12 +29,14 @@ from conftest import (
     GF4,
     MAX_BRUTE_ORDER,
     apply_reference,
+    block_commutators_reference,
     brute_force_isomorphic,
     cocycle_forms,
     commutator,
     h_generator,
     inverse,
     is_abelian,
+    iso_from_witness_dense,
     map_parts,
     mul_reference,
     order_of_element,
@@ -83,8 +85,8 @@ def test_presentation_quadratic_block_last_column():
 
 
 def test_presentation_matches_block_matrices():
-    # Table rows re-expressed: the commutator table must equal the entries of
-    # the canonical block matrices for every block of half-dimension <= 4
+    # the commutator table read off the canonical block matrices equals the
+    # hand-written table of conftest for every block of half-dimension <= 4
     cases = []
     for d in (1, 2, 3, 4):
         for f in monic_irreducibles(GF2, d):
@@ -95,10 +97,20 @@ def test_presentation_matches_block_matrices():
     for eps in (0, 1, 2, 3):
         cases.append(rho_of(((EPS, eps + 1), 1)))
     for rho in cases:
-        pres = presentation_from_class(rho)
-        from_mats = presentation_from_tuple(list(assemble(rho).matrices))
-        assert pres.commutators == from_mats.commutators
-        assert pres.num_h == from_mats.num_h
+        for e in (1, 2, 3):
+            assert presentation_from_class(rho, e) == block_commutators_reference(rho, e)
+
+
+def test_presentation_matches_reference_on_random_classes():
+    rng = random.Random(0x7AB1E)
+    checked = 0
+    while checked < 300:
+        rho = random_class_function(GF2, rng, 24, max_eps=3, max_deg=4)
+        if sum(mult for _, _, mult in rho.entries) < 2:
+            continue
+        e = 1 + checked % 3
+        assert presentation_from_class(rho, e) == block_commutators_reference(rho, e)
+        checked += 1
 
 
 def test_presentation_from_class_multi_block_offsets():
@@ -144,9 +156,20 @@ def test_presentation_from_tuple_rejects_bad_input():
         presentation_from_tuple([Mat.from_rows(GF4, [[0, 1], [1, 0]])])
 
 
+def test_presentation_refuses_nonpositive_exponent():
+    a = Mat.from_rows(GF2, [[0, 1], [1, 0]])
+    for e in (0, -1):
+        with pytest.raises(PresentationError, match="^quotient exponent must be positive$"):
+            presentation_from_tuple([a], e=e)
+        with pytest.raises(PresentationError, match="^quotient exponent must be positive$"):
+            GroupPresentation.from_dict(2, 1, {}, e)
+        with pytest.raises(PresentationError, match="^quotient exponent must be positive$"):
+            build_quotient(presentation_from_tuple([a]), e)
+
+
 def test_presentation_from_class_refuses_large_field():
     rho = ClassFunction.from_dict(GF4, {(BinaryForm.x2(GF4), 1): 1})
-    with pytest.raises(PresentationError):
+    with pytest.raises(PresentationError, match="^group construction is specific to GF\\(2\\)$"):
         presentation_from_class(rho)
 
 
@@ -331,6 +354,53 @@ def test_iso_singular_s_is_a_witness_error():
     zero = presentation_from_tuple([Mat.zeros(GF2, 3, 3), Mat.zeros(GF2, 3, 3)])
     with pytest.raises(WitnessError):
         iso_from_witness(zero, zero, Mat.zeros(GF2, 3, 3), GL2Element.identity(GF2), 2)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (WitnessError, IsoObstructionError) as exc:
+        return type(exc), str(exc)
+
+
+def _corrupted_witnesses(rng, count):
+    """(p, r, S, Q) from weak transforms of random GF(2) pairs up to dim 8,
+    each with one of S, Q or the target tuple corrupted: a bit of S flipped,
+    another element of GL(2, 2) for Q, or a symmetric pair of entries of one
+    target matrix flipped."""
+    qs = list(gl2_enumerate(GF2))
+    for i, (pair, moved, s, q) in enumerate(random_weak_pairs_with_witness(rng, count)):
+        n = pair.dim
+        rows = [list(row) for row in moved.matrices[i % 2].rows]
+        if i % 3 == 0:
+            srows = [list(row) for row in s.rows]
+            srows[rng.randrange(n)][rng.randrange(n)] ^= 1
+            s = Mat.from_rows(GF2, srows, n)
+        elif i % 3 == 1:
+            q = rng.choice([other for other in qs if other != q])
+        elif n > 1:
+            a, b = rng.sample(range(n), 2)
+            rows[a][b] ^= 1
+            rows[b][a] ^= 1
+        mats = list(moved.matrices)
+        mats[i % 2] = Mat.from_rows(GF2, rows, n)
+        yield presentation_from_tuple(list(pair.matrices)), presentation_from_tuple(mats), s, q
+
+
+def test_witness_decision_matches_dense_tuple_check():
+    # the symmetry of the pulled-back discrepancy against the dense check
+    # R_k = sum_l q_lk S A_l S^T that it replaced: the same refusal, with
+    # the same message, or the same map
+    rng = random.Random(0xDE75E)
+    outcomes = []
+    for p, r, s, q in _corrupted_witnesses(rng, 1050):
+        e = rng.choice((1, 2))
+        expected = _outcome(iso_from_witness_dense, p, r, s, q, e)
+        assert _outcome(iso_from_witness, p, r, s, q, e) == expected
+        outcomes.append(expected if isinstance(expected, tuple) else QuotientMap)
+    mismatch = (WitnessError, "witness fails verification: tuples do not match")
+    assert outcomes.count(mismatch) >= 500
+    assert (WitnessError, "S is singular") in outcomes and QuotientMap in outcomes
 
 
 def test_verify_catches_corrupted_map():

@@ -253,6 +253,16 @@ def test_group_command_quotient_exp(capsys, monkeypatch):
     assert payload["presentation"]["relators"].count("h1^2") == 1
 
 
+def test_group_command_refuses_nonpositive_exponent(capsys, monkeypatch):
+    for e in ("0", "-1"):
+        code, out, err = run(
+            capsys, ["group", "--quotient-exp", e], stdin=INF1_DOC, monkeypatch=monkeypatch
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: quotient exponent must be positive\n"
+
+
 def test_gen_block_gf4(capsys):
     code, out, _ = run(capsys, ["gen-block", "fin:{2}*t^0+t^1^1", "--field", "gf2^2:0x7"])
     # the poly text {2}*t^0+t^1 means t + t_gen over GF(4)
@@ -316,8 +326,9 @@ def test_corpus_survives_unparsable_file(capsys, tmp_path):
     assert set(truncated) == {"path", "ok", "message"}
     assert truncated["ok"] is False
     assert "two matrices" in truncated["message"]
-    assert set(nonalt) == {"path", "ok", "message"}
-    assert nonalt["ok"] is False
+    assert nonalt == {
+        "path": nonalt["path"], "ok": False, "message": "matrix A has nonzero diagonal at (0, 0)"
+    }
     code, out, _ = run(capsys, ["corpus", str(tmp_path)])
     assert code == 0
     assert "b-truncated.pair: INVALID (line 0: document needs at least two matrices)" in out

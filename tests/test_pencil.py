@@ -9,9 +9,7 @@ from altpairs.blocks import (
     AlternatingPair,
     build_finite,
     build_infinity,
-    build_infinity_over,
     build_plus,
-    build_plus_over,
     direct_sum,
 )
 from altpairs.field import FieldError, FieldSpec, _Computed
@@ -350,7 +348,7 @@ def test_congruent_basic():
 
 def test_congruent_rejects_mixed_fields():
     with pytest.raises(FieldError):
-        congruent(build_infinity(1), build_infinity_over(GF4, 1))
+        congruent(build_infinity(1), build_infinity(1, GF4))
 
 
 def test_degenerate_iff_x2_or_eps_blocks():
@@ -381,7 +379,7 @@ def _rank_deficient_pair(spec, rng, n):
     smaller dimension plus a zero or eps block, scrambled by a basis change."""
     eps = rng.randrange(0, 2) if n >= 3 else 0
     core = random_alternating_pair(spec, rng, n - (2 * eps + 1))
-    pair = direct_sum([core, build_plus_over(spec, eps)])
+    pair = direct_sum([core, build_plus(eps, spec)])
     return transform_congruence(pair, random_invertible(spec, rng, n))
 
 
@@ -427,7 +425,7 @@ def test_pfaffian_matches_interpolation_without_mul_table():
     rng = random.Random(0x209)
     for n in (2, 4, 5, 6):
         checked_pfaffian(random_alternating_pair(spec, rng, n))
-    pair = direct_sum([build_infinity_over(spec, 2), build_infinity_over(spec, 1)])
+    pair = direct_sum([build_infinity(2, spec), build_infinity(1, spec)])
     s = random_invertible(spec, rng, pair.dim)
     expected = BinaryForm.x2(spec).power(3).scale(s.det())
     assert checked_pfaffian(transform_congruence(pair, s)) == expected

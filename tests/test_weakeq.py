@@ -454,10 +454,9 @@ def test_weak_transform_gf4():
 
 
 def test_weak_mixed_fields_rejected():
-    from altpairs.blocks import build_infinity_over
 
     with pytest.raises(FieldError):
-        weakly_equivalent(build_infinity(1), build_infinity_over(GF4, 1))
+        weakly_equivalent(build_infinity(1), build_infinity(1, GF4))
 
 
 def test_weak_negative_case():
