@@ -10,8 +10,8 @@ from .blocks import (
     companion,
     direct_sum,
 )
-from .field import FieldElement, FieldSpec, field_add, field_enumerate, field_inv, field_mul
-from .linalg import Mat, PolyMat, congruence, smith_form
+from .field import FieldSpec
+from .linalg import Mat, congruence, smith_form
 from .pencil import (
     ClassFunction,
     assemble,
@@ -48,14 +48,12 @@ __all__ = [
     "BlockId",
     "ClassFunction",
     "EPS",
-    "FieldElement",
     "FieldSpec",
     "FiniteQuotient",
     "GL2Element",
     "GroupPresentation",
     "Mat",
     "Poly",
-    "PolyMat",
     "act_on_class",
     "assemble",
     "build_finite",
@@ -70,10 +68,6 @@ __all__ = [
     "dehomogenize",
     "direct_sum",
     "factor",
-    "field_add",
-    "field_enumerate",
-    "field_inv",
-    "field_mul",
     "gl2_enumerate",
     "homogenize",
     "iso_from_witness",

@@ -41,6 +41,11 @@ from .pencil import ClassFunction, assemble
 from .weakeq import GL2Element
 
 
+# The finite model has order 2^(num_h + e*m); up to this exponent the order and
+# 2^e print under Python's default 4,300-digit limit on int-to-str conversion.
+MAX_ORDER_LOG2 = 10_000
+
+
 class PresentationError(ValueError):
     """Invalid presentation input."""
 
@@ -71,6 +76,8 @@ class GroupPresentation:
     def __post_init__(self):
         if self.e < 1:
             raise PresentationError("quotient exponent must be positive")
+        if (bits := self.num_h + self.e * self.m) > MAX_ORDER_LOG2:
+            raise PresentationError(f"finite model order 2^{bits} exceeds 2^{MAX_ORDER_LOG2}")
         for (i, j), vec in self.commutators:
             if not 0 <= i < j < self.num_h:
                 raise PresentationError(f"bad commutator index ({i}, {j})")

@@ -1,8 +1,9 @@
 """Exact arithmetic in GF(2^k) for small k, and the packed GF(2^k)[t] kernel.
 
-Elements are represented by their coefficient bitmask: bit i of ``bits`` is
-the coefficient of t^i in the residue class modulo the defining polynomial.
-GF(2) (k = 1) is plain XOR/AND and never touches the modulus.
+Elements are plain ints, their coefficient bitmask: bit i is the coefficient
+of t^i in the residue class modulo the defining polynomial, and ``FieldSpec``
+does the arithmetic on them.  GF(2) (k = 1) is plain XOR/AND and never
+touches the modulus.
 
 ``Packing`` stores a polynomial over GF(2^k), or a whole matrix row, as one
 int with coefficient i in bits [i*w, (i+1)*w), w = 2k - 1: a carry-less
@@ -225,20 +226,8 @@ class FieldSpec:
         return self.pow(a, 1 << (self.k - 1))
 
     def enumerate_bits(self) -> Iterator[int]:
+        """All 2^k elements by increasing bitmask: 0, 1, t, t + 1, ..."""
         return iter(range(self.order))
-
-    # -- element helpers ----------------------------------------------------
-
-    def element(self, bits: int) -> "FieldElement":
-        return FieldElement(self.check(bits), self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
 
 
 class _Computed:
@@ -332,67 +321,3 @@ class Packing:
         mask = self.mask
         return tuple(v >> s & mask for s in range(0, n * self.w, self.w))
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue class in GF(2^k), tied to its FieldSpec."""
-
-    bits: int
-    spec: FieldSpec
-
-    def _coerce(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec != self.spec:
-            raise FieldError(f"mixed fields: {self.spec} vs {other.spec}")
-        return other.bits
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.bits ^ self._coerce(other), self.spec)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.spec.mul(self.bits, self._coerce(other)), self.spec)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        b = self._coerce(other)
-        return FieldElement(self.spec.mul(self.bits, self.spec.inv(b)), self.spec)
-
-    def __pow__(self, n: int) -> "FieldElement":
-        return FieldElement(self.spec.pow(self.bits, n), self.spec)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec.inv(self.bits), self.spec)
-
-    def sqrt(self) -> "FieldElement":
-        return FieldElement(self.spec.sqrt(self.bits), self.spec)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __str__(self) -> str:
-        return f"{self.bits:x}"
-
-
-# -- spec-level operation names ---------------------------------------------
-
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def field_enumerate(spec: FieldSpec) -> list[FieldElement]:
-    """All 2^k elements, ordered by increasing bitmask (0, 1, t, t+1, ...)."""
-    return [FieldElement(b, spec) for b in spec.enumerate_bits()]

@@ -1,13 +1,14 @@
-"""Dense exact matrix algebra over GF(2^k) and over GF(2^k)[t].
+"""Dense exact matrix algebra over GF(2^k), and the Smith normal form of
+pencils t*A + B over GF(2^k)[t].
 
 Matrices store raw field bitmasks row-major.  Elimination packs each row
 into one int (``field.Packing``): over GF(2^k) entry j sits in slot j, so
 scaling a row by a field element, or adding such a multiple of one row to
 another, is one kernel product however many columns there are.  Rank,
-nullspace, determinant and inverse share one elimination, ``_rref``.  Smith
-normal form of polynomial matrices gives each entry a field of several
-slots, so a row operation with a polynomial multiplier is again one kernel
-product.
+nullspace, determinant and inverse share one elimination, ``_rref``.  The
+Smith form reads t*A + B straight from the rows of A and B and gives each
+entry a field of several slots, so a row operation with a polynomial
+multiplier is again one kernel product.
 """
 
 from __future__ import annotations
@@ -251,86 +252,49 @@ def congruence(s: Mat, a: Mat) -> Mat:
     return s @ a @ s.transpose()
 
 
-# -- polynomial matrices and Smith normal form ---------------------------------
+# -- Smith normal form of pencils ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyMat:
-    """Matrix over GF(2^k)[t]."""
-
-    rows: tuple[tuple[Poly, ...], ...]
-    cols: int
-    spec: FieldSpec
-
-    @staticmethod
-    def from_rows(spec: FieldSpec, rows: Iterable[Sequence[Poly]], cols: int | None = None) -> "PolyMat":
-        rs = tuple(tuple(r) for r in rows)
-        if rs:
-            cols = len(rs[0]) if cols is None else cols
-            if any(len(r) != cols for r in rs):
-                raise LinAlgError("ragged rows")
-        elif cols is None:
-            cols = 0
-        for r in rs:
-            for p in r:
-                if p.spec != spec:
-                    raise FieldError("entry field does not match matrix field")
-        return PolyMat(rs, cols, spec)
-
-    @staticmethod
-    def pencil(a: Mat, b: Mat) -> "PolyMat":
-        """The matrix t*a + b over GF(2^k)[t]."""
-        a._check(b)
-        if a.shape != b.shape:
-            raise LinAlgError("pencil needs equal shapes")
-        spec = a.spec
-        rows = tuple(
-            tuple(Poly((y, x) if x else (y,) if y else (), spec) for x, y in zip(ra, rb))
-            for ra, rb in zip(a.rows, b.rows)
-        )
-        return PolyMat(rows, a.cols, spec)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.cols)
-
-
-def smith_form(pm: PolyMat) -> tuple[Poly, ...]:
-    """Monic invariant factors d_1 | d_2 | ... | d_r over GF(2^k)[t].
+def smith_form(a: Mat, b: Mat) -> tuple[Poly, ...]:
+    """Monic invariant factors d_1 | d_2 | ... | d_r of the pencil t*a + b
+    over GF(2^k)[t].
 
     Classical elimination with exact division; each step starts from an
     entry of least degree in the first nonzero row and moves to the least
     remainder until the pivot divides its row, its column and the rest.  r is
-    the rank over the rational function field.
+    the rank of t*a + b over the field of fractions GF(2^k)(t).
     """
-    return tuple(d.monic() for d in _smith_diagonal(pm))
+    return tuple(d.monic() for d in _smith_diagonal(a, b))
 
 
-def _smith_diagonal(pm: PolyMat) -> list[Poly]:
-    """The nonzero diagonal that elimination leaves, not yet made monic.
+def _smith_diagonal(a: Mat, b: Mat) -> list[Poly]:
+    """The nonzero diagonal left by eliminating t*a + b, not yet made monic.
 
     The entries are associates of the invariant factors, in the same order.
     Each row is one packed int (``field.Packing``) in which entry j owns a
-    field of ``width`` slots, so adding q times the pivot row to a row is
-    one kernel product.  Column operations run only once the pivot column
-    is clean below the pivot, so they touch the pivot row alone.  Each step
-    swaps rows or adds a multiple of one row or column to another, which in
-    characteristic 2 keeps the determinant.
+    field of ``width`` slots, starting as b_ij in slot 0 and a_ij in slot 1,
+    so adding q times the pivot row to a row is one kernel product.  Column
+    operations run only once the pivot column is clean below the pivot, so
+    they touch the pivot row alone.  Each step swaps rows or adds a multiple
+    of one row or column to another, which in characteristic 2 keeps the
+    determinant.
     """
-    spec = pm.spec
-    nr, nc = pm.shape
+    a._check(b)
+    if a.shape != b.shape:
+        raise LinAlgError("pencil needs equal shapes")
+    spec = a.spec
+    nr, nc = a.shape
     width = 4  # slots per entry; doubles before a product would overflow
-    while width <= max((p.degree for row in pm.rows for p in row), default=0):
-        width *= 2
     pk = Packing(spec, nc * width)
     w = pk.w
     size = width * w
     mask = (1 << size) - 1
-    m = [sum(pk.pack(p.coeffs) << (j * size) for j, p in enumerate(row)) for row in pm.rows]
+    m = []
+    for ra, rb in zip(a.rows, b.rows):
+        acc = 0
+        for x, y in zip(reversed(ra), reversed(rb)):
+            acc = acc << size | x << w | y
+        m.append(acc)
     unit = spec.k  # the bit length of a degree-0 entry is at most k
     diagonal = []
     for s in range(min(nr, nc)):

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from .blocks import AlternatingPair, BlockId, block_for_point, direct_sum
 from .field import FieldError, FieldSpec
-from .linalg import Mat, PolyMat, _kernel_images, _smith_diagonal, congruence, smith_form
+from .linalg import Mat, _kernel_images, _smith_diagonal, congruence, smith_form
 from .polyring import (
     EPS,
     BinaryForm,
@@ -189,7 +189,7 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
         return BinaryForm.one(spec)
     if n % 2 == 1:
         return BinaryForm.zero(spec)
-    diagonal = _smith_diagonal(PolyMat.pencil(pair.a, pair.b))
+    diagonal = _smith_diagonal(pair.a, pair.b)
     if len(diagonal) < n:
         return BinaryForm.zero(spec)
     # The elimination only swaps rows or columns and adds a multiple of one
@@ -290,7 +290,7 @@ def kronecker_invariants(pair: AlternatingPair) -> KroneckerInvariants:
     """
     require_valid(pair)
     n, spec = pair.dim, pair.spec
-    factors = smith_form(PolyMat.pencil(pair.a, pair.b))
+    factors = smith_form(pair.a, pair.b)
     r, degree = len(factors), sum(d.degree for d in factors)
     if factors[::2] != factors[1::2]:
         raise AssertionError("invariant factors of an alternating pencil do not pair up")

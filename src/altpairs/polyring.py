@@ -5,8 +5,9 @@ Polynomials are coefficient tuples (index i = coefficient of t^i, raw field
 bitmasks, no trailing zeros).  The GF(2^k)[t] kernel below (``_poly_mul``,
 ``_poly_divmod``) is the one product and one division on such tuples; ``Poly``, ``BinaryForm`` and ``moebius_act`` call it.  Over
 GF(2) ``Poly`` uses the bitmask kernel of ``field`` instead, which keeps
-factoring fast.  Matrices over GF(2^k)[t] do not use these tuples: ``linalg``
-packs each of their rows into one int (``field.Packing``).
+factoring fast.  The Smith form of a pencil t*A + B does not use these
+tuples: ``linalg`` packs each row of the pencil into one int
+(``field.Packing``).
 """
 
 from __future__ import annotations

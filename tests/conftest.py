@@ -9,7 +9,7 @@ from functools import lru_cache, partial
 from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_mul
-from altpairs.linalg import Mat, PolyMat, smith_form
+from altpairs.linalg import Mat, smith_form
 from altpairs.pencil import ClassFunction, KroneckerInvariants, assemble, decompose, require_valid
 from altpairs.polyring import (
     EPS,
@@ -505,13 +505,13 @@ def kronecker_reference(pair: AlternatingPair) -> KroneckerInvariants:
     minimal indices from the nullities of (k + 1)n x kn staircase matrices."""
     require_valid(pair)
     spec = pair.spec
-    finite_factors = smith_form(PolyMat.pencil(pair.a, pair.b))
+    finite_factors = smith_form(pair.a, pair.b)
     divisors: dict = {}
     for inv in finite_factors:
         for f, e in factor(inv):
             key = (point_from_poly(f), e)
             divisors[key] = divisors.get(key, 0) + 1
-    infinite_factors = smith_form(PolyMat.pencil(pair.b, pair.a))
+    infinite_factors = smith_form(pair.b, pair.a)
     t = Poly.t(spec)
     for inv in infinite_factors:
         e = 0
@@ -628,22 +628,25 @@ def _smith_raw(m: list[list], shape: tuple[int, int], size, divmod_, submul, one
     return invariants
 
 
-def smith_reference(pm: PolyMat) -> list[Poly]:
-    """The raw Smith diagonal by elimination one entry at a time: GF(2)[t]
-    bitmasks over GF(2), coefficient tuples and the ``polyring`` tuple
-    kernel otherwise.  Independent of the packed rows of
+def smith_reference(a: Mat, b: Mat) -> list[Poly]:
+    """The raw Smith diagonal of t*a + b by elimination one entry at a time:
+    GF(2)[t] bitmasks over GF(2), coefficient tuples and the ``polyring``
+    tuple kernel otherwise.  Independent of the packed rows of
     ``linalg._smith_diagonal``; for a square pencil of full rank the
     leading coefficients of either diagonal multiply out to its determinant."""
-    spec = pm.spec
+    spec = a.spec
     if spec.k == 1:
-        raw = [[p.bitmask() for p in row] for row in pm.rows]
-        diagonal = _smith_raw(raw, pm.shape, int.bit_length, _gf2_poly_divmod, _gf2_poly_submul, 1)
+        raw = [[y | x << 1 for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+        diagonal = _smith_raw(raw, a.shape, int.bit_length, _gf2_poly_divmod, _gf2_poly_submul, 1)
         return [Poly.from_bitmask(spec, v) for v in diagonal]
-    raw = [[p.coeffs for p in row] for row in pm.rows]
+    raw = [
+        [(y, x) if x else (y,) if y else () for x, y in zip(ra, rb)]
+        for ra, rb in zip(a.rows, b.rows)
+    ]
     rows = spec.mul_table
     diagonal = _smith_raw(
         raw,
-        pm.shape,
+        a.shape,
         len,
         partial(_poly_divmod, rows, spec.inv_table),
         partial(_poly_submul, rows),

@@ -10,6 +10,7 @@ from altpairs.chernikov import (
     FiniteQuotient,
     GroupPresentation,
     IsoObstructionError,
+    MAX_ORDER_LOG2,
     PresentationError,
     QuotientMap,
     WitnessError,
@@ -165,6 +166,21 @@ def test_presentation_refuses_nonpositive_exponent():
             GroupPresentation.from_dict(2, 1, {}, e)
         with pytest.raises(PresentationError, match="^quotient exponent must be positive$"):
             build_quotient(presentation_from_tuple([a]), e)
+
+
+def test_presentation_refuses_order_beyond_bound():
+    # 2^(num_h + e*m) and 2^e must print in decimal: (num_h, m, e) = (2, 2,
+    # 20000) and (2, 15, 1000) ended in ValueError from int-to-str conversion
+    a = Mat.from_rows(GF2, [[0, 1], [1, 0]])
+    for count, e in ((2, 20000), (15, 1000)):
+        with pytest.raises(PresentationError, match=f"^finite model order 2\\^{2 + count * e} exceeds"):
+            presentation_from_tuple([a] * count, e=e)
+    # at the bound both print
+    pres = presentation_from_tuple([a] * 4, e=(MAX_ORDER_LOG2 - 2) // 4)
+    assert pres.to_gap_text()
+    assert str(build_quotient(pres, pres.e).order)
+    with pytest.raises(PresentationError):
+        GroupPresentation.from_dict(MAX_ORDER_LOG2 + 1, 0, {})
 
 
 def test_presentation_from_class_refuses_large_field():

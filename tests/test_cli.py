@@ -263,6 +263,19 @@ def test_group_command_refuses_nonpositive_exponent(capsys, monkeypatch):
         assert err == "error: quotient exponent must be positive\n"
 
 
+def test_group_command_refuses_order_beyond_bound(capsys, tmp_path):
+    # the order, or 2^e in the relators, had too many digits to print
+    fifteen = "field gf2\ndim 2\n" + "matrix M\n0 1\n1 0\n" * 15
+    for doc, e in ((INF1_DOC, "20000"), (fifteen, "1000")):
+        path = tmp_path / "pair.txt"
+        path.write_text(doc)
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, [*flags, "group", "--quotient-exp", e, str(path)])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: finite model order 2^") and err.count("\n") == 1
+
+
 def test_gen_block_gf4(capsys):
     code, out, _ = run(capsys, ["gen-block", "fin:{2}*t^0+t^1^1", "--field", "gf2^2:0x7"])
     # the poly text {2}*t^0+t^1 means t + t_gen over GF(4)
@@ -375,7 +388,7 @@ def test_dropped_invariant_factor_exit3(capsys, monkeypatch, tmp_path):
     from altpairs import pencil
 
     smith_form = pencil.smith_form
-    monkeypatch.setattr(pencil, "smith_form", lambda pm: smith_form(pm)[:-1])
+    monkeypatch.setattr(pencil, "smith_form", lambda a, b: smith_form(a, b)[:-1])
     docs = {"inf.pair": INF1_DOC, "fin.pair": format_pair_document(build_finite(tp("t^2+t+1"), 1))}
     for name, text in docs.items():
         path = tmp_path / name

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from altpairs.blocks import build_finite, direct_sum
-from altpairs.linalg import LinAlgError, Mat, PolyMat, _smith_diagonal, congruence, smith_form
+from altpairs.field import FieldError
+from altpairs.linalg import LinAlgError, Mat, _smith_diagonal, congruence, smith_form
 from altpairs.pencil import assemble, transform_congruence
 from altpairs.polyring import (
     Poly,
@@ -150,99 +151,39 @@ def tpoly(text: str, spec=GF2) -> Poly:
     return parse_poly(spec, text)
 
 
-def test_smith_diagonal_already():
-    pm = PolyMat.from_rows(
-        GF2,
-        [
-            [tpoly("t"), Poly.zero(GF2)],
-            [Poly.zero(GF2), tpoly("t^2")],
-        ],
-    )
-    assert smith_form(pm) == (tpoly("t"), tpoly("t^2"))
-
-
 def test_smith_empty():
-    assert smith_form(PolyMat.from_rows(GF2, [], cols=0)) == ()
+    assert smith_form(Mat.zeros(GF2, 0, 0), Mat.zeros(GF2, 0, 0)) == ()
 
 
 def test_smith_finite_block_pencil():
     pair = build_finite(tpoly("t^2+t+1"), 1)
-    inv = smith_form(PolyMat.pencil(pair.a, pair.b))
+    inv = smith_form(pair.a, pair.b)
     one = Poly.one(GF2)
     f = tpoly("t^2+t+1")
     assert inv == (one, one, f, f)
 
 
-def test_smith_divisibility_chain():
-    rng = random.Random(13)
-    for spec in (GF2, GF4, GF16, GF512):
-        for _ in range(25):
-            nr = rng.randrange(1, 5)
-            nc = rng.randrange(1, 5)
-            rows = [
-                [
-                    Poly.make(spec, [rng.randrange(spec.order) for _ in range(rng.randrange(0, 4))])
-                    for _ in range(nc)
-                ]
-                for _ in range(nr)
-            ]
-            inv = smith_form(PolyMat.from_rows(spec, rows, nc))
-            for a, b in zip(inv, inv[1:]):
-                assert (b % a).is_zero()
-            for d in inv:
-                assert d.is_monic()
-
-
-def _random_unimodular_transform(pm: PolyMat, rng: random.Random) -> PolyMat:
-    """Apply random elementary row/column operations over the polynomial ring."""
-    spec = pm.spec
-    m = [list(row) for row in pm.rows]
-    nr, nc = pm.shape
-    for _ in range(8):
-        kind = rng.randrange(4)
-        if kind == 0 and nr >= 2:
-            i, j = rng.sample(range(nr), 2)
-            q = Poly.make(spec, [rng.randrange(spec.order) for _ in range(rng.randrange(0, 3))])
-            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
-        elif kind == 1 and nc >= 2:
-            i, j = rng.sample(range(nc), 2)
-            q = Poly.make(spec, [rng.randrange(spec.order) for _ in range(rng.randrange(0, 3))])
-            for row in m:
-                row[i] = row[i] + q * row[j]
-        elif kind == 2 and nr >= 2:
-            i, j = rng.sample(range(nr), 2)
-            m[i], m[j] = m[j], m[i]
-        elif kind == 3:
-            i = rng.randrange(nr)
-            c = rng.randrange(1, spec.order)
-            m[i] = [p.scale(c) for p in m[i]]
-    return PolyMat.from_rows(spec, m, nc)
+def test_smith_rejects_mismatched_pencils():
+    with pytest.raises(LinAlgError):
+        smith_form(Mat.zeros(GF2, 2, 3), Mat.zeros(GF2, 3, 2))
+    with pytest.raises(FieldError):
+        smith_form(Mat.zeros(GF2, 2, 2), Mat.zeros(GF4, 2, 2))
 
 
 def test_smith_invariant_under_unimodular():
+    # P (tA + B) Q = t PAQ + PBQ for constant invertible P and Q keeps the
+    # invariant factors
     rng = random.Random(29)
     for spec in (GF2, GF4, GF16, GF512):
         for _ in range(15):
-            nr = rng.randrange(1, 4)
-            nc = rng.randrange(1, 4)
-            rows = [
-                [
-                    Poly.make(spec, [rng.randrange(spec.order) for _ in range(rng.randrange(0, 4))])
-                    for _ in range(nc)
-                ]
-                for _ in range(nr)
-            ]
-            pm = PolyMat.from_rows(spec, rows, nc)
-            assert smith_form(pm) == smith_form(_random_unimodular_transform(pm, rng))
-
-
-def test_smith_nonsquare():
-    pm = PolyMat.from_rows(
-        GF2,
-        [[tpoly("t"), tpoly("t^2"), Poly.zero(GF2)]],
-        cols=3,
-    )
-    assert smith_form(pm) == (tpoly("t"),)
+            nr = rng.randrange(1, 6)
+            nc = rng.randrange(1, 6)
+            a = random_matrix(spec, rng, nr, nc)
+            make = _rank_deficient if rng.randrange(2) else random_matrix
+            b = make(spec, rng, nr, nc)
+            p = random_invertible(spec, rng, nr)
+            q = random_invertible(spec, rng, nc)
+            assert smith_form(p @ a @ q, p @ b @ q) == smith_form(a, b)
 
 
 def test_matmul_shapes_and_errors():
@@ -291,14 +232,14 @@ def _lead_product(spec, diagonal):
     return c
 
 
-def assert_smith_matches_reference(pm: PolyMat) -> list[Poly]:
-    got = _smith_diagonal(pm)
-    ref = smith_reference(pm)
+def assert_smith_matches_reference(a: Mat, b: Mat) -> list[Poly]:
+    got = _smith_diagonal(a, b)
+    ref = smith_reference(a, b)
     assert [d.monic() for d in got] == [d.monic() for d in ref]
-    assert smith_form(pm) == tuple(d.monic() for d in ref)
-    if pm.nrows == pm.cols == len(ref):
-        # both multiply out to det(pm)
-        assert _lead_product(pm.spec, got) == _lead_product(pm.spec, ref)
+    assert smith_form(a, b) == tuple(d.monic() for d in ref)
+    if a.nrows == a.cols == len(ref):
+        # both multiply out to det(tA + B)
+        assert _lead_product(a.spec, got) == _lead_product(a.spec, ref)
     return got
 
 
@@ -315,7 +256,7 @@ def test_smith_matches_reference_random_pencils(spec):
             (random_alternating(spec, rng, n), random_alternating(spec, rng, n)),
         ]
         for a, b in pencils:
-            assert_smith_matches_reference(PolyMat.pencil(a, b))
+            assert_smith_matches_reference(a, b)
 
 
 @pytest.mark.parametrize("spec", [GF2, GF4, GF16], ids=str)
@@ -330,7 +271,7 @@ def test_smith_matches_reference_scrambled_canonical_sums(spec):
         pair = direct_sum(blocks + [assemble(rho)], spec=spec)
         pair = transform_congruence(pair, random_invertible(spec, rng, pair.dim))
         for a, b in ((pair.a, pair.b), (pair.b, pair.a)):
-            got = assert_smith_matches_reference(PolyMat.pencil(a, b))
+            got = assert_smith_matches_reference(a, b)
             if a is pair.a:
                 assert max(d.degree for d in got) >= 4
 
