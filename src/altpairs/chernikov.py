@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .field import FieldSpec, Packing
 from .linalg import LinAlgError, Mat, _rref
-from .pencil import ClassFunction, assemble
+from .pencil import ClassFunction, _alternating_fault, assemble
 from .weakeq import GL2Element
 
 
@@ -88,18 +87,6 @@ class GroupPresentation:
     def from_dict(num_h: int, m: int, data: dict, e: int = 1) -> "GroupPresentation":
         items = tuple(sorted((ij, tuple(vec)) for ij, vec in data.items() if any(vec)))
         return GroupPresentation(num_h, m, items, e)
-
-    def matrices(self) -> list[Mat]:
-        """The m alternating matrices over GF(2) carrying the commutator data."""
-        spec = FieldSpec.gf2()
-        n = self.num_h
-        rows = [[[0] * n for _ in range(n)] for _ in range(self.m)]
-        for (i, j), vec in self.commutators:
-            for k, bit in enumerate(vec):
-                if bit:
-                    rows[k][i][j] = 1
-                    rows[k][j][i] = 1
-        return [Mat.from_rows(spec, r, n) for r in rows]
 
     # -- rendering -----------------------------------------------------------
 
@@ -157,22 +144,18 @@ class GroupPresentation:
 
 def presentation_from_tuple(mats: Sequence[Mat], e: int = 1) -> GroupPresentation:
     """Read the commutator table directly off an m-tuple of alternating
-    matrices over GF(2)."""
+    matrices over GF(2); a refusal names a bad matrix by its position, from 1."""
     if not mats:
         raise PresentationError("need at least one matrix")
     spec = mats[0].spec
     if spec.k != 1:
         raise PresentationError("group construction is specific to GF(2)")
     n = mats[0].nrows
-    for m in mats:
+    for index, m in enumerate(mats, 1):
         if m.spec != spec or m.shape != (n, n):
             raise PresentationError("matrices must share a square GF(2) shape")
-        for i in range(n):
-            if m.rows[i][i]:
-                raise PresentationError(f"nonzero diagonal at ({i}, {i})")
-            for j in range(i + 1, n):
-                if m.rows[i][j] != m.rows[j][i]:
-                    raise PresentationError(f"not symmetric at ({i}, {j})")
+        if fault := _alternating_fault(str(index), m):
+            raise PresentationError(fault.message)
     data = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -264,12 +247,6 @@ class FiniteQuotient:
             out.append((av + bv + socle * ((acc & y).bit_count() & 1)) & mask)
             acc >>= n
         return (x ^ y, tuple(out))
-
-    def elements(self) -> Iterator[Element]:
-        mod = 1 << self.e
-        for x in range(1 << self.num_h):
-            for a in product(range(mod), repeat=self.m):
-                yield (x, a)
 
 
 def build_quotient(pres: GroupPresentation, e: int) -> FiniteQuotient:

@@ -10,6 +10,15 @@ int with coefficient i in bits [i*w, (i+1)*w), w = 2k - 1: a carry-less
 product leaves each slot an unreduced sum of products of two field elements,
 and k - 1 masked multiplications by the modulus reduce every slot at once.
 At k = 1, w = 1 and a packed polynomial is the GF(2)[t] bitmask.
+
+Elimination scales one pivot row b by many field elements, so
+``Packing.multiples`` gives it a table t with t[f] = f*b, built by doubling:
+b*x is b shifted by one bit and reduced once, and the multiples of f with
+bit i set are those of f without it xor b*x^i, so 2^k - 1 xors and no
+further reductions fill it.  A product then costs one lookup instead of a
+carry-less product and k - 1 reductions.  The table pays off only when the
+row is scaled more than about k times (measured at k <= 8), so with fewer
+products, and above ``_TABLE_MAX_K``, the stand-in ``t[f]`` calls ``mul``.
 """
 
 from __future__ import annotations
@@ -243,6 +252,19 @@ class _Computed:
         return self.fn(x)
 
 
+class _Multiples:
+    """Stand-in for a table of the multiples of b that would not pay:
+    ``self[f]`` is mul(f, b), computed on each read."""
+
+    __slots__ = ("mul", "b")
+
+    def __init__(self, mul, b: int):
+        self.mul, self.b = mul, b
+
+    def __getitem__(self, f: int) -> int:
+        return self.mul(f, self.b)
+
+
 @lru_cache(maxsize=None)
 def _build_mul_table(k: int, modulus: int):
     if k > _TABLE_MAX_K:
@@ -266,7 +288,9 @@ class Packing:
     A row over GF(2^k) packs entry j into slot j, so a field element times
     the row scales every entry.  A row over GF(2^k)[t] gives each entry a
     field of several slots; a polynomial times the row multiplies every
-    entry, provided each product stays inside its field.
+    entry, provided each product stays inside its field.  A row scaled many
+    times gets a table of its multiples (``multiples``); ``scale`` and
+    ``divmod`` read polynomial products off such a table.
     """
 
     __slots__ = ("k", "w", "mask", "modulus", "masks", "mul_table", "inv_table")
@@ -293,21 +317,56 @@ class Packing:
             r ^= ((r & hi) >> k) * modulus
         return r
 
-    def divmod(self, a: int, b: int) -> tuple[int, int]:
-        """(a // b, a % b) of packed polynomials, b != 0."""
+    def multiples(self, b: int, uses: int):
+        """t with t[f] == mul(f, b) for every field element f, b with reduced
+        slots, for a caller that reads about ``uses`` entries.  The table of
+        all 2^k entries pays only for more than k reads (k <= _TABLE_MAX_K);
+        otherwise t is a stand-in that calls ``mul`` on each read, and at
+        k = 1 it is (0, b)."""
+        k = self.k
+        if k == 1:
+            return 0, b
+        if uses <= k or k > _TABLE_MAX_K:
+            return _Multiples(self.mul, b)
+        hi, modulus = self.masks[-1], self.modulus
+        t = [0, b]
+        for _ in range(k - 1):
+            b <<= 1
+            b ^= ((b & hi) >> k) * modulus  # b*x: clear bit k of every slot
+            t += [v ^ b for v in t]
+        return t
+
+    def scale(self, q: int, b: int, t) -> int:
+        """q times b, q packed, with ``t = multiples(b, ...)``: from a table
+        (a list), the xor of t[q_i] shifted to each slot i of q; from the
+        stand-in or (0, b), one kernel product, which costs less than a
+        product per slot."""
+        if type(t) is not list:
+            return self.mul(q, b)
+        w, mask = self.w, self.mask
+        r = s = 0
+        while q:
+            if f := q & mask:
+                r ^= t[f] << s
+            q >>= w
+            s += w
+        return r
+
+    def divmod(self, a: int, b: int, t) -> tuple[int, int]:
+        """(a // b, a % b) of packed polynomials, b != 0, with
+        ``t = multiples(b, ...)``, built once for every division by b."""
         w = self.w
         top = (b.bit_length() - 1) // w * w  # bit offset of the leading slot of b
         inv = self.inv_table[b >> top]
         if not top:
             return self.mul(inv, a), 0
         row = self.mul_table[inv]
-        mul = self.mul
         q = 0
         while (n := a.bit_length()) > top:
             s = (n - 1) // w * w - top
             f = row[a >> (s + top)]
             q |= f << s
-            a ^= mul(f, b) << s
+            a ^= t[f] << s
         return q, a
 
     def pack(self, coeffs: Sequence[int]) -> int:

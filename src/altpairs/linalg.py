@@ -3,12 +3,13 @@ pencils t*A + B over GF(2^k)[t].
 
 Matrices store raw field bitmasks row-major.  Elimination packs each row
 into one int (``field.Packing``): over GF(2^k) entry j sits in slot j, so
-scaling a row by a field element, or adding such a multiple of one row to
-another, is one kernel product however many columns there are.  Rank,
-nullspace, determinant and inverse share one elimination, ``_rref``.  The
-Smith form reads t*A + B straight from the rows of A and B and gives each
-entry a field of several slots, so a row operation with a polynomial
-multiplier is again one kernel product.
+adding a multiple of the pivot row to another row is one xor of that row
+with an entry of the pivot row's table of multiples (``Packing.multiples``;
+below its cost threshold the entry is one kernel product), however many
+columns there are.  Rank, kernels, determinant and inverse share one
+elimination, ``_rref``.  The Smith form reads t*A + B straight from the rows
+of A and B and gives each entry a field of several slots, so a row operation
+with a polynomial multiplier is one xor per coefficient of the multiplier.
 """
 
 from __future__ import annotations
@@ -81,20 +82,10 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.cols)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def transpose(self) -> "Mat":
         return Mat(
             tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.cols)),
             self.nrows,
-            self.spec,
-        )
-
-    def submatrix(self, row_range: range, col_range: range) -> "Mat":
-        return Mat(
-            tuple(tuple(self.rows[i][j] for j in col_range) for i in row_range),
-            len(col_range),
             self.spec,
         )
 
@@ -122,16 +113,13 @@ class Mat:
         if self.cols != other.nrows:
             raise LinAlgError(f"shape mismatch {self.shape} @ {other.shape}")
         pk = Packing(self.spec, other.cols)
-        mul = pk.mul
-        packed = [pk.pack(r) for r in other.rows]
+        tables = [pk.multiples(pk.pack(r), self.nrows) for r in other.rows]
         out = []
         for row in self.rows:
             acc = 0
-            for v, b in zip(row, packed):
-                if v == 1:
-                    acc ^= b
-                elif v:
-                    acc ^= mul(v, b)
+            for v, t in zip(row, tables):
+                if v:
+                    acc ^= t[v]
             out.append(pk.unpack(acc, other.cols))
         return Mat(tuple(out), other.cols, self.spec)
 
@@ -152,12 +140,6 @@ class Mat:
 
     def rank(self) -> int:
         return len(_rref(*self._packed(), reduced=False)[0])
-
-    def nullspace(self) -> list[tuple[int, ...]]:
-        """Reduced-echelon canonical basis of the right kernel."""
-        pk, work, cols = self._packed()
-        units = [1 << (j * pk.w) for j in range(cols)]
-        return [pk.unpack(v, cols) for v in _kernel_images(pk, work, cols, units)]
 
     def det(self) -> int:
         if self.nrows != self.cols:
@@ -195,7 +177,7 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool = True) -> tup
     determinant in characteristic 2, so for a square matrix of full rank
     that product is its determinant.
     """
-    w, mask, mul, inv, table = pk.w, pk.mask, pk.mul, pk.inv_table, pk.mul_table
+    w, mask, inv, table = pk.w, pk.mask, pk.inv_table, pk.mul_table
     nr = len(work)
     pivots = []
     det = 1
@@ -204,8 +186,10 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool = True) -> tup
         if row == nr:
             break
         shift = col * w
-        piv = next((r for r in range(row, nr) if work[r] >> shift & mask), None)
-        if piv is None:
+        for piv in range(row, nr):
+            if work[piv] >> shift & mask:
+                break
+        else:
             continue
         p = work[piv]
         work[piv] = work[row]
@@ -213,13 +197,12 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool = True) -> tup
         f = p >> shift & mask
         if f != 1:
             det = table[det][f]
-            p = mul(inv[f], p)
-        for r in range(0 if reduced else row + 1, nr):
-            f = work[r] >> shift & mask
-            if f == 1:
-                work[r] ^= p
-            elif f:
-                work[r] ^= mul(f, p)
+            p = pk.mul(inv[f], p)
+        start = 0 if reduced else row + 1
+        t = pk.multiples(p, nr - start)
+        for r in range(start, nr):
+            if f := work[r] >> shift & mask:
+                work[r] ^= t[f]
         work[row] = p
         pivots.append(col)
     return pivots, det
@@ -231,14 +214,14 @@ def _kernel_images(pk: Packing, work: list[int], ncols: int, images: list[int]) 
     of free column f is e_f plus, at each pivot, the entry in column f of the
     pivot's row (characteristic 2)."""
     pivots, _ = _rref(pk, work, ncols)
-    w, mask, mul = pk.w, pk.mask, pk.mul
-    out = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        acc = images[f]
-        for row, p in zip(work, pivots):
+    w, mask = pk.w, pk.mask
+    free = sorted(set(range(ncols)) - set(pivots))
+    out = [images[f] for f in free]
+    for row, p in zip(work, pivots):
+        t = pk.multiples(images[p], len(free))
+        for i, f in enumerate(free):
             if c := row >> (f * w) & mask:
-                acc ^= mul(c, images[p])
-        out.append(acc)
+                out[i] ^= t[c]
     return out
 
 
@@ -273,11 +256,12 @@ def _smith_diagonal(a: Mat, b: Mat) -> list[Poly]:
     The entries are associates of the invariant factors, in the same order.
     Each row is one packed int (``field.Packing``) in which entry j owns a
     field of ``width`` slots, starting as b_ij in slot 0 and a_ij in slot 1,
-    so adding q times the pivot row to a row is one kernel product.  Column
-    operations run only once the pivot column is clean below the pivot, so
-    they touch the pivot row alone.  Each step swaps rows or adds a multiple
-    of one row or column to another, which in characteristic 2 keeps the
-    determinant.
+    so adding q times the pivot row to a row reads the pivot row's table of
+    multiples once per coefficient of q, and a division by the pivot reads
+    the pivot's table.  Column operations run only once the pivot column is
+    clean below the pivot, so they touch the pivot row alone.  Each step
+    swaps rows or adds a multiple of one row or column to another, which in
+    characteristic 2 keeps the determinant.
     """
     a._check(b)
     if a.shape != b.shape:
@@ -319,7 +303,9 @@ def _smith_diagonal(a: Mat, b: Mat) -> list[Poly]:
             # divide by the monic associate pn = p / lead, and subtract the
             # quotients times the pivot row scaled the same way
             inv = pk.inv_table[p >> (dp * w)]
-            pn = pk.mul(inv, p)
+            if dp:  # a unit pivot divides with no remainder
+                pn = pk.mul(inv, p)
+                tn = pk.multiples(pn, nr - s)
             # row operations clear column c below the pivot up to remainders;
             # the least of these is the next pivot
             best = 0
@@ -327,13 +313,13 @@ def _smith_diagonal(a: Mat, b: Mat) -> list[Poly]:
             for i in range(s + 1, nr):
                 e = m[i] >> c & mask
                 if e:
-                    q, r = pk.divmod(e, pn)
+                    q, r = pk.divmod(e, pn, tn) if dp else (e, 0)
                     if q:
-                        ops.append((i, q))
+                        ops.append((q, i))
                     if r and (not best or r.bit_length() < best):
                         best, bi = r.bit_length(), i
             if ops:
-                top = _max_degree(m[s], nc, size, w) + (max(q for _, q in ops).bit_length() - 1) // w
+                top = _max_degree(m[s], nc, size, w) + (max(ops)[0].bit_length() - 1) // w
                 if top >= width:
                     while top >= width:
                         width *= 2
@@ -344,15 +330,19 @@ def _smith_diagonal(a: Mat, b: Mat) -> list[Poly]:
                     mask = (1 << size) - 1
                     c = bj * size
                 prow = pk.mul(inv, m[s])
-                for i, q in ops:
-                    m[i] ^= pk.mul(q, prow)
+                t = pk.multiples(prow, len(ops))
+                for q, i in ops:
+                    m[i] ^= pk.scale(q, prow, t)
             if best:
                 continue
             # column c is clean, so column operations only reduce the pivot
             # row mod p; the least remainder is the next pivot
             row = p << c
-            for j, e in _entries(m[s] ^ row if dp else 0, size):
-                r = pk.divmod(e, pn)[1]
+            if not dp:
+                m[s] = row
+                break  # a unit divides everything
+            for j, e in _entries(m[s] ^ row, size):
+                r = pk.divmod(e, pn, tn)[1]
                 if r:
                     row |= r << (j * size)
                     if not best or r.bit_length() < best:
@@ -361,10 +351,8 @@ def _smith_diagonal(a: Mat, b: Mat) -> list[Poly]:
             bi = s
             if best:
                 continue
-            if not dp:
-                break  # a unit divides everything
             offender = next(
-                (i for i in range(s + 1, nr) if any(pk.divmod(e, pn)[1] for _, e in _entries(m[i], size))),
+                (i for i in range(s + 1, nr) if any(pk.divmod(e, pn, tn)[1] for _, e in _entries(m[i], size))),
                 None,
             )
             if offender is None:

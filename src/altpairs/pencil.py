@@ -52,21 +52,23 @@ class ValidationReport:
 
 
 def validate(pair: AlternatingPair) -> ValidationReport:
-    """Both matrices must be symmetric with zero diagonal (characteristic 2
-    alternating); reports the first offending entry."""
+    """Both matrices must be alternating; reports the first offending entry."""
     for name, m in (("A", pair.a), ("B", pair.b)):
-        n = m.nrows
-        for i in range(n):
-            if m.rows[i][i]:
-                return ValidationReport(
-                    False, name, (i, i), f"matrix {name} has nonzero diagonal at ({i}, {i})"
-                )
-            for j in range(i + 1, n):
-                if m.rows[i][j] != m.rows[j][i]:
-                    return ValidationReport(
-                        False, name, (i, j), f"matrix {name} is not symmetric at ({i}, {j})"
-                    )
+        if fault := _alternating_fault(name, m):
+            return fault
     return ValidationReport(True)
+
+
+def _alternating_fault(name: str, m: Mat) -> ValidationReport | None:
+    """The first entry of the square matrix ``name`` that keeps it from being
+    symmetric with zero diagonal (alternating in characteristic 2)."""
+    for i, row in enumerate(m.rows):
+        if row[i]:
+            return ValidationReport(False, name, (i, i), f"matrix {name} has nonzero diagonal at ({i}, {i})")
+        for j in range(i + 1, m.nrows):
+            if row[j] != m.rows[j][i]:
+                return ValidationReport(False, name, (i, j), f"matrix {name} is not symmetric at ({i}, {j})")
+    return None
 
 
 def require_valid(pair: AlternatingPair) -> None:
@@ -358,13 +360,3 @@ def congruent(p: AlternatingPair, r: AlternatingPair) -> bool:
 def transform_congruence(pair: AlternatingPair, s: Mat) -> AlternatingPair:
     """Simultaneous basis change (A, B) -> (S A S^T, S B S^T)."""
     return AlternatingPair(congruence(s, pair.a), congruence(s, pair.b))
-
-
-def pfaffian_of_class(rho: ClassFunction) -> BinaryForm:
-    """Product of g^(n * mult) over the non-eps entries."""
-    acc = BinaryForm.one(rho.spec)
-    for point, n, mult in rho.entries:
-        if isinstance(point, _EpsType):
-            continue
-        acc = acc * point.power(n * mult)
-    return acc

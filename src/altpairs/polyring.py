@@ -211,13 +211,6 @@ class Poly:
             return self
         return self.scale(self.spec.inv(self.coeffs[-1]))
 
-    def evaluate(self, x: int) -> int:
-        spec = self.spec
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = spec.mul(acc, x) ^ c
-        return acc
-
     def shift(self, n: int) -> "Poly":
         """Multiply by t^n."""
         if self.is_zero() or n == 0:
@@ -515,26 +508,6 @@ class BinaryForm:
         for _ in range(n):
             acc = acc * self
         return acc
-
-    def evaluate(self, a: int, b: int) -> int:
-        spec = self.spec
-        acc = 0
-        apow = 1
-        d = self.degree
-        for i, c in enumerate(self.coeffs):
-            if c:
-                term = spec.mul(c, apow)
-                term = spec.mul(term, spec.pow(b, d - i))
-                acc ^= term
-            apow = spec.mul(apow, a)
-        return acc
-
-    def is_unital(self) -> bool:
-        if self.is_zero():
-            return False
-        if self.coeffs[-1] == 1:
-            return True
-        return self.coeffs == (1, 0)  # exactly x2
 
     def sort_key(self) -> tuple:
         return (self.degree, tuple(reversed(self.coeffs)))

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import product
 
 from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_mul
-from altpairs.linalg import Mat, smith_form
+from altpairs.linalg import Mat, _kernel_images, smith_form
 from altpairs.pencil import ClassFunction, KroneckerInvariants, assemble, decompose, require_valid
 from altpairs.polyring import (
     EPS,
@@ -527,6 +528,72 @@ def kronecker_reference(pair: AlternatingPair) -> KroneckerInvariants:
     return KroneckerInvariants(minimal, tuple(ordered))
 
 
+# -- test-only views of library objects --------------------------------------------
+
+
+def submatrix(m: Mat, row_range: range, col_range: range) -> Mat:
+    return Mat(
+        tuple(tuple(m.rows[i][j] for j in col_range) for i in row_range), len(col_range), m.spec
+    )
+
+
+def nullspace(m: Mat) -> list[tuple[int, ...]]:
+    """Reduced-echelon canonical basis of the right kernel of m."""
+    pk, work, cols = m._packed()
+    units = [1 << (j * pk.w) for j in range(cols)]
+    return [pk.unpack(v, cols) for v in _kernel_images(pk, work, cols, units)]
+
+
+def presentation_matrices(p: GroupPresentation) -> list[Mat]:
+    """The m alternating matrices over GF(2) carrying the commutator data."""
+    n = p.num_h
+    rows = [[[0] * n for _ in range(n)] for _ in range(p.m)]
+    for (i, j), vec in p.commutators:
+        for k, bit in enumerate(vec):
+            if bit:
+                rows[k][i][j] = rows[k][j][i] = 1
+    return [Mat.from_rows(GF2, r, n) for r in rows]
+
+
+def poly_value(f: Poly, x: int) -> int:
+    """f(x), by Horner's rule."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = f.spec.mul(acc, x) ^ c
+    return acc
+
+
+def form_value(g: BinaryForm, a: int, b: int) -> int:
+    """g(a, b) = sum of c_i a^i b^(d - i) for the binary form g of degree d."""
+    spec = g.spec
+    acc = 0
+    for i, c in enumerate(g.coeffs):
+        acc ^= spec.mul(c, spec.mul(spec.pow(a, i), spec.pow(b, g.degree - i)))
+    return acc
+
+
+def is_unital(g: BinaryForm) -> bool:
+    """Whether a binary form is x2 or has leading x1 coefficient 1."""
+    return not g.is_zero() and (g.coeffs[-1] == 1 or g.coeffs == (1, 0))
+
+
+def pfaffian_of_class(rho: ClassFunction) -> BinaryForm:
+    """Product of g^(n * mult) over the non-eps entries."""
+    acc = BinaryForm.one(rho.spec)
+    for point, n, mult in rho.entries:
+        if not isinstance(point, _EpsType):
+            acc = acc * point.power(n * mult)
+    return acc
+
+
+def elements(g):
+    """Every element (x, a) of a finite model, by exponent bitmask, then
+    bottom vector."""
+    for x in range(1 << g.num_h):
+        for a in product(range(1 << g.e), repeat=g.m):
+            yield (x, a)
+
+
 # -- reference Smith elimination and row reduction, one entry at a time -----------
 
 
@@ -813,8 +880,8 @@ def iso_from_witness_dense(p, r, s: Mat, q: GL2Element, e: int):
     n = p.num_h
     valid_shape = p.m == r.m == 2 and r.num_h == n and s.spec.k == q.spec.k == 1
     if valid_shape and s.shape == (n, n) and s.rank() == n:
-        conj = [s @ a @ s.transpose() for a in p.matrices()]
-        for k, target in enumerate(r.matrices()):
+        conj = [s @ a @ s.transpose() for a in presentation_matrices(p)]
+        for k, target in enumerate(presentation_matrices(r)):
             acc = Mat.zeros(s.spec, n, n)
             for l, row in enumerate(q.rows()):
                 if row[k]:
@@ -932,7 +999,7 @@ def verify_exhaustive(qmap) -> bool:
         raise ValueError(f"exhaustive check is capped at order {MAX_BRUTE_ORDER}")
     if src.order != dst.order:
         return False
-    image = {g: qmap.apply(g) for g in src.elements()}
+    image = {g: qmap.apply(g) for g in elements(src)}
     if len(set(image.values())) != src.order:
         return False
     tops, products = _pure_top_products(src)
@@ -966,7 +1033,7 @@ def order_of_element(g, el) -> int:
 
 def _order_histogram(g) -> dict[int, int]:
     hist: dict[int, int] = {}
-    for el in g.elements():
+    for el in elements(g):
         o = order_of_element(g, el)
         hist[o] = hist.get(o, 0) + 1
     return hist
@@ -975,7 +1042,7 @@ def _order_histogram(g) -> dict[int, int]:
 def _generating_set(g) -> list:
     gens: list = []
     closure = {g.identity}
-    for el in g.elements():
+    for el in elements(g):
         if el in closure:
             continue
         gens.append(el)
@@ -1027,7 +1094,7 @@ def brute_force_isomorphic(g1, g2) -> bool:
         return False
     gens = _generating_set(g1)
     by_order: dict[int, list] = {}
-    for el in g2.elements():
+    for el in elements(g2):
         by_order.setdefault(order_of_element(g2, el), []).append(el)
 
     def backtrack(idx: int, pairs: list) -> bool:

@@ -51,11 +51,13 @@ from conftest import (
     brute_congruent,
     brute_weakly_equivalent,
     embed,
+    form_value,
     pack_alternating,
     random_alternating_pair,
     random_class_function,
     random_invertible,
     random_weak_pairs_with_witness,
+    submatrix,
     unpack_alternating,
 )
 
@@ -82,7 +84,7 @@ def test_criterion_1_residue_reconstruction():
                 oracle = residue_oracle(f, n)
                 built = build_finite(f, n)
                 half = oracle.dim // 2
-                ablk = oracle.a.submatrix(range(half), range(half, 2 * half))
+                ablk = submatrix(oracle.a, range(half), range(half, 2 * half))
                 trans = Mat.block_diag(GF2, [ablk.inv(), Mat.identity(GF2, half)])
                 moved = transform_congruence(oracle, trans)
                 assert moved.a.rows == built.a.rows, (str(f), n)
@@ -122,7 +124,7 @@ def _pfaffian_square_identity(spec, rng, count):
             x1 = rng.randrange(ext.order)
             x2 = rng.randrange(ext.order)
             detval = (a_ext.scale(x1) + b_ext.scale(x2)).det()
-            pv = 0 if pf_ext.is_zero() else pf_ext.evaluate(x1, x2)
+            pv = 0 if pf_ext.is_zero() else form_value(pf_ext, x1, x2)
             assert ext.mul(pv, pv) == detval
 
 

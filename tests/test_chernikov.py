@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from altpairs.blocks import build_finite
+from altpairs.blocks import AlternatingPair, build_finite
 from altpairs.chernikov import (
     FiniteQuotient,
     GroupPresentation,
@@ -21,7 +21,7 @@ from altpairs.chernikov import (
     verify_quotient_map,
 )
 from altpairs.linalg import Mat
-from altpairs.pencil import ClassFunction, assemble
+from altpairs.pencil import ClassFunction, assemble, validate
 from altpairs.polyring import EPS, BinaryForm, monic_irreducibles, parse_poly, point_from_poly
 from altpairs.weakeq import GL2Element, gl2_enumerate, transform_weak
 
@@ -34,6 +34,7 @@ from conftest import (
     brute_force_isomorphic,
     cocycle_forms,
     commutator,
+    elements,
     h_generator,
     inverse,
     is_abelian,
@@ -41,6 +42,7 @@ from conftest import (
     map_parts,
     mul_reference,
     order_of_element,
+    presentation_matrices,
     random_alternating_pair,
     random_class_function,
     random_invertible,
@@ -157,6 +159,21 @@ def test_presentation_from_tuple_rejects_bad_input():
         presentation_from_tuple([Mat.from_rows(GF4, [[0, 1], [1, 0]])])
 
 
+def test_presentation_names_the_bad_matrix():
+    # the refusal names a matrix by its position in the tuple, from 1, with
+    # the message pencil.validate gives for the same entry
+    good = Mat.from_rows(GF2, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    diagonal = Mat.from_rows(GF2, [[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    skew = Mat.from_rows(GF2, [[0, 1, 0], [1, 0, 0], [0, 1, 0]])
+    with pytest.raises(PresentationError, match=r"^matrix 3 has nonzero diagonal at \(1, 1\)$"):
+        presentation_from_tuple([good, good, diagonal, skew])
+    with pytest.raises(PresentationError, match=r"^matrix 3 is not symmetric at \(1, 2\)$"):
+        presentation_from_tuple([good, good, skew, diagonal])
+    report = validate(AlternatingPair(good, skew))
+    assert (report.ok, report.matrix, report.position) == (False, "B", (1, 2))
+    assert report.message == "matrix B is not symmetric at (1, 2)"
+
+
 def test_presentation_refuses_nonpositive_exponent():
     a = Mat.from_rows(GF2, [[0, 1], [1, 0]])
     for e in (0, -1):
@@ -193,7 +210,7 @@ def test_presentation_matrices_roundtrip():
     rho = rho_of(((BinaryForm.x2(GF2), 2), 1), ((point_from_poly(tp("t")), 1), 1))
     pair = assemble(rho)
     pres = presentation_from_tuple(list(pair.matrices))
-    mats = pres.matrices()
+    mats = presentation_matrices(pres)
     assert mats[0].rows == pair.a.rows
     assert mats[1].rows == pair.b.rows
 
@@ -214,7 +231,7 @@ def test_quotient_abelian_order_and_exponent():
     pres = GroupPresentation.from_dict(1, 2, {})
     g = build_quotient(pres, 1)
     assert g.order == 8
-    for el in g.elements():
+    for el in elements(g):
         assert g.mul(el, el) == g.identity  # exponent 2
 
 
@@ -223,7 +240,7 @@ def test_quotient_infinity_block_order16():
     g = build_quotient(pres, 1)
     assert g.order == 16
     assert not is_abelian(g)
-    els = list(g.elements())
+    els = list(elements(g))
     center = [z for z in els if all(g.mul(z, w) == g.mul(w, z) for w in els)]
     assert len(center) >= 4
     h1, h2 = h_generator(g, 0), h_generator(g, 1)
@@ -233,7 +250,7 @@ def test_quotient_infinity_block_order16():
 def test_quotient_associativity_exhaustive_small():
     pres = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
     g = build_quotient(pres, 1)
-    els = list(g.elements())
+    els = list(elements(g))
     for a in els:
         for b in els:
             ab = g.mul(a, b)
@@ -246,7 +263,7 @@ def test_quotient_associativity_random_larger():
     g = build_quotient(presentation_from_class(rho), 2)
     assert g.order == 2 ** (5 + 2 * 2)
     rng = random.Random(3)
-    els = list(g.elements())
+    els = list(elements(g))
     for _ in range(4000):
         a, b, c = (els[rng.randrange(len(els))] for _ in range(3))
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
@@ -257,7 +274,7 @@ def test_quotient_inverses_and_orders():
     for e in (1, 2, 3):
         g = build_quotient(pres, e)
         rng = random.Random(5)
-        els = list(g.elements())
+        els = list(elements(g))
         for _ in range(200):
             a = els[rng.randrange(len(els))]
             assert g.mul(a, inverse(g, a)) == g.identity
@@ -279,7 +296,7 @@ def test_quotient_commutators_lie_in_socle():
     for e in (1, 2):
         g = build_quotient(presentation_from_class(rho), e)
         socle_unit = g.socle_unit
-        els = list(g.elements())
+        els = list(elements(g))
         rng = random.Random(9)
         for _ in range(300):
             a = els[rng.randrange(len(els))]
@@ -299,7 +316,7 @@ def test_iso_identity_witness():
         pres, pres, Mat.identity(GF2, n), GL2Element.identity(GF2), 1
     )
     g = build_quotient(pres, 1)
-    for el in g.elements():
+    for el in elements(g):
         assert qmap.apply(el) == el
 
 
@@ -445,7 +462,7 @@ def test_reduced_verification_matches_literal_all_pairs():
     p2 = presentation_from_tuple(list(moved.matrices))
     qmap = iso_from_witness(p1, p2, s, q, 2)
     g1, g2 = qmap.src, qmap.dst
-    els = list(g1.elements())
+    els = list(elements(g1))
     for a in els:
         fa = qmap.apply(a)
         for b in els:
@@ -585,7 +602,7 @@ def test_certificate_matches_exhaustive_oracle(maps):
                 with pytest.raises(WitnessError, match="outside its field"):
                     verify_quotient_map(mutant)
                 # the same function as qmap
-                assert all(mutant.apply(g) == qmap.apply(g) for g in qmap.src.elements())
+                assert all(mutant.apply(g) == qmap.apply(g) for g in elements(qmap.src))
             else:
                 verdicts.append((_certificate_accepts(mutant), verify_exhaustive(mutant)))
     assert all(cert == oracle for cert, oracle in verdicts)
@@ -666,7 +683,7 @@ def test_packed_mul_matches_reference_on_every_pair():
     rng = random.Random(41)
     for n, m, e in ((0, 1, 2), (1, 2, 1), (2, 3, 1), (3, 1, 2), (3, 2, 1), (4, 1, 1)):
         g = _random_model(rng, n, m, e)
-        els = list(g.elements())
+        els = list(elements(g))
         for a in els:
             for b in els:
                 assert g.mul(a, b) == mul_reference(g, a, b)
@@ -677,7 +694,7 @@ def test_witness_maps_respect_every_product_at_small_orders():
     assert len(maps) > len(list(_small_maps()))
     for qmap in maps:
         src, dst = qmap.src, qmap.dst
-        els = list(src.elements())
+        els = list(elements(src))
         image = {g: qmap.apply(g) for g in els}
         assert all(image[g] == apply_reference(qmap, g) for g in els)
         assert len(set(image.values())) == src.order

@@ -184,10 +184,53 @@ def test_packing_matches_poly_and_table(spec):
         assert pk.mul(pk.pack(a.coeffs), pk.pack(b.coeffs)) == pk.pack((a * b).coeffs)
         if b:
             q, r = divmod(a, b)
-            assert pk.divmod(pk.pack(a.coeffs), pk.pack(b.coeffs)) == (
+            pb = pk.pack(b.coeffs)
+            assert pk.divmod(pk.pack(a.coeffs), pb, pk.multiples(pb, 1)) == (
                 pk.pack(q.coeffs),
                 pk.pack(r.coeffs),
             )
         row = [rng.randrange(spec.order) for _ in range(24)]
         f = rng.randrange(spec.order)
         assert pk.unpack(pk.mul(f, pk.pack(row)), 24) == tuple(spec.mul_table[f][v] for v in row)
+
+
+# -- tables of multiples ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9, 16])
+def test_multiples_match_mul_both_sides_of_the_cost_rule(k):
+    # every entry at k <= 8 and 64 sampled entries above, read from a built
+    # table (many uses) and from the stand-in (few uses)
+    spec = FieldSpec.gf(k)
+    rng = random.Random(5 + k)
+    pk = Packing(spec, 40)
+    fs = list(spec.enumerate_bits()) if k <= 8 else [rng.randrange(spec.order) for _ in range(64)]
+    kinds = set()
+    for uses in (0, 1, k, k + 1, 1 << k):
+        for _ in range(3):
+            b = pk.pack([rng.randrange(spec.order) for _ in range(40)])
+            t = pk.multiples(b, uses)
+            kinds.add(type(t))
+            assert [t[f] for f in fs] == [pk.mul(f, b) for f in fs]
+    assert len(kinds) == (1 if k == 1 or k > 8 else 2)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF16, FieldSpec.gf(8), GF512], ids=str)
+def test_scale_and_divmod_read_multiples(spec):
+    # q * b slot by slot from the table of b, and division by b reading the
+    # table or the stand-in, against the kernel product and Poly
+    rng = random.Random(29 + spec.k)
+    pk = Packing(spec, 24)
+
+    def rand_poly(n):
+        return Poly.make(spec, [rng.randrange(spec.order) for _ in range(n)])
+
+    for _ in range(40):
+        a, b, q = rand_poly(rng.randrange(0, 13)), rand_poly(rng.randrange(1, 12)), rand_poly(12)
+        pa, pb, pq = pk.pack(a.coeffs), pk.pack(b.coeffs), pk.pack(q.coeffs)
+        for uses in (1, 1 << spec.k):
+            t = pk.multiples(pb, uses)
+            assert pk.scale(pq, pb, t) == pk.mul(pq, pb) == pk.pack((q * b).coeffs)
+            if b:
+                expected = tuple(pk.pack(v.coeffs) for v in divmod(a, b))
+                assert pk.divmod(pa, pb, t) == expected
