@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .field import FieldSpec, Packing
+from .field import FieldSpec
 from .linalg import LinAlgError, Mat, _rref
 from .pencil import ClassFunction, _alternating_fault, assemble
 from .weakeq import GL2Element
@@ -335,7 +335,7 @@ def iso_from_witness(
         raise WitnessError("S is singular") from exc
     qrows = q.rows()
     cocycle_p, cocycle_r = _strided_forms(p), _strided_forms(r)
-    pack = Packing(s.spec, n).pack
+    pack = s.spec.packing.pack
     mrows = [pack(row) for row in minv.rows]
     full = (1 << n) - 1
     # discrepancy forms delta(x, y) = beta_R(x S^-1, y S^-1) - beta_P(x, y) Q
@@ -429,10 +429,11 @@ def verify_quotient_map(qmap: QuotientMap, rng: random.Random | None = None) -> 
         raise WitnessError("map has a bit outside its field")
     gf2 = FieldSpec.gf2()
     full = (1 << n) - 1
-    bottom = [Packing(gf2, m).pack([v & 1 for v in row]) for row in qmap.bottom]
+    pk = gf2.packing
+    bottom = [pk.pack([v & 1 for v in row]) for row in qmap.bottom]
     if (
-        len(_rref(Packing(gf2, n), [row & full for row in qmap.rows], n, reduced=False)[0]) < n
-        or len(_rref(Packing(gf2, m), bottom, m, reduced=False)[0]) < m
+        len(_rref(pk, [row & full for row in qmap.rows], n, reduced=False)[0]) < n
+        or len(_rref(pk, bottom, m, reduced=False)[0]) < m
     ):
         raise WitnessError("map is not a bijection")
     zero = (0,) * m

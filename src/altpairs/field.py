@@ -1,15 +1,19 @@
-"""Exact arithmetic in GF(2^k) for small k, and the packed GF(2^k)[t] kernel.
+"""Exact arithmetic in GF(2^k) for small k, and the one GF(2^k)[t] kernel.
 
 Elements are plain ints, their coefficient bitmask: bit i is the coefficient
 of t^i in the residue class modulo the defining polynomial, and ``FieldSpec``
 does the arithmetic on them.  GF(2) (k = 1) is plain XOR/AND and never
 touches the modulus.
 
-``Packing`` stores a polynomial over GF(2^k), or a whole matrix row, as one
-int with coefficient i in bits [i*w, (i+1)*w), w = 2k - 1: a carry-less
-product leaves each slot an unreduced sum of products of two field elements,
-and k - 1 masked multiplications by the modulus reduce every slot at once.
-At k = 1, w = 1 and a packed polynomial is the GF(2)[t] bitmask.
+``Packing`` is the only product and division in GF(2^k)[t]: ``polyring.Poly``
+and the eliminations of ``linalg`` all run on it.  It stores a polynomial
+over GF(2^k), or a whole matrix row, as one int with coefficient i in bits
+[i*w, (i+1)*w), w = 2k - 1: a carry-less product leaves each slot an
+unreduced sum of products of two field elements, and k - 1 masked
+multiplications by the modulus reduce every slot at once.  The masks widen
+when a longer int comes, so one ``Packing`` per field (``FieldSpec.packing``)
+serves every length.  At k = 1, w = 1 and a packed polynomial is the GF(2)[t]
+bitmask.
 
 Elimination scales one pivot row b by many field elements, so
 ``Packing.multiples`` gives it a table t with t[f] = f*b, built by doubling:
@@ -24,7 +28,7 @@ products, and above ``_TABLE_MAX_K``, the stand-in ``t[f]`` calls ``mul``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 MAX_K = 16
@@ -45,14 +49,14 @@ def _gf2_poly_degree(p: int) -> int:
 
 
 def _gf2_poly_mul(a: int, b: int) -> int:
-    """Carry-less product, over the set bits of the shorter operand."""
-    if a.bit_length() < b.bit_length():
+    """Carry-less product, over the set bits of the smaller operand."""
+    if a < b:
         a, b = b, a
     r = 0
     while b:
-        low = b & -b
-        r ^= a << (low.bit_length() - 1)
-        b ^= low
+        s = b.bit_length() - 1
+        r ^= a << s
+        b ^= 1 << s
     return r
 
 
@@ -136,15 +140,17 @@ class FieldSpec:
 
     ``mul_table[a][b]`` is a*b and ``inv_table[a]`` the inverse of a != 0,
     both set at construction and shared by all specs with the same
-    (k, modulus).  For k <= 8 they are lists; above that they are
-    ``_Computed`` stand-ins that compute each entry on read, so every
-    caller indexes them the same way.
+    (k, modulus), like ``packing``, the GF(2^k)[t] kernel.  For k <= 8 the
+    tables are lists; above that they are ``_Computed`` stand-ins that
+    compute each entry on read (each inverse once), so every caller indexes
+    them the same way.
     """
 
     k: int
     modulus: int
     mul_table: list | _Computed = field(init=False, repr=False, compare=False)
     inv_table: list | _Computed = field(init=False, repr=False, compare=False)
+    packing: Packing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.k <= MAX_K:
@@ -155,6 +161,7 @@ class FieldSpec:
             raise FieldError(f"modulus 0x{self.modulus:x} is reducible over GF(2)")
         object.__setattr__(self, "mul_table", _build_mul_table(self.k, self.modulus))
         object.__setattr__(self, "inv_table", _build_inv_table(self.k, self.modulus))
+        object.__setattr__(self, "packing", _shared_packing(self))
 
     # -- construction ------------------------------------------------------
 
@@ -252,19 +259,6 @@ class _Computed:
         return self.fn(x)
 
 
-class _Multiples:
-    """Stand-in for a table of the multiples of b that would not pay:
-    ``self[f]`` is mul(f, b), computed on each read."""
-
-    __slots__ = ("mul", "b")
-
-    def __init__(self, mul, b: int):
-        self.mul, self.b = mul, b
-
-    def __getitem__(self, f: int) -> int:
-        return self.mul(f, self.b)
-
-
 @lru_cache(maxsize=None)
 def _build_mul_table(k: int, modulus: int):
     if k > _TABLE_MAX_K:
@@ -277,41 +271,59 @@ def _build_mul_table(k: int, modulus: int):
 def _build_inv_table(k: int, modulus: int):
     """inv[a] is the b with a*b = 1, a^(2^k - 2); inv[0] = 0 is never read."""
     if k > _TABLE_MAX_K:
-        return _Computed(lambda a: _gf2_poly_powmod(a, (1 << k) - 2, modulus))
+        inverse = lru_cache(maxsize=None)(lambda a: _gf2_poly_powmod(a, (1 << k) - 2, modulus))
+        return _Computed(inverse)  # each inverse is computed on its first read only
     table = _build_mul_table(k, modulus)
     return [0] + [table[a].index(1) for a in range(1, 1 << k)]
 
 
 class Packing:
-    """GF(2^k)[t] on packed ints of up to ``nslots`` slots of w = 2k - 1 bits.
+    """GF(2^k)[t] on packed ints: slot i, bits [i*w, (i+1)*w) with w = 2k - 1,
+    holds coefficient i.
 
     A row over GF(2^k) packs entry j into slot j, so a field element times
     the row scales every entry.  A row over GF(2^k)[t] gives each entry a
     field of several slots; a polynomial times the row multiplies every
-    entry, provided each product stays inside its field.  A row scaled many
-    times gets a table of its multiples (``multiples``); ``scale`` and
-    ``divmod`` read polynomial products off such a table.
+    entry, provided each product stays inside its field.  The reduction
+    masks cover a number of slots and widen to twice the length of a
+    product or table row that reaches past them, so the ints may be of any
+    length.  A row scaled many times gets a table of its multiples
+    (``multiples``); ``scale`` and ``divmod`` read polynomial products off
+    such a table.
     """
 
     __slots__ = ("k", "w", "mask", "modulus", "masks", "mul_table", "inv_table")
 
-    def __init__(self, spec: FieldSpec, nslots: int):
+    def __init__(self, spec: FieldSpec):
         k = self.k = spec.k
-        w = self.w = 2 * k - 1
+        self.w = 2 * k - 1
         self.mask = (1 << k) - 1
         self.modulus = spec.modulus
         self.mul_table = spec.mul_table
         self.inv_table = spec.inv_table
-        ones = ((1 << (nslots * w)) - 1) // ((1 << w) - 1)  # bit 0 of every slot
+        self._widen(0)
+
+    def _widen(self, v: int) -> tuple[int, ...]:
+        """Masks over twice the slots that v spans; they replace the old
+        ones.  Each caller reduces with the masks it got back, so a narrower
+        set stored by a concurrent caller costs only another widening.  At
+        k = 1 there is nothing to reduce and the masks stay ()."""
+        k, w = self.k, self.w
+        n = 2 * (v.bit_length() // w + 1)
+        ones = ((1 << (n * w)) - 1) // ((1 << w) - 1)  # bit 0 of every slot
         # bit i of every slot, for i from 2k - 2 down to k: the bits to clear
-        self.masks = tuple(ones << i for i in range(2 * k - 2, k - 1, -1))
+        masks = self.masks = tuple(ones << i for i in range(2 * k - 2, k - 1, -1))
+        return masks
 
     def mul(self, a: int, b: int) -> int:
         if a == 1:
             return b
         r = _gf2_poly_mul(a, b)
+        # the top bit of masks[0] is the last bit they reach
+        if (masks := self.masks) and r > masks[0]:
+            masks = self._widen(r)
         k, modulus = self.k, self.modulus
-        for hi in self.masks:
+        for hi in masks:
             # the bits of r & hi lie w apart and the modulus has k + 1 <= w bits,
             # so this product is carry-free; it clears bit i of every slot
             r ^= ((r & hi) >> k) * modulus
@@ -327,8 +339,11 @@ class Packing:
         if k == 1:
             return 0, b
         if uses <= k or k > _TABLE_MAX_K:
-            return _Multiples(self.mul, b)
-        hi, modulus = self.masks[-1], self.modulus
+            return _Computed(partial(self.mul, b))
+        masks = self.masks
+        if b << 1 > masks[0]:
+            masks = self._widen(b << 1)
+        hi, modulus = masks[-1], self.modulus
         t = [0, b]
         for _ in range(k - 1):
             b <<= 1
@@ -378,5 +393,9 @@ class Packing:
 
     def unpack(self, v: int, n: int) -> tuple[int, ...]:
         mask = self.mask
-        return tuple(v >> s & mask for s in range(0, n * self.w, self.w))
+        return tuple([v >> s & mask for s in range(0, n * self.w, self.w)])
 
+
+@lru_cache(maxsize=None)
+def _shared_packing(spec: FieldSpec) -> Packing:
+    return Packing(spec)

@@ -2,14 +2,17 @@
 pencils t*A + B over GF(2^k)[t].
 
 Matrices store raw field bitmasks row-major.  Elimination packs each row
-into one int (``field.Packing``): over GF(2^k) entry j sits in slot j, so
-adding a multiple of the pivot row to another row is one xor of that row
-with an entry of the pivot row's table of multiples (``Packing.multiples``;
-below its cost threshold the entry is one kernel product), however many
-columns there are.  Rank, kernels, determinant and inverse share one
-elimination, ``_rref``.  The Smith form reads t*A + B straight from the rows
-of A and B and gives each entry a field of several slots, so a row operation
-with a polynomial multiplier is one xor per coefficient of the multiplier.
+into one int with the field's GF(2^k)[t] kernel (``FieldSpec.packing``, whose
+reduction masks widen to any row length): over GF(2^k) entry j sits in slot
+j, so adding a multiple of the pivot row to another row is one xor of that
+row with an entry of the pivot row's table of multiples
+(``Packing.multiples``; below its cost threshold the entry is one kernel
+product), however many columns there are.  Rank, kernels, determinant and
+inverse share one elimination, ``_rref``.  The Smith form reads t*A + B
+straight from the rows of A and B and gives each entry a field of several
+slots, so a row operation with a polynomial multiplier is one xor per
+coefficient of the multiplier, and each diagonal entry is already the packed
+int of a ``Poly``.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ class Mat:
         other = self._check(other)
         if self.cols != other.nrows:
             raise LinAlgError(f"shape mismatch {self.shape} @ {other.shape}")
-        pk = Packing(self.spec, other.cols)
+        pk = self.spec.packing
         tables = [pk.multiples(pk.pack(r), self.nrows) for r in other.rows]
         out = []
         for row in self.rows:
@@ -154,7 +157,7 @@ class Mat:
         if self.nrows != self.cols:
             raise LinAlgError("inverse of a non-square matrix")
         n = self.nrows
-        pk = Packing(self.spec, 2 * n)
+        pk = self.spec.packing
         shift = n * pk.w
         # reduce [M | I] on M's columns: then the right half is M^-1
         work = [pk.pack(r) | 1 << (shift + i * pk.w) for i, r in enumerate(self.rows)]
@@ -163,7 +166,7 @@ class Mat:
         return Mat(tuple(pk.unpack(r >> shift, n) for r in work), n, self.spec)
 
     def _packed(self) -> tuple[Packing, list[int], int]:
-        pk = Packing(self.spec, self.cols)
+        pk = self.spec.packing
         return pk, [pk.pack(r) for r in self.rows], self.cols
 
 
@@ -269,7 +272,7 @@ def _smith_diagonal(a: Mat, b: Mat) -> list[Poly]:
     spec = a.spec
     nr, nc = a.shape
     width = 4  # slots per entry; doubles before a product would overflow
-    pk = Packing(spec, nc * width)
+    pk = spec.packing
     w = pk.w
     size = width * w
     mask = (1 << size) - 1
@@ -325,7 +328,6 @@ def _smith_diagonal(a: Mat, b: Mat) -> list[Poly]:
                         width *= 2
                     new = width * w
                     m[s:] = [sum(e << (j * new) for j, e in _entries(v, size)) for v in m[s:]]
-                    pk = Packing(spec, nc * width)
                     size = new
                     mask = (1 << size) - 1
                     c = bj * size
@@ -360,7 +362,7 @@ def _smith_diagonal(a: Mat, b: Mat) -> list[Poly]:
             # the pivot stays; the next column pass leaves the offender's
             # remainders in the pivot row
             m[s] ^= m[offender]
-        diagonal.append(Poly(pk.unpack(p, dp + 1), spec))
+        diagonal.append(Poly(p, spec))
     return diagonal
 
 

@@ -1,13 +1,11 @@
 """Univariate polynomials over GF(2^k), homogeneous binary forms, and the
 GL(2) substitution action on projective points.
 
-Polynomials are coefficient tuples (index i = coefficient of t^i, raw field
-bitmasks, no trailing zeros).  The GF(2^k)[t] kernel below (``_poly_mul``,
-``_poly_divmod``) is the one product and one division on such tuples; ``Poly``, ``BinaryForm`` and ``moebius_act`` call it.  Over
-GF(2) ``Poly`` uses the bitmask kernel of ``field`` instead, which keeps
-factoring fast.  The Smith form of a pencil t*A + B does not use these
-tuples: ``linalg`` packs each row of the pencil into one int
-(``field.Packing``).
+A ``Poly`` is one packed int of ``field.Packing`` (coefficient i in bits
+[i*w, (i+1)*w), w = 2k - 1; over GF(2) the GF(2)[t] bitmask), so its product
+and division are the kernel's, the same that ``linalg`` runs Smith and
+elimination on.  Binary forms keep coefficient tuples, whose trailing zeros
+carry the degree, and multiply through the same kernel.
 """
 
 from __future__ import annotations
@@ -18,186 +16,107 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_mul
+from .field import FieldError, FieldSpec
 
 
 class PolyError(ValueError):
     """Precondition violation in polynomial arithmetic."""
 
 
-def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-# -- the GF(2^k)[t] kernel on coefficient tuples -------------------------------
-#
-# ``rows`` is FieldSpec.mul_table (rows[c][x] = c*x) and ``inv`` is
-# FieldSpec.inv_table.
-
-
-def _poly_mul(rows, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """a*b over len(a) + len(b) - 1 coefficients, so that binary forms, whose
-    coefficient tuples may end in zeros, keep their degree."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            row = rows[ai]
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] ^= row[bj]
-    return tuple(out)
-
-
-def _poly_divmod(rows, inv, a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    """(a // b, a % b) for nonzero b."""
-    db = len(b) - 1
-    lead_row = rows[inv[b[-1]]]
-    if db == 0:
-        return tuple(lead_row[c] for c in a), ()
-    rem = list(a)
-    quot = [0] * max(0, len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            f = lead_row[c]
-            base = i - db
-            quot[base] = f
-            row = rows[f]
-            for j, bc in enumerate(b):
-                if bc:
-                    rem[base + j] ^= row[bc]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(quot), tuple(rem)
-
-
 @dataclass(frozen=True)
 class Poly:
-    """Element of GF(2^k)[t]."""
+    """Element of GF(2^k)[t], packed into ``bits`` as ``spec.packing`` lays
+    it out."""
 
-    coeffs: tuple[int, ...]
+    bits: int
     spec: FieldSpec
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def make(spec: FieldSpec, coeffs: Sequence[int]) -> "Poly":
-        return Poly(_trim(coeffs), spec)
+        return Poly(spec.packing.pack(coeffs), spec)
 
     @staticmethod
     def zero(spec: FieldSpec) -> "Poly":
-        return Poly((), spec)
+        return Poly(0, spec)
 
     @staticmethod
     def one(spec: FieldSpec) -> "Poly":
-        return Poly((1,), spec)
+        return Poly(1, spec)
 
     @staticmethod
     def t(spec: FieldSpec) -> "Poly":
-        return Poly((0, 1), spec)
+        return Poly(1 << spec.packing.w, spec)
 
     @staticmethod
     def constant(spec: FieldSpec, bits: int) -> "Poly":
-        return Poly((bits,) if bits else (), spec)
+        return Poly(bits, spec)
 
     @staticmethod
     def monomial(spec: FieldSpec, deg: int, bits: int = 1) -> "Poly":
-        if bits == 0:
-            return Poly((), spec)
-        return Poly((0,) * deg + (bits,), spec)
-
-    @staticmethod
-    def from_bitmask(spec: FieldSpec, mask: int) -> "Poly":
-        """GF(2)-coefficient polynomial from an int bitmask."""
-        coeffs = []
-        while mask:
-            coeffs.append(mask & 1)
-            mask >>= 1
-        return Poly(tuple(coeffs), spec)
+        return Poly(bits << (deg * spec.packing.w), spec)
 
     # -- basic structure -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficient i at index i, no trailing zeros."""
+        return self.spec.packing.unpack(self.bits, self.degree + 1)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return (self.bits.bit_length() - 1) // self.spec.packing.w
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.bits
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.bits)
 
     @property
     def leading(self) -> int:
-        if not self.coeffs:
+        if not self.bits:
             raise PolyError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.bits >> (self.degree * self.spec.packing.w)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.bits) and self.leading == 1
 
     def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def bitmask(self) -> int:
-        """Coefficients as an int bitmask (GF(2) coefficients only)."""
-        mask = 0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                if c != 1:
-                    raise PolyError("bitmask form requires GF(2) coefficients")
-                mask |= 1 << i
-        return mask
+        pk = self.spec.packing
+        return self.bits >> (i * pk.w) & pk.mask if i >= 0 else 0
 
     def _check(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise FieldError(f"mixed fields: {self.spec} vs {other.spec}")
         return other
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        other = self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] ^= c
-        return Poly(_trim(out), self.spec)
+        return Poly(self.bits ^ self._check(other).bits, self.spec)
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "Poly") -> "Poly":
-        other = self._check(other)
-        spec = self.spec
-        if spec.k == 1:
-            return Poly.from_bitmask(spec, _gf2_poly_mul(self.bitmask(), other.bitmask()))
-        return Poly(_poly_mul(spec.mul_table, self.coeffs, other.coeffs), spec)
+        return Poly(self.spec.packing.mul(self.bits, self._check(other).bits), self.spec)
 
     def scale(self, bits: int) -> "Poly":
-        if bits == 0:
-            return Poly((), self.spec)
         if bits == 1:
             return self
-        return Poly(_poly_mul(self.spec.mul_table, (bits,), self.coeffs), self.spec)
+        return Poly(self.spec.packing.mul(bits, self.bits), self.spec)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        other = self._check(other)
-        if other.is_zero():
+        b = self._check(other).bits
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        spec = self.spec
-        if spec.k == 1:
-            q, r = _gf2_poly_divmod(self.bitmask(), other.bitmask())
-            return Poly.from_bitmask(spec, q), Poly.from_bitmask(spec, r)
-        q, r = _poly_divmod(spec.mul_table, spec.inv_table, self.coeffs, other.coeffs)
+        pk, spec = self.spec.packing, self.spec
+        # the division reads one multiple of b per coefficient of the quotient
+        uses = (self.bits.bit_length() - b.bit_length()) // pk.w + 1
+        q, r = pk.divmod(self.bits, b, pk.multiples(b, uses))
         return Poly(q, spec), Poly(r, spec)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -207,34 +126,34 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero() or self.coeffs[-1] == 1:
+        if not self.bits:
             return self
-        return self.scale(self.spec.inv(self.coeffs[-1]))
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by t^n."""
-        if self.is_zero() or n == 0:
-            return self
-        return Poly((0,) * n + self.coeffs, self.spec)
+        return self.scale(self.spec.inv(self.leading))
 
     # -- ordering and display --------------------------------------------------
 
     def sort_key(self) -> tuple:
-        return (self.degree, tuple(reversed(self.coeffs)))
+        # for equal degrees the packed ints order like the coefficients read
+        # from the leading one down
+        return (self.degree, self.bits)
 
     def __str__(self) -> str:
         return format_poly(self)
 
     # mod-power helper used by factoring
     def powmod(self, n: int, modulus: "Poly") -> "Poly":
-        r = Poly.one(self.spec)
-        base = self % modulus
+        """self^n mod modulus, every reduction reading one table of the
+        multiples of the modulus."""
+        base = (self % modulus).bits
+        pk, m = self.spec.packing, modulus.bits
+        t = pk.multiples(m, 2 * n.bit_length() * modulus.degree)
+        r = 1
         while n:
             if n & 1:
-                r = (r * base) % modulus
-            base = (base * base) % modulus
+                r = pk.divmod(pk.mul(r, base), m, t)[1]
+            base = pk.divmod(pk.mul(base, base), m, t)[1]
             n >>= 1
-        return r
+        return Poly(r, self.spec)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -247,16 +166,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def derivative(f: Poly) -> Poly:
     """Formal derivative; even-exponent terms vanish in characteristic 2."""
-    out = [f.coeffs[i] if i % 2 == 1 else 0 for i in range(1, len(f.coeffs))]
-    return Poly(_trim(out), f.spec)
+    return Poly.make(f.spec, [c if i % 2 else 0 for i, c in enumerate(f.coeffs)][1:])
 
 
 def poly_sqrt(f: Poly) -> Poly:
     """Square root of a perfect square (Frobenius inverse per coefficient)."""
-    if any(f.coeff(i) for i in range(1, len(f.coeffs), 2)):
+    coeffs, spec = f.coeffs, f.spec
+    if any(coeffs[1::2]):
         raise PolyError("polynomial is not a square")
-    spec = f.spec
-    return Poly(_trim([spec.sqrt(c) for c in f.coeffs[::2]]), spec)
+    return Poly.make(spec, [spec.sqrt(c) for c in coeffs[::2]])
 
 
 # -- irreducibility and factorization -----------------------------------------
@@ -353,7 +271,7 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     spec = f.spec
     n = f.degree
     while True:
-        r = Poly(_trim([rng.randrange(spec.order) for _ in range(n)]), spec)
+        r = Poly.make(spec, [rng.randrange(spec.order) for _ in range(n)])
         if r.degree < 1:
             continue
         # trace to GF(2): r + r^2 + r^4 + ... over kd squarings
@@ -408,7 +326,7 @@ def monic_irreducibles(spec: FieldSpec, degree: int) -> Iterator[Poly]:
 def _monic_irreducibles(spec: FieldSpec, degree: int) -> tuple[Poly, ...]:
     q = spec.order
     monics = (
-        Poly(tuple(idx // q**i % q for i in range(degree)) + (1,), spec) for idx in range(q**degree)
+        Poly.make(spec, [idx // q**i % q for i in range(degree)] + [1]) for idx in range(q**degree)
     )
     return tuple(f for f in monics if is_irreducible(f))
 
@@ -428,7 +346,7 @@ def lagrange_interpolate(spec: FieldSpec, points: Sequence[int], values: Sequenc
         for j, xj in enumerate(points):
             if j == i:
                 continue
-            num = num * Poly((xj, 1), spec)
+            num = num * Poly.make(spec, (xj, 1))
             denom = spec.mul(denom, xi ^ xj)
         acc = acc + num.scale(spec.mul(yi, spec.inv(denom)))
     return acc
@@ -483,8 +401,13 @@ class BinaryForm:
         return other
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        other = self._check(other)
-        return BinaryForm(_poly_mul(self.spec.mul_table, self.coeffs, other.coeffs), self.spec)
+        a, b = self.coeffs, self._check(other).coeffs
+        if not a or not b:
+            return BinaryForm((), self.spec)
+        # over len(a) + len(b) - 1 coefficients, so that trailing zeros keep the degree
+        pk = self.spec.packing
+        ab = pk.unpack(pk.mul(pk.pack(a), pk.pack(b)), len(a) + len(b) - 1)
+        return BinaryForm(ab, self.spec)
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         other = self._check(other)
@@ -501,7 +424,8 @@ class BinaryForm:
             return BinaryForm((), self.spec)
         if bits == 1:
             return self
-        return BinaryForm(_poly_mul(self.spec.mul_table, (bits,), self.coeffs), self.spec)
+        row = self.spec.mul_table[bits]
+        return BinaryForm(tuple([row[c] for c in self.coeffs]), self.spec)
 
     def power(self, n: int) -> "BinaryForm":
         acc = BinaryForm.one(self.spec)
@@ -522,17 +446,14 @@ def homogenize(f: Poly, total_degree: int) -> BinaryForm:
         return BinaryForm.zero(f.spec)
     if total_degree < f.degree:
         raise PolyError(f"total degree {total_degree} below deg f = {f.degree}")
-    out = [0] * (total_degree + 1)
-    for i, c in enumerate(f.coeffs):
-        out[i] = c
-    return BinaryForm(tuple(out), f.spec)
+    return BinaryForm(f.coeffs + (0,) * (total_degree - f.degree), f.spec)
 
 
 def dehomogenize(form: BinaryForm) -> tuple[Poly, int]:
     """Return (form(t, 1), exponent of x2 dividing the form)."""
     if form.is_zero():
         raise PolyError("cannot dehomogenize the zero form")
-    f = Poly(_trim(form.coeffs), form.spec)
+    f = Poly.make(form.spec, form.coeffs)
     return f, form.degree - f.degree
 
 
@@ -599,23 +520,24 @@ def moebius_act(q: Sequence[Sequence[int]], point: ProjPoint, spec: FieldSpec) -
         raise PolyError("singular substitution matrix")
     if isinstance(point, _EpsType):
         return EPS
-    # Horner on raw coefficients with y1, y2 the images of x1, x2:
+    # Horner on packed coefficients with y1, y2 the images of x1, x2:
     # acc_{j+1} = acc_j * y1 + c_{d-j-1} * y2^(j+1), ending at sum c_i y1^i y2^(d-i).
-    # The forms keep their trailing zeros, so the sum is added in place.
+    pk = spec.packing
+    mul, w = pk.mul, pk.w
+    y1, y2 = q21 | q11 << w, q22 | q12 << w
     coeffs = point.coeffs
-    d = len(coeffs) - 1
-    acc = coeffs[-1:]
-    y2pow = (1,)
-    for j in range(d):
-        acc = list(_poly_mul(rows, acc, (q21, q11)))
-        y2pow = _poly_mul(rows, y2pow, (q22, q12))
-        c = coeffs[d - j - 1]
+    acc, y2pow = coeffs[-1], 1
+    for c in coeffs[-2::-1]:
+        acc = mul(acc, y1)
+        y2pow = mul(y2pow, y2)
         if c:
-            crow = rows[c]
-            for i, v in enumerate(y2pow):
-                if v:
-                    acc[i] ^= crow[v]
-    normal, _ = unital_normalize(BinaryForm(tuple(acc), spec))
+            acc ^= mul(c, y2pow)
+    # scale to unital before unpacking; the forms keep their trailing zeros,
+    # so unpack all d + 1 coefficients
+    d = len(coeffs) - 1
+    if (lead := acc >> (d * w)) > 1:
+        acc = mul(spec.inv(lead), acc)
+    normal, _ = unital_normalize(BinaryForm(pk.unpack(acc, d + 1), spec))
     return normal
 
 
@@ -664,7 +586,7 @@ def parse_poly(spec: FieldSpec, text: str, var: str = "t") -> Poly:
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
-    return Poly(_trim(out), spec)
+    return Poly.make(spec, out)
 
 
 _FORM_TERM_RE = re.compile(

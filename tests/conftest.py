@@ -18,8 +18,6 @@ from altpairs.polyring import (
     Poly,
     PolyError,
     _EpsType,
-    _poly_divmod,
-    _trim,
     factor,
     homogenize,
     is_irreducible,
@@ -389,7 +387,7 @@ def reverse_star(g: Poly) -> Poly:
         raise PolyError("reverse of the zero polynomial")
     if g.coeff(0) == 0:
         raise PolyError("reverse requires a nonzero constant term")
-    return Poly(tuple(reversed(g.coeffs)), g.spec)
+    return Poly.make(g.spec, g.coeffs[::-1])
 
 
 def series_inverse_trunc(g: Poly, m: int) -> Poly:
@@ -413,7 +411,7 @@ def series_inverse_trunc(g: Poly, m: int) -> Poly:
             if gi and h[j - i]:
                 acc ^= mul(gi, h[j - i])
         h[j] = acc
-    return Poly(_trim(h), spec)
+    return Poly.make(spec, h)
 
 
 # -- reference Pfaffian by evaluation and interpolation -----------------------------
@@ -602,6 +600,30 @@ def _gf2_poly_submul(a: int, q: int, b: int) -> int:
     return a ^ _gf2_poly_mul(q, b)
 
 
+def _poly_divmod(rows, inv, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """(a // b, a % b) on coefficient tuples, b nonzero; rows[c][x] = c*x and
+    inv[c] is the inverse of c."""
+    db = len(b) - 1
+    lead_row = rows[inv[b[-1]]]
+    if db == 0:
+        return tuple(lead_row[c] for c in a), ()
+    rem = list(a)
+    quot = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            f = lead_row[c]
+            base = i - db
+            quot[base] = f
+            row = rows[f]
+            for j, bc in enumerate(b):
+                if bc:
+                    rem[base + j] ^= row[bc]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quot), tuple(rem)
+
+
 def _poly_submul(rows, a: tuple, q: tuple, b: tuple) -> tuple:
     """a + q*b on coefficient tuples, trimmed; rows[c][x] = c*x."""
     if not q or not b:
@@ -697,15 +719,15 @@ def _smith_raw(m: list[list], shape: tuple[int, int], size, divmod_, submul, one
 
 def smith_reference(a: Mat, b: Mat) -> list[Poly]:
     """The raw Smith diagonal of t*a + b by elimination one entry at a time:
-    GF(2)[t] bitmasks over GF(2), coefficient tuples and the ``polyring``
-    tuple kernel otherwise.  Independent of the packed rows of
+    GF(2)[t] bitmasks over GF(2), coefficient tuples and ``_poly_divmod``
+    otherwise.  Independent of the packed rows of
     ``linalg._smith_diagonal``; for a square pencil of full rank the
     leading coefficients of either diagonal multiply out to its determinant."""
     spec = a.spec
     if spec.k == 1:
         raw = [[y | x << 1 for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
         diagonal = _smith_raw(raw, a.shape, int.bit_length, _gf2_poly_divmod, _gf2_poly_submul, 1)
-        return [Poly.from_bitmask(spec, v) for v in diagonal]
+        return [Poly(v, spec) for v in diagonal]  # at k = 1 Poly packs the bitmask
     raw = [
         [(y, x) if x else (y,) if y else () for x, y in zip(ra, rb)]
         for ra, rb in zip(a.rows, b.rows)
@@ -719,7 +741,7 @@ def smith_reference(a: Mat, b: Mat) -> list[Poly]:
         partial(_poly_submul, rows),
         (1,),
     )
-    return [Poly(v, spec) for v in diagonal]
+    return [Poly.make(spec, v) for v in diagonal]
 
 
 def rref_reference(m: Mat) -> tuple[list[list[int]], int, list[int]]:

@@ -14,7 +14,7 @@ from altpairs.field import (
 
 from altpairs.polyring import Poly
 
-from conftest import GF2, GF4, GF16, GF512, embed
+from conftest import GF2, GF4, GF16, GF512, _poly_divmod, _poly_submul, embed
 
 
 def test_add_is_xor_of_representatives():
@@ -55,6 +55,19 @@ def test_inv_one_any_field():
     for k in range(1, 9):
         spec = FieldSpec.gf(k)
         assert spec.inv(1) == 1
+
+
+def test_inverse_above_table_limit_is_computed_once(monkeypatch):
+    import altpairs.field as field
+
+    spec = FieldSpec.gf(9)
+    real = field._gf2_poly_powmod
+    calls = []
+    monkeypatch.setattr(field, "_gf2_poly_powmod", lambda *args: calls.append(args) or real(*args))
+    a = 0x1A7
+    assert spec.inv(a) == spec.inv(a) == spec.inv_table[a]
+    assert spec.mul(a, spec.inv(a)) == 1
+    assert len(calls) <= 1
 
 
 def test_inv_zero_raises():
@@ -171,24 +184,23 @@ def test_embedding_rejects_values_outside_image():
 
 @pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
 def test_packing_matches_poly_and_table(spec):
-    # products and division of packed polynomials against Poly, and a field
-    # element times a packed row against mul_table, entry by entry
+    # products and division of packed polynomials against the coefficient
+    # tuples of conftest, and a field element times a packed row against
+    # mul_table, entry by entry
     rng = random.Random(83 + spec.k)
-    pk = Packing(spec, 24)
+    pk = Packing(spec)
+    rows, inv = spec.mul_table, spec.inv_table
 
     def rand_poly(n):
         return Poly.make(spec, [rng.randrange(spec.order) for _ in range(n)])
 
     for _ in range(60):
         a, b = rand_poly(rng.randrange(0, 13)), rand_poly(rng.randrange(1, 12))
-        assert pk.mul(pk.pack(a.coeffs), pk.pack(b.coeffs)) == pk.pack((a * b).coeffs)
+        pa, pb = pk.pack(a.coeffs), pk.pack(b.coeffs)
+        assert pk.mul(pa, pb) == pk.pack(_poly_submul(rows, (), a.coeffs, b.coeffs))
         if b:
-            q, r = divmod(a, b)
-            pb = pk.pack(b.coeffs)
-            assert pk.divmod(pk.pack(a.coeffs), pb, pk.multiples(pb, 1)) == (
-                pk.pack(q.coeffs),
-                pk.pack(r.coeffs),
-            )
+            q, r = _poly_divmod(rows, inv, a.coeffs, b.coeffs)
+            assert pk.divmod(pa, pb, pk.multiples(pb, 1)) == (pk.pack(q), pk.pack(r))
         row = [rng.randrange(spec.order) for _ in range(24)]
         f = rng.randrange(spec.order)
         assert pk.unpack(pk.mul(f, pk.pack(row)), 24) == tuple(spec.mul_table[f][v] for v in row)
@@ -203,7 +215,7 @@ def test_multiples_match_mul_both_sides_of_the_cost_rule(k):
     # table (many uses) and from the stand-in (few uses)
     spec = FieldSpec.gf(k)
     rng = random.Random(5 + k)
-    pk = Packing(spec, 40)
+    pk = Packing(spec)
     fs = list(spec.enumerate_bits()) if k <= 8 else [rng.randrange(spec.order) for _ in range(64)]
     kinds = set()
     for uses in (0, 1, k, k + 1, 1 << k):
@@ -218,9 +230,11 @@ def test_multiples_match_mul_both_sides_of_the_cost_rule(k):
 @pytest.mark.parametrize("spec", [GF2, GF4, GF16, FieldSpec.gf(8), GF512], ids=str)
 def test_scale_and_divmod_read_multiples(spec):
     # q * b slot by slot from the table of b, and division by b reading the
-    # table or the stand-in, against the kernel product and Poly
+    # table or the stand-in, against the kernel product and the coefficient
+    # tuples of conftest
     rng = random.Random(29 + spec.k)
-    pk = Packing(spec, 24)
+    pk = Packing(spec)
+    rows, inv = spec.mul_table, spec.inv_table
 
     def rand_poly(n):
         return Poly.make(spec, [rng.randrange(spec.order) for _ in range(n)])
@@ -230,7 +244,8 @@ def test_scale_and_divmod_read_multiples(spec):
         pa, pb, pq = pk.pack(a.coeffs), pk.pack(b.coeffs), pk.pack(q.coeffs)
         for uses in (1, 1 << spec.k):
             t = pk.multiples(pb, uses)
-            assert pk.scale(pq, pb, t) == pk.mul(pq, pb) == pk.pack((q * b).coeffs)
+            expected = pk.pack(_poly_submul(rows, (), q.coeffs, b.coeffs))
+            assert pk.scale(pq, pb, t) == pk.mul(pq, pb) == expected
             if b:
-                expected = tuple(pk.pack(v.coeffs) for v in divmod(a, b))
+                expected = tuple(map(pk.pack, _poly_divmod(rows, inv, a.coeffs, b.coeffs)))
                 assert pk.divmod(pa, pb, t) == expected

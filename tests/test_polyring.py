@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from altpairs.field import FieldSpec, _gf2_poly_mulmod
+from altpairs.field import FieldSpec, Packing, _gf2_poly_mulmod
 from altpairs.polyring import (
     EPS,
     BinaryForm,
@@ -36,6 +38,8 @@ from conftest import (
     GF4,
     GF16,
     GF512,
+    _poly_divmod,
+    _poly_submul,
     form_value,
     is_unital,
     moebius_act_reference,
@@ -46,7 +50,7 @@ from conftest import (
 
 
 def P2(mask: int) -> Poly:
-    return Poly.from_bitmask(GF2, mask)
+    return Poly(mask, GF2)
 
 
 # -- arithmetic -----------------------------------------------------------------
@@ -114,6 +118,118 @@ def test_kernel_matches_schoolbook_without_mul_table():
             continue
         assert a * b == _schoolbook_mul(spec, a.coeffs, b.coeffs)
         assert divmod(a, b) == _schoolbook_divmod(spec, a.coeffs, b.coeffs)
+
+
+# -- the packed kernel against the coefficient-tuple kernel of conftest ------------
+
+KERNEL_SPECS = [GF2, GF4, GF16, GF512, FieldSpec.gf(16)]
+KERNEL_DEGREES = (-1, 0, 1, 2, 5, 17, 40, 80)  # -1 is the zero polynomial
+
+
+def _rand_coeffs(spec, rng, degree):
+    """degree + 1 random coefficients, the leading one nonzero."""
+    if degree < 0:
+        return ()
+    return tuple(rng.randrange(spec.order) for _ in range(degree)) + (rng.randrange(1, spec.order),)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+def test_packed_product_divmod_and_monic_match_tuples(spec):
+    rng = random.Random(0x13 + spec.k)
+    rows, inv = spec.mul_table, spec.inv_table
+    for da in KERNEL_DEGREES:
+        for db in KERNEL_DEGREES:
+            ac, bc = _rand_coeffs(spec, rng, da), _rand_coeffs(spec, rng, db)
+            a, b = Poly.make(spec, ac), Poly.make(spec, bc)
+            assert a.coeffs == ac and a.degree == da
+            assert (a * b).coeffs == _poly_submul(rows, (), ac, bc)
+            if bc:
+                q, r = divmod(a, b)
+                assert (q.coeffs, r.coeffs) == _poly_divmod(rows, inv, ac, bc)
+                assert q * b + r == a and r.degree < b.degree
+        m = a.monic()
+        if ac:
+            assert m.coeffs == tuple(rows[inv[ac[-1]]][c] for c in ac) and m.leading == 1
+        else:
+            assert m == a
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+def test_powmod_matches_repeated_tuple_products(spec):
+    rng = random.Random(0x29 + spec.k)
+    rows, inv = spec.mul_table, spec.inv_table
+    for dm in (0, 1, 3, 9):
+        mc = _rand_coeffs(spec, rng, dm)
+        for db in (-1, 0, 4, 20):
+            bc = _rand_coeffs(spec, rng, db)
+            for n in (0, 1, 2, 5, 37):
+                expected = (1,)
+                for _ in range(n):
+                    expected = _poly_divmod(rows, inv, _poly_submul(rows, (), expected, bc), mc)[1]
+                got = Poly.make(spec, bc).powmod(n, Poly.make(spec, mc))
+                assert got.coeffs == expected
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+def test_sort_key_orders_by_degree_then_coefficients_from_the_top(spec):
+    rng = random.Random(0x31 + spec.k)
+    polys = [Poly.make(spec, _rand_coeffs(spec, rng, rng.randrange(-1, 4))) for _ in range(300)]
+    polys += [Poly.make(spec, (c, 1)) for c in range(min(spec.order, 8))]
+    expected = sorted(polys, key=lambda f: (f.degree, f.coeffs[::-1]))
+    assert sorted(polys, key=Poly.sort_key) == expected
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+def test_one_packing_widens_past_its_mask_reach(spec):
+    # a fresh Packing reaches a few slots; short operands first, then ever
+    # longer ones, read through a table of multiples before any product
+    pk = Packing(spec)
+    rng = random.Random(0x47 + spec.k)
+    rows = spec.mul_table
+    fs = [0, 1] + [rng.randrange(spec.order) for _ in range(6)]
+    for n in (1, 2, 3, 9, 40, 300):
+        row, other = _rand_coeffs(spec, rng, n - 1), _rand_coeffs(spec, rng, n - 1)
+        b = pk.pack(row)
+        t = pk.multiples(b, 1 << spec.k)
+        for f in fs:
+            expected = tuple(rows[f][v] for v in row)
+            assert pk.unpack(t[f], n) == expected
+            assert pk.unpack(pk.mul(f, b), n) == expected
+        product = pk.mul(pk.pack(other), b)
+        assert pk.unpack(product, 2 * n - 1) == _poly_submul(rows, (), other, row)
+    if spec.k > 1:
+        assert pk.masks[0].bit_length() >= (2 * 300 - 1) * pk.w
+
+
+def test_one_packing_shared_by_threads():
+    # threads that widen one Packing's masks at once each reduce with the
+    # masks they computed, so no product comes out unreduced
+    spec, rng = GF16, random.Random(0x53)
+    rows = spec.mul_table
+    cases = []
+    for n in (1, 2, 3, 10, 30, 60) * 3:
+        ac, bc = _rand_coeffs(spec, rng, n - 1), _rand_coeffs(spec, rng, n - 1)
+        cases.append((ac, bc, _poly_submul(rows, (), ac, bc)))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            pk = Packing(spec)
+
+            def run(order):
+                out = []
+                for i in order:
+                    ac, bc, _ = cases[i]
+                    out.append((i, pk.unpack(pk.mul(pk.pack(ac), pk.pack(bc)), len(ac) + len(bc) - 1)))
+                return out
+
+            orders = [random.Random(j).sample(range(len(cases)), len(cases)) for j in range(8)]
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(run, order) for order in orders]
+                results = [f.result(timeout=60) for f in futures]
+            assert all(got == cases[i][2] for out in results for i, got in out)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_division_by_zero():

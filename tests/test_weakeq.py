@@ -58,7 +58,7 @@ def random_point(spec, rng, degree):
     if degree == 1 and rng.randrange(spec.order + 1) == 0:
         return BinaryForm.x2(spec)
     while True:
-        f = Poly(tuple(rng.randrange(spec.order) for _ in range(degree)) + (1,), spec)
+        f = Poly.make(spec, [rng.randrange(spec.order) for _ in range(degree)] + [1])
         if is_irreducible(f):
             return point_from_poly(f)
 
