@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .field import FieldSpec
 from .linalg import Mat
 from .polyring import (
-    EPS,
     BinaryForm,
     Poly,
     ProjPoint,
@@ -26,7 +25,6 @@ from .polyring import (
     format_poly,
     is_irreducible,
     parse_poly,
-    point_from_poly,
 )
 
 
@@ -188,17 +186,9 @@ class BlockId:
             return 2 * self.n
         return 2 * self.n + 1
 
-    def point(self) -> tuple[ProjPoint, int]:
-        """The (projective point, n) label of this block."""
-        if self.kind == "fin":
-            return point_from_poly(self.f), self.n
-        if self.kind == "inf":
-            return BinaryForm.x2(self.spec_or_gf2()), self.n
-        return EPS, self.n + 1
-
     @staticmethod
     def of_point(point: ProjPoint, n: int) -> "BlockId":
-        """The block labelled (point, n); the inverse of ``point()``.
+        """The block labelled (point, n).
 
         This is the one place that tells eps, x2 and finite points apart.
         A finite point is taken as a unital irreducible form without a second
@@ -206,17 +196,14 @@ class BlockId:
         """
         if isinstance(point, _EpsType):
             return BlockId.plus(n - 1)
-        if point.coeffs == (1, 0):
-            return BlockId.infinity(n)
         f, x2_mult = dehomogenize(point)
-        if x2_mult != 0:
-            raise BlockError("projective point must be unital irreducible or x2")
-        if n < 1:
-            raise BlockError("multiplicity must be positive")
-        return BlockId("fin", f, n)
-
-    def spec_or_gf2(self) -> FieldSpec:
-        return self.f.spec if self.f is not None else FieldSpec.gf2()
+        if x2_mult == 0:
+            if n < 1:
+                raise BlockError("multiplicity must be positive")
+            return BlockId("fin", f, n)
+        if point == BinaryForm.x2(point.spec):
+            return BlockId.infinity(n)
+        raise BlockError("projective point must be unital irreducible or x2")
 
     def build(self, spec: FieldSpec | None = None) -> AlternatingPair:
         if self.kind == "fin":

@@ -40,7 +40,7 @@ from .pencil import (
     point_text,
     validate,
 )
-from .polyring import PolyError, format_form, set_factor_seed
+from .polyring import PolyError, format_form
 from .weakeq import CANDIDATE_CAP, ENUMERATION_CAP_K, CapError, GL2Element
 from .weakeq import canonical_rep, weakly_equivalent
 
@@ -126,9 +126,9 @@ def parse_pair_document(text: str) -> PairDocument:
     return PairDocument(spec, dim, out)
 
 
-def format_pair_document(pair: AlternatingPair, names: tuple[str, str] = ("A", "B")) -> str:
+def format_pair_document(pair: AlternatingPair) -> str:
     lines = [f"field {pair.spec}", f"dim {pair.dim}"]
-    for name, m in zip(names, pair.matrices):
+    for name, m in zip("AB", pair.matrices):
         lines.append(f"matrix {name}")
         for row in m.rows:
             lines.append(" ".join(f"{v:x}" for v in row))
@@ -333,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and emit the matching 2-group presentations.",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--seed", type=int, default=0x5EED, help="seed for randomized factoring splits"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the alternating-pair invariants")
@@ -393,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    set_factor_seed(args.seed)
     try:
         return args.func(args)
     except (

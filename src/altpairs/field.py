@@ -369,19 +369,23 @@ class Packing:
 
     def divmod(self, a: int, b: int, t) -> tuple[int, int]:
         """(a // b, a % b) of packed polynomials, b != 0, with
-        ``t = multiples(b, ...)``, built once for every division by b."""
+        ``t = multiples(b, ...)``, built once for every division by b.
+        AssertionError when a step leaves the leading slot of the remainder
+        set, as a wrong table can, rather than loop on it."""
         w = self.w
         top = (b.bit_length() - 1) // w * w  # bit offset of the leading slot of b
         inv = self.inv_table[b >> top]
         if not top:
             return self.mul(inv, a), 0
         row = self.mul_table[inv]
-        q = 0
-        while (n := a.bit_length()) > top:
+        q, n = 0, a.bit_length()
+        while n > top:
             s = (n - 1) // w * w - top
             f = row[a >> (s + top)]
             q |= f << s
             a ^= t[f] << s
+            if (n := a.bit_length()) > s + top:
+                raise AssertionError("a table of multiples left the leading slot of a remainder")
         return q, a
 
     def pack(self, coeffs: Sequence[int]) -> int:

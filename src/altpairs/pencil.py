@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from .blocks import AlternatingPair, BlockId, block_for_point, direct_sum
 from .field import FieldError, FieldSpec
-from .linalg import Mat, _kernel_images, _smith_diagonal, congruence, smith_form
+from .linalg import Mat, _kernel_images, _smith_diagonal, smith_form
 from .polyring import (
     EPS,
     BinaryForm,
@@ -30,7 +30,6 @@ from .polyring import (
     format_form,
     homogenize,
     lagrange_interpolate,  # noqa: F401  (perfbench traces this name; see ROADMAP item 6)
-    parse_form,
     point_from_poly,
     point_sort_key,
 )
@@ -89,12 +88,6 @@ def point_text(point: ProjPoint) -> str:
     return "eps" if isinstance(point, _EpsType) else format_form(point)
 
 
-def parse_point(spec: FieldSpec, text: str) -> ProjPoint:
-    if text.strip() == "eps":
-        return EPS
-    return parse_form(spec, text)
-
-
 @dataclass(frozen=True)
 class ClassFunction:
     """Finitely supported multiplicity function on (projective point, n).
@@ -145,14 +138,6 @@ class ClassFunction:
                 {"g": point_text(p), "n": n, "mult": m} for p, n, m in self.entries
             ]
         }
-
-    @staticmethod
-    def from_json_dict(spec: FieldSpec, data: Mapping) -> "ClassFunction":
-        acc: dict[tuple[ProjPoint, int], int] = {}
-        for blk in data["blocks"]:
-            key = (parse_point(spec, blk["g"]), int(blk["n"]))
-            acc[key] = acc.get(key, 0) + int(blk["mult"])
-        return ClassFunction.from_dict(spec, acc)
 
     def __str__(self) -> str:
         if not self.entries:
@@ -355,8 +340,3 @@ def congruent(p: AlternatingPair, r: AlternatingPair) -> bool:
     if p.dim != r.dim:
         return False
     return decompose(p) == decompose(r)
-
-
-def transform_congruence(pair: AlternatingPair, s: Mat) -> AlternatingPair:
-    """Simultaneous basis change (A, B) -> (S A S^T, S B S^T)."""
-    return AlternatingPair(congruence(s, pair.a), congruence(s, pair.b))

@@ -4,8 +4,9 @@ GL(2) substitution action on projective points.
 A ``Poly`` is one packed int of ``field.Packing`` (coefficient i in bits
 [i*w, (i+1)*w), w = 2k - 1; over GF(2) the GF(2)[t] bitmask), so its product
 and division are the kernel's, the same that ``linalg`` runs Smith and
-elimination on.  Binary forms keep coefficient tuples, whose trailing zeros
-carry the degree, and multiply through the same kernel.
+elimination on.  A ``BinaryForm`` is a ``Poly``, its dehomogenization, with
+its total degree, which records the power of x2 dividing it; its arithmetic
+and the GL(2) action run on the same packed ints.
 """
 
 from __future__ import annotations
@@ -288,27 +289,17 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 
 
-_FACTOR_SEED = 0x5EED
-
-
-def set_factor_seed(seed: int) -> None:
-    """Reseed the randomized equal-degree splitting (it is deterministic for
-    a fixed seed; the output order never depends on it)."""
-    global _FACTOR_SEED
-    _FACTOR_SEED = seed
-
-
-def factor(g: Poly, rng: random.Random | None = None) -> list[tuple[Poly, int]]:
+def factor(g: Poly) -> list[tuple[Poly, int]]:
     """Factor into monic irreducibles with multiplicities.
 
     Deterministic output order: by degree, then coefficient order from the
     leading term down.  The product of the factors times the leading
-    coefficient of g reproduces g.
+    coefficient of g reproduces g.  The equal-degree splitting draws from its
+    own fixed-seed generator; the factors do not depend on the draws.
     """
     if g.is_zero():
         raise PolyError("cannot factor the zero polynomial")
-    if rng is None:
-        rng = random.Random(_FACTOR_SEED)
+    rng = random.Random(0x5EED)
     out: dict[Poly, int] = {}
     for part, mult in _squarefree_decomposition(g.monic()).items():
         for block, d in _distinct_degree_split(part):
@@ -357,75 +348,65 @@ def lagrange_interpolate(spec: FieldSpec, points: Sequence[int], values: Sequenc
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Homogeneous polynomial in (x1, x2); coeffs[i] is the x1^i x2^(d-i)
-    coefficient.  The zero form has empty coeffs."""
+    """Homogeneous polynomial in (x1, x2) of total degree ``degree``, held as
+    its dehomogenization ``poly`` = form(t, 1): coefficient i of ``poly`` is
+    the x1^i x2^(degree - i) coefficient, and x2 divides the form
+    degree - deg(poly) times.  The zero form has the zero ``poly`` and degree
+    -1."""
 
-    coeffs: tuple[int, ...]
-    spec: FieldSpec
+    poly: Poly
+    degree: int
 
     @staticmethod
     def make(spec: FieldSpec, coeffs: Sequence[int]) -> "BinaryForm":
-        if all(c == 0 for c in coeffs):
-            return BinaryForm((), spec)
-        return BinaryForm(tuple(coeffs), spec)
+        """The form whose x1^i x2^(d-i) coefficient is coeffs[i], d = len - 1."""
+        poly = Poly.make(spec, coeffs)
+        return BinaryForm(poly, len(coeffs) - 1 if poly else -1)
 
     @staticmethod
     def zero(spec: FieldSpec) -> "BinaryForm":
-        return BinaryForm((), spec)
+        return BinaryForm(Poly.zero(spec), -1)
 
     @staticmethod
     def one(spec: FieldSpec) -> "BinaryForm":
-        return BinaryForm((1,), spec)
+        return BinaryForm(Poly.one(spec), 0)
 
     @staticmethod
     def x1(spec: FieldSpec) -> "BinaryForm":
-        return BinaryForm((0, 1), spec)
+        return BinaryForm(Poly.t(spec), 1)
 
     @staticmethod
     def x2(spec: FieldSpec) -> "BinaryForm":
-        return BinaryForm((1, 0), spec)
+        return BinaryForm(Poly.one(spec), 1)
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def spec(self) -> FieldSpec:
+        return self.poly.spec
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficient i at index i, all degree + 1 of them."""
+        return self.poly.coeffs + (0,) * (self.degree - self.poly.degree)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.poly
 
     def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def _check(self, other: "BinaryForm") -> "BinaryForm":
-        if other.spec != self.spec:
-            raise FieldError(f"mixed fields: {self.spec} vs {other.spec}")
-        return other
+        return self.poly.coeff(i)
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        a, b = self.coeffs, self._check(other).coeffs
-        if not a or not b:
-            return BinaryForm((), self.spec)
-        # over len(a) + len(b) - 1 coefficients, so that trailing zeros keep the degree
-        pk = self.spec.packing
-        ab = pk.unpack(pk.mul(pk.pack(a), pk.pack(b)), len(a) + len(b) - 1)
-        return BinaryForm(ab, self.spec)
+        poly = self.poly * other.poly
+        return BinaryForm(poly, self.degree + other.degree if poly else -1)
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        other = self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
+        poly = self.poly + other.poly
+        if self.degree != other.degree and self.poly and other.poly:
             raise PolyError("cannot add forms of different degrees")
-        return BinaryForm.make(self.spec, [a ^ b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm(poly, max(self.degree, other.degree) if poly else -1)
 
     def scale(self, bits: int) -> "BinaryForm":
-        if bits == 0:
-            return BinaryForm((), self.spec)
-        if bits == 1:
-            return self
-        row = self.spec.mul_table[bits]
-        return BinaryForm(tuple([row[c] for c in self.coeffs]), self.spec)
+        poly = self.poly.scale(bits)
+        return BinaryForm(poly, self.degree if poly else -1)
 
     def power(self, n: int) -> "BinaryForm":
         acc = BinaryForm.one(self.spec)
@@ -434,7 +415,9 @@ class BinaryForm:
         return acc
 
     def sort_key(self) -> tuple:
-        return (self.degree, tuple(reversed(self.coeffs)))
+        # for equal degrees the packed ints order like the coefficients read
+        # from the x1^degree one down
+        return (self.degree, self.poly.bits)
 
     def __str__(self) -> str:
         return format_form(self)
@@ -443,34 +426,17 @@ class BinaryForm:
 def homogenize(f: Poly, total_degree: int) -> BinaryForm:
     """x2^D * f(x1/x2) cleared of denominators; needs D >= deg f."""
     if f.is_zero():
-        return BinaryForm.zero(f.spec)
+        return BinaryForm(f, -1)
     if total_degree < f.degree:
         raise PolyError(f"total degree {total_degree} below deg f = {f.degree}")
-    return BinaryForm(f.coeffs + (0,) * (total_degree - f.degree), f.spec)
+    return BinaryForm(f, total_degree)
 
 
 def dehomogenize(form: BinaryForm) -> tuple[Poly, int]:
     """Return (form(t, 1), exponent of x2 dividing the form)."""
     if form.is_zero():
         raise PolyError("cannot dehomogenize the zero form")
-    f = Poly.make(form.spec, form.coeffs)
-    return f, form.degree - f.degree
-
-
-def unital_normalize(form: BinaryForm) -> tuple[BinaryForm, int]:
-    """Scale a nonzero form to unital shape; returns (normal form, scalar)."""
-    if form.is_zero():
-        raise PolyError("cannot normalize the zero form")
-    lead = form.coeffs[-1]
-    if lead != 0:
-        if lead == 1:
-            return form, 1
-        return form.scale(form.spec.inv(lead)), lead
-    # x2 divides the form; for irreducible points this is the x2 point itself
-    f, mult = dehomogenize(form)
-    if f.degree != 0 or mult != 1:
-        raise PolyError("form divisible by x2 is not an irreducible point")
-    return BinaryForm.x2(form.spec), f.coeff(0)
+    return form.poly, form.degree - form.poly.degree
 
 
 # -- projective points and the GL(2) substitution action ----------------------
@@ -496,15 +462,15 @@ ProjPoint = _EpsType | BinaryForm
 
 
 def point_sort_key(point: ProjPoint) -> tuple:
-    """Total order on projective points: eps first, then (degree, coeffs)."""
+    """Total order on projective points: eps first, then by ``sort_key``."""
     if isinstance(point, _EpsType):
-        return (0, -1, ())
+        return (0, -1, 0)
     return (1,) + point.sort_key()
 
 
 def point_from_poly(f: Poly) -> BinaryForm:
     """The unital projective point attached to a monic irreducible f."""
-    return homogenize(f.monic(), f.degree)
+    return BinaryForm(f.monic(), f.degree)
 
 
 def moebius_act(q: Sequence[Sequence[int]], point: ProjPoint, spec: FieldSpec) -> ProjPoint:
@@ -520,25 +486,25 @@ def moebius_act(q: Sequence[Sequence[int]], point: ProjPoint, spec: FieldSpec) -
         raise PolyError("singular substitution matrix")
     if isinstance(point, _EpsType):
         return EPS
-    # Horner on packed coefficients with y1, y2 the images of x1, x2:
+    # Horner on the packed coefficients with y1, y2 the images of x1, x2:
     # acc_{j+1} = acc_j * y1 + c_{d-j-1} * y2^(j+1), ending at sum c_i y1^i y2^(d-i).
     pk = spec.packing
-    mul, w = pk.mul, pk.w
+    mul, w, mask = pk.mul, pk.w, pk.mask
     y1, y2 = q21 | q11 << w, q22 | q12 << w
-    coeffs = point.coeffs
-    acc, y2pow = coeffs[-1], 1
-    for c in coeffs[-2::-1]:
+    bits, d = point.poly.bits, point.degree
+    acc, y2pow = bits >> (d * w), 1
+    for s in range((d - 1) * w, -1, -w):
         acc = mul(acc, y1)
         y2pow = mul(y2pow, y2)
-        if c:
+        if c := bits >> s & mask:
             acc ^= mul(c, y2pow)
-    # scale to unital before unpacking; the forms keep their trailing zeros,
-    # so unpack all d + 1 coefficients
-    d = len(coeffs) - 1
-    if (lead := acc >> (d * w)) > 1:
+    # the image of a point is a point: x2 itself when x2 divides it,
+    # otherwise scaled to leading x1 coefficient 1
+    if not (lead := acc >> (d * w)):
+        return BinaryForm.x2(spec)
+    if lead > 1:
         acc = mul(spec.inv(lead), acc)
-    normal, _ = unital_normalize(BinaryForm(pk.unpack(acc, d + 1), spec))
-    return normal
+    return BinaryForm(Poly(acc, spec), d)
 
 
 # -- text forms ----------------------------------------------------------------
@@ -548,7 +514,7 @@ _POLY_TERM_RE = re.compile(
 )
 
 
-def format_poly(f: Poly, var: str = "t") -> str:
+def format_poly(f: Poly) -> str:
     if f.is_zero():
         return "0"
     terms = []
@@ -559,12 +525,12 @@ def format_poly(f: Poly, var: str = "t") -> str:
         if i == 0:
             terms.append("1" if c == 1 else f"{{{c:x}}}")
             continue
-        v = var if i == 1 else f"{var}^{i}"
+        v = "t" if i == 1 else f"t^{i}"
         terms.append(v if c == 1 else f"{{{c:x}}}*{v}")
     return "+".join(terms)
 
 
-def parse_poly(spec: FieldSpec, text: str, var: str = "t") -> Poly:
+def parse_poly(spec: FieldSpec, text: str) -> Poly:
     s = text.replace(" ", "")
     if s in ("", "0"):
         return Poly.zero(spec)
@@ -573,7 +539,7 @@ def parse_poly(spec: FieldSpec, text: str, var: str = "t") -> Poly:
         if term == "1":
             coeffs[0] = coeffs.get(0, 0) ^ 1
             continue
-        m = _POLY_TERM_RE.match(term.replace(var, "t"))
+        m = _POLY_TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise PolyError(f"bad polynomial term {term!r} in {text!r}")
         c = int(m.group("coef"), 16) if m.group("coef") is not None else 1
@@ -587,12 +553,6 @@ def parse_poly(spec: FieldSpec, text: str, var: str = "t") -> Poly:
     for e, c in coeffs.items():
         out[e] = c
     return Poly.make(spec, out)
-
-
-_FORM_TERM_RE = re.compile(
-    r"^(?:\{(?P<coef>[0-9a-fA-F]+)\}\*?)?"
-    r"(?:x1(?:\^(?P<e1>\d+))?)?\*?(?:x2(?:\^(?P<e2>\d+))?)?$"
-)
 
 
 def format_form(form: BinaryForm) -> str:
@@ -615,40 +575,3 @@ def format_form(form: BinaryForm) -> str:
             parts.append("1")
         terms.append("*".join(parts))
     return "+".join(terms)
-
-
-def parse_form(spec: FieldSpec, text: str) -> BinaryForm:
-    s = text.replace(" ", "")
-    if s in ("", "0"):
-        return BinaryForm.zero(spec)
-    seen: dict[int, int] = {}
-    degree = None
-    for term in s.split("+"):
-        if term == "1":
-            if degree is None:
-                degree = 0
-            elif degree != 0:
-                raise PolyError(f"form {text!r} is not homogeneous")
-            seen[0] = seen.get(0, 0) ^ 1
-            continue
-        m = _FORM_TERM_RE.match(term)
-        if not m or term == "":
-            raise PolyError(f"bad form term {term!r} in {text!r}")
-        has_x1 = "x1" in term
-        has_x2 = "x2" in term
-        if m.group("coef") is None and not has_x1 and not has_x2:
-            raise PolyError(f"bad form term {term!r} in {text!r}")
-        c = int(m.group("coef"), 16) if m.group("coef") is not None else 1
-        spec.check(c)
-        e1 = (int(m.group("e1")) if m.group("e1") else 1) if has_x1 else 0
-        e2 = (int(m.group("e2")) if m.group("e2") else 1) if has_x2 else 0
-        total = e1 + e2
-        if degree is None:
-            degree = total
-        elif degree != total:
-            raise PolyError(f"form {text!r} is not homogeneous")
-        seen[e1] = seen.get(e1, 0) ^ c
-    out = [0] * (degree + 1)
-    for e, c in seen.items():
-        out[e] = c
-    return BinaryForm.make(spec, out)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
@@ -10,7 +11,7 @@ from itertools import product
 from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_mul
-from altpairs.linalg import Mat, _kernel_images, smith_form
+from altpairs.linalg import Mat, _kernel_images, congruence, smith_form
 from altpairs.pencil import ClassFunction, KroneckerInvariants, assemble, decompose, require_valid
 from altpairs.polyring import (
     EPS,
@@ -18,6 +19,7 @@ from altpairs.polyring import (
     Poly,
     PolyError,
     _EpsType,
+    dehomogenize,
     factor,
     homogenize,
     is_irreducible,
@@ -25,7 +27,6 @@ from altpairs.polyring import (
     monic_irreducibles,
     point_from_poly,
     point_sort_key,
-    unital_normalize,
 )
 from altpairs.weakeq import GL2Element, act_on_class, gl2_enumerate, relabel_class, transform_weak
 
@@ -49,6 +50,11 @@ def random_invertible(spec: FieldSpec, rng: random.Random, n: int) -> Mat:
         m = random_matrix(spec, rng, n, n)
         if m.is_invertible():
             return m
+
+
+def transform_congruence(pair: AlternatingPair, s: Mat) -> AlternatingPair:
+    """Simultaneous basis change (A, B) -> (S A S^T, S B S^T)."""
+    return AlternatingPair(congruence(s, pair.a), congruence(s, pair.b))
 
 
 def random_alternating(spec: FieldSpec, rng: random.Random, n: int) -> Mat:
@@ -284,34 +290,123 @@ def weakly_equivalent_scan(p: AlternatingPair, r: AlternatingPair):
 # -- reference GL(2) point action -------------------------------------------------
 
 
-def moebius_act_reference(q, point, spec: FieldSpec):
-    """The substitution action built from BinaryForm products: x1 -> y1,
+def moebius_act_reference(q, coeffs: tuple, spec: FieldSpec) -> tuple:
+    """The substitution action on the coefficient tuple of a point of degree
+    d = len(coeffs) - 1, on tuples and ``mul_table`` rows: x1 -> y1,
     x2 -> y2 with y1 = q11*x1 + q21*x2 and y2 = q12*x1 + q22*x2, summed as
-    sum_i c_i y1^i y2^(d-i), then unital-normalized."""
+    sum_i c_i y1^i y2^(d-i) by ``_poly_submul``, padded to d + 1
+    coefficients and scaled to leading coefficient 1; x2, (1, 0), when x2
+    divides the image."""
     (q11, q12), (q21, q22) = q
-    det = spec.mul(q11, q22) ^ spec.mul(q12, q21)
-    if det == 0:
+    rows = spec.mul_table
+    if rows[q11][q22] ^ rows[q12][q21] == 0:
         raise PolyError("singular substitution matrix")
-    if isinstance(point, _EpsType):
-        return EPS
-    y1 = BinaryForm.make(spec, (q21, q11))
-    y2 = BinaryForm.make(spec, (q22, q12))
-    d = point.degree
-    acc = BinaryForm.zero(spec)
-    y1pow = BinaryForm.one(spec)
-    powers1 = []
-    for _ in range(d + 1):
-        powers1.append(y1pow)
-        y1pow = y1pow * y1
-    y2pow = BinaryForm.one(spec)
-    for i in range(d, -1, -1):
-        c = point.coeff(i)
+    d = len(coeffs) - 1
+
+    def power(y: tuple, n: int) -> tuple:
+        acc = (1,)
+        for _ in range(n):
+            acc = _poly_submul(rows, (), acc, y)
+        return acc
+
+    acc = ()
+    for i, c in enumerate(coeffs):
         if c:
-            term = (powers1[i] * y2pow).scale(c)
-            acc = acc + term if not acc.is_zero() else term
-        y2pow = y2pow * y2
-    normal, _ = unital_normalize(acc)
-    return normal
+            term = _poly_submul(rows, (), power((q21, q11), i), power((q22, q12), d - i))
+            acc = _poly_submul(rows, acc, (c,), term)
+    acc += (0,) * (d + 1 - len(acc))
+    if not acc[-1]:
+        if d != 1:
+            raise PolyError("form divisible by x2 is not an irreducible point")
+        return (1, 0)
+    row = rows[spec.inv(acc[-1])]
+    return tuple(row[c] for c in acc)
+
+
+def random_irreducible(spec: FieldSpec, rng: random.Random, degree: int) -> Poly:
+    """A monic irreducible of the given degree, by rejection sampling."""
+    while True:
+        f = Poly.make(spec, [rng.randrange(spec.order) for _ in range(degree)] + [1])
+        if is_irreducible(f):
+            return f
+
+
+def unital_normalize(form: BinaryForm) -> tuple[BinaryForm, int]:
+    """Scale a nonzero form to unital shape; returns (normal form, scalar)."""
+    if form.is_zero():
+        raise PolyError("cannot normalize the zero form")
+    lead = form.coeffs[-1]
+    if lead != 0:
+        if lead == 1:
+            return form, 1
+        return form.scale(form.spec.inv(lead)), lead
+    # x2 divides the form; for irreducible points this is the x2 point itself
+    f, mult = dehomogenize(form)
+    if f.degree != 0 or mult != 1:
+        raise PolyError("form divisible by x2 is not an irreducible point")
+    return BinaryForm.x2(form.spec), f.coeff(0)
+
+
+# -- text forms of points and class functions ----------------------------------------
+
+_FORM_TERM_RE = re.compile(
+    r"^(?:\{(?P<coef>[0-9a-fA-F]+)\}\*?)?"
+    r"(?:x1(?:\^(?P<e1>\d+))?)?\*?(?:x2(?:\^(?P<e2>\d+))?)?$"
+)
+
+
+def parse_form(spec: FieldSpec, text: str) -> BinaryForm:
+    """The inverse of ``polyring.format_form``."""
+    s = text.replace(" ", "")
+    if s in ("", "0"):
+        return BinaryForm.zero(spec)
+    seen: dict[int, int] = {}
+    degree = None
+    for term in s.split("+"):
+        if term == "1":
+            if degree is None:
+                degree = 0
+            elif degree != 0:
+                raise PolyError(f"form {text!r} is not homogeneous")
+            seen[0] = seen.get(0, 0) ^ 1
+            continue
+        m = _FORM_TERM_RE.match(term)
+        if not m or term == "":
+            raise PolyError(f"bad form term {term!r} in {text!r}")
+        has_x1 = "x1" in term
+        has_x2 = "x2" in term
+        if m.group("coef") is None and not has_x1 and not has_x2:
+            raise PolyError(f"bad form term {term!r} in {text!r}")
+        c = int(m.group("coef"), 16) if m.group("coef") is not None else 1
+        spec.check(c)
+        e1 = (int(m.group("e1")) if m.group("e1") else 1) if has_x1 else 0
+        e2 = (int(m.group("e2")) if m.group("e2") else 1) if has_x2 else 0
+        total = e1 + e2
+        if degree is None:
+            degree = total
+        elif degree != total:
+            raise PolyError(f"form {text!r} is not homogeneous")
+        seen[e1] = seen.get(e1, 0) ^ c
+    out = [0] * (degree + 1)
+    for e, c in seen.items():
+        out[e] = c
+    return BinaryForm.make(spec, out)
+
+
+def parse_point(spec: FieldSpec, text: str):
+    """The inverse of ``pencil.point_text``."""
+    if text.strip() == "eps":
+        return EPS
+    return parse_form(spec, text)
+
+
+def class_function_from_json(spec: FieldSpec, data) -> ClassFunction:
+    """The inverse of ``ClassFunction.to_json_dict``."""
+    acc: dict = {}
+    for blk in data["blocks"]:
+        key = (parse_point(spec, blk["g"]), int(blk["n"]))
+        acc[key] = acc.get(key, 0) + int(blk["mult"])
+    return ClassFunction.from_dict(spec, acc)
 
 
 # -- subfield embeddings and truncated series -------------------------------------

@@ -29,7 +29,6 @@ from altpairs.pencil import (
     congruent,
     decompose,
     pfaffian_form,
-    transform_congruence,
 )
 from altpairs.polyring import (
     EPS,
@@ -58,6 +57,7 @@ from conftest import (
     random_invertible,
     random_weak_pairs_with_witness,
     submatrix,
+    transform_congruence,
     unpack_alternating,
 )
 
@@ -74,7 +74,6 @@ def report(num: int, name: str, started: float, budget: float) -> None:
 
 def test_criterion_1_residue_reconstruction():
     from conftest import residue_oracle
-    from altpairs.pencil import transform_congruence
 
     started = time.perf_counter()
     checked = 0
@@ -224,7 +223,7 @@ def test_criterion_5_weak_equivalence_oracle():
 def test_criterion_6_orbit_sanity():
     started = time.perf_counter()
     from altpairs.pencil import ClassFunction
-    from altpairs.polyring import parse_form
+    from conftest import parse_form
     from altpairs.weakeq import point_action
 
     points = [parse_form(GF2, t) for t in ("x1", "x2", "x1+x2")]

@@ -13,8 +13,8 @@ from altpairs.blocks import (
     direct_sum,
 )
 from altpairs.linalg import Mat, smith_form
-from altpairs.pencil import decompose, pfaffian_form, transform_congruence, validate
-from altpairs.polyring import EPS, Poly, monic_irreducibles, parse_poly, point_from_poly
+from altpairs.pencil import decompose, pfaffian_form, validate
+from altpairs.polyring import EPS, BinaryForm, Poly, monic_irreducibles, parse_poly
 
 from conftest import (
     GF2,
@@ -24,6 +24,7 @@ from conftest import (
     reverse_star,
     series_inverse_trunc,
     submatrix,
+    transform_congruence,
 )
 
 
@@ -248,15 +249,18 @@ def test_block_id_dims():
 
 
 def test_block_id_points():
-    point, n = BlockId.parse("fin:t^2+t+1^2").point()
-    assert point == point_from_poly(tp("t^2+t+1")) and n == 2
-    point, n = BlockId.parse("inf:3").point()
-    assert point.coeffs == (1, 0) and n == 3
-    point, n = BlockId.parse("plus:2").point()
-    assert point is EPS and n == 3
-    for text in ("fin:t^2+t+1^2", "fin:t^1", "inf:3", "plus:0", "plus:2"):
-        bid = BlockId.parse(text)
-        assert BlockId.of_point(*bid.point()) == bid
+    # (point, n) labels with each point written out, against the parsed block
+    labels = {
+        GF2: [((1, 1, 1), 2, "fin:t^2+t+1^2"), ((0, 1), 1, "fin:t^1"), ((1, 0), 3, "inf:3")],
+        GF4: [((2, 1, 1), 1, "fin:t^2+t+{2}^1"), ((2, 1), 2, "fin:t+{2}^2"), ((1, 0), 3, "inf:3")],
+    }
+    for spec, cases in labels.items():
+        for coeffs, n, text in cases:
+            assert BlockId.of_point(BinaryForm.make(spec, coeffs), n) == BlockId.parse(text, spec)
+        assert BlockId.of_point(EPS, 1) == BlockId.parse("plus:0")
+        assert BlockId.of_point(EPS, 3) == BlockId.parse("plus:2")
+    with pytest.raises(BlockError):
+        BlockId.of_point(BinaryForm.make(GF4, (0, 1, 0)), 1)  # x1 * x2 is no point
 
 
 def test_block_id_build_matches_constructors():

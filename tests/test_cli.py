@@ -16,7 +16,7 @@ from altpairs.field import FieldSpec
 from altpairs.pencil import ClassFunction, assemble, decompose
 from altpairs.polyring import EPS, BinaryForm, parse_poly
 
-from conftest import GF2, GF4
+from conftest import GF2, GF4, class_function_from_json
 
 
 def tp(text):
@@ -131,7 +131,7 @@ def test_decompose_json_roundtrip(capsys, monkeypatch):
     code, out, _ = run(capsys, ["--json", "decompose"], stdin=doc, monkeypatch=monkeypatch)
     assert code == 0
     payload = json.loads(out)
-    assert ClassFunction.from_json_dict(GF2, payload) == decompose(pair)
+    assert class_function_from_json(GF2, payload) == decompose(pair)
 
 
 def test_canonical_lists_block_ids(capsys, monkeypatch):

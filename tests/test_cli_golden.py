@@ -75,11 +75,16 @@ def test_cli_outputs_match_golden(tmp_path):
 
 
 def _generate() -> dict:
-    from conftest import random_class_function, random_invertible, small_irreducibles
+    from conftest import (
+        random_class_function,
+        random_invertible,
+        small_irreducibles,
+        transform_congruence,
+    )
     from altpairs.blocks import BlockId
     from altpairs.cli import format_pair_document
     from altpairs.field import FieldSpec
-    from altpairs.pencil import assemble, transform_congruence
+    from altpairs.pencil import assemble
 
     rng = random.Random(20261018)
     inputs: dict[str, str] = {}

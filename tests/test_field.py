@@ -1,8 +1,13 @@
 """Field arithmetic in GF(2^k) and the packed GF(2^k)[t] kernel."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import altpairs
 
 from altpairs.field import (
     FieldError,
@@ -249,3 +254,27 @@ def test_scale_and_divmod_read_multiples(spec):
             if b:
                 expected = tuple(map(pk.pack, _poly_divmod(rows, inv, a.coeffs, b.coeffs)))
                 assert pk.divmod(pa, pb, t) == expected
+
+
+WRONG_TABLE_DIVISION = """
+from altpairs.field import FieldSpec
+pk = FieldSpec.gf({k}).packing
+a, b = pk.pack([1] * 9), pk.pack([1, 1, 1])
+pk.divmod(a, b, [0] * (1 << {k}))  # a table of multiples that clears nothing
+"""
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_divmod_with_a_wrong_table_fails_instead_of_looping(k):
+    # in a child process, so that a division that never ends shows here as
+    # a timeout, not as a hung suite
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(altpairs.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", WRONG_TABLE_DIVISION.format(k=k)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("Packing.divmod did not finish with a wrong table of multiples")
+    assert proc.returncode == 1
+    assert "AssertionError: a table of multiples left the leading slot" in proc.stderr

@@ -7,7 +7,7 @@ import pytest
 from altpairs.blocks import build_finite, direct_sum
 from altpairs.field import FieldError
 from altpairs.linalg import LinAlgError, Mat, _smith_diagonal, congruence, smith_form
-from altpairs.pencil import assemble, transform_congruence
+from altpairs.pencil import assemble
 from altpairs.polyring import (
     Poly,
     monic_irreducibles,
@@ -28,6 +28,7 @@ from conftest import (
     rref_reference,
     series_inverse_trunc,
     smith_reference,
+    transform_congruence,
 )
 
 

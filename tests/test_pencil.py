@@ -22,14 +22,12 @@ from altpairs.pencil import (
     decompose,
     kronecker_invariants,
     pfaffian_form,
-    transform_congruence,
     validate,
 )
 from altpairs.polyring import (
     EPS,
     BinaryForm,
     monic_irreducibles,
-    parse_form,
     parse_poly,
     point_from_poly,
 )
@@ -39,14 +37,17 @@ from conftest import (
     GF4,
     GF16,
     GF512,
+    class_function_from_json,
     embed,
     form_value,
+    parse_form,
     kronecker_reference,
     pfaffian_interpolation_reference,
     pfaffian_of_class,
     random_alternating_pair,
     random_class_function,
     random_invertible,
+    transform_congruence,
 )
 
 
@@ -440,7 +441,7 @@ def test_class_function_json_roundtrip():
     for spec in (GF2, GF4):
         for _ in range(10):
             rho = random_class_function(spec, rng, 16)
-            assert ClassFunction.from_json_dict(spec, rho.to_json_dict()) == rho
+            assert class_function_from_json(spec, rho.to_json_dict()) == rho
 
 
 def test_class_function_ordering_eps_first():

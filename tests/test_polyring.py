@@ -13,6 +13,7 @@ from altpairs.polyring import (
     BinaryForm,
     Poly,
     PolyError,
+    _equal_degree_split,
     dehomogenize,
     derivative,
     factor,
@@ -23,13 +24,11 @@ from altpairs.polyring import (
     lagrange_interpolate,
     moebius_act,
     monic_irreducibles,
-    parse_form,
     parse_poly,
     point_from_poly,
     point_sort_key,
     poly_gcd,
     poly_sqrt,
-    unital_normalize,
 )
 from altpairs.weakeq import pgl2_enumerate
 
@@ -43,9 +42,12 @@ from conftest import (
     form_value,
     is_unital,
     moebius_act_reference,
+    parse_form,
     poly_value,
+    random_irreducible,
     reverse_star,
     series_inverse_trunc,
+    unital_normalize,
 )
 
 
@@ -133,6 +135,23 @@ def _rand_coeffs(spec, rng, degree):
     return tuple(rng.randrange(spec.order) for _ in range(degree)) + (rng.randrange(1, spec.order),)
 
 
+FORM_SHAPES = [(-1, 0)] + [(d, m) for d in (0, 1, 2, 3, 6) for m in range(d + 1)]  # (degree, x2 power)
+
+
+def _rand_form_coeffs(spec, rng, degree, x2_power):
+    """Coefficients of a random form of the given degree that x2 divides
+    exactly x2_power times."""
+    return _rand_coeffs(spec, rng, degree - x2_power) + (0,) * x2_power
+
+
+def _form_product(rows, a, b):
+    """Product of coefficient tuples, padded to keep the total degree."""
+    if not a or not b:
+        return ()
+    ab = _poly_submul(rows, (), a, b)
+    return ab + (0,) * (len(a) + len(b) - 1 - len(ab))
+
+
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
 def test_packed_product_divmod_and_monic_match_tuples(spec):
     rng = random.Random(0x13 + spec.k)
@@ -177,6 +196,48 @@ def test_sort_key_orders_by_degree_then_coefficients_from_the_top(spec):
     polys += [Poly.make(spec, (c, 1)) for c in range(min(spec.order, 8))]
     expected = sorted(polys, key=lambda f: (f.degree, f.coeffs[::-1]))
     assert sorted(polys, key=Poly.sort_key) == expected
+    # and binary forms, x2 dividing some of them
+    forms = [BinaryForm.make(spec, _rand_form_coeffs(spec, rng, *shape)) for shape in FORM_SHAPES * 8]
+    forms += [BinaryForm.make(spec, (c, 1)) for c in range(min(spec.order, 8))] + [BinaryForm.x2(spec)]
+    expected = sorted(forms, key=lambda g: (g.degree, g.coeffs[::-1]))
+    assert sorted(forms, key=BinaryForm.sort_key) == expected
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+def test_binary_form_arithmetic_matches_tuples(spec):
+    rng = random.Random(0x53 + spec.k)
+    rows = spec.mul_table
+    cs = [_rand_form_coeffs(spec, rng, *shape) for shape in FORM_SHAPES]
+    forms = [BinaryForm.make(spec, c) for c in cs]
+    for a, f in zip(cs, forms):
+        assert f.coeffs == a and f.degree == len(a) - 1
+        c = rng.randrange(spec.order)
+        assert f.scale(c).coeffs == (tuple(rows[c][x] for x in a) if c else ())
+        expected = (1,)
+        for n in range(4):
+            assert f.power(n).coeffs == expected
+            expected = _form_product(rows, expected, a)
+        for b, g in zip(cs, forms):
+            assert (f * g).coeffs == _form_product(rows, a, b)
+            if a and b and len(a) != len(b):
+                with pytest.raises(PolyError):
+                    f + g
+                continue
+            total = tuple(x ^ y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+            assert (f + g).coeffs == (total if any(total) else ())
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
+def test_homogenize_dehomogenize_roundtrip_with_x2_power(spec):
+    rng = random.Random(0x59 + spec.k)
+    for d in (0, 1, 2, 5):
+        for m in range(4):
+            fc = _rand_coeffs(spec, rng, d)
+            f = Poly.make(spec, fc)
+            g = homogenize(f, d + m)
+            assert (g.coeffs, g.degree) == (fc + (0,) * m, d + m)
+            assert g == BinaryForm.make(spec, g.coeffs)
+            assert dehomogenize(g) == (f, m)
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
@@ -340,6 +401,18 @@ def test_factor_gf4_reconstruction_random():
             for _ in range(mult):
                 prod = prod * g
         assert prod == f
+
+
+def test_equal_degree_split_does_not_depend_on_the_seed():
+    rng = random.Random(0x67)
+    for spec, d in ((GF2, 3), (GF4, 2), (GF16, 1), (GF512, 2)):
+        fs = sorted({random_irreducible(spec, rng, d) for _ in range(6)}, key=Poly.sort_key)
+        f = Poly.one(spec)
+        for g in fs:
+            f = f * g
+        for seed in range(10):
+            split = _equal_degree_split(f, d, random.Random(seed))
+            assert sorted(split, key=Poly.sort_key) == fs
 
 
 def test_is_irreducible_matches_trial_division():
@@ -508,18 +581,35 @@ def test_moebius_permutes_unital_points_gf4():
         assert is_unital(g)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+def _random_gl2(spec, rng):
+    while True:
+        q = tuple(tuple(rng.randrange(spec.order) for _ in range(2)) for _ in range(2))
+        if spec.mul(q[0][0], q[1][1]) ^ spec.mul(q[0][1], q[1][0]):
+            return q
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 16])
 def test_moebius_matches_reference(k):
-    # every PGL(2, 2^k) element against x2, eps and the first six monic
-    # irreducible points of each degree <= 3
+    # x2, eps and irreducible points of degree 1-5 (the first six of each
+    # degree <= 3 when k <= 3, otherwise one sampled), moved by every element
+    # of PGL(2, 2^k) up to k = 4 and by 300 sampled invertible Q above
     spec = FieldSpec.gf(k)
-    points = [BinaryForm.x2(spec), EPS]
-    for d in (1, 2, 3):
-        points.extend(point_from_poly(f) for f in itertools.islice(monic_irreducibles(spec, d), 6))
-    for q in pgl2_enumerate(spec):
-        rows = q.rows()
+    rng = random.Random(0x61 + k)
+    points = [BinaryForm.x2(spec)]
+    for d in (1, 2, 3, 4, 5):
+        if k <= 3 and d <= 3:
+            points.extend(point_from_poly(f) for f in itertools.islice(monic_irreducibles(spec, d), 6))
+        else:
+            points.append(point_from_poly(random_irreducible(spec, rng, d)))
+    if k <= 4:
+        qs = [q.rows() for q in pgl2_enumerate(spec)]
+    else:
+        qs = [_random_gl2(spec, rng) for _ in range(300)]
+    for rows in qs:
+        assert moebius_act(rows, EPS, spec) is EPS
         for g in points:
-            assert moebius_act(rows, g, spec) == moebius_act_reference(rows, g, spec)
+            moved = moebius_act(rows, g, spec)
+            assert (moved.coeffs, moved.degree) == (moebius_act_reference(rows, g.coeffs, spec), g.degree)
 
 
 # -- interpolation, text forms, ordering ---------------------------------------------

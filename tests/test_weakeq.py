@@ -15,7 +15,6 @@ from altpairs.polyring import (
     Poly,
     is_irreducible,
     monic_irreducibles,
-    parse_form,
     parse_poly,
     point_from_poly,
 )
@@ -38,6 +37,7 @@ from conftest import (
     GF4,
     canonical_rep_scan,
     gl2_inv,
+    parse_form,
     random_alternating_pair,
     random_class_function,
     random_invertible,
