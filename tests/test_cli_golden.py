@@ -3,7 +3,9 @@ inputs, compared byte for byte with ``cli_golden.json``.
 
 The inputs are stored in the data file with the outputs: ``gen-block``
 blocks and scrambled direct sums of dimension 8-24 at k in {1, 2, 4}, plus a
-few non-alternating documents.  A change that means to alter CLI output
+few non-alternating documents and a weak image of one sum for ``equiv``.
+``corpus`` also runs on an empty directory, and ``gen-block`` on ids it
+refuses.  A change that means to alter CLI output
 regenerates the file with ``PYTHONPATH=src python tests/test_cli_golden.py``
 and says so.
 """
@@ -47,10 +49,12 @@ def _run(argv: list[str], stdin: str | None) -> tuple[int, str, str]:
 
 def _outputs(data: dict, workdir: Path) -> list[list]:
     """[code, stdout, stderr] of every case, with long outputs kept as a
-    digest; the corpus files are written to ``workdir/batch`` and
-    ``workdir`` is the working directory."""
+    digest; the corpus files are written to ``workdir/batch``, next to an
+    empty directory ``workdir/empty``, and ``workdir`` is the working
+    directory."""
     batch = workdir / "batch"
     batch.mkdir()
+    (workdir / "empty").mkdir()
     for name in data["corpus"]:
         (batch / f"{name}.pair").write_text(data["inputs"][name], encoding="utf-8")
     cwd = os.getcwd()
@@ -123,6 +127,26 @@ def _generate() -> dict:
     corpus = [name for name in inputs if name.endswith(("-1", "-2", "-3", "-bad-diagonal"))]
     cases.append({"argv": ["corpus", "batch"], "input": None})
     cases.append({"argv": ["--json", "corpus", "batch"], "input": None})
+    # appended later, so the cases above keep their inputs and order
+    from altpairs.cli import parse_pair_document
+    from altpairs.weakeq import GL2Element, transform_weak
+
+    spec = FieldSpec.gf(2)
+    pair = parse_pair_document(inputs["k2-sum-1"]).first_two()
+    s = random_invertible(spec, random.Random(15), pair.dim)
+    inputs["k2-sum-1-weak-image"] = format_pair_document(
+        transform_weak(pair, s, GL2Element(1, 2, 2, 1, spec))
+    )
+    for argv, stdin in (
+        (["equiv", "-", "batch/k2-sum-1.pair"], "k2-sum-1-weak-image"),
+        (["equiv", "batch/k1-sum-1.pair", "batch/k1-sum-2.pair"], None),
+        (["equiv", "batch/k1-bad-diagonal.pair", "batch/k1-sum-1.pair"], None),
+        (["corpus", "empty"], None),
+        (["gen-block", "inf:0"], None),
+        (["gen-block", "bogus"], None),
+    ):
+        cases.append({"argv": argv, "input": stdin})
+        cases.append({"argv": ["--json", *argv], "input": stdin})
     return {"inputs": inputs, "corpus": corpus, "cases": cases}
 
 
