@@ -17,7 +17,6 @@ from .pencil import (
     assemble,
     congruent,
     decompose,
-    kronecker_invariants,
     pfaffian_form,
     validate,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "gl2_enumerate",
     "homogenize",
     "iso_from_witness",
-    "kronecker_invariants",
     "moebius_act",
     "pfaffian_form",
     "presentation_from_class",

@@ -12,6 +12,16 @@ Pair documents are line-oriented text::
     0 0
     0 0
 
+The ``field`` and ``dim`` lines come first, in either order, and a
+document's ``field`` line is the only source of its field.  Each ``matrix``
+line is followed by ``dim`` rows of ``dim`` entries: hex digits only (no
+sign, prefix or underscore), separated by spaces or tabs, each below the
+field order.  ``#`` starts a comment.  A syntax error names its line.
+
+Every command reads its input and computes its result, returning it as a
+JSON payload, a text and an exit code; ``main`` prints the payload under
+``--json`` and the text otherwise (nothing when the text is empty).
+
 ``corpus`` classifies the ``.pair`` files of a directory one after another
 in sorted path order; a file that cannot be read, does not parse, or is not
 alternating comes back as ``ok: false`` with a message and the batch goes on.
@@ -44,7 +54,7 @@ from .polyring import PolyError, format_form
 from .weakeq import CANDIDATE_CAP, ENUMERATION_CAP_K, CapError, GL2Element
 from .weakeq import canonical_rep, weakly_equivalent
 
-ENV_FIELD = "ALTPAIRS_FIELD"
+_ROW_CHARS = "0123456789abcdefABCDEF \t"
 
 
 class ParseError(ValueError):
@@ -52,7 +62,6 @@ class ParseError(ValueError):
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 @dataclass
@@ -62,8 +71,6 @@ class PairDocument:
     matrices: list[tuple[str, Mat]]
 
     def first_two(self) -> AlternatingPair:
-        if len(self.matrices) < 2:
-            raise ParseError(0, "document needs at least two matrices")
         return AlternatingPair(self.matrices[0][1], self.matrices[1][1])
 
 
@@ -77,6 +84,8 @@ def parse_pair_document(text: str) -> PairDocument:
         if not line:
             continue
         parts = line.split()
+        if parts[0] in ("field", "dim") and matrices:
+            raise ParseError(lineno, f"{parts[0]} must come before the first matrix")
         if parts[0] == "field":
             if len(parts) != 2:
                 raise ParseError(lineno, "expected: field <spec>")
@@ -96,34 +105,30 @@ def parse_pair_document(text: str) -> PairDocument:
         else:
             if current is None:
                 raise ParseError(lineno, f"unexpected content {line!r} before any matrix")
+            if spec is None:
+                raise ParseError(lineno, "field must be declared before matrix rows")
             if dim is None:
                 raise ParseError(lineno, "dim must be declared before matrix rows")
-            try:
-                row = [int(tok, 16) for tok in parts]
-            except ValueError:
-                raise ParseError(lineno, f"bad hex entries in {line!r}") from None
+            if line.strip(_ROW_CHARS):
+                raise ParseError(lineno, f"bad hex entries in {line!r}")
+            row = [int(tok, 16) for tok in parts]
             if len(row) != dim:
                 raise ParseError(lineno, f"expected {dim} entries, got {len(row)}")
+            if max(row, default=0) >= spec.order:
+                raise ParseError(lineno, f"value 0x{max(row):x} out of range for {spec}")
             current.append(row)
     if spec is None:
-        env = os.environ.get(ENV_FIELD)
-        if env:
-            spec = FieldSpec.parse(env)
-        else:
-            raise ParseError(0, "missing field declaration")
+        raise ParseError(0, "missing field declaration")
     if dim is None:
         raise ParseError(0, "missing dim declaration")
     if len(matrices) < 2:
         raise ParseError(0, "document needs at least two matrices")
-    out = []
     for name, rows in matrices:
         if len(rows) != dim:
             raise ParseError(0, f"matrix {name} has {len(rows)} rows, expected {dim}")
-        try:
-            out.append((name, Mat.from_rows(spec, rows, dim)))
-        except (FieldError, ValueError) as exc:
-            raise ParseError(0, f"matrix {name}: {exc}") from exc
-    return PairDocument(spec, dim, out)
+    # every entry was checked on its line, so the rows need no second pass
+    mats = [(name, Mat(tuple(map(tuple, rows)), dim, spec)) for name, rows in matrices]
+    return PairDocument(spec, dim, mats)
 
 
 def format_pair_document(pair: AlternatingPair) -> str:
@@ -149,161 +154,108 @@ def _witness_json(q: GL2Element) -> dict:
 def _class_text(rho: ClassFunction) -> str:
     if not rho.entries:
         return "(empty class function)"
-    return "\n".join(
-        f"rho({point_text(p)}, {n}) = {m}" for p, n, m in rho.entries
-    )
+    return "\n".join(f"rho({point_text(p)}, {n}) = {m}" for p, n, m in rho.entries)
 
 
 def _block_ids(rho: ClassFunction) -> list[str]:
-    return [
-        str(BlockId.of_point(point, n)) for point, n, mult in rho.entries for _ in range(mult)
-    ]
+    return [str(BlockId.of_point(p, n)) for p, n, mult in rho.entries for _ in range(mult)]
 
 
-# -- commands ---------------------------------------------------------------------
+# -- commands: each returns (JSON payload, text, exit code) ---------------------------
 
 
-def cmd_validate(args) -> int:
-    doc = parse_pair_document(_read_input(args.file))
-    report = validate(doc.first_two())
-    if args.json:
-        payload = {"ok": report.ok}
-        if not report.ok:
-            payload.update(
-                {"matrix": report.matrix, "position": list(report.position), "message": report.message}
-            )
-        print(json.dumps(payload))
-    else:
-        print("ok" if report.ok else f"invalid: {report.message}")
-    return 0 if report.ok else 2
+def _read_pair(path: str) -> AlternatingPair:
+    return parse_pair_document(_read_input(path)).first_two()
 
 
-def cmd_pfaffian(args) -> int:
-    doc = parse_pair_document(_read_input(args.file))
-    form = pfaffian_form(doc.first_two())
-    if args.json:
-        print(json.dumps({"pfaffian": format_form(form)}))
-    else:
-        print(format_form(form))
-    return 0
+def cmd_validate(args) -> tuple[dict, str, int]:
+    report = validate(_read_pair(args.file))
+    if report.ok:
+        return {"ok": True}, "ok", 0
+    fault = {"matrix": report.matrix, "position": list(report.position), "message": report.message}
+    return {"ok": False, **fault}, f"invalid: {report.message}", 2
 
 
-def cmd_decompose(args) -> int:
-    doc = parse_pair_document(_read_input(args.file))
-    rho = decompose(doc.first_two())
-    if args.json:
-        print(json.dumps(rho.to_json_dict()))
-    else:
-        print(_class_text(rho))
-    return 0
+def cmd_pfaffian(args) -> tuple[dict, str, int]:
+    form = format_form(pfaffian_form(_read_pair(args.file)))
+    return {"pfaffian": form}, form, 0
 
 
-def cmd_canonical(args) -> int:
-    doc = parse_pair_document(_read_input(args.file))
-    rho = decompose(doc.first_two())
-    if args.json:
-        payload = rho.to_json_dict()
-        payload["block_ids"] = _block_ids(rho)
-        print(json.dumps(payload))
-    else:
-        print(_class_text(rho))
-        for bid in _block_ids(rho):
-            print(bid)
-    return 0
+def cmd_decompose(args) -> tuple[dict, str, int]:
+    rho = decompose(_read_pair(args.file))
+    return rho.to_json_dict(), _class_text(rho), 0
 
 
-def cmd_weak_class(args) -> int:
-    doc = parse_pair_document(_read_input(args.file))
-    rho = decompose(doc.first_two())
-    rep, witness = canonical_rep(rho)
-    if args.json:
-        payload = {"class": rep.to_json_dict(), "witness": _witness_json(witness)}
-        print(json.dumps(payload))
-    else:
-        print(_class_text(rep))
-        print(f"witness Q = {witness}")
-    return 0
+def cmd_canonical(args) -> tuple[dict, str, int]:
+    rho = decompose(_read_pair(args.file))
+    ids = _block_ids(rho)
+    return {**rho.to_json_dict(), "block_ids": ids}, "\n".join([_class_text(rho), *ids]), 0
 
 
-def cmd_equiv(args) -> int:
-    doc1 = parse_pair_document(_read_input(args.file1))
-    doc2 = parse_pair_document(_read_input(args.file2))
-    ok, witness = weakly_equivalent(doc1.first_two(), doc2.first_two())
-    if args.json:
-        payload = {"equivalent": ok}
-        if ok:
-            payload["witness"] = _witness_json(witness)
-        print(json.dumps(payload))
-    else:
-        if ok:
-            print(f"weakly equivalent; witness Q = {witness}")
-        else:
-            print("not weakly equivalent")
-    return 0 if ok else 1
+def _weak_entry(rep: ClassFunction, witness: GL2Element, key: str) -> dict:
+    """The weak canonical representative and its witness as JSON."""
+    return {key: rep.to_json_dict(), "witness": _witness_json(witness)}
 
 
-def cmd_group(args) -> int:
-    doc = parse_pair_document(_read_input(args.file))
-    mats = [m for _, m in doc.matrices]
+def cmd_weak_class(args) -> tuple[dict, str, int]:
+    rep, witness = canonical_rep(decompose(_read_pair(args.file)))
+    return _weak_entry(rep, witness, "class"), f"{_class_text(rep)}\nwitness Q = {witness}", 0
+
+
+def cmd_equiv(args) -> tuple[dict, str, int]:
+    ok, witness = weakly_equivalent(_read_pair(args.file1), _read_pair(args.file2))
+    if ok:
+        payload = {"equivalent": True, "witness": _witness_json(witness)}
+        return payload, f"weakly equivalent; witness Q = {witness}", 0
+    return {"equivalent": False}, "not weakly equivalent", 1
+
+
+def cmd_group(args) -> tuple[dict, str, int]:
+    mats = [m for _, m in parse_pair_document(_read_input(args.file)).matrices]
     pres = presentation_from_tuple(mats, e=args.quotient_exp)
     quotient = build_quotient(pres, args.quotient_exp)
-    if args.json:
-        payload = {
-            "presentation": pres.to_json_dict(),
-            "quotient": {"order": quotient.order, "e": quotient.e},
-        }
-        print(json.dumps(payload))
-    else:
-        print(pres.to_gap_text())
-        print(f"finite model order: {quotient.order} (e = {quotient.e})")
-    return 0
+    payload = {
+        "presentation": pres.to_json_dict(),
+        "quotient": {"order": quotient.order, "e": quotient.e},
+    }
+    text = f"{pres.to_gap_text()}\nfinite model order: {quotient.order} (e = {quotient.e})"
+    return payload, text, 0
 
 
-def cmd_gen_block(args) -> int:
+def cmd_gen_block(args) -> tuple[dict, str, int]:
     spec = FieldSpec.parse(args.field) if args.field else FieldSpec.gf2()
-    bid = BlockId.parse(args.blockid, spec)
-    pair = bid.build(spec)
-    if args.json:
-        payload = {
-            "field": str(pair.spec),
-            "dim": pair.dim,
-            "matrices": {
-                "A": [list(r) for r in pair.a.rows],
-                "B": [list(r) for r in pair.b.rows],
-            },
-        }
-        print(json.dumps(payload))
-    else:
-        sys.stdout.write(format_pair_document(pair))
-    return 0
+    pair = BlockId.parse(args.blockid, spec).build(spec)
+    payload = {
+        "field": str(pair.spec),
+        "dim": pair.dim,
+        "matrices": {"A": [list(r) for r in pair.a.rows], "B": [list(r) for r in pair.b.rows]},
+    }
+    return payload, format_pair_document(pair).rstrip("\n"), 0
 
 
 def _classify_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = parse_pair_document(fh.read())
-        pair = doc.first_two()
-    except (ParseError, FieldError, UnicodeDecodeError, OSError) as exc:
-        return {"path": path, "ok": False, "message": str(exc)}
-    try:
-        rho = decompose(pair)
-    except PencilError as exc:
+        rho = decompose(_read_pair(path))
+    except (ParseError, FieldError, PencilError, UnicodeDecodeError, OSError) as exc:
         return {"path": path, "ok": False, "message": str(exc)}
     entry: dict = {"path": path, "ok": True, "class": rho.to_json_dict()}
     try:
-        rep, witness = canonical_rep(rho)
-        entry["weak_class"] = rep.to_json_dict()
-        entry["witness"] = _witness_json(witness)
+        entry.update(_weak_entry(*canonical_rep(rho), "weak_class"))
     except CapError as exc:
         entry["weak_class_error"] = str(exc)
     return entry
 
 
-def cmd_corpus(args) -> int:
+def _corpus_line(entry: dict) -> str:
+    if not entry["ok"]:
+        return f"{entry['path']}: INVALID ({entry['message']})"
+    blocks = ", ".join(f"({b['g']}, {b['n']}) x {b['mult']}" for b in entry["class"]["blocks"])
+    return f"{entry['path']}: {blocks or 'empty'}"
+
+
+def cmd_corpus(args) -> tuple[dict, str, int]:
     paths = sorted(
-        os.path.join(args.dir, name)
-        for name in os.listdir(args.dir)
-        if name.endswith(".pair")
+        os.path.join(args.dir, name) for name in os.listdir(args.dir) if name.endswith(".pair")
     )
     results = []
     for path in paths:
@@ -312,18 +264,7 @@ def cmd_corpus(args) -> int:
         except AssertionError as exc:
             exc.path = path  # main reports the file being classified
             raise
-    if args.json:
-        print(json.dumps({"files": results}))
-    else:
-        for r in results:
-            if r["ok"]:
-                blocks = ", ".join(
-                    f"({b['g']}, {b['n']}) x {b['mult']}" for b in r["class"]["blocks"]
-                ) or "empty"
-                print(f"{r['path']}: {blocks}")
-            else:
-                print(f"{r['path']}: INVALID ({r['message']})")
-    return 0
+    return {"files": results}, "\n".join(map(_corpus_line, results)), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,41 +276,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the alternating-pair invariants")
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("pfaffian", help="square root of det(x1 A + x2 B)")
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(func=cmd_pfaffian)
-
-    p = sub.add_parser("decompose", help="class function of the pair")
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("canonical", help="congruence-canonical block list")
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(func=cmd_canonical)
-
-    p = sub.add_parser(
-        "weak-class",
-        help="weak-equivalence canonical representative; over GF(2^k) up to "
+    weak_help = (
+        "weak-equivalence canonical representative; over GF(2^k) up to "
         f"k = {ENUMERATION_CAP_K} for classes with fewer than two degree-1 points, "
         f"otherwise while the search tries at most {CANDIDATE_CAP} moves: "
-        "2(2^k - 1) with two degree-1 points, s(s - 1)(s - 2) with s >= 3",
+        "2(2^k - 1) with two degree-1 points, s(s - 1)(s - 2) with s >= 3"
     )
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(func=cmd_weak_class)
+    for name, func, help_text in (
+        ("validate", cmd_validate, "check the alternating-pair invariants"),
+        ("pfaffian", cmd_pfaffian, "square root of det(x1 A + x2 B)"),
+        ("decompose", cmd_decompose, "class function of the pair"),
+        ("canonical", cmd_canonical, "congruence-canonical block list"),
+        ("weak-class", cmd_weak_class, weak_help),
+        ("group", cmd_group, "presentation of the attached 2-group"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", nargs="?", default="-")
+        p.set_defaults(func=func)
+    sub.choices["group"].add_argument("--quotient-exp", type=int, default=1, metavar="E")
 
     p = sub.add_parser("equiv", help="weak-equivalence test for two pairs")
     p.add_argument("file1")
     p.add_argument("file2")
     p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("group", help="presentation of the attached 2-group")
-    p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--quotient-exp", type=int, default=1, metavar="E")
-    p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("gen-block", help="emit a canonical block as a pair document")
     p.add_argument("blockid")
@@ -388,10 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its output: the JSON payload with --json,
+    else the text (nothing when the text is empty)."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, text, code = args.func(args)
     except (
         ParseError,
         FieldError,
@@ -410,6 +340,11 @@ def main(argv: list[str] | None = None) -> int:
         where = getattr(exc, "path", None) or ", ".join(inputs) or args.command
         print(f"internal error: {where}: {exc}", file=sys.stderr)
         return 3
+    if args.json:
+        print(json.dumps(payload))
+    elif text:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,21 +1,21 @@
-"""Classification engine for alternating pairs: validation, Pfaffian,
-Kronecker invariants, and decomposition into class functions.
+"""Classification engine for alternating pairs: validation, Pfaffian, and
+decomposition into class functions.
 
 A class function maps (projective point, n) to the multiplicity of the
 corresponding canonical block.  Equality of class functions decides
-congruence.  One Smith elimination of t*A + B gives the rank of the pencil
-and its invariant factors, hence the elementary divisors at the finite
-points; Wong sequences of n x n eliminations give the minimal indices of
-the singular part and the divisors at the x2 point (``kronecker_invariants``
-has the proof).  The Pfaffian comes from the same Smith elimination: its
-diagonal multiplies out to det(t*A + B), and its invariant factors come in
-equal pairs.
+congruence.  ``decompose`` reads it off the Kronecker data of t*A + B: one
+Smith elimination gives the rank of the pencil and its invariant factors,
+hence the elementary divisors at the finite points; Wong sequences of
+n x n eliminations give the minimal indices of the singular part and the
+divisors at the x2 point (``decompose`` has the proof).  The Pfaffian
+comes from the same Smith elimination: its diagonal multiplies out to
+det(t*A + B), and its invariant factors come in equal pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .blocks import AlternatingPair, BlockId, block_for_point, direct_sum
 from .field import FieldError, FieldSpec
@@ -79,11 +79,6 @@ def require_valid(pair: AlternatingPair) -> None:
 # -- class functions --------------------------------------------------------------
 
 
-def point_dim(point: ProjPoint, n: int) -> int:
-    """Dimension of the canonical block at (point, n)."""
-    return BlockId.of_point(point, n).dim
-
-
 def point_text(point: ProjPoint) -> str:
     return "eps" if isinstance(point, _EpsType) else format_form(point)
 
@@ -112,22 +107,15 @@ class ClassFunction:
         items.sort(key=lambda e: (point_sort_key(e[0]), e[1]))
         return ClassFunction(tuple(items), spec)
 
-    @staticmethod
-    def empty(spec: FieldSpec) -> "ClassFunction":
-        return ClassFunction((), spec)
-
     def get(self, point: ProjPoint, n: int) -> int:
         for p, k, mult in self.entries:
             if k == n and p == point:
                 return mult
         return 0
 
-    def items(self) -> Iterable[tuple[ProjPoint, int, int]]:
-        return self.entries
-
     @property
     def total_dim(self) -> int:
-        return sum(point_dim(p, n) * m for p, n, m in self.entries)
+        return sum(BlockId.of_point(p, n).dim * m for p, n, m in self.entries)
 
     def sort_key(self) -> tuple:
         return tuple((point_sort_key(p), n, m) for p, n, m in self.entries)
@@ -196,16 +184,7 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
     return homogenize(half, n // 2)
 
 
-# -- Kronecker invariants ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KroneckerInvariants:
-    """Minimal indices (one per odd block) and homogeneous elementary
-    divisors with their raw (even) multiplicities."""
-
-    minimal_indices: tuple[int, ...]
-    elementary_divisors: tuple[tuple[tuple[ProjPoint, int], int], ...]
+# -- decomposition -----------------------------------------------------------------
 
 
 def _wong_dims(a: Mat, b: Mat, stop: int | None = None) -> list[int]:
@@ -244,14 +223,16 @@ def _chains(dims: list[int], known: Mapping[int, int]) -> dict[int, int]:
     return {s: c for s, c in counts.items() if c}
 
 
-def kronecker_invariants(pair: AlternatingPair) -> KroneckerInvariants:
-    """Minimal indices and homogeneous elementary divisors of t*A + B.
+def decompose(pair: AlternatingPair) -> ClassFunction:
+    """Class function of the pair, read off the Kronecker data of t*A + B:
+    each minimal index i is one entry (eps, i + 1), and each pair of equal
+    elementary divisors (g, e) is one entry (g, e).
 
     One Smith pass gives the rank r and the invariant factors d_1 | ... | d_r.
     Their irreducibles all divide d_r, so d_r is factored once and each
     exponent e > 0 of f in a d_i, read by division, is a divisor (f, e).
     The factors pair up, d_(2i-1) = d_(2i), so one of each pair is divided
-    and its divisors counted twice.
+    and each divisor found there is one block.
     There are n - r eps blocks, and x2 carries divisors iff rank A < r: the
     rank drops at a point by its number of divisors, and singular blocks
     keep their rank everywhere.
@@ -269,11 +250,12 @@ def kronecker_invariants(pair: AlternatingPair) -> KroneckerInvariants:
     and B keeps the minimal indices and moves the divisors (x1, e), at
     t = 0, into the nilpotent part.  So W(A, B) gives the minimal indices
     when x2 carries nothing and the x2 divisors when r = n; otherwise
-    W(B, A) less the divisors at t = 0 gives the minimal indices, and W(A, B)
-    less those the x2 divisors.  The limit of W(A, B), sum(eps + 1) plus the
-    x2 degrees, is n - deg(d_1 ... d_r) - sum(eps), since the blocks fill
-    n; without x2 divisors they also give sum(eps) = (r - deg(d_1 ... d_r)) / 2.
-    W(A, B) stops there without a repeat step.
+    W(B, A) less the divisors at t = 0, two per x1 block, gives the minimal
+    indices, and W(A, B) less those the x2 divisors, which must pair up.
+    The limit of W(A, B), sum(eps + 1) plus the x2 degrees, is
+    n - deg(d_1 ... d_r) - sum(eps), since the blocks fill n; without x2
+    divisors they also give sum(eps) = (r - deg(d_1 ... d_r)) / 2.  W(A, B)
+    stops there without a repeat step.
     """
     require_valid(pair)
     n, spec = pair.dim, pair.spec
@@ -281,7 +263,7 @@ def kronecker_invariants(pair: AlternatingPair) -> KroneckerInvariants:
     r, degree = len(factors), sum(d.degree for d in factors)
     if factors[::2] != factors[1::2]:
         raise AssertionError("invariant factors of an alternating pencil do not pair up")
-    divisors: dict[tuple[ProjPoint, int], int] = {}
+    blocks: dict[tuple[ProjPoint, int], int] = {}
     for f, _ in factor(factors[-1]) if r and factors[-1].degree else ():
         for d in reversed(factors[1::2]):
             e = 0
@@ -290,46 +272,26 @@ def kronecker_invariants(pair: AlternatingPair) -> KroneckerInvariants:
             if not e:
                 break  # nor does f divide the earlier factors
             key = (point_from_poly(f), e)
-            divisors[key] = divisors.get(key, 0) + 2
+            blocks[key] = blocks.get(key, 0) + 1
     eps: dict[int, int] = {}  # eps + 1 -> number of odd blocks
     if pair.a.rank() == r:
         if r < n:
             eps = _chains(_wong_dims(pair.a, pair.b, n - (r + degree) // 2), {})
     else:
         if r < n:
-            x1 = point_from_poly(Poly.t(spec))
-            at_x1 = {e: m for (p, e), m in divisors.items() if p == x1}
+            at_x1 = {e: 2 * m for (p, e), m in blocks.items() if p == BinaryForm.x1(spec)}
             eps = _chains(_wong_dims(pair.b, pair.a), at_x1)
         stop = n - degree - sum((s - 1) * m for s, m in eps.items())
         for e, m in _chains(_wong_dims(pair.a, pair.b, stop), eps).items():
-            divisors[(BinaryForm.x2(spec), e)] = m
+            if m % 2:
+                raise AssertionError(f"elementary divisor (x2, {e}) has odd multiplicity {m}")
+            blocks[(BinaryForm.x2(spec), e)] = m // 2
     if sum(eps.values()) != n - r:
         raise AssertionError(f"{sum(eps.values())} minimal indices for rank {r} of {n}")
-    minimal = tuple(s - 1 for s in sorted(eps) for _ in range(eps[s]))
-    ordered = sorted(divisors.items(), key=lambda kv: (point_sort_key(kv[0][0]), kv[0][1]))
-    return KroneckerInvariants(minimal, tuple(ordered))
-
-
-def decompose(pair: AlternatingPair) -> ClassFunction:
-    """Class function of the pair: minimal indices become eps entries, each
-    elementary divisor pair (g, n) x 2 becomes one finite/infinite block."""
-    inv = kronecker_invariants(pair)
-    acc: dict[tuple[ProjPoint, int], int] = {}
-    for eps in inv.minimal_indices:
-        key = (EPS, eps + 1)
-        acc[key] = acc.get(key, 0) + 1
-    for (point, n), mult in inv.elementary_divisors:
-        if mult % 2 != 0:
-            raise AssertionError(
-                f"elementary divisor ({point_text(point)}, {n}) has odd multiplicity {mult}"
-            )
-        key = (point, n)
-        acc[key] = acc.get(key, 0) + mult // 2
-    rho = ClassFunction.from_dict(pair.spec, acc)
-    if rho.total_dim != pair.dim:
-        raise AssertionError(
-            f"decomposition dimension {rho.total_dim} != pair dimension {pair.dim}"
-        )
+    blocks.update(((EPS, s), m) for s, m in eps.items())
+    rho = ClassFunction.from_dict(spec, blocks)
+    if rho.total_dim != n:
+        raise AssertionError(f"decomposition dimension {rho.total_dim} != pair dimension {n}")
     return rho
 
 

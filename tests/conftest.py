@@ -12,12 +12,13 @@ from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_mul
 from altpairs.linalg import Mat, _kernel_images, congruence, smith_form
-from altpairs.pencil import ClassFunction, KroneckerInvariants, assemble, decompose, require_valid
+from altpairs.pencil import ClassFunction, assemble, decompose, require_valid
 from altpairs.polyring import (
     EPS,
     BinaryForm,
     Poly,
     PolyError,
+    ProjPoint,
     _EpsType,
     dehomogenize,
     factor,
@@ -590,6 +591,25 @@ def _minimal_indices(pair: AlternatingPair, count: int) -> tuple[int, ...]:
         if k > pair.dim + 1:
             raise AssertionError("staircase failed to locate all minimal indices")
     return tuple(sorted(indices))
+
+
+@dataclass(frozen=True)
+class KroneckerInvariants:
+    """Minimal indices (one per odd block) and homogeneous elementary
+    divisors with their raw (even) multiplicities."""
+
+    minimal_indices: tuple[int, ...]
+    elementary_divisors: tuple[tuple[tuple[ProjPoint, int], int], ...]
+
+
+def kronecker_invariants(pair: AlternatingPair) -> KroneckerInvariants:
+    """The Kronecker data that ``decompose`` reads off t*A + B, in the shape
+    of ``kronecker_reference``: each eps block (eps, n) is the minimal index
+    n - 1, and each other block (g, n) two elementary divisors (g, n)."""
+    rho = decompose(pair)
+    minimal = tuple(n - 1 for p, n, m in rho.entries if p is EPS for _ in range(m))
+    divisors = tuple(((p, n), 2 * m) for p, n, m in rho.entries if p is not EPS)
+    return KroneckerInvariants(minimal, divisors)
 
 
 def kronecker_reference(pair: AlternatingPair) -> KroneckerInvariants:

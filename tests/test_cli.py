@@ -74,10 +74,45 @@ def test_parse_document_errors_carry_line_numbers():
         assert "line 2" in str(exc.value), dim_line
 
 
-def test_parse_document_field_from_environment(monkeypatch):
+def test_parse_document_field_only_from_document(monkeypatch):
+    # the environment names no field: a document without a field line is refused
     monkeypatch.setenv("ALTPAIRS_FIELD", "gf2")
-    doc = parse_pair_document("dim 1\nmatrix A\n0\nmatrix B\n0\n")
-    assert doc.spec == GF2
+    for text in ("dim 1\nmatrix A\n0\nmatrix B\n0\n", "dim 0\nmatrix A\nmatrix B\n"):
+        with pytest.raises(ParseError, match="field"):
+            parse_pair_document(text)
+
+
+def test_parse_document_field_before_first_row():
+    for text, line in (
+        ("dim 2\nmatrix A\n0 1\n1 0\nfield gf2\nmatrix B\n0 0\n0 0\n", 3),
+        ("field gf2\ndim 2\nmatrix A\n0 1\n1 0\nfield gf2^2\nmatrix B\n0 0\n0 0\n", 6),
+        ("field gf2\nmatrix A\ndim 2\n0 1\n1 0\nmatrix B\n0 0\n0 0\n", 3),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_pair_document(text)
+        assert str(exc.value).startswith(f"line {line}: "), text
+
+
+@pytest.mark.parametrize("row", ["0 -1", "1_0 0", "0x3 0", "+1 0", "0 \u0661"])
+def test_parse_document_entries_hex_digits_only(row):
+    # int(tok, 16) alone accepts a sign, underscores, a 0x prefix and
+    # non-ASCII digits
+    text = f"field gf2^2:0x7\ndim 2\nmatrix A\n{row}\n0 0\nmatrix B\n0 0\n0 0\n"
+    with pytest.raises(ParseError) as exc:
+        parse_pair_document(text)
+    assert str(exc.value) == f"line 4: bad hex entries in {row!r}"
+
+
+def test_parse_document_out_of_range_entry_names_its_line(capsys, monkeypatch):
+    text = "field gf2\ndim 2\nmatrix A\n0 1\n1 0\nmatrix B\n0 2\n2 0\n"
+    with pytest.raises(ParseError) as exc:
+        parse_pair_document(text)
+    assert str(exc.value) == "line 7: value 0x2 out of range for gf2"
+    code, out, err = run(capsys, ["decompose"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: line 7: value 0x2 out of range for gf2\n")
+    wide = "field gf2^2:0x7\ndim 2\nmatrix A\n0 3\n3 0\nmatrix B\n0 A\nA 0\n"
+    with pytest.raises(ParseError, match="^line 7: value 0xa out of range for gf2\\^2:0x7$"):
+        parse_pair_document(wide)
 
 
 def test_parse_document_comments_ignored():
@@ -399,3 +434,34 @@ def test_dropped_invariant_factor_exit3(capsys, monkeypatch, tmp_path):
         assert err.startswith(f"internal error: {path}: ")
         assert "do not pair up" in err
         assert "Traceback" not in err
+
+
+SUBCOMMANDS = (
+    "validate", "pfaffian", "decompose", "canonical", "weak-class", "equiv", "group", "gen-block", "corpus"
+)
+
+
+def test_help_for_every_subcommand(capsys):
+    for argv in ([], *([cmd] for cmd in SUBCOMMANDS)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0, argv
+        out = capsys.readouterr().out
+        assert out.startswith("usage: altpairs"), argv
+        if not argv:  # the top-level usage lists every subcommand
+            listed = out.split("{", 1)[1].split("}", 1)[0]
+            assert sorted(listed.split(",")) == sorted(SUBCOMMANDS)
+
+
+def test_commands_return_their_output(capsys, tmp_path):
+    # main alone prints: a command hands back (JSON payload, text, exit code)
+    from altpairs import cli
+
+    path = tmp_path / "inf1.pair"
+    path.write_text(INF1_DOC)
+    args = cli.build_parser().parse_args(["canonical", str(path)])
+    payload, text, code = args.func(args)
+    assert capsys.readouterr().out == ""
+    assert (payload["block_ids"], text, code) == (["inf:1"], "rho(x2, 1) = 1\ninf:1", 0)
+    assert run(capsys, ["canonical", str(path)]) == (0, text + "\n", "")
+    assert run(capsys, ["--json", "canonical", str(path)]) == (0, json.dumps(payload) + "\n", "")

@@ -16,11 +16,9 @@ from altpairs.field import FieldError, FieldSpec, _Computed
 from altpairs.linalg import Mat
 from altpairs.pencil import (
     ClassFunction,
-    KroneckerInvariants,
     assemble,
     congruent,
     decompose,
-    kronecker_invariants,
     pfaffian_form,
     validate,
 )
@@ -37,10 +35,12 @@ from conftest import (
     GF4,
     GF16,
     GF512,
+    KroneckerInvariants,
     class_function_from_json,
     embed,
     form_value,
     parse_form,
+    kronecker_invariants,
     kronecker_reference,
     pfaffian_interpolation_reference,
     pfaffian_of_class,
