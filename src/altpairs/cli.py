@@ -16,11 +16,17 @@ The ``field`` and ``dim`` lines come first, in either order, and a
 document's ``field`` line is the only source of its field.  Each ``matrix``
 line is followed by ``dim`` rows of ``dim`` entries: hex digits only (no
 sign, prefix or underscore), separated by spaces or tabs, each below the
-field order.  ``#`` starts a comment.  A syntax error names its line.
+field order.  ``#`` starts a comment.  Every parse error names a line: a
+syntax error its own, a short matrix its ``matrix`` line, and a missing
+declaration or matrix the document's last line.
 
-Every command reads its input and computes its result, returning it as a
-JSON payload, a text and an exit code; ``main`` prints the payload under
-``--json`` and the text otherwise (nothing when the text is empty).
+Every command reads its input and computes its result, returning a JSON
+payload, a text renderer (a function of no arguments) and an exit code;
+``main`` prints the payload under ``--json`` and otherwise calls the
+renderer and prints its text (nothing when the text is empty), so no text
+is built that is not printed.  The argument parser is built once per
+process, on the first call of ``main``, and ``main`` finds each command's
+function by name when it runs it.
 
 ``corpus`` classifies the ``.pair`` files of a directory one after another
 in sorted path order; a file that cannot be read, does not parse, or is not
@@ -37,6 +43,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
+from typing import Callable
 
 from .blocks import AlternatingPair, BlockError, BlockId
 from .chernikov import PresentationError, build_quotient, presentation_from_tuple
@@ -77,8 +85,9 @@ class PairDocument:
 def parse_pair_document(text: str) -> PairDocument:
     spec = None
     dim = None
-    matrices: list[tuple[str, list[list[int]]]] = []
+    matrices: list[tuple[str, int, list[list[int]]]] = []
     current: list[list[int]] | None = None
+    lineno = 1  # after the loop: the document's last line, where a missing part is reported
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,7 +110,7 @@ def parse_pair_document(text: str) -> PairDocument:
             if len(parts) != 2:
                 raise ParseError(lineno, "expected: matrix <name>")
             current = []
-            matrices.append((parts[1], current))
+            matrices.append((parts[1], lineno, current))
         else:
             if current is None:
                 raise ParseError(lineno, f"unexpected content {line!r} before any matrix")
@@ -118,16 +127,16 @@ def parse_pair_document(text: str) -> PairDocument:
                 raise ParseError(lineno, f"value 0x{max(row):x} out of range for {spec}")
             current.append(row)
     if spec is None:
-        raise ParseError(0, "missing field declaration")
+        raise ParseError(lineno, "missing field declaration")
     if dim is None:
-        raise ParseError(0, "missing dim declaration")
+        raise ParseError(lineno, "missing dim declaration")
     if len(matrices) < 2:
-        raise ParseError(0, "document needs at least two matrices")
-    for name, rows in matrices:
+        raise ParseError(lineno, "document needs at least two matrices")
+    for name, start, rows in matrices:
         if len(rows) != dim:
-            raise ParseError(0, f"matrix {name} has {len(rows)} rows, expected {dim}")
+            raise ParseError(start, f"matrix {name} has {len(rows)} rows, expected {dim}")
     # every entry was checked on its line, so the rows need no second pass
-    mats = [(name, Mat(tuple(map(tuple, rows)), dim, spec)) for name, rows in matrices]
+    mats = [(name, Mat(tuple(map(tuple, rows)), dim, spec)) for name, _, rows in matrices]
     return PairDocument(spec, dim, mats)
 
 
@@ -161,35 +170,38 @@ def _block_ids(rho: ClassFunction) -> list[str]:
     return [str(BlockId.of_point(p, n)) for p, n, mult in rho.entries for _ in range(mult)]
 
 
-# -- commands: each returns (JSON payload, text, exit code) ---------------------------
+# -- commands: each returns (JSON payload, text renderer, exit code) -------------------
+
+Result = tuple[dict, Callable[[], str], int]
 
 
 def _read_pair(path: str) -> AlternatingPair:
     return parse_pair_document(_read_input(path)).first_two()
 
 
-def cmd_validate(args) -> tuple[dict, str, int]:
+def cmd_validate(args) -> Result:
     report = validate(_read_pair(args.file))
     if report.ok:
-        return {"ok": True}, "ok", 0
+        return {"ok": True}, lambda: "ok", 0
     fault = {"matrix": report.matrix, "position": list(report.position), "message": report.message}
-    return {"ok": False, **fault}, f"invalid: {report.message}", 2
+    return {"ok": False, **fault}, lambda: f"invalid: {report.message}", 2
 
 
-def cmd_pfaffian(args) -> tuple[dict, str, int]:
+def cmd_pfaffian(args) -> Result:
     form = format_form(pfaffian_form(_read_pair(args.file)))
-    return {"pfaffian": form}, form, 0
+    return {"pfaffian": form}, lambda: form, 0
 
 
-def cmd_decompose(args) -> tuple[dict, str, int]:
+def cmd_decompose(args) -> Result:
     rho = decompose(_read_pair(args.file))
-    return rho.to_json_dict(), _class_text(rho), 0
+    return rho.to_json_dict(), lambda: _class_text(rho), 0
 
 
-def cmd_canonical(args) -> tuple[dict, str, int]:
+def cmd_canonical(args) -> Result:
     rho = decompose(_read_pair(args.file))
     ids = _block_ids(rho)
-    return {**rho.to_json_dict(), "block_ids": ids}, "\n".join([_class_text(rho), *ids]), 0
+    payload = {**rho.to_json_dict(), "block_ids": ids}
+    return payload, lambda: "\n".join([_class_text(rho), *ids]), 0
 
 
 def _weak_entry(rep: ClassFunction, witness: GL2Element, key: str) -> dict:
@@ -197,20 +209,21 @@ def _weak_entry(rep: ClassFunction, witness: GL2Element, key: str) -> dict:
     return {key: rep.to_json_dict(), "witness": _witness_json(witness)}
 
 
-def cmd_weak_class(args) -> tuple[dict, str, int]:
+def cmd_weak_class(args) -> Result:
     rep, witness = canonical_rep(decompose(_read_pair(args.file)))
-    return _weak_entry(rep, witness, "class"), f"{_class_text(rep)}\nwitness Q = {witness}", 0
+    payload = _weak_entry(rep, witness, "class")
+    return payload, lambda: f"{_class_text(rep)}\nwitness Q = {witness}", 0
 
 
-def cmd_equiv(args) -> tuple[dict, str, int]:
+def cmd_equiv(args) -> Result:
     ok, witness = weakly_equivalent(_read_pair(args.file1), _read_pair(args.file2))
     if ok:
         payload = {"equivalent": True, "witness": _witness_json(witness)}
-        return payload, f"weakly equivalent; witness Q = {witness}", 0
-    return {"equivalent": False}, "not weakly equivalent", 1
+        return payload, lambda: f"weakly equivalent; witness Q = {witness}", 0
+    return {"equivalent": False}, lambda: "not weakly equivalent", 1
 
 
-def cmd_group(args) -> tuple[dict, str, int]:
+def cmd_group(args) -> Result:
     mats = [m for _, m in parse_pair_document(_read_input(args.file)).matrices]
     pres = presentation_from_tuple(mats, e=args.quotient_exp)
     quotient = build_quotient(pres, args.quotient_exp)
@@ -218,11 +231,14 @@ def cmd_group(args) -> tuple[dict, str, int]:
         "presentation": pres.to_json_dict(),
         "quotient": {"order": quotient.order, "e": quotient.e},
     }
-    text = f"{pres.to_gap_text()}\nfinite model order: {quotient.order} (e = {quotient.e})"
+
+    def text() -> str:
+        return f"{pres.to_gap_text()}\nfinite model order: {quotient.order} (e = {quotient.e})"
+
     return payload, text, 0
 
 
-def cmd_gen_block(args) -> tuple[dict, str, int]:
+def cmd_gen_block(args) -> Result:
     spec = FieldSpec.parse(args.field) if args.field else FieldSpec.gf2()
     pair = BlockId.parse(args.blockid, spec).build(spec)
     payload = {
@@ -230,7 +246,7 @@ def cmd_gen_block(args) -> tuple[dict, str, int]:
         "dim": pair.dim,
         "matrices": {"A": [list(r) for r in pair.a.rows], "B": [list(r) for r in pair.b.rows]},
     }
-    return payload, format_pair_document(pair).rstrip("\n"), 0
+    return payload, lambda: format_pair_document(pair).rstrip("\n"), 0
 
 
 def _classify_file(path: str) -> dict:
@@ -253,7 +269,7 @@ def _corpus_line(entry: dict) -> str:
     return f"{entry['path']}: {blocks or 'empty'}"
 
 
-def cmd_corpus(args) -> tuple[dict, str, int]:
+def cmd_corpus(args) -> Result:
     paths = sorted(
         os.path.join(args.dir, name) for name in os.listdir(args.dir) if name.endswith(".pair")
     )
@@ -264,10 +280,12 @@ def cmd_corpus(args) -> tuple[dict, str, int]:
         except AssertionError as exc:
             exc.path = path  # main reports the file being classified
             raise
-    return {"files": results}, "\n".join(map(_corpus_line, results)), 0
+    return {"files": results}, lambda: "\n".join(map(_corpus_line, results)), 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="altpairs",
         description="Classify pairs of alternating bilinear forms over GF(2^k) "
@@ -282,28 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
         f"otherwise while the search tries at most {CANDIDATE_CAP} moves: "
         "2(2^k - 1) with two degree-1 points, s(s - 1)(s - 2) with s >= 3"
     )
-    for name, func, help_text in (
-        ("validate", cmd_validate, "check the alternating-pair invariants"),
-        ("pfaffian", cmd_pfaffian, "square root of det(x1 A + x2 B)"),
-        ("decompose", cmd_decompose, "class function of the pair"),
-        ("canonical", cmd_canonical, "congruence-canonical block list"),
-        ("weak-class", cmd_weak_class, weak_help),
-        ("group", cmd_group, "presentation of the attached 2-group"),
+    for name, help_text in (
+        ("validate", "check the alternating-pair invariants"),
+        ("pfaffian", "square root of det(x1 A + x2 B)"),
+        ("decompose", "class function of the pair"),
+        ("canonical", "congruence-canonical block list"),
+        ("weak-class", weak_help),
+        ("group", "presentation of the attached 2-group"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", nargs="?", default="-")
-        p.set_defaults(func=func)
+        sub.add_parser(name, help=help_text).add_argument("file", nargs="?", default="-")
     sub.choices["group"].add_argument("--quotient-exp", type=int, default=1, metavar="E")
 
     p = sub.add_parser("equiv", help="weak-equivalence test for two pairs")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("gen-block", help="emit a canonical block as a pair document")
     p.add_argument("blockid")
     p.add_argument("--field", default=None)
-    p.set_defaults(func=cmd_gen_block)
 
     p = sub.add_parser(
         "corpus",
@@ -311,17 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
         "unparsable files come back ok: false",
     )
     p.add_argument("dir")
-    p.set_defaults(func=cmd_corpus)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and print its output: the JSON payload with --json,
-    else the text (nothing when the text is empty)."""
+    else the rendered text (nothing when the text is empty)."""
     args = build_parser().parse_args(argv)
     try:
-        payload, text, code = args.func(args)
+        # looked up on each call, so a later wrapper of a cmd_* takes effect
+        payload, render, code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        out = json.dumps(payload) if args.json else render()
     except (
         ParseError,
         FieldError,
@@ -340,10 +355,8 @@ def main(argv: list[str] | None = None) -> int:
         where = getattr(exc, "path", None) or ", ".join(inputs) or args.command
         print(f"internal error: {where}: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps(payload))
-    elif text:
-        print(text)
+    if out:
+        print(out)
     return code
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 MAX_K = 16
 
@@ -240,10 +240,6 @@ class FieldSpec:
     def sqrt(self, a: int) -> int:
         """Unique square root: the Frobenius inverse a^(2^(k-1))."""
         return self.pow(a, 1 << (self.k - 1))
-
-    def enumerate_bits(self) -> Iterator[int]:
-        """All 2^k elements by increasing bitmask: 0, 1, t, t + 1, ..."""
-        return iter(range(self.order))
 
 
 class _Computed:

@@ -18,8 +18,6 @@ int of a ``Poly``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import xor
 from typing import Iterable, Sequence
 
 from .field import FieldError, FieldSpec, Packing
@@ -125,13 +123,6 @@ class Mat:
                     acc ^= t[v]
             out.append(pk.unpack(acc, other.cols))
         return Mat(tuple(out), other.cols, self.spec)
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise LinAlgError("vector length mismatch")
-        table = self.spec.mul_table
-        return tuple(reduce(xor, (table[a][b] for a, b in zip(row, vec)), 0) for row in self.rows)
 
     def is_zero(self) -> bool:
         return all(v == 0 for r in self.rows for v in r)

@@ -54,10 +54,6 @@ class Poly:
     def constant(spec: FieldSpec, bits: int) -> "Poly":
         return Poly(bits, spec)
 
-    @staticmethod
-    def monomial(spec: FieldSpec, deg: int, bits: int = 1) -> "Poly":
-        return Poly(bits << (deg * spec.packing.w), spec)
-
     # -- basic structure -----------------------------------------------------
 
     @property

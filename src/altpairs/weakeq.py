@@ -57,10 +57,6 @@ class GL2Element:
     def identity(spec: FieldSpec) -> "GL2Element":
         return GL2Element(1, 0, 0, 1, spec)
 
-    @staticmethod
-    def swap(spec: FieldSpec) -> "GL2Element":
-        return GL2Element(0, 1, 1, 0, spec)
-
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.q11, self.q12), (self.q21, self.q22))
 

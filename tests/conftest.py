@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import product
+from operator import xor
 
 from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
@@ -35,6 +36,30 @@ GF2 = FieldSpec.gf2()
 GF4 = FieldSpec.gf(2)
 GF16 = FieldSpec.gf(4)
 GF512 = FieldSpec.gf(9)  # above the table limit: multiplication rows are computed
+
+
+# -- small constructors that only the tests use -------------------------------
+
+
+def enumerate_bits(spec: FieldSpec) -> range:
+    """All 2^k elements by increasing bitmask: 0, 1, t, t + 1, ..."""
+    return range(spec.order)
+
+
+def monomial(spec: FieldSpec, deg: int) -> Poly:
+    """The polynomial t^deg."""
+    return Poly(1 << (deg * spec.packing.w), spec)
+
+
+def gl2_swap(spec: FieldSpec) -> GL2Element:
+    """The GL(2) element that exchanges the two matrices of a pair."""
+    return GL2Element(0, 1, 1, 0, spec)
+
+
+def mat_apply(m: Mat, vec: tuple[int, ...]) -> tuple[int, ...]:
+    """Matrix times column vector."""
+    assert len(vec) == m.cols
+    return tuple(reduce(xor, map(m.spec.mul, row, vec), 0) for row in m.rows)
 
 
 # -- random generators ---------------------------------------------------------
@@ -424,7 +449,7 @@ class Embedding:
     _inverse: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        inverse = {self.map(b): b for b in self.src.enumerate_bits()}
+        inverse = {self.map(b): b for b in enumerate_bits(self.src)}
         object.__setattr__(self, "_inverse", inverse)
 
     def map(self, bits: int) -> int:
@@ -455,7 +480,7 @@ def embed(src: FieldSpec, dst: FieldSpec) -> Embedding:
         powers = tuple(1 << i for i in range(src.k))
     else:
         root = None
-        for x in dst.enumerate_bits():
+        for x in enumerate_bits(dst):
             # evaluate the source modulus (a GF(2) polynomial) at x in dst
             acc = 0
             xp = 1
@@ -927,8 +952,8 @@ def residue_oracle(f: Poly, n: int) -> AlternatingPair:
     for l in range(d):
         for k in range(d):
             # F(u_l, v_k) = t^(d+k-l-1)/g; F(t u_l, v_k) = t^(d+k-l)/g
-            av = res_at_infinity(Poly.monomial(spec, d + k - l - 1), g)
-            bv = res_at_infinity(Poly.monomial(spec, d + k - l), g)
+            av = res_at_infinity(monomial(spec, d + k - l - 1), g)
+            bv = res_at_infinity(monomial(spec, d + k - l), g)
             if av:
                 a_rows[l][d + k] = av
                 a_rows[d + k][l] = av

@@ -19,6 +19,7 @@ from altpairs.polyring import EPS, BinaryForm, Poly, monic_irreducibles, parse_p
 from conftest import (
     GF2,
     GF4,
+    monomial,
     res_at_infinity,
     residue_oracle,
     reverse_star,
@@ -168,10 +169,10 @@ def test_direct_sum_empty_needs_spec():
 def test_res_at_infinity_basics():
     g = tp("t^2+t+1")
     # residue of t^j/g is the t^(d-1) coefficient of t^j mod g
-    assert res_at_infinity(Poly.monomial(GF2, 1), g) == 1
-    assert res_at_infinity(Poly.monomial(GF2, 0), g) == 0
+    assert res_at_infinity(monomial(GF2, 1), g) == 1
+    assert res_at_infinity(monomial(GF2, 0), g) == 0
     # t^2 mod g = t + 1 -> coefficient of t^1 is 1
-    assert res_at_infinity(Poly.monomial(GF2, 2), g) == 1
+    assert res_at_infinity(monomial(GF2, 2), g) == 1
 
 
 def test_residue_oracle_beta_toeplitz_shape():

@@ -35,6 +35,7 @@ from conftest import (
     cocycle_forms,
     commutator,
     elements,
+    gl2_swap,
     h_generator,
     inverse,
     is_abelian,
@@ -322,7 +323,7 @@ def test_iso_identity_witness():
 
 def test_iso_swap_witness_order16():
     pair = build_finite(tp("t"), 1)
-    q = GL2Element.swap(GF2)
+    q = gl2_swap(GF2)
     s = Mat.identity(GF2, 2)
     moved = transform_weak(pair, s, q)
     p1 = presentation_from_tuple(list(pair.matrices))
@@ -375,7 +376,7 @@ def test_iso_e1_shear_obstruction():
 def test_iso_rejects_bad_witness():
     pair = build_finite(tp("t"), 1)
     p1 = presentation_from_tuple(list(pair.matrices))
-    other = transform_weak(pair, Mat.identity(GF2, 2), GL2Element.swap(GF2))
+    other = transform_weak(pair, Mat.identity(GF2, 2), gl2_swap(GF2))
     p2 = presentation_from_tuple(list(other.matrices))
     with pytest.raises(WitnessError):
         iso_from_witness(p1, p2, Mat.identity(GF2, 2), GL2Element.identity(GF2), 1)
@@ -438,7 +439,7 @@ def test_witness_decision_matches_dense_tuple_check():
 
 def test_verify_catches_corrupted_map():
     pair = build_finite(tp("t"), 1)
-    q = GL2Element.swap(GF2)
+    q = gl2_swap(GF2)
     s = Mat.identity(GF2, 2)
     moved = transform_weak(pair, s, q)
     p1 = presentation_from_tuple(list(pair.matrices))
@@ -455,7 +456,7 @@ def test_reduced_verification_matches_literal_all_pairs():
     # the certificate checks generator pairs only; on a small group the
     # literal product property must hold on all pairs of elements
     pair = build_finite(tp("t"), 1)
-    q = GL2Element.swap(GF2)
+    q = gl2_swap(GF2)
     s = Mat.identity(GF2, 2)
     moved = transform_weak(pair, s, q)
     p1 = presentation_from_tuple(list(pair.matrices))
@@ -566,7 +567,7 @@ def _small_maps():
     pair = build_finite(tp("t"), 1)
     p1 = presentation_from_tuple(list(pair.matrices))
     for s, q, exps in (
-        (Mat.identity(GF2, 2), GL2Element.swap(GF2), (1, 2)),
+        (Mat.identity(GF2, 2), gl2_swap(GF2), (1, 2)),
         (Mat.from_rows(GF2, [[1, 1], [0, 1]]), GL2Element.identity(GF2), (2,)),
     ):
         p2 = presentation_from_tuple(list(transform_weak(pair, s, q).matrices))

@@ -1,5 +1,6 @@
 """Command-line interface: document parsing, commands, exit codes, JSON."""
 
+import argparse
 import io
 import json
 
@@ -113,6 +114,33 @@ def test_parse_document_out_of_range_entry_names_its_line(capsys, monkeypatch):
     wide = "field gf2^2:0x7\ndim 2\nmatrix A\n0 3\n3 0\nmatrix B\n0 A\nA 0\n"
     with pytest.raises(ParseError, match="^line 7: value 0xa out of range for gf2\\^2:0x7$"):
         parse_pair_document(wide)
+
+
+# a document-level error names a line: a short matrix its matrix line, a
+# missing declaration or matrix the last line of the document
+
+
+def test_parse_short_matrix_names_its_matrix_line():
+    text = "field gf2\ndim 2\nmatrix A\n0 1\n1 0\nmatrix B\n0 0\n# end\n"
+    with pytest.raises(ParseError, match="^line 6: matrix B has 1 rows, expected 2$"):
+        parse_pair_document(text)
+
+
+def test_parse_missing_field_names_last_line():
+    for text, line in (("dim 0\nmatrix A\nmatrix B\n\n", 4), ("", 1)):
+        with pytest.raises(ParseError) as exc:
+            parse_pair_document(text)
+        assert str(exc.value) == f"line {line}: missing field declaration", text
+
+
+def test_parse_missing_dim_names_last_line():
+    with pytest.raises(ParseError, match="^line 3: missing dim declaration$"):
+        parse_pair_document("field gf2\nmatrix A\nmatrix B\n")
+
+
+def test_parse_single_matrix_names_last_line():
+    with pytest.raises(ParseError, match="^line 5: document needs at least two matrices$"):
+        parse_pair_document("field gf2\ndim 1\nmatrix A\n0\n# no matrix B")
 
 
 def test_parse_document_comments_ignored():
@@ -379,7 +407,7 @@ def test_corpus_survives_unparsable_file(capsys, tmp_path):
     }
     code, out, _ = run(capsys, ["corpus", str(tmp_path)])
     assert code == 0
-    assert "b-truncated.pair: INVALID (line 0: document needs at least two matrices)" in out
+    assert "b-truncated.pair: INVALID (line 5: document needs at least two matrices)" in out
 
 
 def test_unreadable_inputs_exit2_without_traceback(capsys, tmp_path):
@@ -460,8 +488,83 @@ def test_commands_return_their_output(capsys, tmp_path):
     path = tmp_path / "inf1.pair"
     path.write_text(INF1_DOC)
     args = cli.build_parser().parse_args(["canonical", str(path)])
-    payload, text, code = args.func(args)
+    payload, render, code = cli.cmd_canonical(args)
+    text = render()
     assert capsys.readouterr().out == ""
     assert (payload["block_ids"], text, code) == (["inf:1"], "rho(x2, 1) = 1\ninf:1", 0)
     assert run(capsys, ["canonical", str(path)]) == (0, text + "\n", "")
     assert run(capsys, ["--json", "canonical", str(path)]) == (0, json.dumps(payload) + "\n", "")
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch, tmp_path):
+    from altpairs import cli
+
+    path = tmp_path / "inf1.pair"
+    path.write_text(INF1_DOC)
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    calls = (["--json", "canonical", str(path)], ["pfaffian", str(path)], ["gen-block", "inf:1"])
+    for argv in calls * 10:
+        assert run(capsys, argv)[0] == 0
+    # one top-level parser and one per subcommand, all from the first call
+    assert progs.count("altpairs") == 1
+    assert len(progs) == 1 + len(SUBCOMMANDS)
+
+
+def test_command_patched_after_first_call_takes_effect(capsys, monkeypatch, tmp_path):
+    from altpairs import cli
+
+    path = tmp_path / "inf1.pair"
+    path.write_text(INF1_DOC)
+    assert run(capsys, ["decompose", str(path)]) == (0, "rho(x2, 1) = 1\n", "")
+    monkeypatch.setattr(cli, "cmd_decompose", lambda args: ({"file": args.file}, lambda: "fake", 1))
+    assert run(capsys, ["decompose", str(path)]) == (1, "fake\n", "")
+    payload = json.dumps({"file": str(path)})
+    assert run(capsys, ["--json", "decompose", str(path)]) == (1, payload + "\n", "")
+
+
+def test_json_builds_no_text(capsys, monkeypatch, tmp_path):
+    from altpairs import cli
+
+    path = tmp_path / "fin.pair"
+    path.write_text(format_pair_document(build_finite(tp("t^2+t+1"), 2)))
+    commands = ("decompose", "canonical")
+    before = {cmd: run(capsys, ["--json", cmd, str(path)]) for cmd in commands}
+
+    def no_text(rho):
+        raise AssertionError("text rendered")
+
+    monkeypatch.setattr(cli, "_class_text", no_text)
+    for cmd in commands:
+        code, out, err = run(capsys, ["--json", cmd, str(path)])
+        assert (code, out, err) == before[cmd], cmd
+        assert code == 0 and json.loads(out)["blocks"]
+        # the text path still renders, inside main's error handling
+        assert run(capsys, [cmd, str(path)]) == (3, "", f"internal error: {path}: text rendered\n")
+
+
+def test_cached_parser_repeats_errors_and_help(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "7", "decompose"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr())
+    assert errors[0] == errors[1]
+    assert errors[0].out == "" and "altpairs: error: " in errors[0].err
+    for cmd in SUBCOMMANDS:
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--help"])
+            assert exc.value.code == 0, cmd
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1], cmd
+        assert helps[0].startswith(f"usage: altpairs {cmd}"), cmd

@@ -19,6 +19,7 @@ from conftest import (
     GF4,
     GF16,
     GF512,
+    mat_apply,
     nullspace,
     random_alternating,
     random_class_function,
@@ -52,7 +53,7 @@ def test_nullspace_is_kernel():
             basis = nullspace(m)
             assert len(basis) == m.cols - m.rank()
             for v in basis:
-                assert all(x == 0 for x in m.apply(v))
+                assert all(x == 0 for x in mat_apply(m, v))
 
 
 def test_inverse_roundtrip():
