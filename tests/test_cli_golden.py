@@ -5,7 +5,9 @@ The inputs are stored in the data file with the outputs: ``gen-block``
 blocks and scrambled direct sums of dimension 8-24 at k in {1, 2, 4}, plus a
 few non-alternating documents and a weak image of one sum for ``equiv``.
 ``corpus`` also runs on an empty directory, and ``gen-block`` on ids it
-refuses.  A change that means to alter CLI output
+refuses.  ``decompose`` runs on documents that fail to parse, and blocks and
+sums whose points have degree 1 come at k = 8 and 9, on both sides of the
+field's table limit.  A change that means to alter CLI output
 regenerates the file with ``PYTHONPATH=src python tests/test_cli_golden.py``
 and says so.
 """
@@ -147,6 +149,47 @@ def _generate() -> dict:
     ):
         cases.append({"argv": argv, "input": stdin})
         cases.append({"argv": ["--json", *argv], "input": stdin})
+    # appended later still: documents that fail to parse, each naming its line
+    head = "field gf2^2\ndim 2\n"
+    a, b = "matrix A\n0 1\n1 0\n", "matrix B\n0 0\n0 0\n"
+    for name, doc in (
+        ("short-matrix", head + "matrix A\n0 1\n" + b),
+        ("no-field", "dim 2\n" + a + b),
+        ("no-dim", "field gf2^2\n" + a + b),
+        ("one-matrix", head + a),
+        ("underscore-entry", head + a + "matrix B\n0 1_0\n0 0\n"),
+        ("signed-entry", head + "matrix A\n0 -1\n1 0\n" + b),
+        ("entry-at-order", head + a + "matrix B\n0 4\n4 0\n"),
+        ("field-after-matrix", "dim 2\nmatrix A\nfield gf2^2\n0 1\n1 0\n" + b),
+        ("reducible-modulus", "field gf2^4:0x15\ndim 2\n" + a + b),
+    ):
+        inputs[f"parse-{name}"] = doc
+        cases.append({"argv": ["decompose"], "input": f"parse-{name}"})
+        cases.append({"argv": ["--json", "decompose"], "input": f"parse-{name}"})
+    # fields on both sides of the table limit: k = 8 reads built tables,
+    # k = 9 computes each product; finite points have degree 1
+    rng = random.Random(20261019)
+    for k in (8, 9):
+        spec = FieldSpec.gf(k)
+        field = str(spec)
+        irr = small_irreducibles(spec, 1)
+        finite = [str(BlockId.finite(irr[0], 2)), str(BlockId.finite(irr[-1], 1))]
+        names = []
+        for i, bid in enumerate(["inf:2", "plus:1", *finite]):
+            argv = ["gen-block", bid, "--field", field]
+            cases.append({"argv": argv, "input": None})
+            cases.append({"argv": ["--json", *argv], "input": None})
+            names.append(f"k{k}-block-{i}")
+            inputs[names[-1]] = _run(argv, None)[1]
+        for i in range(3):
+            pair = assemble(random_class_function(spec, rng, 12, max_deg=1))
+            pair = transform_congruence(pair, random_invertible(spec, rng, pair.dim))
+            names.append(f"k{k}-sum-{i}")
+            inputs[names[-1]] = format_pair_document(pair)
+        for name in names:
+            for command in COMMANDS:
+                cases.append({"argv": [command], "input": name})
+                cases.append({"argv": ["--json", command], "input": name})
     return {"inputs": inputs, "corpus": corpus, "cases": cases}
 
 
