@@ -49,6 +49,14 @@ class PresentationError(ValueError):
     """Invalid presentation input."""
 
 
+def _check_model(num_h: int, m: int, e: int) -> None:
+    """PresentationError unless e >= 1 and 2^(num_h + e*m) <= 2^MAX_ORDER_LOG2."""
+    if e < 1:
+        raise PresentationError("quotient exponent must be positive")
+    if (bits := num_h + e * m) > MAX_ORDER_LOG2:
+        raise PresentationError(f"finite model order 2^{bits} exceeds 2^{MAX_ORDER_LOG2}")
+
+
 class WitnessError(ValueError):
     """The supplied (S, Q) witness does not transform the tuples correctly."""
 
@@ -73,10 +81,7 @@ class GroupPresentation:
     e: int = 1
 
     def __post_init__(self):
-        if self.e < 1:
-            raise PresentationError("quotient exponent must be positive")
-        if (bits := self.num_h + self.e * self.m) > MAX_ORDER_LOG2:
-            raise PresentationError(f"finite model order 2^{bits} exceeds 2^{MAX_ORDER_LOG2}")
+        _check_model(self.num_h, self.m, self.e)
         for (i, j), vec in self.commutators:
             if not 0 <= i < j < self.num_h:
                 raise PresentationError(f"bad commutator index ({i}, {j})")
@@ -221,8 +226,7 @@ class FiniteQuotient:
     cocycle: tuple[int, ...]
 
     def __post_init__(self):
-        if self.e < 1:
-            raise PresentationError("quotient exponent must be positive")
+        _check_model(self.num_h, self.m, self.e)
 
     @property
     def order(self) -> int:
@@ -314,11 +318,12 @@ def iso_from_witness(
     In characteristic 2, delta_k + delta_k^T = S^-1 R_k S^-T + sum_l q_lk A_l,
     which is zero iff R_k = sum_l q_lk S A_l S^T.  So the tuples match iff
     every delta_k is symmetric; otherwise ``WitnessError`` is raised.
-    Refusals come in this order: shape, singular S, witness, then the e = 1
-    obstruction.  Before it is returned the map passes
-    ``verify_quotient_map``: the exact certificate (n^2 generator pairs for
-    the homomorphism property, GF(2) ranks of S^-1 and Q for bijectivity)
-    and a random spot check of products.
+    Refusals come in this order: shape, singular S, witness, the e = 1
+    obstruction, then ``PresentationError`` for e < 1 or a model order
+    2^(n + 2e) beyond 2^MAX_ORDER_LOG2.  Before it is returned the map
+    passes ``verify_quotient_map``: the exact certificate (n^2 generator
+    pairs for the homomorphism property, GF(2) ranks of S^-1 and Q for
+    bijectivity) and a random spot check of products.
     """
     if p.m != 2 or r.m != 2:
         raise WitnessError("witness maps need bottom rank 2")

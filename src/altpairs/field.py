@@ -2,8 +2,11 @@
 
 Elements are plain ints, their coefficient bitmask: bit i is the coefficient
 of t^i in the residue class modulo the defining polynomial, and ``FieldSpec``
-does the arithmetic on them.  GF(2) (k = 1) is plain XOR/AND and never
-touches the modulus.
+does the arithmetic on them by table lookup.  The tables come from the
+field's ``Packing``: row a of the multiplication table is the table of
+multiples of a (below), and the inverse of a is read off that row.  A
+modulus is checked by ``polyring.is_irreducible`` over GF(2), so the field
+has one product, one table builder and one irreducibility test.
 
 ``Packing`` is the only product and division in GF(2^k)[t]: ``polyring.Poly``
 and the eliminations of ``linalg`` all run on it.  It stores a polynomial
@@ -41,15 +44,9 @@ class FieldError(ValueError):
     """Invalid field construction or mixed-field operation."""
 
 
-def _gf2_poly_degree(p: int) -> int:
-    return p.bit_length() - 1
-
-
-# -- the GF(2)[t] kernel on int bitmasks (bit i = coefficient of t^i) ---------
-
-
 def _gf2_poly_mul(a: int, b: int) -> int:
-    """Carry-less product, over the set bits of the smaller operand."""
+    """Carry-less product of GF(2)[t] bitmasks (bit i = coefficient of t^i),
+    over the set bits of the smaller operand."""
     if a < b:
         a, b = b, a
     r = 0
@@ -60,67 +57,16 @@ def _gf2_poly_mul(a: int, b: int) -> int:
     return r
 
 
-def _gf2_poly_divmod(a: int, b: int) -> tuple[int, int]:
-    """(a // b, a % b) for b != 0."""
-    db = b.bit_length()
-    q = 0
-    shift = a.bit_length() - db
-    while shift >= 0:
-        q |= 1 << shift
-        a ^= b << shift
-        shift = a.bit_length() - db
-    return q, a
-
-
-def _gf2_poly_mulmod(a: int, b: int, modulus: int) -> int:
-    """Product of bitmask polynomials, reduced mod ``modulus``."""
-    return _gf2_poly_divmod(_gf2_poly_mul(a, b), modulus)[1]
-
-
-def _gf2_poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_poly_divmod(a, b)[1]
-    return a
-
-
-def _gf2_poly_powmod(a: int, n: int, m: int) -> int:
-    r = 1
-    a = _gf2_poly_divmod(a, m)[1]
-    while n:
-        if n & 1:
-            r = _gf2_poly_mulmod(r, a, m)
-        a = _gf2_poly_mulmod(a, a, m)
-        n >>= 1
-    return r
-
-
-def is_irreducible_gf2(p: int) -> bool:
-    """Irreducibility of a bitmask polynomial over GF(2)."""
-    d = _gf2_poly_degree(p)
-    if d < 1:
-        return False
-    if d == 1:
+@lru_cache(maxsize=None)
+def _irreducible_modulus(modulus: int) -> bool:
+    """Irreducibility over GF(2) of a bitmask polynomial of degree >= 1.  A
+    degree-1 modulus passes without the test, which runs in GF(2)[t] and so
+    needs GF(2) built first."""
+    if modulus.bit_length() == 2:
         return True
-    # x^(2^d) == x mod p, and x^(2^(d/q)) - x coprime to p for prime q | d
-    x = 0b10
-    x_mod_p = _gf2_poly_divmod(x, p)[1]
-    if _gf2_poly_powmod(x, 1 << d, p) != x_mod_p:
-        return False
-    q = 2
-    dd = d
-    while q * q <= dd:
-        if dd % q == 0:
-            t = _gf2_poly_powmod(x, 1 << (d // q), p) ^ x_mod_p
-            if _gf2_poly_gcd(p, t) != 1:
-                return False
-            while dd % q == 0:
-                dd //= q
-        q += 1
-    if dd > 1:
-        t = _gf2_poly_powmod(x, 1 << (d // dd), p) ^ x_mod_p
-        if _gf2_poly_gcd(p, t) != 1:
-            return False
-    return True
+    from .polyring import Poly, is_irreducible  # polyring imports this module
+
+    return is_irreducible(Poly(modulus, FieldSpec.gf2()))
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +75,7 @@ def default_modulus(k: int) -> int:
     if not 1 <= k <= MAX_K:
         raise FieldError(f"extension degree must be in 1..{MAX_K}, got {k}")
     for cand in range(1 << k, 1 << (k + 1)):
-        if is_irreducible_gf2(cand):
+        if _irreducible_modulus(cand):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -138,12 +84,14 @@ def default_modulus(k: int) -> int:
 class FieldSpec:
     """GF(2^k) together with its defining modulus bitmask.
 
-    ``mul_table[a][b]`` is a*b and ``inv_table[a]`` the inverse of a != 0,
-    both set at construction and shared by all specs with the same
-    (k, modulus), like ``packing``, the GF(2^k)[t] kernel.  For k <= 8 the
-    tables are lists; above that they are ``_Computed`` stand-ins that
-    compute each entry on read (each inverse once), so every caller indexes
-    them the same way.
+    ``mul_table[a][b]`` is a*b and ``inv_table[a]`` the inverse of a != 0.
+    Both are the tables of ``packing``, the GF(2^k)[t] kernel, which builds
+    them once per (k, modulus) for all equal specs: row a is
+    ``packing.multiples(a, 2^k)``.  For k <= _TABLE_MAX_K the tables are
+    lists (row a is (0, a) at k = 1); above that they are ``_Computed``
+    stand-ins whose rows call ``Packing.mul`` on each read and whose inverse
+    of a is ``pow(a, 2^k - 2)``, taken once, so every caller indexes them
+    the same way.
     """
 
     k: int
@@ -155,13 +103,14 @@ class FieldSpec:
     def __post_init__(self):
         if not 1 <= self.k <= MAX_K:
             raise FieldError(f"extension degree must be in 1..{MAX_K}, got {self.k}")
-        if _gf2_poly_degree(self.modulus) != self.k:
+        if self.modulus >> self.k != 1:
             raise FieldError(f"modulus 0x{self.modulus:x} does not have degree {self.k}")
-        if not is_irreducible_gf2(self.modulus):
+        if not _irreducible_modulus(self.modulus):
             raise FieldError(f"modulus 0x{self.modulus:x} is reducible over GF(2)")
-        object.__setattr__(self, "mul_table", _build_mul_table(self.k, self.modulus))
-        object.__setattr__(self, "inv_table", _build_inv_table(self.k, self.modulus))
-        object.__setattr__(self, "packing", _shared_packing(self))
+        packing = _shared_packing(self)
+        object.__setattr__(self, "packing", packing)
+        object.__setattr__(self, "mul_table", packing.mul_table)
+        object.__setattr__(self, "inv_table", packing.inv_table)
 
     # -- construction ------------------------------------------------------
 
@@ -216,8 +165,6 @@ class FieldSpec:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return a & b
         return self.mul_table[a][b]
 
     def pow(self, a: int, n: int) -> int:
@@ -255,24 +202,6 @@ class _Computed:
         return self.fn(x)
 
 
-@lru_cache(maxsize=None)
-def _build_mul_table(k: int, modulus: int):
-    if k > _TABLE_MAX_K:
-        return _Computed(lambda a: _Computed(lambda b: _gf2_poly_mulmod(a, b, modulus)))
-    n = 1 << k
-    return [[_gf2_poly_mulmod(a, b, modulus) for b in range(n)] for a in range(n)]
-
-
-@lru_cache(maxsize=None)
-def _build_inv_table(k: int, modulus: int):
-    """inv[a] is the b with a*b = 1, a^(2^k - 2); inv[0] = 0 is never read."""
-    if k > _TABLE_MAX_K:
-        inverse = lru_cache(maxsize=None)(lambda a: _gf2_poly_powmod(a, (1 << k) - 2, modulus))
-        return _Computed(inverse)  # each inverse is computed on its first read only
-    table = _build_mul_table(k, modulus)
-    return [0] + [table[a].index(1) for a in range(1, 1 << k)]
-
-
 class Packing:
     """GF(2^k)[t] on packed ints: slot i, bits [i*w, (i+1)*w) with w = 2k - 1,
     holds coefficient i.
@@ -295,9 +224,16 @@ class Packing:
         self.w = 2 * k - 1
         self.mask = (1 << k) - 1
         self.modulus = spec.modulus
-        self.mul_table = spec.mul_table
-        self.inv_table = spec.inv_table
         self._widen(0)
+        if k > _TABLE_MAX_K:
+            self.mul_table = _Computed(partial(self.multiples, uses=0))
+            n = (1 << k) - 2
+            # a^(2^k - 2) is the inverse of a; each is computed on its first read only
+            self.inv_table = _Computed(lru_cache(maxsize=None)(lambda a: spec.pow(a, n)))
+        else:
+            # row a is the table of the multiples of a; inv[0] = 0 is never read
+            rows = self.mul_table = [self.multiples(a, 1 << k) for a in range(1 << k)]
+            self.inv_table = [0] + [row.index(1) for row in rows[1:]]
 
     def _widen(self, v: int) -> tuple[int, ...]:
         """Masks over twice the slots that v spans; they replace the old

@@ -11,7 +11,7 @@ from operator import xor
 
 from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
-from altpairs.field import FieldError, FieldSpec, _gf2_poly_divmod, _gf2_poly_mul
+from altpairs.field import FieldError, FieldSpec, _gf2_poly_mul
 from altpairs.linalg import Mat, _kernel_images, congruence, smith_form
 from altpairs.pencil import ClassFunction, assemble, decompose, require_valid
 from altpairs.polyring import (
@@ -730,6 +730,72 @@ def elements(g):
     for x in range(1 << g.num_h):
         for a in product(range(1 << g.e), repeat=g.m):
             yield (x, a)
+
+
+# -- GF(2)[t] on int bitmasks, the oracle for the field tables and moduli --------
+
+
+def _gf2_poly_divmod(a: int, b: int) -> tuple[int, int]:
+    """(a // b, a % b) for b != 0."""
+    db = b.bit_length()
+    q = 0
+    shift = a.bit_length() - db
+    while shift >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - db
+    return q, a
+
+
+def _gf2_poly_mulmod(a: int, b: int, modulus: int) -> int:
+    """Product of bitmask polynomials, reduced mod ``modulus``."""
+    return _gf2_poly_divmod(_gf2_poly_mul(a, b), modulus)[1]
+
+
+def _gf2_poly_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _gf2_poly_divmod(a, b)[1]
+    return a
+
+
+def _gf2_poly_powmod(a: int, n: int, m: int) -> int:
+    r = 1
+    a = _gf2_poly_divmod(a, m)[1]
+    while n:
+        if n & 1:
+            r = _gf2_poly_mulmod(r, a, m)
+        a = _gf2_poly_mulmod(a, a, m)
+        n >>= 1
+    return r
+
+
+def is_irreducible_gf2(p: int) -> bool:
+    """Irreducibility of a bitmask polynomial over GF(2) (Rabin's test)."""
+    d = p.bit_length() - 1
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    # x^(2^d) == x mod p, and x^(2^(d/q)) - x coprime to p for prime q | d
+    x = 0b10
+    x_mod_p = _gf2_poly_divmod(x, p)[1]
+    if _gf2_poly_powmod(x, 1 << d, p) != x_mod_p:
+        return False
+    q = 2
+    dd = d
+    while q * q <= dd:
+        if dd % q == 0:
+            t = _gf2_poly_powmod(x, 1 << (d // q), p) ^ x_mod_p
+            if _gf2_poly_gcd(p, t) != 1:
+                return False
+            while dd % q == 0:
+                dd //= q
+        q += 1
+    if dd > 1:
+        t = _gf2_poly_powmod(x, 1 << (d // dd), p) ^ x_mod_p
+        if _gf2_poly_gcd(p, t) != 1:
+            return False
+    return True
 
 
 # -- reference Smith elimination and row reduction, one entry at a time -----------

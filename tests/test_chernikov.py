@@ -199,6 +199,12 @@ def test_presentation_refuses_order_beyond_bound():
     assert str(build_quotient(pres, pres.e).order)
     with pytest.raises(PresentationError):
         GroupPresentation.from_dict(MAX_ORDER_LOG2 + 1, 0, {})
+    # a model built at another exponent meets the same bound
+    small = presentation_from_tuple([a, a])
+    with pytest.raises(PresentationError, match="^finite model order 2\\^40002 exceeds"):
+        build_quotient(small, 20000)
+    with pytest.raises(PresentationError, match="^finite model order 2\\^40002 exceeds"):
+        iso_from_witness(small, small, Mat.identity(GF2, 2), GL2Element(1, 0, 0, 1, GF2), 20000)
 
 
 def test_presentation_from_class_refuses_large_field():

@@ -14,12 +14,22 @@ from altpairs.field import (
     FieldSpec,
     Packing,
     default_modulus,
-    is_irreducible_gf2,
 )
 
 from altpairs.polyring import Poly
 
-from conftest import GF2, GF4, GF16, GF512, _poly_divmod, _poly_submul, embed, enumerate_bits
+from conftest import (
+    GF2,
+    GF4,
+    GF16,
+    GF512,
+    _gf2_poly_mulmod,
+    _poly_divmod,
+    _poly_submul,
+    embed,
+    enumerate_bits,
+    is_irreducible_gf2,
+)
 
 
 def test_add_is_xor_of_representatives():
@@ -63,15 +73,16 @@ def test_inv_one_any_field():
 
 
 def test_inverse_above_table_limit_is_computed_once(monkeypatch):
-    import altpairs.field as field
-
+    # each inverse is the power a^(2^k - 2), taken on its first read only;
+    # a packing of its own has read no inverse yet
     spec = FieldSpec.gf(9)
-    real = field._gf2_poly_powmod
+    inv = Packing(spec).inv_table
+    real = FieldSpec.pow
     calls = []
-    monkeypatch.setattr(field, "_gf2_poly_powmod", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(FieldSpec, "pow", lambda self, *args: calls.append(args) or real(self, *args))
     a = 0x1A7
-    assert spec.inv(a) == spec.inv(a) == spec.inv_table[a]
-    assert spec.mul(a, spec.inv(a)) == 1
+    assert inv[a] == inv[a] == inv[a]
+    assert spec.mul(a, inv[a]) == 1
     assert len(calls) <= 1
 
 
@@ -80,16 +91,25 @@ def test_inv_zero_raises():
         GF4.inv(0)
 
 
+def _assert_elements(spec, order):
+    # check accepts exactly the bitmasks 0..order - 1
+    assert spec.order == order
+    assert [spec.check(v) for v in range(order)] == list(range(order))
+    for v in (order, -1):
+        with pytest.raises(FieldError):
+            spec.check(v)
+
+
 def test_enumerate_gf2():
-    assert list(enumerate_bits(GF2)) == [0, 1]
+    _assert_elements(GF2, 2)
 
 
 def test_enumerate_gf4_order():
-    assert list(enumerate_bits(GF4)) == [0, 1, 2, 3]
+    _assert_elements(GF4, 4)
 
 
 def test_enumerate_length_k3():
-    assert len(list(enumerate_bits(FieldSpec.gf(3)))) == 8
+    _assert_elements(FieldSpec.gf(3), 8)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -108,10 +128,17 @@ def test_ring_axioms_exhaustive(k):
                 )
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_inverse_law_exhaustive(k):
     spec = FieldSpec.gf(k)
     for a in range(1, spec.order):
+        assert spec.mul(a, spec.inv(a)) == 1
+
+
+@pytest.mark.parametrize("k", [9, 16])
+def test_inverse_law_sampled_above_table_limit(k):
+    spec = FieldSpec.gf(k)
+    for a in random.Random(k).sample(range(1, spec.order), 256):
         assert spec.mul(a, spec.inv(a)) == 1
 
 
@@ -143,13 +170,18 @@ def test_default_moduli_smallest_irreducible():
             assert not is_irreducible_gf2(cand)
 
 
-def test_gf2_fast_path_matches_generic():
-    # GF(2) multiplication must agree with generic polynomial reduction
-    from altpairs.field import _gf2_poly_mulmod
-
-    for a in (0, 1):
-        for b in (0, 1):
-            assert GF2.mul(a, b) == _gf2_poly_mulmod(a, b, GF2.modulus)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16])
+def test_mul_table_matches_bitmask_oracle(k):
+    # the tables built from the packing against reduction of the carry-less
+    # product in conftest: every pair for k <= 6, 4,096 seeded pairs above
+    spec = FieldSpec.gf(k)
+    if k <= 6:
+        pairs = [(a, b) for a in range(spec.order) for b in range(spec.order)]
+    else:
+        rng = random.Random(41 + k)
+        pairs = [(rng.randrange(spec.order), rng.randrange(spec.order)) for _ in range(4096)]
+    for a, b in pairs:
+        assert spec.mul_table[a][b] == _gf2_poly_mulmod(a, b, spec.modulus)
 
 
 def test_bad_modulus_rejected():
@@ -157,6 +189,10 @@ def test_bad_modulus_rejected():
         FieldSpec(2, 0b110)  # t^2 + t is reducible
     with pytest.raises(FieldError):
         FieldSpec(2, 0b1011)  # degree 3, not 2
+    with pytest.raises(FieldError):
+        FieldSpec(9, 0x201)  # t^9 + 1 = (t + 1)(t^8 + ... + 1), above the table limit
+    with pytest.raises(FieldError, match="does not have degree 2"):
+        FieldSpec.parse("gf2^2:-7")  # a negative modulus has no degree
 
 
 def test_spec_parse_roundtrip():

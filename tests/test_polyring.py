@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from altpairs.field import FieldSpec, Packing, _gf2_poly_mulmod
+from altpairs.field import FieldSpec, Packing
 from altpairs.polyring import (
     EPS,
     BinaryForm,
@@ -37,6 +37,7 @@ from conftest import (
     GF4,
     GF16,
     GF512,
+    _gf2_poly_mulmod,
     _poly_divmod,
     _poly_submul,
     enumerate_bits,
