@@ -34,6 +34,7 @@ alternating comes back as ``ok: false`` with a message and the batch goes on.
 
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 input error,
 3 internal error (a failed internal invariant, reported with the input file).
+A reader that closes the output early (``| head``) does not change the code.
 """
 
 from __future__ import annotations
@@ -356,7 +357,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {where}: {exc}", file=sys.stderr)
         return 3
     if out:
-        print(out)
+        try:
+            print(out, flush=True)
+        except BrokenPipeError:  # the reader stopped early (``| head``)
+            null = os.open(os.devnull, os.O_WRONLY)  # for the flush at exit
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
     return code
 
 

@@ -8,7 +8,8 @@ j, so adding a multiple of the pivot row to another row is one xor of that
 row with an entry of the pivot row's table of multiples
 (``Packing.multiples``; below its cost threshold the entry is one kernel
 product), however many columns there are.  Rank, kernels, determinant and
-inverse share one elimination, ``_rref``.  The Smith form reads t*A + B
+inverse share one elimination, ``_rref``, and ``_charpoly`` reduces Krylov
+sequences against one echelon of such rows.  The Smith form reads t*A + B
 straight from the rows of A and B and gives each entry a field of several
 slots, so a row operation with a polynomial multiplier is one xor per
 coefficient of the multiplier, and each diagonal entry is already the packed
@@ -18,6 +19,8 @@ int of a ``Poly``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Iterable, Sequence
 
 from .field import FieldError, FieldSpec, Packing
@@ -217,6 +220,50 @@ def _kernel_images(pk: Packing, work: list[int], ncols: int, images: list[int]) 
             if c := row >> (f * w) & mask:
                 out[i] ^= t[c]
     return out
+
+
+def _charpoly(pk: Packing, rows: list[int], n: int) -> int:
+    """det(t*I + M), packed, for the n x n matrix M with packed rows ``rows``
+    (``pencil.pfaffian_form`` has the proof).
+
+    Krylov sequences x, xM, xM^2, ... (Keller-Gehrig, TCS 36 (1985)) are
+    reduced against one echelon, whose rows carry their coordinates in the
+    current sequence from column n on, as ``Mat.inv`` carries [M | I].  A
+    sequence starts at the unit vector of a column without a pivot, which is
+    not in the span, and closes when a vector reduces to zero: its
+    coordinates are then its minimal polynomial relative to the span before
+    it.  Closed rows drop their coordinates, which the next sequence's would
+    read as its own.
+    """
+    w, mask, inv = pk.w, pk.mask, pk.inv_table
+    shift = n * w
+    low = (1 << shift) - 1
+    tables = [pk.multiples(r, n) for r in rows]
+    echelon: list[tuple] = []  # (pivot column, row scaled to 1 there, its multiples)
+    chi, start = 1, 0
+    while len(echelon) < n:
+        # the sequence closed last keeps its rows without coordinates
+        echelon[start:] = [(p, r & low, pk.multiples(r & low, n)) for p, r, _ in echelon[start:]]
+        start = len(echelon)
+        x = 1 << (min(set(range(n)).difference(p for p, _, _ in echelon)) * w)
+        coord = 1 << shift
+        while True:
+            v = x | coord
+            for p, _, t in echelon:
+                if f := v >> (p * w) & mask:
+                    v ^= t[f]
+            if not v & low:
+                break
+            p = ((v & -v).bit_length() - 1) // w  # the first nonzero column
+            if (f := v >> (p * w) & mask) != 1:
+                v = pk.mul(inv[f], v)
+            echelon.append((p, v, pk.multiples(v, n - len(echelon))))
+            x = reduce(xor, [t[f] for t, f in zip(tables, pk.unpack(x, n)) if f], 0)
+            coord <<= w
+        if len(echelon) == start:
+            raise AssertionError("a Krylov sequence started inside the span")
+        chi = pk.mul(chi, v >> shift)
+    return chi
 
 
 def congruence(s: Mat, a: Mat) -> Mat:

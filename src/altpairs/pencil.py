@@ -8,8 +8,8 @@ Smith elimination gives the rank of the pencil and its invariant factors,
 hence the elementary divisors at the finite points; Wong sequences of
 n x n eliminations give the minimal indices of the singular part and the
 divisors at the x2 point (``decompose`` has the proof).  The Pfaffian
-comes from the same Smith elimination: its diagonal multiplies out to
-det(t*A + B), and its invariant factors come in equal pairs.
+comes from Krylov sequences of A^-1 B when A is invertible, and otherwise
+from a Smith elimination, whose diagonal multiplies out to det(t*A + B).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .blocks import AlternatingPair, BlockId, block_for_point, direct_sum
 from .field import FieldError, FieldSpec
-from .linalg import Mat, _kernel_images, _smith_diagonal, smith_form
+from .linalg import Mat, _charpoly, _kernel_images, _rref, _smith_diagonal, smith_form
 from .polyring import (
     EPS,
     BinaryForm,
@@ -32,6 +32,7 @@ from .polyring import (
     lagrange_interpolate,  # noqa: F401  (perfbench traces this name; see ROADMAP item 6)
     point_from_poly,
     point_sort_key,
+    poly_sqrt,
 )
 
 
@@ -148,14 +149,26 @@ def assemble(rho: ClassFunction) -> AlternatingPair:
 
 
 def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
-    """The unique square root of det(x1*A + x2*B), as a binary form of
-    degree dim/2; the zero form when the determinant vanishes identically.
+    """The unique square root of det(x1*A + x2*B) (squaring is injective in
+    characteristic 2), as a binary form of degree dim/2; the zero form when
+    the determinant vanishes identically.
 
-    One Smith elimination of t*A + B gives a diagonal d_1, ..., d_r whose
-    monic parts are the invariant factors.  For an alternating pencil they
-    pair up, d_1 = d_2, d_3 = d_4, ..., so with c the product of the leading
-    coefficients, det(t*A + B) = c * (d_2 d_4 ... d_n)^2 and the Pfaffian is
-    sqrt(c) * d_2 d_4 ... d_n, homogenized.
+    For A invertible, reducing [A | B] to [I | M] gives det A and
+    M = A^-1 B, and t*A + B = A (t*I + M), so det(t*A + B) = det A * chi,
+    chi = det(t*I + M).  The spans of the Krylov sequences of
+    ``linalg._charpoly`` are invariant under x -> x M, so M is block
+    triangular in a basis through them, with the companion matrices of the
+    sequences' relative minimal polynomials on the diagonal: chi is their
+    product.  chi = (Pf(t*A + B) / Pf(A))^2, and a square in characteristic
+    2 is sum c_i^2 t^(2i), so chi has no odd terms (``poly_sqrt`` checks)
+    and its root takes the field square root of each even coefficient.  As chi is monic of degree
+    n and sqrt(det A) != 0, sqrt(det A) * sqrt(chi) has degree exactly n/2.
+
+    Otherwise one Smith elimination of t*A + B gives a diagonal d_1, ...,
+    d_r whose monic parts are the invariant factors.  For an alternating
+    pencil they pair up, d_1 = d_2, d_3 = d_4, ..., so with c the product of
+    the leading coefficients, det(t*A + B) = c * (d_2 d_4 ... d_n)^2 and the
+    Pfaffian is sqrt(c) * d_2 d_4 ... d_n, homogenized.
     """
     require_valid(pair)
     n = pair.dim
@@ -164,6 +177,12 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
         return BinaryForm.one(spec)
     if n % 2 == 1:
         return BinaryForm.zero(spec)
+    pk = spec.packing
+    rows = [pk.pack(ra + rb) for ra, rb in zip(pair.a.rows, pair.b.rows)]
+    pivots, det = _rref(pk, rows, n)
+    if len(pivots) == n:
+        chi = Poly(_charpoly(pk, [r >> (n * pk.w) for r in rows], n), spec)
+        return homogenize(poly_sqrt(chi).scale(spec.sqrt(det)), n // 2)
     diagonal = _smith_diagonal(pair.a, pair.b)
     if len(diagonal) < n:
         return BinaryForm.zero(spec)

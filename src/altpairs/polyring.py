@@ -167,10 +167,11 @@ def derivative(f: Poly) -> Poly:
 
 
 def poly_sqrt(f: Poly) -> Poly:
-    """Square root of a perfect square (Frobenius inverse per coefficient)."""
+    """Square root of a perfect square (Frobenius inverse per coefficient);
+    every caller has one by construction, so an odd term fails an invariant."""
     coeffs, spec = f.coeffs, f.spec
     if any(coeffs[1::2]):
-        raise PolyError("polynomial is not a square")
+        raise AssertionError("polynomial is not a square")
     return Poly.make(spec, [spec.sqrt(c) for c in coeffs[::2]])
 
 

@@ -3,9 +3,13 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import altpairs
 from altpairs.blocks import build_finite, build_infinity
 from altpairs.cli import (
     ParseError,
@@ -427,6 +431,27 @@ def test_unreadable_inputs_exit2_without_traceback(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, code", [(["gen-block", "inf:2", "--field", "gf2^8"], 0), (["equiv"], 1)])
+def test_output_closed_early_keeps_the_exit_code(tmp_path, command, code):
+    # the read end of the pipe is closed before the process starts, so its
+    # first write fails with EPIPE however short the output is
+    if command == ["equiv"]:
+        for name, block in (("a", build_infinity(1)), ("b", build_infinity(2))):
+            (tmp_path / f"{name}.pair").write_text(format_pair_document(block))
+        command = ["equiv", str(tmp_path / "a.pair"), str(tmp_path / "b.pair")]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(altpairs.__file__)))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "altpairs.cli", *command],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 def test_internal_error_exit3_names_the_file(capsys, monkeypatch, tmp_path):
     def broken(pair):
         raise AssertionError("invariant factors do not pair up")
@@ -462,6 +487,20 @@ def test_dropped_invariant_factor_exit3(capsys, monkeypatch, tmp_path):
         assert err.startswith(f"internal error: {path}: ")
         assert "do not pair up" in err
         assert "Traceback" not in err
+
+
+def test_pfaffian_with_an_odd_term_exit3(capsys, monkeypatch, tmp_path):
+    # det(t*I + A^-1 B) with a term of odd degree is no square: the check
+    # that replaces the pairing of invariant factors when A is invertible
+    from altpairs import pencil
+
+    charpoly = pencil._charpoly
+    monkeypatch.setattr(pencil, "_charpoly", lambda pk, rows, n: charpoly(pk, rows, n) ^ 1 << pk.w)
+    path = tmp_path / "fin.pair"
+    path.write_text(format_pair_document(build_finite(tp("t^2+t+1"), 1)))
+    code, out, err = run(capsys, ["pfaffian", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"internal error: {path}: polynomial is not a square\n"
 
 
 SUBCOMMANDS = (

@@ -10,9 +10,11 @@ import pytest
 import altpairs
 
 from altpairs.field import (
+    _TABLE_MAX_K,
     FieldError,
     FieldSpec,
     Packing,
+    _Computed,
     default_modulus,
 )
 
@@ -266,6 +268,21 @@ def test_multiples_match_mul_both_sides_of_the_cost_rule(k):
             kinds.add(type(t))
             assert [t[f] for f in fs] == [pk.mul(f, b) for f in fs]
     assert len(kinds) == (1 if k == 1 or k > 8 else 2)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 9])
+def test_multiples_builds_the_table_exactly_above_k_reads(k):
+    # the read-count rule that keeps eliminations at k = 8 fast shows only in
+    # timings, so its threshold is pinned here: a list of all 2^k multiples
+    # for more than k reads up to _TABLE_MAX_K, else the stand-in
+    pk = Packing(FieldSpec.gf(k))
+    b = pk.pack(list(range(1, 20)))
+    for uses in (*range(2 * k + 2), 1 << k):
+        t = pk.multiples(b, uses)
+        if uses > k and k <= _TABLE_MAX_K:
+            assert type(t) is list and len(t) == 1 << k, uses
+        else:
+            assert type(t) is _Computed, uses
 
 
 @pytest.mark.parametrize("spec", [GF2, GF4, GF16, FieldSpec.gf(8), GF512], ids=str)

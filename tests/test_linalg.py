@@ -6,7 +6,7 @@ import pytest
 
 from altpairs.blocks import build_finite, direct_sum
 from altpairs.field import FieldError
-from altpairs.linalg import LinAlgError, Mat, _smith_diagonal, congruence, smith_form
+from altpairs.linalg import LinAlgError, Mat, _charpoly, _smith_diagonal, congruence, smith_form
 from altpairs.pencil import assemble
 from altpairs.polyring import (
     Poly,
@@ -300,3 +300,55 @@ def test_rank_and_nullspace_match_reference(spec):
         assert nullspace(m) == expected
         if nr == nc:
             assert (m.det() != 0) == (rank == nr)
+
+
+# -- characteristic polynomial by Krylov sequences ------------------------------------
+
+
+def _conjugates(spec, rng, m):
+    """m, P m P^-1 for a random permutation P and S m S^-1 for a random
+    invertible S: the Krylov sequences of unit vectors then cross the blocks."""
+    n = m.nrows
+    order = rng.sample(range(n), n)
+    p = Mat.from_rows(spec, [[int(j == i) for j in range(n)] for i in order], n)
+    s = random_invertible(spec, rng, n)
+    return [m, p @ m @ p.transpose(), s @ m @ s.inv()]
+
+
+def _derogatory(spec, rng):
+    """Matrices with repeated invariant factors, so that a single Krylov
+    sequence cannot span: zero, scalar, nilpotent, and block-diagonal with
+    repeated blocks."""
+    n = 7
+    nilpotent = Mat.from_rows(
+        spec, [[rng.randrange(spec.order) if j > i else 0 for j in range(n)] for i in range(n)], n
+    )
+    c, d = random_matrix(spec, rng, 2, 2), random_matrix(spec, rng, 3, 3)
+    return [
+        Mat.zeros(spec, n, n),
+        Mat.identity(spec, n).scale(rng.randrange(1, spec.order)),
+        nilpotent,
+        Mat.block_diag(spec, [c, c, c]),
+        Mat.block_diag(spec, [d, c, d]),
+    ]
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
+def test_charpoly_is_the_product_of_the_invariant_factors(spec):
+    # det(tI + M) from the Krylov sequences against the monic Smith diagonal
+    # of tI + M by entries, and Cayley-Hamilton: chi(M) = 0
+    rng = random.Random(83 + spec.k)
+    pk = spec.packing
+    assert _charpoly(pk, [], 0) == 1
+    mats = [random_matrix(spec, rng, n, n) for n in (1, 2, 3, 6, 9)] + _derogatory(spec, rng)
+    for m in (c for base in mats for c in _conjugates(spec, rng, base)):
+        n = m.nrows
+        chi = Poly(_charpoly(pk, [pk.pack(r) for r in m.rows], n), spec)
+        expected = Poly.one(spec)
+        for d in smith_reference(Mat.identity(spec, n), m):
+            expected = expected * d.monic()
+        assert chi == expected
+        value = Mat.zeros(spec, n, n)
+        for c in reversed(chi.coeffs):
+            value = value @ m + Mat.identity(spec, n).scale(c)
+        assert value.is_zero()

@@ -396,6 +396,45 @@ def test_pfaffian_matches_interpolation_random():
                 assert checked_pfaffian(_rank_deficient_pair(spec, rng, n)).is_zero()
 
 
+def _invertible_a_pair(spec, rng, n):
+    while True:
+        pair = random_alternating_pair(spec, rng, n)
+        if pair.a.rank() == n:
+            return pair
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
+def test_pfaffian_routes_match_interpolation(spec, monkeypatch):
+    # A invertible goes through the Krylov characteristic polynomial; A
+    # singular keeps the Smith pass, for a regular pencil (an x2 divisor) and
+    # for a singular one (an eps block)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(pencil, "_charpoly", counted("krylov", pencil._charpoly))
+    monkeypatch.setattr(pencil, "_smith_diagonal", counted("smith", pencil._smith_diagonal))
+
+    def route(pair):
+        calls.clear()
+        return checked_pfaffian(pair), calls
+
+    rng = random.Random(0x2F + spec.k)
+    for n in (2, 4, 6, 8, 10):
+        pf, ran = route(transform_congruence(_invertible_a_pair(spec, rng, n), random_invertible(spec, rng, n)))
+        assert ran == ["krylov"] and pf.poly.degree == pf.degree == n // 2
+        pair = direct_sum([_invertible_a_pair(spec, rng, n - 2), build_infinity(1, spec)])
+        pf, ran = route(transform_congruence(pair, random_invertible(spec, rng, n)))
+        assert ran == ["smith"] and pf.poly.degree == pf.degree - 1 == n // 2 - 1
+        pf, ran = route(_rank_deficient_pair(spec, rng, n))
+        assert ran == ["smith"] and pf.is_zero()
+
+
 def test_pfaffian_matches_interpolation_scrambled_canonical_sums():
     # det S != 1 scales the Pfaffian by det S, so sqrt(c) is not 1
     rng = random.Random(0x5C4A)

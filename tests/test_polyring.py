@@ -443,6 +443,8 @@ def test_squarefree_char2_derivative_zero_case():
     assert derivative(f).is_zero()
     assert factor(f) == [(P2(0b111), 2)]
     assert poly_sqrt(f) == P2(0b111)
+    with pytest.raises(AssertionError, match="not a square"):
+        poly_sqrt(f + P2(0b10))
 
 
 # -- homogenization and forms ---------------------------------------------------------
