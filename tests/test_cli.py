@@ -431,21 +431,21 @@ def test_unreadable_inputs_exit2_without_traceback(capsys, tmp_path):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, code", [(["gen-block", "inf:2", "--field", "gf2^8"], 0), (["equiv"], 1)])
-def test_output_closed_early_keeps_the_exit_code(tmp_path, command, code):
+@pytest.mark.parametrize(
+    "argv, code", [(["gen-block", "inf:2", "--field", "gf2^8"], 0), (["equiv", "a.pair", "b.pair"], 1)]
+)
+def test_output_closed_early_keeps_the_exit_code(tmp_path, argv, code):
     # the read end of the pipe is closed before the process starts, so its
     # first write fails with EPIPE however short the output is
-    if command == ["equiv"]:
-        for name, block in (("a", build_infinity(1)), ("b", build_infinity(2))):
-            (tmp_path / f"{name}.pair").write_text(format_pair_document(block))
-        command = ["equiv", str(tmp_path / "a.pair"), str(tmp_path / "b.pair")]
+    for name, block in (("a", build_infinity(1)), ("b", build_infinity(2))):
+        (tmp_path / f"{name}.pair").write_text(format_pair_document(block))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(altpairs.__file__)))
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "altpairs.cli", *command],
-            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "altpairs.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, timeout=60,
         )
     finally:
         os.close(write)
