@@ -8,8 +8,9 @@ j, so adding a multiple of the pivot row to another row is one xor of that
 row with an entry of the pivot row's table of multiples
 (``Packing.multiples``; below its cost threshold the entry is one kernel
 product), however many columns there are.  Rank, kernels, determinant and
-inverse share one elimination, ``_rref``, and ``_charpoly`` reduces Krylov
-sequences against one echelon of such rows.  The Smith form reads t*A + B
+inverse share one elimination, ``_rref``; ``_charpoly`` reduces Krylov
+sequences against one echelon of such rows, and ``_nullities`` takes the
+kernels of powers of f(M) from echelon bases.  The Smith form reads t*A + B
 straight from the rows of A and B and gives each entry a field of several
 slots, so a row operation with a polynomial multiplier is one xor per
 coefficient of the multiplier, and each diagonal entry is already the packed
@@ -19,7 +20,7 @@ int of a ``Poly``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -160,14 +161,22 @@ class Mat:
         return Mat(tuple(pk.unpack(r >> shift, n) for r in work), n, self.spec)
 
     def _packed(self) -> tuple[Packing, list[int], int]:
+        return self.spec.packing, list(self._packed_rows), self.cols
+
+    @cached_property
+    def _packed_rows(self) -> tuple[int, ...]:
+        """The rows as packed ints (``field.Packing``), built on first use."""
         pk = self.spec.packing
-        return pk, [pk.pack(r) for r in self.rows], self.cols
+        return tuple(pk.pack(r) for r in self.rows)
 
 
-def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool = True) -> tuple[list[int], int]:
+def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool | None = True) -> tuple[list[int], int]:
     """Bring packed rows to echelon form in place, pivoting on the first
     ``ncols`` columns; the pivot rows end up first, in order.  With
-    ``reduced`` the pivots are also cleared above (reduced row echelon form).
+    ``reduced`` the pivots are also cleared above (reduced row echelon
+    form); with ``reduced=None`` only if every column has a pivot, by back
+    substitution from the top with each pivot row's multiples as the pass
+    down left it (zero before its pivot, so later pivots clear what it adds).
 
     Returns the pivot columns and the product of the pivot values before
     they are scaled to 1.  Row swaps and added multiples keep the
@@ -177,6 +186,7 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool = True) -> tup
     w, mask, inv, table = pk.w, pk.mask, pk.inv_table, pk.mul_table
     nr = len(work)
     pivots = []
+    tables = []
     det = 1
     for col in range(ncols):
         row = len(pivots)
@@ -196,12 +206,19 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool = True) -> tup
             det = table[det][f]
             p = pk.mul(inv[f], p)
         start = 0 if reduced else row + 1
-        t = pk.multiples(p, nr - start)
+        t = pk.multiples(p, nr - 1 if reduced is None else nr - start)
         for r in range(start, nr):
             if f := work[r] >> shift & mask:
                 work[r] ^= t[f]
         work[row] = p
         pivots.append(col)
+        tables.append(t)
+    if reduced is None and len(pivots) == ncols:
+        for col in range(1, ncols):  # the pivot of column col is row col
+            shift, t = col * w, tables[col]
+            for r in range(col):
+                if f := work[r] >> shift & mask:
+                    work[r] ^= t[f]
     return pivots, det
 
 
@@ -264,6 +281,34 @@ def _charpoly(pk: Packing, rows: list[int], n: int) -> int:
             raise AssertionError("a Krylov sequence started inside the span")
         chi = pk.mul(chi, v >> shift)
     return chi
+
+
+def _nullities(pk: Packing, rows: list[int], n: int, f: Poly, top: int) -> list[int]:
+    """dim ker f(M)^j for j = 1, 2, ..., for the n x n matrix M with packed
+    rows ``rows``, until the kernel reaches dimension ``top`` or stops
+    growing.  Row i of f(M) is e_i f(M) by Horner from e_i M = rows[i]; as
+    the row space of f(M)^j is that of f(M)^(j-1) times f(M), each step
+    multiplies only an echelon basis of the previous one by f(M)."""
+
+    def times(x, tables):
+        return reduce(xor, [t[c] for t, c in zip(tables, pk.unpack(x, n)) if c], 0)
+
+    w, (*low, _) = pk.w, f.coeffs
+    tables = [pk.multiples(r, n * (len(low) - 1)) for r in rows]
+    f_rows = []
+    for i, r in enumerate(rows):
+        v = r ^ low[-1] << (i * w)
+        for c in reversed(low[:-1]):
+            v = times(v, tables) ^ c << (i * w)
+        f_rows.append(v)
+    work, tables, dims = list(f_rows), None, []
+    while True:
+        rank = len(_rref(pk, work, n, reduced=False)[0])
+        dims.append(n - rank)
+        if dims[-1] >= top or len(dims) > 1 and dims[-1] == dims[-2]:
+            return dims
+        tables = tables or [pk.multiples(r, rank) for r in f_rows]
+        work = [times(v, tables) for v in work[:rank]]
 
 
 def congruence(s: Mat, a: Mat) -> Mat:

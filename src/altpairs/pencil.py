@@ -3,13 +3,13 @@ decomposition into class functions.
 
 A class function maps (projective point, n) to the multiplicity of the
 corresponding canonical block.  Equality of class functions decides
-congruence.  ``decompose`` reads it off the Kronecker data of t*A + B: one
-Smith elimination gives the rank of the pencil and its invariant factors,
-hence the elementary divisors at the finite points; Wong sequences of
-n x n eliminations give the minimal indices of the singular part and the
-divisors at the x2 point (``decompose`` has the proof).  The Pfaffian
-comes from Krylov sequences of A^-1 B when A is invertible, and otherwise
-from a Smith elimination, whose diagonal multiplies out to det(t*A + B).
+congruence.  ``decompose`` reads it off the Kronecker data of t*A + B.  For
+A invertible, the divisors are those of M = A^-1 B, from Krylov sequences
+and kernels of powers of f(M); otherwise one Smith elimination gives the
+rank and the finite divisors, and Wong sequences the minimal indices and
+the divisors at x2 (``decompose`` has the proofs).  The Pfaffian comes from
+the same Krylov sequences when A is invertible, and otherwise from a Smith
+elimination, whose diagonal multiplies out to det(t*A + B).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .blocks import AlternatingPair, BlockId, block_for_point, direct_sum
 from .field import FieldError, FieldSpec
-from .linalg import Mat, _charpoly, _kernel_images, _rref, _smith_diagonal, smith_form
+from .linalg import Mat, _charpoly, _kernel_images, _nullities, _rref, _smith_diagonal, smith_form
 from .polyring import (
     EPS,
     BinaryForm,
@@ -148,6 +148,19 @@ def assemble(rho: ClassFunction) -> AlternatingPair:
 # -- Pfaffian ---------------------------------------------------------------------
 
 
+def _front(pair: AlternatingPair) -> tuple[int, int, list[int]]:
+    """rank A, det A and, for A invertible, the packed rows of M = A^-1 B,
+    from one forward elimination of the packed rows [A | B] on A's columns;
+    only at full rank does back substitution bring them to [I | M]."""
+    n, pk = pair.dim, pair.spec.packing
+    shift = n * pk.w
+    rows = [a | b << shift for a, b in zip(pair.a._packed_rows, pair.b._packed_rows)]
+    pivots, det = _rref(pk, rows, n, reduced=None)
+    if len(pivots) < n:
+        return len(pivots), 0, []
+    return n, det, [r >> shift for r in rows]
+
+
 def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
     """The unique square root of det(x1*A + x2*B) (squaring is injective in
     characteristic 2), as a binary form of degree dim/2; the zero form when
@@ -177,11 +190,11 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
         return BinaryForm.one(spec)
     if n % 2 == 1:
         return BinaryForm.zero(spec)
-    pk = spec.packing
-    rows = [pk.pack(ra + rb) for ra, rb in zip(pair.a.rows, pair.b.rows)]
-    pivots, det = _rref(pk, rows, n)
-    if len(pivots) == n:
-        chi = Poly(_charpoly(pk, [r >> (n * pk.w) for r in rows], n), spec)
+    rank_a, det, m = _front(pair)
+    if rank_a == n:
+        chi = Poly(_charpoly(spec.packing, m, n), spec)
+        if chi.degree != n:
+            raise AssertionError(f"characteristic polynomial of degree {chi.degree} in dimension {n}")
         return homogenize(poly_sqrt(chi).scale(spec.sqrt(det)), n // 2)
     diagonal = _smith_diagonal(pair.a, pair.b)
     if len(diagonal) < n:
@@ -242,16 +255,40 @@ def _chains(dims: list[int], known: Mapping[int, int]) -> dict[int, int]:
     return {s: c for s, c in counts.items() if c}
 
 
+def _pairs(point: BinaryForm, chains: Mapping[int, int]) -> dict[tuple[ProjPoint, int], int]:
+    """One block (point, e) per pair of equal elementary divisors (point, e),
+    given the number of divisors of each exponent e."""
+    for e, m in chains.items():
+        if m % 2:
+            raise AssertionError(f"elementary divisor ({format_form(point)}, {e}) has odd multiplicity {m}")
+    return {(point, e): m // 2 for e, m in chains.items()}
+
+
 def decompose(pair: AlternatingPair) -> ClassFunction:
     """Class function of the pair, read off the Kronecker data of t*A + B:
     each minimal index i is one entry (eps, i + 1), and each pair of equal
     elementary divisors (g, e) is one entry (g, e).
 
-    One Smith pass gives the rank r and the invariant factors d_1 | ... | d_r.
-    Their irreducibles all divide d_r, so d_r is factored once and each
-    exponent e > 0 of f in a d_i, read by division, is a divisor (f, e).
-    The factors pair up, d_(2i-1) = d_(2i), so one of each pair is divided
-    and each divisor found there is one block.
+    One forward elimination of [A | B] gives rank A.  If A is invertible,
+    t*A + B = A (t*I + M) with M = A^-1 B is strictly equivalent to t*I + M
+    (multiply by A^-1 on the left): the pencil is regular, x2 carries
+    nothing, and the divisors are the elementary divisors f^e of M.  M is
+    similar to a sum of companion matrices C(f^e), the modules
+    GF(q)[t]/(f^e); there f(M)^j has the kernel (f^(e - min(j, e))) of
+    dimension deg f * min(j, e), and f(M) is invertible on C(g^e), g != f.
+    So of the divisors f^e, (K_j - K_(j-1)) / deg f have e >= j, for
+    K_j = dim ker f(M)^j, and K_j stops at deg f times the f-exponent of
+    chi = det(t*I + M), the product of all divisors.  They pair up, so
+    chi = h^2, and the f-exponent of h is the sum of e over the pairs at f:
+    when it is 1, f has one pair (f, 1), the entry (f, 1, 1), and no kernel
+    is computed.  h is factored once.
+
+    If A is singular, one Smith pass gives the rank r of t*A + B and its
+    invariant factors d_1 | ... | d_r.  Their irreducibles all divide d_r,
+    so d_r is factored once and each exponent e > 0 of f in a d_i, read by
+    division, is a divisor (f, e).  The factors pair up,
+    d_(2i-1) = d_(2i), so one of each pair is divided and each divisor
+    found there is one block.
     There are n - r eps blocks, and x2 carries divisors iff rank A < r: the
     rank drops at a point by its number of divisors, and singular blocks
     keep their rank everywhere.
@@ -278,6 +315,29 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
     """
     require_valid(pair)
     n, spec = pair.dim, pair.spec
+    rank_a, _, m = _front(pair)
+    blocks: dict[tuple[ProjPoint, int], int] = {}
+    if rank_a == n:
+        h = poly_sqrt(Poly(_charpoly(spec.packing, m, n), spec))
+        for f, e in factor(h) if h.degree else ():
+            point, d, top = point_from_poly(f), f.degree, 2 * e * f.degree
+            dims = _nullities(spec.packing, m, n, f, top) if e > 1 else [top]
+            if dims[-1] != top or any(k % d for k in dims):
+                raise AssertionError(f"kernels of powers of {format_form(point)} reach {dims}, not {top}")
+            blocks.update(_pairs(point, _chains([0] + [k // d for k in dims], {})))
+    else:
+        blocks = _smith_blocks(pair, rank_a)
+    rho = ClassFunction.from_dict(spec, blocks)
+    if rho.total_dim != n:
+        raise AssertionError(f"decomposition dimension {rho.total_dim} != pair dimension {n}")
+    return rho
+
+
+def _smith_blocks(pair: AlternatingPair, rank_a: int) -> dict[tuple[ProjPoint, int], int]:
+    """The blocks of the pencil from one Smith pass and the Wong sequences,
+    given rank A (``decompose`` has the proof); ``decompose`` takes this
+    route when A is singular."""
+    n, spec = pair.dim, pair.spec
     factors = smith_form(pair.a, pair.b)
     r, degree = len(factors), sum(d.degree for d in factors)
     if factors[::2] != factors[1::2]:
@@ -293,7 +353,7 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
             key = (point_from_poly(f), e)
             blocks[key] = blocks.get(key, 0) + 1
     eps: dict[int, int] = {}  # eps + 1 -> number of odd blocks
-    if pair.a.rank() == r:
+    if rank_a == r:
         if r < n:
             eps = _chains(_wong_dims(pair.a, pair.b, n - (r + degree) // 2), {})
     else:
@@ -301,17 +361,11 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
             at_x1 = {e: 2 * m for (p, e), m in blocks.items() if p == BinaryForm.x1(spec)}
             eps = _chains(_wong_dims(pair.b, pair.a), at_x1)
         stop = n - degree - sum((s - 1) * m for s, m in eps.items())
-        for e, m in _chains(_wong_dims(pair.a, pair.b, stop), eps).items():
-            if m % 2:
-                raise AssertionError(f"elementary divisor (x2, {e}) has odd multiplicity {m}")
-            blocks[(BinaryForm.x2(spec), e)] = m // 2
+        blocks.update(_pairs(BinaryForm.x2(spec), _chains(_wong_dims(pair.a, pair.b, stop), eps)))
     if sum(eps.values()) != n - r:
         raise AssertionError(f"{sum(eps.values())} minimal indices for rank {r} of {n}")
     blocks.update(((EPS, s), m) for s, m in eps.items())
-    rho = ClassFunction.from_dict(spec, blocks)
-    if rho.total_dim != n:
-        raise AssertionError(f"decomposition dimension {rho.total_dim} != pair dimension {n}")
-    return rho
+    return blocks
 
 
 def congruent(p: AlternatingPair, r: AlternatingPair) -> bool:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import re
+import textwrap
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import product
@@ -12,7 +14,7 @@ from operator import xor
 from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_mul
-from altpairs.linalg import Mat, _kernel_images, congruence, smith_form
+from altpairs.linalg import Mat, _charpoly, _kernel_images, _nullities, congruence, smith_form
 from altpairs.pencil import ClassFunction, assemble, decompose, require_valid
 from altpairs.polyring import (
     EPS,
@@ -1343,3 +1345,30 @@ def brute_force_isomorphic(g1, g2) -> bool:
         return False
 
     return backtrack(0, [])
+
+
+# -- deliberately broken copies for mutation tests ---------------------------------
+
+
+def mutant(fn, old: str, new: str):
+    """A deliberately broken copy of the function ``fn``: its source with the
+    one occurrence of ``old`` replaced by ``new``, run in a copy of its
+    module's globals."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    scope = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), scope)
+    return scope[fn.__name__]
+
+
+def krylov_mutants() -> dict:
+    """Broken copies of the kernels of ``decompose``'s Krylov route, by the
+    name ``pencil`` reaches them under: a characteristic polynomial without
+    the first Krylov sequence's factor, and kernel dimensions one too
+    large."""
+    return {
+        "_charpoly": mutant(
+            _charpoly, "chi = pk.mul(chi, v >> shift)", "chi = pk.mul(chi, v >> shift) if start else chi"
+        ),
+        "_nullities": mutant(_nullities, "dims.append(n - rank)", "dims.append(n - rank + 1)"),
+    }

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import altpairs
-from altpairs.blocks import build_finite, build_infinity
+from altpairs.blocks import build_finite, build_infinity, direct_sum
 from altpairs.cli import (
     ParseError,
     format_pair_document,
@@ -21,7 +21,7 @@ from altpairs.field import FieldSpec
 from altpairs.pencil import ClassFunction, assemble, decompose
 from altpairs.polyring import EPS, BinaryForm, parse_poly
 
-from conftest import GF2, GF4, class_function_from_json
+from conftest import GF2, GF4, class_function_from_json, krylov_mutants
 
 
 def tp(text):
@@ -472,12 +472,14 @@ def test_internal_error_exit3_names_the_file(capsys, monkeypatch, tmp_path):
 
 def test_dropped_invariant_factor_exit3(capsys, monkeypatch, tmp_path):
     # a Smith pass that loses its last invariant factor leaves an odd count,
-    # so the invariant factors no longer pair up
+    # so the invariant factors no longer pair up; only a singular A takes
+    # the Smith pass, so the finite block comes with an x2 block
     from altpairs import pencil
 
     smith_form = pencil.smith_form
     monkeypatch.setattr(pencil, "smith_form", lambda a, b: smith_form(a, b)[:-1])
-    docs = {"inf.pair": INF1_DOC, "fin.pair": format_pair_document(build_finite(tp("t^2+t+1"), 1))}
+    fin = direct_sum([build_finite(tp("t^2+t+1"), 1), build_infinity(1)])
+    docs = {"inf.pair": INF1_DOC, "fin.pair": format_pair_document(fin)}
     for name, text in docs.items():
         path = tmp_path / name
         path.write_text(text)
@@ -501,6 +503,22 @@ def test_pfaffian_with_an_odd_term_exit3(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, ["pfaffian", str(path)])
     assert (code, out) == (3, "")
     assert err == f"internal error: {path}: polynomial is not a square\n"
+
+
+@pytest.mark.parametrize("name", ["_charpoly", "_nullities"])
+def test_krylov_mutant_exit3(capsys, monkeypatch, tmp_path, name):
+    # A invertible: a characteristic polynomial that lost a Krylov sequence,
+    # or a kernel dimension off by one, fails an invariant instead of
+    # printing a wrong class
+    from altpairs import pencil
+
+    monkeypatch.setattr(pencil, name, krylov_mutants()[name])
+    path = tmp_path / "fin2.pair"
+    path.write_text(format_pair_document(build_finite(tp("t^2+t+1"), 2)))
+    code, out, err = run(capsys, ["decompose", str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"internal error: {path}: ")
+    assert "Traceback" not in err
 
 
 SUBCOMMANDS = (

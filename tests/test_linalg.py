@@ -6,10 +6,11 @@ import pytest
 
 from altpairs.blocks import build_finite, direct_sum
 from altpairs.field import FieldError
-from altpairs.linalg import LinAlgError, Mat, _charpoly, _smith_diagonal, congruence, smith_form
+from altpairs.linalg import LinAlgError, Mat, _charpoly, _nullities, _smith_diagonal, congruence, smith_form
 from altpairs.pencil import assemble
 from altpairs.polyring import (
     Poly,
+    factor,
     monic_irreducibles,
     parse_poly,
 )
@@ -352,3 +353,26 @@ def test_charpoly_is_the_product_of_the_invariant_factors(spec):
         for c in reversed(chi.coeffs):
             value = value @ m + Mat.identity(spec, n).scale(c)
         assert value.is_zero()
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
+def test_nullities_match_ranks_of_powers(spec):
+    # dim ker f(M)^j from echelon bases against n - rank of f(M)^j by
+    # matrix products, for each irreducible f of chi, until the kernel stops
+    # growing (an unreachable top) and up to a top reached on the way
+    rng = random.Random(97 + spec.k)
+    pk = spec.packing
+    mats = [random_matrix(spec, rng, n, n) for n in (2, 5, 8)] + _derogatory(spec, rng)
+    for m in (c for base in mats for c in _conjugates(spec, rng, base)):
+        n = m.nrows
+        rows = [pk.pack(r) for r in m.rows]
+        for f, _ in factor(Poly(_charpoly(pk, rows, n), spec)):
+            value = Mat.zeros(spec, n, n)
+            for c in reversed(f.coeffs):
+                value = value @ m + Mat.identity(spec, n).scale(c)
+            power, expected = value, [n - value.rank()]
+            while len(expected) < 2 or expected[-1] != expected[-2]:
+                power = power @ value
+                expected.append(n - power.rank())
+            assert _nullities(pk, rows, n, f, n + 1) == expected
+            assert _nullities(pk, rows, n, f, expected[0]) == expected[:1]

@@ -42,11 +42,13 @@ from conftest import (
     parse_form,
     kronecker_invariants,
     kronecker_reference,
+    krylov_mutants,
     pfaffian_interpolation_reference,
     pfaffian_of_class,
     random_alternating_pair,
     random_class_function,
     random_invertible,
+    random_irreducible,
     transform_congruence,
 )
 
@@ -292,12 +294,115 @@ def test_invariants_one_smith_pass_and_one_factor_call(monkeypatch):
         _rank_deficient_pair(GF4, rng, 9),
         scrambled(GF4, rng, {(EPS, 3): 1, (x2, 2): 1, (x1, 2): 1}),
         assemble(random_class_function(GF4, rng, 16)),
+        _invertible_a_pair(GF4, rng, 10),
+        scrambled(GF4, rng, {(x1, 2): 2, (x1, 1): 1}),
     ]
     for pair in pairs:
         calls.update(smith=0, factor=0)
         kronecker_invariants(pair)
-        assert calls["smith"] == 1
+        # a Smith pass exactly when A is singular
+        assert calls["smith"] == (pair.a.rank() < pair.dim)
         assert calls["factor"] <= 1
+
+
+# -- the Krylov route of decompose (A invertible) --------------------------------------
+
+
+def _route_log(monkeypatch):
+    """The kernels that ``decompose`` calls, by name, in call order."""
+    calls = []
+    for name in ("_charpoly", "_nullities", "smith_form"):
+        fn = getattr(pencil, name)
+        monkeypatch.setattr(pencil, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    return calls
+
+
+def _repeated_divisor_blocks(spec, rng):
+    """Regular shapes with A invertible: several pairs at one f of degree
+    1-3, mixed sizes at one f, divisors at t = 0 (x1), and one shape whose
+    exponents in sqrt(chi) are all 1."""
+    x1 = BinaryForm.x1(spec)
+    f1, f2, f3 = (point_from_poly(random_irreducible(spec, rng, d)) for d in (1, 2, 3))
+    return [
+        {(f1, 1): 3},
+        {(f1, 2): 2, (f1, 1): 1},
+        {(f2, 1): 2},
+        {(f2, 2): 2},
+        {(f2, 1): 1, (f2, 2): 1, (f2, 3): 1},
+        {(f3, 1): 2},
+        {(f3, 2): 1, (f3, 1): 1},
+        {(x1, 1): 2},
+        {(x1, 2): 2, (x1, 1): 1, (f2, 1): 1},
+        {(x1, 3): 1, (f1, 2): 2},
+        {(x1, 1): 1, (f2, 1): 1, (f3, 1): 1},
+    ]
+
+
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_krylov_route_repeated_divisors(spec, monkeypatch):
+    # the Krylov route against the reference and against the Smith route on
+    # the same pair; the kernels of powers of f(M) run once for each f of
+    # exponent >= 2 in sqrt(chi)
+    rng = random.Random(0x4E7 + spec.k)
+    calls = _route_log(monkeypatch)
+    for blocks in _repeated_divisor_blocks(spec, rng):
+        rho = ClassFunction.from_dict(spec, blocks)
+        pair = scrambled(spec, rng, blocks)
+        calls.clear()
+        assert decompose(pair) == rho
+        exponents = {}
+        for (point, e), m in blocks.items():
+            exponents[point] = exponents.get(point, 0) + e * m
+        assert calls == ["_charpoly"] + ["_nullities"] * sum(e >= 2 for e in exponents.values())
+        assert ClassFunction.from_dict(spec, pencil._smith_blocks(pair, pair.dim)) == rho
+        assert kronecker_invariants(pair) == kronecker_reference(pair)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 9])
+def test_routes_agree_on_random_pairs(k, monkeypatch):
+    # 60 random pairs per field, dims 6-16: A invertible takes the Krylov
+    # route and agrees with the Smith route on the same pair, A singular takes
+    # the Smith route; both agree with the reference
+    spec = FieldSpec.gf(k)
+    rng = random.Random(11)
+    calls = _route_log(monkeypatch)
+    routes = set()
+    for _ in range(60):
+        pair = random_alternating_pair(spec, rng, rng.randrange(6, 17))
+        rank_a = pair.a.rank()
+        calls.clear()
+        rho = decompose(pair)
+        route = "_charpoly" if rank_a == pair.dim else "smith_form"
+        assert calls[0] == route and "smith_form" not in calls[1:]
+        routes.add(route)
+        assert ClassFunction.from_dict(spec, pencil._smith_blocks(pair, rank_a)) == rho
+        assert kronecker_invariants(pair) == kronecker_reference(pair)
+    assert routes == {"_charpoly", "smith_form"}
+
+
+@pytest.mark.parametrize("name", ["_charpoly", "_nullities"])
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_krylov_route_mutants_raise(spec, name, monkeypatch):
+    # each mutant fails an invariant (AssertionError, CLI exit 3) on every
+    # shape that reaches it, and never returns a class function; the
+    # Pfaffian, which shares _charpoly, refuses the first one too
+    rng = random.Random(0x3C7 + spec.k)
+    monkeypatch.setattr(pencil, name, krylov_mutants()[name])
+    calls = _route_log(monkeypatch)
+    reached = 0
+    for blocks in _repeated_divisor_blocks(spec, rng):
+        pair = scrambled(spec, rng, blocks)
+        calls.clear()
+        try:
+            rho = decompose(pair)
+        except AssertionError:
+            reached += 1
+        else:
+            assert name not in calls, rho
+        if name == "_charpoly":
+            with pytest.raises(AssertionError):
+                pfaffian_form(pair)
+    assert reached >= 10
 
 
 # -- decomposition --------------------------------------------------------------------
