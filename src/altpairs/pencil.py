@@ -8,8 +8,9 @@ A invertible, the divisors are those of M = A^-1 B, from Krylov sequences
 and kernels of powers of f(M); otherwise one Smith elimination gives the
 rank and the finite divisors, and Wong sequences the minimal indices and
 the divisors at x2 (``decompose`` has the proofs).  The Pfaffian comes from
-the same Krylov sequences when A is invertible, and otherwise from a Smith
-elimination, whose diagonal multiplies out to det(t*A + B).
+the same Krylov sequences when A is invertible.  Otherwise it is zero when a
+Wong sequence shows the pencil singular, and a Smith elimination, whose
+diagonal multiplies out to det(t*A + B), gives it for a regular pencil.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .polyring import (
     factor,
     format_form,
     homogenize,
-    lagrange_interpolate,  # noqa: F401  (perfbench traces this name; see ROADMAP item 6)
+    lagrange_interpolate,  # noqa: F401  (perfbench traces this name; see ROADMAP items 1 and 8)
     point_from_poly,
     point_sort_key,
     poly_sqrt,
@@ -177,11 +178,19 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
     and its root takes the field square root of each even coefficient.  As chi is monic of degree
     n and sqrt(det A) != 0, sqrt(det A) * sqrt(chi) has degree exactly n/2.
 
-    Otherwise one Smith elimination of t*A + B gives a diagonal d_1, ...,
-    d_r whose monic parts are the invariant factors.  For an alternating
-    pencil they pair up, d_1 = d_2, d_3 = d_4, ..., so with c the product of
-    the leading coefficients, det(t*A + B) = c * (d_2 d_4 ... d_n)^2 and the
-    Pfaffian is sqrt(c) * d_2 d_4 ... d_n, homogenized.
+    Otherwise the pencil is singular, and the Pfaffian zero, iff B is not
+    injective on some W_i of the Wong sequence W_0 = 0,
+    W_(i+1) = {v : A v in B W_i}, which ``_wong_dims`` walks.  Strict
+    equivalence P (t*A + B) Q moves the W_i and ker B together (v -> Q^-1 v),
+    and both split over Kronecker blocks.  On L_eps the W_i reach the whole
+    block, and ker B is spanned by its first unit vector; on L_eps^T, finite
+    blocks and nilpotent blocks t*N + I, the limit W* meets ker B in 0.  So
+    W* meets ker B iff an L_eps block exists, and a square pencil has one iff
+    it is singular.  A regular pencil with A singular (x2 divisors) takes
+    one Smith elimination of t*A + B, whose diagonal d_1, ..., d_n has the
+    invariant factors as monic parts.  They pair up, d_1 = d_2, d_3 = d_4,
+    ..., so with c the product of the leading coefficients, det(t*A + B) =
+    c * (d_2 d_4 ... d_n)^2 and the Pfaffian is sqrt(c) * d_2 d_4 ... d_n.
     """
     require_valid(pair)
     n = pair.dim
@@ -196,9 +205,11 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
         if chi.degree != n:
             raise AssertionError(f"characteristic polynomial of degree {chi.degree} in dimension {n}")
         return homogenize(poly_sqrt(chi).scale(spec.sqrt(det)), n // 2)
+    if _wong_dims(pair.a, pair.b, injective=True) is None:
+        return BinaryForm.zero(spec)
     diagonal = _smith_diagonal(pair.a, pair.b)
     if len(diagonal) < n:
-        return BinaryForm.zero(spec)
+        raise AssertionError(f"Smith rank {len(diagonal)} of a pencil the Wong sequence shows regular")
     # The elimination only swaps rows or columns and adds a multiple of one
     # row or column to another; in characteristic 2 each of these has
     # determinant 1, so the raw diagonal multiplies out to det(t*A + B).
@@ -219,15 +230,16 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
 # -- decomposition -----------------------------------------------------------------
 
 
-def _wong_dims(a: Mat, b: Mat, stop: int | None = None) -> list[int]:
+def _wong_dims(a: Mat, b: Mat, stop: int | None = None, injective: bool = False) -> list[int] | None:
     """dim W_0, dim W_1, ... for W_0 = 0, W_(i+1) = {v : a v in b W_i}, up to
     dimension ``stop`` or until W_i repeats (the W_i increase, so then it
-    stays).
+    stays); with ``injective``, None at the first W_i on which b is not.
 
     Rows of C a cut out W_i (C = I for W_1).  As b is symmetric, the images
     under b of their kernel basis are the rows of W_i^T b, whose kernel is
     the left kernel C' of b W_i; the images under a of its basis are the rows
-    of C' a, which cut out W_(i+1).  So a step is two packed eliminations."""
+    of C' a, which cut out W_(i+1).  So a step is two packed eliminations,
+    and rank(b W_i) = n - len(C')."""
     pk, rows_a, n = a._packed()
     rows_b = b._packed()[1]
     dims, rows = [0], list(rows_a)
@@ -239,6 +251,8 @@ def _wong_dims(a: Mat, b: Mat, stop: int | None = None) -> list[int]:
         if len(image) == stop:
             break
         rows = _kernel_images(pk, image, n, rows_a)
+        if injective and len(image) + len(rows) > n:
+            return None
     return dims
 
 

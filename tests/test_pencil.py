@@ -43,12 +43,14 @@ from conftest import (
     kronecker_invariants,
     kronecker_reference,
     krylov_mutants,
+    mutant,
     pfaffian_interpolation_reference,
     pfaffian_of_class,
     random_alternating_pair,
     random_class_function,
     random_invertible,
     random_irreducible,
+    smith_reference,
     transform_congruence,
 )
 
@@ -510,19 +512,21 @@ def _invertible_a_pair(spec, rng, n):
 
 @pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
 def test_pfaffian_routes_match_interpolation(spec, monkeypatch):
-    # A invertible goes through the Krylov characteristic polynomial; A
-    # singular keeps the Smith pass, for a regular pencil (an x2 divisor) and
-    # for a singular one (an eps block)
+    # A invertible goes through the Krylov characteristic polynomial alone;
+    # with A singular the Wong sequence decides: a singular pencil (an eps
+    # block) is zero without Smith, and a regular one (an x2 divisor) keeps
+    # the Smith pass
     calls = []
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(name)
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(pencil, "_charpoly", counted("krylov", pencil._charpoly))
+    monkeypatch.setattr(pencil, "_wong_dims", counted("wong", pencil._wong_dims))
     monkeypatch.setattr(pencil, "_smith_diagonal", counted("smith", pencil._smith_diagonal))
 
     def route(pair):
@@ -535,9 +539,94 @@ def test_pfaffian_routes_match_interpolation(spec, monkeypatch):
         assert ran == ["krylov"] and pf.poly.degree == pf.degree == n // 2
         pair = direct_sum([_invertible_a_pair(spec, rng, n - 2), build_infinity(1, spec)])
         pf, ran = route(transform_congruence(pair, random_invertible(spec, rng, n)))
-        assert ran == ["smith"] and pf.poly.degree == pf.degree - 1 == n // 2 - 1
+        assert ran == ["wong", "smith"] and pf.poly.degree == pf.degree - 1 == n // 2 - 1
         pf, ran = route(_rank_deficient_pair(spec, rng, n))
-        assert ran == ["smith"] and pf.is_zero()
+        assert ran == ["wong"] and pf.is_zero()
+
+
+def _wong_shapes(spec, rng):
+    """Pencils with A singular: eps blocks with eps = 0 (found singular at
+    the first Wong step) and up to eps = 4, x2 chains up to length 8 without
+    eps blocks (regular), eps blocks beside a longer x2 chain, and regular
+    pencils with both A and B singular (x2 and x1 divisors)."""
+    x1, x2 = BinaryForm.x1(spec), BinaryForm.x2(spec)
+    f1, f2 = (point_from_poly(random_irreducible(spec, rng, d)) for d in (1, 2))
+    return [
+        {(EPS, 1): 1},
+        {(EPS, 1): 2, (f1, 1): 1},
+        {(EPS, 1): 1, (EPS, 2): 1, (x2, 1): 1},
+        {(EPS, 1): 1, (f2, 2): 1},
+        {(EPS, 2): 2},
+        {(EPS, 3): 1, (EPS, 5): 1, (f1, 1): 1},
+        {(EPS, 5): 2},
+        {(x2, 1): 1},
+        {(x2, 3): 1, (x2, 1): 2, (f2, 1): 1},
+        {(x2, 5): 1, (x2, 2): 1, (f1, 2): 1},
+        {(x2, 8): 1},
+        {(EPS, 2): 2, (x2, 6): 1},
+        {(EPS, 1): 1, (EPS, 3): 1, (x2, 8): 1},
+        {(x2, 2): 1, (x1, 1): 1},
+        {(x2, 1): 1, (x1, 3): 1, (f2, 1): 1},
+    ]
+
+
+def _wong_singularity_mismatches(spec, seed):
+    """The shapes of ``_wong_shapes``, scrambled, on which the Wong decision
+    of ``pfaffian_form`` (``_wong_dims`` returns None) differs from a Smith
+    rank below n in ``smith_reference``."""
+    rng = random.Random(seed)
+    wrong = []
+    for blocks in _wong_shapes(spec, rng):
+        pair = scrambled(spec, rng, blocks)
+        singular = pencil._wong_dims(pair.a, pair.b, injective=True) is None
+        if singular != (len(smith_reference(pair.a, pair.b)) < pair.dim):
+            wrong.append(blocks)
+    return wrong
+
+
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_wong_singularity_matches_smith_rank(spec, monkeypatch):
+    # the decision against the Smith rank of the reference and the minimal
+    # indices of the Kronecker reference; a singular pencil stops at step
+    # min eps + 1, a regular one runs to the limit, the longest x2 chain, and
+    # one more image (two eliminations per step); pfaffian_form calls Smith
+    # only on the regular ones
+    seed = 0x3B9 + spec.k
+    assert _wong_singularity_mismatches(spec, seed) == []
+    steps, calls = [], []
+    kernel_images = pencil._kernel_images
+    monkeypatch.setattr(pencil, "_kernel_images", lambda *args: steps.append(1) or kernel_images(*args))
+    smith_diagonal = pencil._smith_diagonal
+    monkeypatch.setattr(pencil, "_smith_diagonal", lambda *args: calls.append(1) or smith_diagonal(*args))
+    rng = random.Random(seed)
+    x2 = BinaryForm.x2(spec)
+    for blocks in _wong_shapes(spec, rng):
+        pair = scrambled(spec, rng, blocks)
+        eps = [n for (p, n) in blocks if p is EPS]
+        steps.clear()
+        singular = pencil._wong_dims(pair.a, pair.b, injective=True) is None
+        assert singular == bool(eps) == bool(kronecker_reference(pair).minimal_indices)
+        chain = max((n for (p, n) in blocks if p == x2), default=0)
+        assert len(steps) == (2 * min(eps) if eps else 2 * chain + 1)
+        if pair.dim % 2 == 0:
+            calls.clear()
+            assert checked_pfaffian(pair).is_zero() == singular
+            assert len(calls) == (not singular)
+
+
+# _wong_dims with ">=" for ">" (regular pencils found singular), and without
+# the check at the first step (eps = 0 beside no x2 chain found regular)
+WONG_MUTANTS = {
+    "ge": ("len(image) + len(rows) > n", "len(image) + len(rows) >= n"),
+    "from-step-2": ("if injective and", "if injective and len(dims) > 2 and"),
+}
+
+
+@pytest.mark.parametrize("name", list(WONG_MUTANTS))
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_wong_singularity_mutants_disagree(spec, name, monkeypatch):
+    monkeypatch.setattr(pencil, "_wong_dims", mutant(pencil._wong_dims, *WONG_MUTANTS[name]))
+    assert _wong_singularity_mismatches(spec, 0x3B9 + spec.k)
 
 
 def test_pfaffian_matches_interpolation_scrambled_canonical_sums():
