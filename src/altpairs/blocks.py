@@ -63,28 +63,17 @@ def companion(g: Poly) -> Mat:
     the last column."""
     if not g.is_monic() or g.degree < 1:
         raise BlockError("companion matrix needs a monic polynomial of degree >= 1")
-    d = g.degree
-    rows = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        rows[i][i - 1] = 1
-    for i in range(d):
-        rows[i][d - 1] = g.coeff(i)
-    return Mat.from_rows(g.spec, rows)
+    d, w = g.degree, g.spec.packing.w
+    return Mat(tuple((i and 1 << ((i - 1) * w)) | g.coeff(i) << ((d - 1) * w) for i in range(d)), d, g.spec)
 
 
-def _paired(upper: Mat, rows_first: int) -> Mat:
-    """[[0, U],[U^T, 0]] with U of shape rows_first x (n - rows_first)."""
-    spec = upper.spec
+def _paired(upper: Mat) -> Mat:
+    """[[0, U],[U^T, 0]], U of shape r x c: U's rows shifted past r columns,
+    then the rows of U^T."""
     r, c = upper.shape
-    n = r + c
-    rows = [[0] * n for _ in range(n)]
-    for i in range(r):
-        for j in range(c):
-            v = upper.rows[i][j]
-            if v:
-                rows[i][r + j] = v
-                rows[r + j][i] = v
-    return Mat.from_rows(spec, rows, n)
+    shift = r * upper.spec.packing.w
+    rows = [u << shift for u in upper.packed] + list(upper.transpose().packed)
+    return Mat(tuple(rows), r + c, upper.spec)
 
 
 def build_finite(f: Poly, n: int) -> AlternatingPair:
@@ -98,8 +87,8 @@ def build_finite(f: Poly, n: int) -> AlternatingPair:
         g = g * f
     d = g.degree
     spec = f.spec
-    a = _paired(Mat.identity(spec, d), d)
-    b = _paired(companion(g), d)
+    a = _paired(Mat.identity(spec, d))
+    b = _paired(companion(g))
     return AlternatingPair(a, b)
 
 
@@ -109,11 +98,10 @@ def build_infinity(n: int, spec: FieldSpec | None = None) -> AlternatingPair:
     if n < 1:
         raise BlockError("size must be positive")
     spec = spec or FieldSpec.gf2()
-    jordan = Mat.from_rows(
-        spec, [[1 if j == i - 1 else 0 for j in range(n)] for i in range(n)], n
-    )
-    a = _paired(jordan, n)
-    b = _paired(Mat.identity(spec, n), n)
+    w = spec.packing.w
+    jordan = Mat(tuple(i and 1 << ((i - 1) * w) for i in range(n)), n, spec)
+    a = _paired(jordan)
+    b = _paired(Mat.identity(spec, n))
     return AlternatingPair(a, b)
 
 
@@ -122,13 +110,10 @@ def build_plus(eps: int, spec: FieldSpec | None = None) -> AlternatingPair:
     if eps < 0:
         raise BlockError("minimal index must be nonnegative")
     spec = spec or FieldSpec.gf2()
-    left = Mat.from_rows(
-        spec, [[1 if j == i else 0 for j in range(eps + 1)] for i in range(eps)], eps + 1
-    )
-    right = Mat.from_rows(
-        spec, [[1 if j == i + 1 else 0 for j in range(eps + 1)] for i in range(eps)], eps + 1
-    )
-    return AlternatingPair(_paired(left, eps), _paired(right, eps))
+    w = spec.packing.w
+    left = Mat(tuple(1 << (i * w) for i in range(eps)), eps + 1, spec)
+    right = Mat(tuple(1 << ((i + 1) * w) for i in range(eps)), eps + 1, spec)
+    return AlternatingPair(_paired(left), _paired(right))
 
 
 def direct_sum(pairs: list[AlternatingPair], spec: FieldSpec | None = None) -> AlternatingPair:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .field import FieldSpec
-from .linalg import LinAlgError, Mat, _rref
+from .linalg import LinAlgError, Mat, _rref, _transpose
 from .pencil import ClassFunction, _alternating_fault, assemble
 from .weakeq import GL2Element
 
@@ -164,7 +164,7 @@ def presentation_from_tuple(mats: Sequence[Mat], e: int = 1) -> GroupPresentatio
     data = {}
     for i in range(n):
         for j in range(i + 1, n):
-            vec = tuple(m.rows[i][j] for m in mats)
+            vec = tuple(m.packed[i] >> j & 1 for m in mats)
             if any(vec):
                 data[(i, j)] = vec
     return GroupPresentation.from_dict(n, len(mats), data, e)
@@ -190,14 +190,6 @@ def _xor_rows(rows: Sequence[int], x: int) -> int:
         acc ^= rows[low.bit_length() - 1]
         x ^= low
     return acc
-
-
-def _transpose(rows: Sequence[int], n: int, m: int = 1) -> list[int]:
-    """Strided rows with each of their m n x n fields transposed."""
-    return [
-        sum((r >> (k * n + c) & 1) << (k * n + i) for k in range(m) for i, r in enumerate(rows))
-        for c in range(n)
-    ]
 
 
 def _strided_forms(pres: GroupPresentation) -> tuple[int, ...]:
@@ -340,13 +332,12 @@ def iso_from_witness(
         raise WitnessError("S is singular") from exc
     qrows = q.rows()
     cocycle_p, cocycle_r = _strided_forms(p), _strided_forms(r)
-    pack = s.spec.packing.pack
-    mrows = [pack(row) for row in minv.rows]
+    mrows = minv.packed
     full = (1 << n) - 1
     # discrepancy forms delta(x, y) = beta_R(x S^-1, y S^-1) - beta_P(x, y) Q
     # as strided full rows; the pullback of a form with matrix L is
     # S^-1 L S^-T, so each field of a row of S^-1 C_R goes through S^-T
-    pull = [c << (k * n) for k in range(2) for c in _transpose(mrows, n)]
+    pull = [c << (k * n) for k in range(2) for c in _transpose(mrows, n, 1)]
     delta = []
     for t, row_p in zip(mrows, cocycle_p):
         row = _xor_rows(pull, _xor_rows(cocycle_r, t))
@@ -355,10 +346,11 @@ def iso_from_witness(
                 if qrows[l][k]:
                     row ^= (row_p >> (l * n) & full) << (k * n)
         delta.append(row)
-    if _transpose(delta, n, 2) != delta:
+    forms = [tuple(row >> (k * n) & full for row in delta) for k in range(2)]
+    if any(_transpose(form, n, 1) != form for form in forms):
         raise WitnessError("witness fails verification: tuples do not match")
     # half-socle root of the diagonal discrepancy (e >= 2), a plane per coordinate
-    diag = [sum((row >> (k * n + i) & 1) << i for i, row in enumerate(delta)) for k in range(2)]
+    diag = [sum((row >> i & 1) << i for i, row in enumerate(form)) for form in forms]
     if e == 1 and any(diag):
         raise IsoObstructionError(
             "e = 1 quotients admit no map of the prescribed shape for this "

@@ -86,8 +86,8 @@ class PairDocument:
 def parse_pair_document(text: str) -> PairDocument:
     spec = None
     dim = None
-    matrices: list[tuple[str, int, list[list[int]]]] = []
-    current: list[list[int]] | None = None
+    matrices: list[tuple[str, int, list[int]]] = []
+    current: list[int] | None = None
     lineno = 1  # after the loop: the document's last line, where a missing part is reported
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -103,6 +103,7 @@ def parse_pair_document(text: str) -> PairDocument:
                 spec = FieldSpec.parse(parts[1])
             except FieldError as exc:
                 raise ParseError(lineno, str(exc)) from exc
+            slots = _slot_bits(spec)
         elif parts[0] == "dim":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError(lineno, "expected: dim <n> with n >= 0")
@@ -121,12 +122,16 @@ def parse_pair_document(text: str) -> PairDocument:
                 raise ParseError(lineno, "dim must be declared before matrix rows")
             if line.strip(_ROW_CHARS):
                 raise ParseError(lineno, f"bad hex entries in {line!r}")
-            row = [int(tok, 16) for tok in parts]
-            if len(row) != dim:
-                raise ParseError(lineno, f"expected {dim} entries, got {len(row)}")
-            if max(row, default=0) >= spec.order:
-                raise ParseError(lineno, f"value 0x{max(row):x} out of range for {spec}")
-            current.append(row)
+            if len(parts) != dim:
+                raise ParseError(lineno, f"expected {dim} entries, got {len(parts)}")
+            try:  # the packed row is the entries' slot bits, last entry first
+                bits = "".join([slots[tok] for tok in reversed(parts)])
+            except KeyError:  # uppercase, a leading zero or out of range
+                row = [int(tok, 16) for tok in reversed(parts)]
+                if max(row) >= spec.order:
+                    raise ParseError(lineno, f"value 0x{max(row):x} out of range for {spec}") from None
+                bits = "".join([slots[f"{v:x}"] for v in row])
+            current.append(int(bits, 2))
     if spec is None:
         raise ParseError(lineno, "missing field declaration")
     if dim is None:
@@ -136,17 +141,22 @@ def parse_pair_document(text: str) -> PairDocument:
     for name, start, rows in matrices:
         if len(rows) != dim:
             raise ParseError(start, f"matrix {name} has {len(rows)} rows, expected {dim}")
-    # every entry was checked on its line, so the rows need no second pass
-    mats = [(name, Mat(tuple(map(tuple, rows)), dim, spec)) for name, _, rows in matrices]
+    # each row was checked and packed on its line
+    mats = [(name, Mat(tuple(rows), dim, spec)) for name, _, rows in matrices]
     return PairDocument(spec, dim, mats)
+
+
+@cache
+def _slot_bits(spec: FieldSpec) -> dict[str, str]:
+    """Each element's hex spelling (lowercase, no leading zero) -> its slot."""
+    w = spec.packing.w
+    return {f"{v:x}": f"{v:0{w}b}" for v in range(spec.order)}
 
 
 def format_pair_document(pair: AlternatingPair) -> str:
     lines = [f"field {pair.spec}", f"dim {pair.dim}"]
     for name, m in zip("AB", pair.matrices):
-        lines.append(f"matrix {name}")
-        for row in m.rows:
-            lines.append(" ".join(f"{v:x}" for v in row))
+        lines += [f"matrix {name}", *str(m).splitlines()]
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,11 @@
 """Dense exact matrix algebra over GF(2^k), and the Smith normal form of
 pencils t*A + B over GF(2^k)[t].
 
-Matrices store raw field bitmasks row-major.  Elimination packs each row
-into one int with the field's GF(2^k)[t] kernel (``FieldSpec.packing``, whose
-reduction masks widen to any row length): over GF(2^k) entry j sits in slot
-j, so adding a multiple of the pivot row to another row is one xor of that
-row with an entry of the pivot row's table of multiples
+A matrix is its rows, each one int packed by the field's GF(2^k)[t] kernel
+(``FieldSpec.packing``, whose reduction masks widen to any row length): entry
+j sits in slot j, so a sum, a scalar multiple or a product is a row at a
+time, and adding a multiple of the pivot row to another row is one xor of
+that row with an entry of the pivot row's table of multiples
 (``Packing.multiples``; below its cost threshold the entry is one kernel
 product), however many columns there are.  Rank, kernels, determinant and
 inverse share one elimination, ``_rref``; ``_charpoly`` reduces Krylov
@@ -20,7 +20,7 @@ int of a ``Poly``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import lru_cache, reduce
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -34,9 +34,12 @@ class LinAlgError(ValueError):
 
 @dataclass(frozen=True)
 class Mat:
-    """Matrix over GF(2^k); entries are raw bitmask values."""
+    """Matrix over GF(2^k), held as its packed rows (``field.Packing``):
+    entry j of a row is slot j, bits [j*w, (j+1)*w) with w = 2k - 1, and no
+    bit is set past slot ``cols - 1``, so equal matrices have equal rows.
+    ``rows`` unpacks the entries for the callers that read them one by one."""
 
-    rows: tuple[tuple[int, ...], ...]
+    packed: tuple[int, ...]
     cols: int
     spec: FieldSpec
 
@@ -44,55 +47,48 @@ class Mat:
 
     @staticmethod
     def from_rows(spec: FieldSpec, rows: Iterable[Sequence[int]], cols: int | None = None) -> "Mat":
-        rs = tuple(tuple(r) for r in rows)
-        if rs:
-            cols = len(rs[0]) if cols is None else cols
-            if any(len(r) != cols for r in rs):
-                raise LinAlgError("ragged rows")
-        elif cols is None:
-            cols = 0
+        rs = [tuple(r) for r in rows]
+        if cols is None:
+            cols = len(rs[0]) if rs else 0
+        if any(len(r) != cols for r in rs):
+            raise LinAlgError("ragged rows")
         for r in rs:
             for v in r:
                 spec.check(v)
-        return Mat(rs, cols, spec)
+        return Mat(tuple(map(spec.packing.pack, rs)), cols, spec)
 
     @staticmethod
     def zeros(spec: FieldSpec, nrows: int, ncols: int) -> "Mat":
-        return Mat(tuple((0,) * ncols for _ in range(nrows)), ncols, spec)
+        return Mat((0,) * nrows, ncols, spec)
 
     @staticmethod
     def identity(spec: FieldSpec, n: int) -> "Mat":
-        return Mat(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n, spec)
+        return Mat(tuple(1 << (i * spec.packing.w) for i in range(n)), n, spec)
 
     @staticmethod
     def block_diag(spec: FieldSpec, mats: Sequence["Mat"]) -> "Mat":
-        total_r = sum(m.nrows for m in mats)
-        total_c = sum(m.cols for m in mats)
-        rows = [[0] * total_c for _ in range(total_r)]
-        ro = co = 0
+        w, rows, co = spec.packing.w, [], 0
         for m in mats:
-            for i, row in enumerate(m.rows):
-                rows[ro + i][co : co + m.cols] = row
-            ro += m.nrows
+            rows += [r << (co * w) for r in m.packed]
             co += m.cols
-        return Mat(tuple(tuple(r) for r in rows), total_c, spec)
+        return Mat(tuple(rows), co, spec)
 
     # -- structure -----------------------------------------------------------
 
     @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.spec.packing.unpack(r, self.cols) for r in self.packed)
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.packed)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.cols)
+        return (len(self.packed), self.cols)
 
     def transpose(self) -> "Mat":
-        return Mat(
-            tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.cols)),
-            self.nrows,
-            self.spec,
-        )
+        return Mat(_transpose(self.packed, self.cols, self.spec.packing.w), self.nrows, self.spec)
 
     def _check(self, other: "Mat") -> "Mat":
         if other.spec != self.spec:
@@ -103,33 +99,21 @@ class Mat:
         other = self._check(other)
         if self.shape != other.shape:
             raise LinAlgError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Mat(
-            tuple(tuple(a ^ b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            self.cols,
-            self.spec,
-        )
+        return Mat(tuple(map(xor, self.packed, other.packed)), self.cols, self.spec)
 
     def scale(self, bits: int) -> "Mat":
-        row = self.spec.mul_table[bits]
-        return Mat(tuple(tuple(row[v] for v in r) for r in self.rows), self.cols, self.spec)
+        return Mat(tuple(self.spec.packing.mul(bits, r) for r in self.packed), self.cols, self.spec)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         other = self._check(other)
         if self.cols != other.nrows:
             raise LinAlgError(f"shape mismatch {self.shape} @ {other.shape}")
         pk = self.spec.packing
-        tables = [pk.multiples(pk.pack(r), self.nrows) for r in other.rows]
-        out = []
-        for row in self.rows:
-            acc = 0
-            for v, t in zip(row, tables):
-                if v:
-                    acc ^= t[v]
-            out.append(pk.unpack(acc, other.cols))
-        return Mat(tuple(out), other.cols, self.spec)
+        tables = [pk.multiples(r, self.nrows) for r in other.packed]
+        return Mat(tuple(_times(pk, r, tables, self.cols) for r in self.packed), other.cols, self.spec)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for r in self.rows for v in r)
+        return not any(self.packed)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(f"{v:x}" for v in r) for r in self.rows)
@@ -137,12 +121,12 @@ class Mat:
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_rref(*self._packed(), reduced=False)[0])
+        return len(_rref(self.spec.packing, list(self.packed), self.cols, reduced=False)[0])
 
     def det(self) -> int:
         if self.nrows != self.cols:
             raise LinAlgError("determinant of a non-square matrix")
-        pivots, det = _rref(*self._packed(), reduced=False)
+        pivots, det = _rref(self.spec.packing, list(self.packed), self.cols, reduced=False)
         return det if len(pivots) == self.nrows else 0
 
     def is_invertible(self) -> bool:
@@ -155,19 +139,40 @@ class Mat:
         pk = self.spec.packing
         shift = n * pk.w
         # reduce [M | I] on M's columns: then the right half is M^-1
-        work = [pk.pack(r) | 1 << (shift + i * pk.w) for i, r in enumerate(self.rows)]
+        work = [r | 1 << (shift + i * pk.w) for i, r in enumerate(self.packed)]
         if len(_rref(pk, work, n)[0]) < n:
             raise LinAlgError("matrix is singular")
-        return Mat(tuple(pk.unpack(r >> shift, n) for r in work), n, self.spec)
+        return Mat(tuple(r >> shift for r in work), n, self.spec)
 
-    def _packed(self) -> tuple[Packing, list[int], int]:
-        return self.spec.packing, list(self._packed_rows), self.cols
 
-    @cached_property
-    def _packed_rows(self) -> tuple[int, ...]:
-        """The rows as packed ints (``field.Packing``), built on first use."""
-        pk = self.spec.packing
-        return tuple(pk.pack(r) for r in self.rows)
+def _transpose(packed: Sequence[int], ncols: int, w: int) -> tuple[int, ...]:
+    """The packed rows of the transpose of a matrix with w-bit slots.  The
+    rows go into one int, row i from slot i*size on for a power of two size
+    covering both sides, and one block swap per power of two h < size
+    (Hacker's Delight, 7-3) moves every entry: it swaps, in each 2h x 2h
+    block, the h x h block above right with the one below left, which sits
+    h*(size - 1) slots further on."""
+    size = 1 << (max(len(packed), ncols, 1) - 1).bit_length()
+    stride = size * w
+    flat = 0
+    for r in reversed(packed):
+        flat = flat << stride | r
+    for shift, mask in _swap_masks(size, w):
+        t = (flat >> shift ^ flat) & mask
+        flat ^= t ^ t << shift
+    low = (1 << stride) - 1
+    return tuple([flat >> (j * stride) & low for j in range(ncols)])
+
+
+@lru_cache(maxsize=None)
+def _swap_masks(size: int, w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) for each block swap of ``_transpose``: the mask holds the
+    slots above right of the block diagonal, the shift is to their partners."""
+    out = []
+    for h in (1 << b for b in range(size.bit_length() - 1)):
+        row = sum(((1 << w) - 1) << (j * w) for j in range(size) if j & h)
+        out.append((h * (size - 1) * w, sum(row << (i * size * w) for i in range(size) if not i & h)))
+    return tuple(out)
 
 
 def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool | None = True) -> tuple[list[int], int]:
@@ -220,6 +225,12 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool | None = True)
                 if f := work[r] >> shift & mask:
                     work[r] ^= t[f]
     return pivots, det
+
+
+def _times(pk: Packing, x: int, tables: list, n: int) -> int:
+    """The packed row x of n slots times the matrix whose rows have the
+    tables of multiples ``tables``: the xor of their multiples by x's entries."""
+    return reduce(xor, [t[c] for t, c in zip(tables, pk.unpack(x, n)) if c], 0)
 
 
 def _kernel_images(pk: Packing, work: list[int], ncols: int, images: list[int]) -> list[int]:
@@ -275,7 +286,7 @@ def _charpoly(pk: Packing, rows: list[int], n: int) -> int:
             if (f := v >> (p * w) & mask) != 1:
                 v = pk.mul(inv[f], v)
             echelon.append((p, v, pk.multiples(v, n - len(echelon))))
-            x = reduce(xor, [t[f] for t, f in zip(tables, pk.unpack(x, n)) if f], 0)
+            x = _times(pk, x, tables, n)
             coord <<= w
         if len(echelon) == start:
             raise AssertionError("a Krylov sequence started inside the span")
@@ -289,17 +300,13 @@ def _nullities(pk: Packing, rows: list[int], n: int, f: Poly, top: int) -> list[
     growing.  Row i of f(M) is e_i f(M) by Horner from e_i M = rows[i]; as
     the row space of f(M)^j is that of f(M)^(j-1) times f(M), each step
     multiplies only an echelon basis of the previous one by f(M)."""
-
-    def times(x, tables):
-        return reduce(xor, [t[c] for t, c in zip(tables, pk.unpack(x, n)) if c], 0)
-
     w, (*low, _) = pk.w, f.coeffs
     tables = [pk.multiples(r, n * (len(low) - 1)) for r in rows]
     f_rows = []
     for i, r in enumerate(rows):
         v = r ^ low[-1] << (i * w)
         for c in reversed(low[:-1]):
-            v = times(v, tables) ^ c << (i * w)
+            v = _times(pk, v, tables, n) ^ c << (i * w)
         f_rows.append(v)
     work, tables, dims = list(f_rows), None, []
     while True:
@@ -308,7 +315,7 @@ def _nullities(pk: Packing, rows: list[int], n: int, f: Poly, top: int) -> list[
         if dims[-1] >= top or len(dims) > 1 and dims[-1] == dims[-2]:
             return dims
         tables = tables or [pk.multiples(r, rank) for r in f_rows]
-        work = [times(v, tables) for v in work[:rank]]
+        work = [_times(pk, v, tables, n) for v in work[:rank]]
 
 
 def congruence(s: Mat, a: Mat) -> Mat:
@@ -359,11 +366,12 @@ def _smith_diagonal(a: Mat, b: Mat) -> list[Poly]:
     w = pk.w
     size = width * w
     mask = (1 << size) - 1
+    low = pk.mask
     m = []
-    for ra, rb in zip(a.rows, b.rows):
+    for ra, rb in zip(a.packed, b.packed):
         acc = 0
-        for x, y in zip(reversed(ra), reversed(rb)):
-            acc = acc << size | x << w | y
+        for shift in range((nc - 1) * w, -1, -w):  # the slots of a and b, last first
+            acc = acc << size | (ra >> shift & low) << w | rb >> shift & low
         m.append(acc)
     unit = spec.k  # the bit length of a degree-0 entry is at most k
     diagonal = []

@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .blocks import AlternatingPair, BlockId, block_for_point, direct_sum
 from .field import FieldError, FieldSpec
-from .linalg import Mat, _charpoly, _kernel_images, _nullities, _rref, _smith_diagonal, smith_form
+from .linalg import Mat, _charpoly, _kernel_images, _nullities, _rref, _smith_diagonal, _transpose, smith_form
 from .polyring import (
     EPS,
     BinaryForm,
@@ -62,13 +62,15 @@ def validate(pair: AlternatingPair) -> ValidationReport:
 
 def _alternating_fault(name: str, m: Mat) -> ValidationReport | None:
     """The first entry of the square matrix ``name`` that keeps it from being
-    symmetric with zero diagonal (alternating in characteristic 2)."""
-    for i, row in enumerate(m.rows):
-        if row[i]:
+    symmetric with zero diagonal (alternating in characteristic 2); as earlier
+    rows match their columns, row i first differs from column i at j > i."""
+    w, mask = m.spec.packing.w, m.spec.packing.mask
+    for i, (row, col) in enumerate(zip(m.packed, _transpose(m.packed, m.cols, w))):
+        if row >> (i * w) & mask:
             return ValidationReport(False, name, (i, i), f"matrix {name} has nonzero diagonal at ({i}, {i})")
-        for j in range(i + 1, m.nrows):
-            if row[j] != m.rows[j][i]:
-                return ValidationReport(False, name, (i, j), f"matrix {name} is not symmetric at ({i}, {j})")
+        if diff := row ^ col:
+            j = ((diff & -diff).bit_length() - 1) // w
+            return ValidationReport(False, name, (i, j), f"matrix {name} is not symmetric at ({i}, {j})")
     return None
 
 
@@ -151,11 +153,11 @@ def assemble(rho: ClassFunction) -> AlternatingPair:
 
 def _front(pair: AlternatingPair) -> tuple[int, int, list[int]]:
     """rank A, det A and, for A invertible, the packed rows of M = A^-1 B,
-    from one forward elimination of the packed rows [A | B] on A's columns;
-    only at full rank does back substitution bring them to [I | M]."""
+    from one forward elimination of the rows [A | B] (B's shifted past A's)
+    on A's columns; only at full rank does back substitution give [I | M]."""
     n, pk = pair.dim, pair.spec.packing
     shift = n * pk.w
-    rows = [a | b << shift for a, b in zip(pair.a._packed_rows, pair.b._packed_rows)]
+    rows = [a | b << shift for a, b in zip(pair.a.packed, pair.b.packed)]
     pivots, det = _rref(pk, rows, n, reduced=None)
     if len(pivots) < n:
         return len(pivots), 0, []
@@ -238,10 +240,9 @@ def _wong_dims(a: Mat, b: Mat, stop: int | None = None, injective: bool = False)
     Rows of C a cut out W_i (C = I for W_1).  As b is symmetric, the images
     under b of their kernel basis are the rows of W_i^T b, whose kernel is
     the left kernel C' of b W_i; the images under a of its basis are the rows
-    of C' a, which cut out W_(i+1).  So a step is two packed eliminations,
-    and rank(b W_i) = n - len(C')."""
-    pk, rows_a, n = a._packed()
-    rows_b = b._packed()[1]
+    of C' a, which cut out W_(i+1).  So a step is two eliminations of
+    packed rows, and rank(b W_i) = n - len(C')."""
+    pk, n, rows_a, rows_b = a.spec.packing, a.cols, a.packed, b.packed
     dims, rows = [0], list(rows_a)
     while True:
         image = _kernel_images(pk, rows, n, rows_b)

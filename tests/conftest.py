@@ -13,6 +13,7 @@ from operator import xor
 
 from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
+from altpairs.cli import ParseError
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_mul
 from altpairs.linalg import Mat, _charpoly, _kernel_images, _nullities, congruence, smith_form
 from altpairs.pencil import ClassFunction, assemble, decompose, require_valid
@@ -182,12 +183,12 @@ def _gf2_rank(rows: list[int]) -> int:
 
 def pack_alternating(m: Mat) -> int:
     """Upper-triangle bits of an alternating GF(2) matrix as one int."""
-    n = m.nrows
+    n, rows = m.nrows, m.rows
     acc = 0
     pos = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if m.rows[i][j]:
+            if rows[i][j]:
                 acc |= 1 << pos
             pos += 1
     return acc
@@ -373,6 +374,67 @@ def unital_normalize(form: BinaryForm) -> tuple[BinaryForm, int]:
     if f.degree != 0 or mult != 1:
         raise PolyError("form divisible by x2 is not an irreducible point")
     return BinaryForm.x2(form.spec), f.coeff(0)
+
+
+# -- reference pair-document parser, one entry at a time ----------------------------
+
+
+def parse_pair_document_reference(text: str) -> tuple[FieldSpec, int, list[tuple[str, Mat]]]:
+    """(field, dim, named matrices) of a pair document, or the ``ParseError``
+    of ``cli.parse_pair_document``: the parser as it was before it packed
+    rows straight from the tokens, each entry read by ``int(tok, 16)`` and the
+    matrices built by ``Mat.from_rows``."""
+    spec = dim = current = None
+    matrices: list[tuple[str, int, list[list[int]]]] = []
+    lineno = 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] in ("field", "dim") and matrices:
+            raise ParseError(lineno, f"{parts[0]} must come before the first matrix")
+        if parts[0] == "field":
+            if len(parts) != 2:
+                raise ParseError(lineno, "expected: field <spec>")
+            try:
+                spec = FieldSpec.parse(parts[1])
+            except FieldError as exc:
+                raise ParseError(lineno, str(exc)) from exc
+        elif parts[0] == "dim":
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise ParseError(lineno, "expected: dim <n> with n >= 0")
+            dim = int(parts[1])
+        elif parts[0] == "matrix":
+            if len(parts) != 2:
+                raise ParseError(lineno, "expected: matrix <name>")
+            current = []
+            matrices.append((parts[1], lineno, current))
+        else:
+            if current is None:
+                raise ParseError(lineno, f"unexpected content {line!r} before any matrix")
+            if spec is None:
+                raise ParseError(lineno, "field must be declared before matrix rows")
+            if dim is None:
+                raise ParseError(lineno, "dim must be declared before matrix rows")
+            if line.strip("0123456789abcdefABCDEF \t"):
+                raise ParseError(lineno, f"bad hex entries in {line!r}")
+            row = [int(tok, 16) for tok in parts]
+            if len(row) != dim:
+                raise ParseError(lineno, f"expected {dim} entries, got {len(row)}")
+            if max(row, default=0) >= spec.order:
+                raise ParseError(lineno, f"value 0x{max(row):x} out of range for {spec}")
+            current.append(row)
+    if spec is None:
+        raise ParseError(lineno, "missing field declaration")
+    if dim is None:
+        raise ParseError(lineno, "missing dim declaration")
+    if len(matrices) < 2:
+        raise ParseError(lineno, "document needs at least two matrices")
+    for name, start, rows in matrices:
+        if len(rows) != dim:
+            raise ParseError(start, f"matrix {name} has {len(rows)} rows, expected {dim}")
+    return spec, dim, [(name, Mat.from_rows(spec, rows, dim)) for name, _, rows in matrices]
 
 
 # -- text forms of points and class functions ----------------------------------------
@@ -580,15 +642,16 @@ def _staircase_nullity(pair: AlternatingPair, k: int) -> int:
     n = pair.dim
     spec = pair.spec
     zero = [0] * n
+    rows_a, rows_b = pair.a.rows, pair.b.rows
     rows = []
     for p in range(k + 1):
         for i in range(n):
             row: list[int] = []
             for j in range(k):
                 if j == p - 1:
-                    row.extend(pair.a.rows[i])
+                    row.extend(rows_a[i])
                 elif j == p:
-                    row.extend(pair.b.rows[i])
+                    row.extend(rows_b[i])
                 else:
                     row.extend(zero)
             rows.append(row)
@@ -672,16 +735,15 @@ def kronecker_reference(pair: AlternatingPair) -> KroneckerInvariants:
 
 
 def submatrix(m: Mat, row_range: range, col_range: range) -> Mat:
-    return Mat(
-        tuple(tuple(m.rows[i][j] for j in col_range) for i in row_range), len(col_range), m.spec
-    )
+    rows = m.rows
+    return Mat.from_rows(m.spec, [[rows[i][j] for j in col_range] for i in row_range], len(col_range))
 
 
 def nullspace(m: Mat) -> list[tuple[int, ...]]:
     """Reduced-echelon canonical basis of the right kernel of m."""
-    pk, work, cols = m._packed()
+    pk, cols = m.spec.packing, m.cols
     units = [1 << (j * pk.w) for j in range(cols)]
-    return [pk.unpack(v, cols) for v in _kernel_images(pk, work, cols, units)]
+    return [pk.unpack(v, cols) for v in _kernel_images(pk, list(m.packed), cols, units)]
 
 
 def presentation_matrices(p: GroupPresentation) -> list[Mat]:

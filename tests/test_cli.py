@@ -4,8 +4,10 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,9 @@ from altpairs.field import FieldSpec
 from altpairs.pencil import ClassFunction, assemble, decompose
 from altpairs.polyring import EPS, BinaryForm, parse_poly
 
-from conftest import GF2, GF4, class_function_from_json, krylov_mutants
+from conftest import GF2, GF4, class_function_from_json, krylov_mutants, parse_pair_document_reference
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 
 def tp(text):
@@ -118,6 +122,99 @@ def test_parse_document_out_of_range_entry_names_its_line(capsys, monkeypatch):
     wide = "field gf2^2:0x7\ndim 2\nmatrix A\n0 3\n3 0\nmatrix B\n0 A\nA 0\n"
     with pytest.raises(ParseError, match="^line 7: value 0xa out of range for gf2\\^2:0x7$"):
         parse_pair_document(wide)
+
+
+def _pair_doc(field, a, b, sep=" "):
+    """A dim-2 document with the entries a and b above the diagonal."""
+    return f"field {field}\ndim 2\nmatrix A\n0{sep}{a}\n{a}{sep}0\nmatrix B\n0{sep}{b}\n{b}{sep}0\n"
+
+
+@pytest.mark.parametrize(
+    "field, lower, twins",
+    [
+        ("gf2", ("1", "1"), [("01", "001"), ("1", "01")]),
+        ("gf2^4", ("a", "f"), [("A", "F"), ("0a", "00f"), ("A", "00F")]),
+        ("gf2^8", ("a", "fe"), [("A", "FE"), ("0a", "00fe"), ("00A", "0Fe")]),
+        ("gf2^9", ("f", "1a0"), [("F", "1A0"), ("00f", "01a0"), ("0F", "001A0")]),
+    ],
+)
+def test_parse_document_token_spellings(field, lower, twins):
+    # uppercase digits, leading zeros and tab separators spell the same entry
+    want = parse_pair_document(_pair_doc(field, *lower)).matrices
+    for a, b in twins:
+        assert parse_pair_document(_pair_doc(field, a, b)).matrices == want, (a, b)
+    assert parse_pair_document(_pair_doc(field, *lower, sep="\t")).matrices == want
+    assert parse_pair_document(_pair_doc(field, *twins[0], sep=" \t ")).matrices == want
+
+
+def test_parse_document_spelling_errors():
+    with pytest.raises(ParseError, match="^line 4: value 0x10 out of range for gf2\\^4:0x13$"):
+        parse_pair_document(_pair_doc("gf2^4", "010", "1"))
+    # a bad digit is reported before a wrong entry count
+    text = "field gf2^4\ndim 2\nmatrix A\n0 g 1\n1 0\nmatrix B\n0 0\n0 0\n"
+    with pytest.raises(ParseError, match="^line 4: bad hex entries in '0 g 1'$"):
+        parse_pair_document(text)
+
+
+def _parsed(parse, text):
+    """(field, dim, named matrices) from ``parse``, or its ParseError text."""
+    try:
+        doc = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return doc if isinstance(doc, tuple) else (doc.spec, doc.dim, doc.matrices)
+
+
+_BAD_TOKENS = ["g", "x1", "-1", "1_0", "0x3", "+1", "\u0661", "Z"]
+
+
+def _mutated_document(rng, spec):
+    """A random document over spec, its rows spelled with uppercase digits,
+    leading zeros and tabs, some tokens replaced by bad digits or values out
+    of range, and some rows cut short, lengthened or dropped."""
+    dim = rng.randrange(5)
+    lines = [f"field {spec}", f"dim {dim}"]
+    for name in "AB":
+        lines.append(f"matrix {name}")
+        for _ in range(dim):
+            toks = [f"{rng.randrange(spec.order):x}" for _ in range(dim)]
+            for _ in range(rng.choice([0, 0, 1, 2]) if toks else 0):
+                i, op = rng.randrange(len(toks)), rng.randrange(6)
+                if op == 0:
+                    toks[i] = toks[i].upper()
+                elif op == 1:
+                    toks[i] = "0" * rng.randrange(1, 4) + toks[i]
+                elif op == 2 and rng.random() < 0.2:
+                    toks[i] = rng.choice(_BAD_TOKENS)
+                elif op == 3 and rng.random() < 0.2:
+                    toks[i] = f"{rng.randrange(spec.order, 3 * spec.order):x}"
+                elif op == 4 and rng.random() < 0.1 and len(toks) > 1:
+                    del toks[i]
+                elif op == 5 and rng.random() < 0.1:
+                    toks.append("0")
+            if rng.random() < 0.98:
+                lines.append(rng.choice([" ", "\t", " \t"]).join(toks))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9])
+def test_parser_matches_entry_at_a_time_reference(k):
+    rng = random.Random(1000 + k)
+    spec = FieldSpec.gf(k)
+    outcomes = set()
+    for _ in range(300):
+        text = _mutated_document(rng, spec)
+        want = _parsed(parse_pair_document_reference, text)
+        assert _parsed(parse_pair_document, text) == want, text
+        outcomes.add(want.split(":", 1)[1].split()[0] if isinstance(want, str) else "ok")
+    # every kind of outcome came up
+    assert {"ok", "bad", "expected", "value", "matrix"} <= outcomes, outcomes
+
+
+def test_parser_matches_reference_on_golden_inputs():
+    inputs = json.loads(GOLDEN.read_text())["inputs"]
+    for name, text in inputs.items():
+        assert _parsed(parse_pair_document, text) == _parsed(parse_pair_document_reference, text), name
 
 
 # a document-level error names a line: a short matrix its matrix line, a

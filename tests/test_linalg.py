@@ -1,10 +1,12 @@
 """Exact matrix algebra and Smith normal form."""
 
 import random
+from operator import xor
 
 import pytest
 
 from altpairs.blocks import build_finite, direct_sum
+from altpairs.cli import format_pair_document, parse_pair_document
 from altpairs.field import FieldError
 from altpairs.linalg import LinAlgError, Mat, _charpoly, _nullities, _smith_diagonal, congruence, smith_form
 from altpairs.pencil import assemble
@@ -23,6 +25,7 @@ from conftest import (
     mat_apply,
     nullspace,
     random_alternating,
+    random_alternating_pair,
     random_class_function,
     random_invertible,
     random_matrix,
@@ -210,14 +213,58 @@ def test_generic_and_packed_paths_agree():
             b = random_matrix(spec, rng, n, n)
             prod_packed = a @ b
             mul = spec.mul
+            rows_a, rows_b = a.rows, b.rows
             expected = [[0 for _ in range(n)] for _ in range(n)]
             for i in range(n):
                 for j in range(n):
                     acc = 0
                     for k in range(n):
-                        acc ^= mul(a.rows[i][k], b.rows[k][j])
+                        acc ^= mul(rows_a[i][k], rows_b[k][j])
                     expected[i][j] = acc
             assert [list(r) for r in prod_packed.rows] == expected
+
+
+def _canonical(m: Mat) -> Mat:
+    """m, after checking that its packed rows are the ones ``from_rows``
+    builds from its entries: reduced slots and no bit past the last column,
+    so that equality and hash of packed rows are those of the entries."""
+    again = Mat.from_rows(m.spec, m.rows, m.cols)
+    assert again == m and hash(again) == hash(m), (m.shape, m.packed, again.packed)
+    return m
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
+def test_every_operation_yields_canonical_packed_rows(spec):
+    rng = random.Random(spec.k)
+    # the transpose pads both sides to a power of two: sides below, at and above one
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4)]
+    shapes += [(7, 8), (9, 8), (8, 17), (1, 33), (33, 1)]
+    for r, c in shapes:
+        a = _canonical(random_matrix(spec, rng, r, c))
+        b = _canonical(random_matrix(spec, rng, r, c))
+        _canonical(Mat.zeros(spec, r, c))
+        assert _canonical(a + b).rows == tuple(tuple(map(xor, x, y)) for x, y in zip(a.rows, b.rows))
+        for bits in (0, 1, spec.order - 1, rng.randrange(spec.order)):
+            scaled = _canonical(a.scale(bits))
+            assert scaled.rows == tuple(tuple(spec.mul(bits, v) for v in row) for row in a.rows)
+        at = _canonical(a.transpose())
+        assert at.shape == (c, r) and at.rows == (tuple(zip(*a.rows)) if r else ((),) * c)
+        assert at.transpose() == a
+        _canonical(a @ random_matrix(spec, rng, c, 3))
+        _canonical(random_matrix(spec, rng, 2, r) @ a)
+        parts = [a, b.transpose(), Mat.zeros(spec, 0, 2), Mat.zeros(spec, 2, 0)]
+        _canonical(Mat.block_diag(spec, parts))
+    for n in (0, 1, 4, 9):
+        _canonical(Mat.identity(spec, n))
+        _canonical(random_invertible(spec, rng, n).inv())
+    pair = random_alternating_pair(spec, rng, 6)
+    # uppercase digits, leading zeros and tabs take the parser off its fast path
+    lines = [f"field {spec}", "dim 6"]
+    for name, m in zip("AB", pair.matrices):
+        lines += [f"matrix {name}"] + ["\t".join(f"0{v:X}" for v in row) for row in m.rows]
+    for doc in (format_pair_document(pair), "\n".join(lines)):
+        parsed = [_canonical(m) for _, m in parse_pair_document(doc).matrices]
+        assert parsed == list(pair.matrices)
 
 
 # -- packed rows against the entry-at-a-time references ---------------------------
