@@ -5,22 +5,24 @@ A class function maps (projective point, n) to the multiplicity of the
 corresponding canonical block.  Equality of class functions decides
 congruence.  ``decompose`` reads it off the Kronecker data of t*A + B.  For
 A invertible, the divisors are those of M = A^-1 B, from Krylov sequences
-and kernels of powers of f(M); otherwise one Smith elimination gives the
-rank and the finite divisors, and Wong sequences the minimal indices and
-the divisors at x2 (``decompose`` has the proofs).  The Pfaffian comes from
-the same Krylov sequences when A is invertible.  Otherwise it is zero when a
-Wong sequence shows the pencil singular, and a Smith elimination, whose
-diagonal multiplies out to det(t*A + B), gives it for a regular pencil.
+and kernels of powers of f(M).  Otherwise the limit of the Wong sequence
+splits the pencil: its dimensions give the minimal indices, and two
+sub-pencils, one with B and one with A invertible, give the divisors at x2
+and the finite ones by the same kernels (``decompose`` has the proofs).
+The Pfaffian comes from the same Krylov sequences: on the whole pencil
+when A is invertible, and otherwise zero when the Wong sequence shows the
+pencil singular, or a product over the split when it is regular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .blocks import AlternatingPair, BlockId, block_for_point, direct_sum
-from .field import FieldError, FieldSpec
-from .linalg import Mat, _charpoly, _kernel_images, _nullities, _rref, _smith_diagonal, _transpose, smith_form
+from .field import FieldError, FieldSpec, Packing
+from .linalg import Mat, _charpoly, _kernel_images, _nullities, _rref, _times, _transpose
+from .linalg import smith_form  # noqa: F401  (perfbench traces this name; see ROADMAP item 2c)
 from .polyring import (
     EPS,
     BinaryForm,
@@ -151,13 +153,13 @@ def assemble(rho: ClassFunction) -> AlternatingPair:
 # -- Pfaffian ---------------------------------------------------------------------
 
 
-def _front(pair: AlternatingPair) -> tuple[int, int, list[int]]:
+def _front(pk: Packing, rows_a: Sequence[int], rows_b: Sequence[int]) -> tuple[int, int, list[int]]:
     """rank A, det A and, for A invertible, the packed rows of M = A^-1 B,
     from one forward elimination of the rows [A | B] (B's shifted past A's)
     on A's columns; only at full rank does back substitution give [I | M]."""
-    n, pk = pair.dim, pair.spec.packing
+    n = len(rows_a)
     shift = n * pk.w
-    rows = [a | b << shift for a, b in zip(pair.a.packed, pair.b.packed)]
+    rows = [a | b << shift for a, b in zip(rows_a, rows_b)]
     pivots, det = _rref(pk, rows, n, reduced=None)
     if len(pivots) < n:
         return len(pivots), 0, []
@@ -188,73 +190,99 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
     block, and ker B is spanned by its first unit vector; on L_eps^T, finite
     blocks and nilpotent blocks t*N + I, the limit W* meets ker B in 0.  So
     W* meets ker B iff an L_eps block exists, and a square pencil has one iff
-    it is singular.  A regular pencil with A singular (x2 divisors) takes
-    one Smith elimination of t*A + B, whose diagonal d_1, ..., d_n has the
-    invariant factors as monic parts.  They pair up, d_1 = d_2, d_3 = d_4,
-    ..., so with c the product of the leading coefficients, det(t*A + B) =
-    c * (d_2 d_4 ... d_n)^2 and the Pfaffian is sqrt(c) * d_2 d_4 ... d_n.
+    it is singular.  A regular pencil has U = 0 in the split of
+    ``decompose``; rows of S, a basis of X and then one of Y, take
+    P = x1*A + x2*B to S P S^T = P_X + P_Y, and Pf(S P S^T) = det S * Pf(P).
+    As B_X^-1 A_X is nilpotent, det P_X = det B_X * x2^(dim X), so
+    Pf(P) = sqrt(det B_X * det A_Y) / det S * x2^(dim X / 2) * sqrt(chi_Y).
     """
     require_valid(pair)
-    n = pair.dim
-    spec = pair.spec
+    n, spec = pair.dim, pair.spec
     if n == 0:
         return BinaryForm.one(spec)
     if n % 2 == 1:
         return BinaryForm.zero(spec)
-    rank_a, det, m = _front(pair)
-    if rank_a == n:
-        chi = Poly(_charpoly(spec.packing, m, n), spec)
-        if chi.degree != n:
-            raise AssertionError(f"characteristic polynomial of degree {chi.degree} in dimension {n}")
-        return homogenize(poly_sqrt(chi).scale(spec.sqrt(det)), n // 2)
-    if _wong_dims(pair.a, pair.b, injective=True) is None:
-        return BinaryForm.zero(spec)
-    diagonal = _smith_diagonal(pair.a, pair.b)
-    if len(diagonal) < n:
-        raise AssertionError(f"Smith rank {len(diagonal)} of a pencil the Wong sequence shows regular")
-    # The elimination only swaps rows or columns and adds a multiple of one
-    # row or column to another; in characteristic 2 each of these has
-    # determinant 1, so the raw diagonal multiplies out to det(t*A + B).
-    c = 1
-    for d in diagonal:
-        c = spec.mul(c, d.leading)
-    factors = [d.monic() for d in diagonal]
-    half = Poly.constant(spec, spec.sqrt(c))
-    for i in range(0, n, 2):
-        if factors[i] != factors[i + 1]:
-            raise AssertionError("invariant factors of an alternating pencil do not pair up")
-        half = half * factors[i + 1]
-    if half.degree > n // 2:
-        raise AssertionError("pfaffian degree exceeds dim/2")
-    return homogenize(half, n // 2)
+    pk = spec.packing
+    rank_a, det, m = _front(pk, pair.a.packed, pair.b.packed)
+    if rank_a < n:
+        split = _split(pair, injective=True)
+        if split is None:
+            return BinaryForm.zero(spec)
+        _, (det_x, _), (det, m), s = split
+        pivots, det_s = _rref(pk, s, n, reduced=False)
+        if len(pivots) < n:
+            raise AssertionError(f"the bases of X and Y span {len(pivots)} of {n} dimensions")
+        det = spec.mul(spec.mul(det_x, det), spec.inv(spec.mul(det_s, det_s)))
+    chi = Poly(_charpoly(pk, m, len(m)), spec)
+    if chi.degree != len(m):
+        raise AssertionError(f"characteristic polynomial of degree {chi.degree} in dimension {len(m)}")
+    return homogenize(poly_sqrt(chi).scale(spec.sqrt(det)), n // 2)
 
 
 # -- decomposition -----------------------------------------------------------------
 
 
-def _wong_dims(a: Mat, b: Mat, stop: int | None = None, injective: bool = False) -> list[int] | None:
-    """dim W_0, dim W_1, ... for W_0 = 0, W_(i+1) = {v : a v in b W_i}, up to
-    dimension ``stop`` or until W_i repeats (the W_i increase, so then it
-    stays); with ``injective``, None at the first W_i on which b is not.
+def _wong_dims(a: Mat, b: Mat, injective: bool = False) -> tuple[list[int], list[int]] | None:
+    """dim W_0, dim W_1, ... for W_0 = 0, W_(i+1) = {v : a v in b W_i}, until
+    W_i repeats (the W_i increase, so then it stays), and packed rows that
+    cut out the limit W*; with ``injective``, None at the first W_i on which
+    b is not injective.
 
     Rows of C a cut out W_i (C = I for W_1).  As b is symmetric, the images
     under b of their kernel basis are the rows of W_i^T b, whose kernel is
     the left kernel C' of b W_i; the images under a of its basis are the rows
-    of C' a, which cut out W_(i+1).  So a step is two eliminations of
-    packed rows, and rank(b W_i) = n - len(C')."""
+    of C' a, which cut out W_(i+1).  So a step is two eliminations of packed
+    rows, and rank(b W_i) = n - len(C')."""
     pk, n, rows_a, rows_b = a.spec.packing, a.cols, a.packed, b.packed
     dims, rows = [0], list(rows_a)
     while True:
         image = _kernel_images(pk, rows, n, rows_b)
         if len(image) == dims[-1]:
-            break
+            return dims, rows
         dims.append(len(image))
-        if len(image) == stop:
-            break
         rows = _kernel_images(pk, image, n, rows_a)
         if injective and len(image) + len(rows) > n:
             return None
-    return dims
+
+
+def _grams(pk: Packing, basis: list[int], n: int) -> tuple[list[int], list[int]]:
+    """The Gram matrices of A and B on a basis whose vectors carry their A-
+    and B-images (slots n to 3n): the stacked images times the basis^T."""
+    shift, d = n * pk.w, len(basis)
+    low = (1 << shift) - 1
+    tables = [pk.multiples(r, 2 * d) for r in _transpose([v & low for v in basis], n, pk.w)]
+    g = [_times(pk, v >> s & low, tables, n) for s in (shift, 2 * shift) for v in basis]
+    return g[:d], g[d:]
+
+
+def _principal(pk: Packing, g: list[int], p: list[int]) -> list[int]:
+    """The block on rows and columns p of a symmetric matrix (packed rows g)."""
+    t = _transpose([g[i] for i in p], len(g), pk.w)
+    return [t[i] for i in p]
+
+
+def _split(pair: AlternatingPair, injective: bool = False):
+    """The split of a pencil with A singular (``decompose`` has the proof):
+    the Wong dimensions, det B_X with the rows of B_X^-1 A_X, det A_Y with
+    the rows of A_Y^-1 B_Y, and the rows of a basis of X and then one of Y;
+    with ``injective``, None for a singular pencil."""
+    walk = _wong_dims(pair.a, pair.b, injective)
+    if walk is None:
+        return None
+    (dims, rows), pk, n = walk, pair.spec.packing, pair.dim
+    shift, low = n * pk.w, (1 << n * pk.w) - 1
+    wide = [1 << (j * pk.w) | a << shift | b << 2 * shift for j, (a, b) in enumerate(zip(pair.a.packed, pair.b.packed))]
+    top = _kernel_images(pk, rows, n, wide)
+    ga, gb = _grams(pk, top, n)
+    px = _rref(pk, list(gb), len(top), reduced=False)[0]
+    part = _kernel_images(pk, [v >> 2 * shift for v in top], n, wide)
+    ya, yb = _grams(pk, part, n)
+    py = _rref(pk, list(ya), len(part), reduced=False)[0]
+    x = _front(pk, _principal(pk, gb, px), _principal(pk, ga, px))
+    y = _front(pk, _principal(pk, ya, py), _principal(pk, yb, py))
+    if x[0] < len(px) or y[0] < len(py):
+        raise AssertionError("a principal block on the pivots of a Gram matrix is singular")
+    return dims, x[1:], y[1:], [top[i] & low for i in px] + [part[i] & low for i in py]
 
 
 def _chains(dims: list[int], known: Mapping[int, int]) -> dict[int, int]:
@@ -270,13 +298,27 @@ def _chains(dims: list[int], known: Mapping[int, int]) -> dict[int, int]:
     return {s: c for s, c in counts.items() if c}
 
 
-def _pairs(point: BinaryForm, chains: Mapping[int, int]) -> dict[tuple[ProjPoint, int], int]:
-    """One block (point, e) per pair of equal elementary divisors (point, e),
-    given the number of divisors of each exponent e."""
-    for e, m in chains.items():
-        if m % 2:
-            raise AssertionError(f"elementary divisor ({format_form(point)}, {e}) has odd multiplicity {m}")
-    return {(point, e): m // 2 for e, m in chains.items()}
+def _divisor_blocks(pk: Packing, m: list[int], f: Poly, point: BinaryForm, top: int) -> dict:
+    """One block (point, e) per pair of equal elementary divisors f^e of M
+    (packed rows m), from the kernels of powers of f(M), which reach ``top``."""
+    dims = _nullities(pk, m, len(m), f, top)
+    if dims[-1] != top or any(k % f.degree for k in dims):
+        raise AssertionError(f"kernels of powers of {format_form(point)} reach {dims}, not {top}")
+    chains = _chains([0] + [k // f.degree for k in dims], {})
+    for e, c in chains.items():
+        if c % 2:
+            raise AssertionError(f"elementary divisor ({format_form(point)}, {e}) has odd multiplicity {c}")
+    return {(point, e): c // 2 for e, c in chains.items()}
+
+
+def _krylov_blocks(spec: FieldSpec, m: list[int]) -> dict[tuple[ProjPoint, int], int]:
+    """The blocks of a pencil with A invertible, from the rows of M = A^-1 B."""
+    h = poly_sqrt(Poly(_charpoly(spec.packing, m, len(m)), spec))
+    blocks: dict[tuple[ProjPoint, int], int] = {}
+    for f, e in factor(h) if h.degree else ():
+        p = point_from_poly(f)
+        blocks.update({(p, 1): 1} if e == 1 else _divisor_blocks(spec.packing, m, f, p, 2 * e * f.degree))
+    return blocks
 
 
 def decompose(pair: AlternatingPair) -> ClassFunction:
@@ -298,89 +340,46 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
     when it is 1, f has one pair (f, 1), the entry (f, 1, 1), and no kernel
     is computed.  h is factored once.
 
-    If A is singular, one Smith pass gives the rank r of t*A + B and its
-    invariant factors d_1 | ... | d_r.  Their irreducibles all divide d_r,
-    so d_r is factored once and each exponent e > 0 of f in a d_i, read by
-    division, is a divisor (f, e).  The factors pair up,
-    d_(2i-1) = d_(2i), so one of each pair is divided and each divisor
-    found there is one block.
-    There are n - r eps blocks, and x2 carries divisors iff rank A < r: the
-    rank drops at a point by its number of divisors, and singular blocks
-    keep their rank everywhere.
-
-    The Wong sequence W_0 = 0, W_(i+1) = {v : A v in B W_i} (Berger,
-    Ilchmann and Trenn, SIAM J. Matrix Anal. Appl. 33 (2012)) adds over
-    direct sums, and congruence by S moves it to S^-T W_i.  In Kronecker
-    form, L_eps (A-part [I | 0], B-part [0 | I]) has W_1 spanned by the last
-    unit vector, each step adding the one before, which gives
-    min(i, eps + 1); L_eps^T and finite blocks have an injective A-part and
-    give 0; a nilpotent block t*N + I of size e, one divisor (x2, e), has
-    W_i = ker N^i, which gives min(i, e).  An odd block holds one L_eps and
-    one L_eps^T, so dim W_i is the sum of min(i, eps + 1) over the minimal
-    indices and of mult * min(i, e) over the divisors (x2, e).  Swapping A
-    and B keeps the minimal indices and moves the divisors (x1, e), at
-    t = 0, into the nilpotent part.  So W(A, B) gives the minimal indices
-    when x2 carries nothing and the x2 divisors when r = n; otherwise
-    W(B, A) less the divisors at t = 0, two per x1 block, gives the minimal
-    indices, and W(A, B) less those the x2 divisors, which must pair up.
-    The limit of W(A, B), sum(eps + 1) plus the x2 degrees, is
-    n - deg(d_1 ... d_r) - sum(eps), since the blocks fill n; without x2
-    divisors they also give sum(eps) = (r - deg(d_1 ... d_r)) / 2.  W(A, B)
-    stops there without a repeat step.
+    If A is singular, the Wong sequence W_0 = 0, W_(i+1) = {v : A v in B W_i}
+    (Berger, Ilchmann and Trenn, SIAM J. Matrix Anal. Appl. 33 (2012)) splits
+    the pencil.  It adds over direct sums, and congruence by S moves it to
+    S^-T W_i.  In Kronecker form, L_eps (A-part [I | 0], B-part [0 | I]) has
+    W_1 spanned by the last unit vector, each step adding the one before,
+    which gives min(i, eps + 1); L_eps^T and finite blocks have an injective
+    A-part and give 0; a nilpotent block t*N + I of size e, one divisor
+    (x2, e), has W_i = ker N^i, which gives min(i, e).  An odd block holds
+    one L_eps and one L_eps^T, so dim W_i is the sum of min(i, eps + 1) over
+    the minimal indices and of min(i, e) over the divisors (x2, e).  In the
+    canonical orthogonal sum the limit is W* = U + X: U the L_eps columns of
+    the odd blocks, X the sum of the x2 blocks.  Each form pairs U only with
+    the L_eps^T rows, through a matrix of rank eps, and B is nondegenerate
+    on X.  So U is the radical of B on W*, and W*^perp_B = U + Y, Y the sum
+    of the finite blocks, on which A is nondegenerate.  The pivot columns of
+    an echelon form of a symmetric matrix span its columns, so by symmetry
+    its rows there are a basis of its rows: they index a nonsingular
+    principal block.  So the pivots of B's Gram matrix on a basis of W*, and
+    of A's on one of W*^perp_B, pick complements X' and Y' of U, and as
+    neither form pairs U with W* or Y, both restrict to X' and Y' as to X
+    and Y.  N = B_X^-1 A_X is nilpotent, and the kernels of its powers give
+    the x2 divisors as those of f(M) do for (A_Y, B_Y), which takes the route
+    above.  Less two chains of length e per entry (x2, e), the Wong
+    dimensions count the chains of length eps + 1 of the odd blocks.
     """
     require_valid(pair)
     n, spec = pair.dim, pair.spec
-    rank_a, _, m = _front(pair)
-    blocks: dict[tuple[ProjPoint, int], int] = {}
+    pk = spec.packing
+    rank_a, _, m = _front(pk, pair.a.packed, pair.b.packed)
     if rank_a == n:
-        h = poly_sqrt(Poly(_charpoly(spec.packing, m, n), spec))
-        for f, e in factor(h) if h.degree else ():
-            point, d, top = point_from_poly(f), f.degree, 2 * e * f.degree
-            dims = _nullities(spec.packing, m, n, f, top) if e > 1 else [top]
-            if dims[-1] != top or any(k % d for k in dims):
-                raise AssertionError(f"kernels of powers of {format_form(point)} reach {dims}, not {top}")
-            blocks.update(_pairs(point, _chains([0] + [k // d for k in dims], {})))
+        blocks = _krylov_blocks(spec, m)
     else:
-        blocks = _smith_blocks(pair, rank_a)
+        dims, (_, nil), (_, m), _ = _split(pair)
+        x2 = _divisor_blocks(pk, nil, Poly.t(spec), BinaryForm.x2(spec), len(nil))
+        eps = _chains(dims, {e: 2 * c for (_, e), c in x2.items()})
+        blocks = {**_krylov_blocks(spec, m), **x2, **{(EPS, s): c for s, c in eps.items()}}
     rho = ClassFunction.from_dict(spec, blocks)
     if rho.total_dim != n:
         raise AssertionError(f"decomposition dimension {rho.total_dim} != pair dimension {n}")
     return rho
-
-
-def _smith_blocks(pair: AlternatingPair, rank_a: int) -> dict[tuple[ProjPoint, int], int]:
-    """The blocks of the pencil from one Smith pass and the Wong sequences,
-    given rank A (``decompose`` has the proof); ``decompose`` takes this
-    route when A is singular."""
-    n, spec = pair.dim, pair.spec
-    factors = smith_form(pair.a, pair.b)
-    r, degree = len(factors), sum(d.degree for d in factors)
-    if factors[::2] != factors[1::2]:
-        raise AssertionError("invariant factors of an alternating pencil do not pair up")
-    blocks: dict[tuple[ProjPoint, int], int] = {}
-    for f, _ in factor(factors[-1]) if r and factors[-1].degree else ():
-        for d in reversed(factors[1::2]):
-            e = 0
-            while d.degree >= f.degree and not (qr := divmod(d, f))[1]:
-                d, e = qr[0], e + 1
-            if not e:
-                break  # nor does f divide the earlier factors
-            key = (point_from_poly(f), e)
-            blocks[key] = blocks.get(key, 0) + 1
-    eps: dict[int, int] = {}  # eps + 1 -> number of odd blocks
-    if rank_a == r:
-        if r < n:
-            eps = _chains(_wong_dims(pair.a, pair.b, n - (r + degree) // 2), {})
-    else:
-        if r < n:
-            at_x1 = {e: 2 * m for (p, e), m in blocks.items() if p == BinaryForm.x1(spec)}
-            eps = _chains(_wong_dims(pair.b, pair.a), at_x1)
-        stop = n - degree - sum((s - 1) * m for s, m in eps.items())
-        blocks.update(_pairs(BinaryForm.x2(spec), _chains(_wong_dims(pair.a, pair.b, stop), eps)))
-    if sum(eps.values()) != n - r:
-        raise AssertionError(f"{sum(eps.values())} minimal indices for rank {r} of {n}")
-    blocks.update(((EPS, s), m) for s, m in eps.items())
-    return blocks
 
 
 def congruent(p: AlternatingPair, r: AlternatingPair) -> bool:

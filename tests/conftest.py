@@ -16,7 +16,7 @@ from altpairs.chernikov import GroupPresentation, PresentationError, WitnessErro
 from altpairs.cli import ParseError
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_mul
 from altpairs.linalg import Mat, _charpoly, _kernel_images, _nullities, congruence, smith_form
-from altpairs.pencil import ClassFunction, assemble, decompose, require_valid
+from altpairs.pencil import ClassFunction, _chains, _wong_dims, assemble, decompose, require_valid
 from altpairs.polyring import (
     EPS,
     BinaryForm,
@@ -729,6 +729,53 @@ def kronecker_reference(pair: AlternatingPair) -> KroneckerInvariants:
     minimal = _minimal_indices(pair, count)
     ordered = sorted(divisors.items(), key=lambda kv: (point_sort_key(kv[0][0]), kv[0][1]))
     return KroneckerInvariants(minimal, tuple(ordered))
+
+
+def smith_blocks_reference(pair: AlternatingPair) -> ClassFunction:
+    """The class function by the route that ``decompose`` took for A
+    singular before the Wong split: one Smith pass of t*A + B, whose
+    invariant factors pair up, gives the rank r and, divided by each
+    irreducible factor of the last one, the finite divisors; x2 carries
+    divisors iff rank A < r.  Then W(A, B) gives the minimal indices when x2
+    carries nothing, and otherwise W(B, A) less two chains per divisor at
+    t = 0 gives them, and W(A, B) less those the x2 divisors.  Each walk is
+    cut where that route stopped it, at a dimension read off the Smith
+    degrees (n - sum(eps) - deg(d_1 ... d_r) for W(A, B))."""
+    require_valid(pair)
+    n, spec = pair.dim, pair.spec
+    factors = smith_form(pair.a, pair.b)
+    r, degree = len(factors), sum(d.degree for d in factors)
+    assert factors[::2] == factors[1::2], "invariant factors of an alternating pencil do not pair up"
+    blocks: dict = {}
+    for f, _ in factor(factors[-1]) if r and factors[-1].degree else ():
+        for d in reversed(factors[1::2]):
+            e = 0
+            while d.degree >= f.degree and not (qr := divmod(d, f))[1]:
+                d, e = qr[0], e + 1
+            if not e:
+                break  # nor does f divide the earlier factors
+            key = (point_from_poly(f), e)
+            blocks[key] = blocks.get(key, 0) + 1
+
+    def walk(a: Mat, b: Mat, stop: int | None = None) -> list[int]:
+        dims = _wong_dims(a, b)[0]
+        return dims[: dims.index(stop) + 1] if stop in dims else dims
+
+    eps: dict[int, int] = {}  # eps + 1 -> number of odd blocks
+    if pair.a.rank() == r:
+        if r < n:
+            eps = _chains(walk(pair.a, pair.b, n - (r + degree) // 2), {})
+    else:
+        if r < n:
+            at_x1 = {e: 2 * m for (p, e), m in blocks.items() if p == BinaryForm.x1(spec)}
+            eps = _chains(walk(pair.b, pair.a), at_x1)
+        stop = n - degree - sum((s - 1) * m for s, m in eps.items())
+        x2 = _chains(walk(pair.a, pair.b, stop), eps)
+        assert not any(m % 2 for m in x2.values()), f"x2 divisors {x2} do not pair up"
+        blocks.update(((BinaryForm.x2(spec), e), m // 2) for e, m in x2.items())
+    assert sum(eps.values()) == n - r, f"{sum(eps.values())} minimal indices for rank {r} of {n}"
+    blocks.update(((EPS, s), m) for s, m in eps.items())
+    return ClassFunction.from_dict(spec, blocks)
 
 
 # -- test-only views of library objects --------------------------------------------

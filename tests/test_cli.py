@@ -568,23 +568,26 @@ def test_internal_error_exit3_names_the_file(capsys, monkeypatch, tmp_path):
 
 
 def test_dropped_invariant_factor_exit3(capsys, monkeypatch, tmp_path):
-    # a Smith pass that loses its last invariant factor leaves an odd count,
-    # so the invariant factors no longer pair up; only a singular A takes
-    # the Smith pass, so the finite block comes with an x2 block
+    # the x2 divisors of the Wong split come from the kernels of the powers
+    # of the nilpotent B_X^-1 A_X; kernels that lose their last dimension
+    # stop short of dim X, which fails an invariant instead of printing a
+    # wrong class; A is singular on both documents, so the finite block
+    # comes with an x2 block
     from altpairs import pencil
 
-    smith_form = pencil.smith_form
-    monkeypatch.setattr(pencil, "smith_form", lambda a, b: smith_form(a, b)[:-1])
+    nullities = pencil._nullities
+    monkeypatch.setattr(pencil, "_nullities", lambda *args: (d := nullities(*args))[:-1] + [d[-1] - 1])
     fin = direct_sum([build_finite(tp("t^2+t+1"), 1), build_infinity(1)])
-    docs = {"inf.pair": INF1_DOC, "fin.pair": format_pair_document(fin)}
+    docs = {"fin.pair": format_pair_document(fin), "inf.pair": INF1_DOC}
     for name, text in docs.items():
-        path = tmp_path / name
-        path.write_text(text)
-        code, out, err = run(capsys, ["canonical", str(path)])
-        assert code == 3, name
+        (tmp_path / name).write_text(text)
+    for argv, where in [(["canonical", str(tmp_path / name)], tmp_path / name) for name in docs] + [
+        (["--json", "corpus", str(tmp_path)], tmp_path / "fin.pair")
+    ]:
+        code, out, err = run(capsys, argv)
+        assert code == 3, argv
         assert out == ""
-        assert err.startswith(f"internal error: {path}: ")
-        assert "do not pair up" in err
+        assert err == f"internal error: {where}: kernels of powers of x2 reach [1], not 2\n"
         assert "Traceback" not in err
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from altpairs import pencil
+from altpairs import linalg, pencil
 from altpairs.blocks import (
     AlternatingPair,
     build_finite,
@@ -13,7 +13,7 @@ from altpairs.blocks import (
     direct_sum,
 )
 from altpairs.field import FieldError, FieldSpec, _Computed
-from altpairs.linalg import Mat
+from altpairs.linalg import Mat, _kernel_images
 from altpairs.pencil import (
     ClassFunction,
     assemble,
@@ -50,7 +50,9 @@ from conftest import (
     random_class_function,
     random_invertible,
     random_irreducible,
+    smith_blocks_reference,
     smith_reference,
+    submatrix,
     transform_congruence,
 )
 
@@ -278,17 +280,10 @@ def test_invariants_edge_cases(spec):
 
 
 def test_invariants_one_smith_pass_and_one_factor_call(monkeypatch):
-    calls = {"smith": 0, "factor": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(pencil, "smith_form", counted("smith", pencil.smith_form))
-    monkeypatch.setattr(pencil, "factor", counted("factor", pencil.factor))
+    # decompose takes no Smith pass and factors once at most, the square root
+    # h of the A-invertible part; the Smith route it replaced, kept as the
+    # reference, still takes its one Smith pass per pair
+    calls = _route_log(monkeypatch)
     rng = random.Random(0x1CA11)
     x2, x1 = BinaryForm.x2(GF4), BinaryForm.x1(GF4)
     pairs = [
@@ -300,22 +295,27 @@ def test_invariants_one_smith_pass_and_one_factor_call(monkeypatch):
         scrambled(GF4, rng, {(x1, 2): 2, (x1, 1): 1}),
     ]
     for pair in pairs:
-        calls.update(smith=0, factor=0)
-        kronecker_invariants(pair)
-        # a Smith pass exactly when A is singular
-        assert calls["smith"] == (pair.a.rank() < pair.dim)
-        assert calls["factor"] <= 1
+        calls.clear()
+        rho = decompose(pair)
+        assert "smith" not in calls and calls.count("factor") <= 1
+        assert calls.count("_wong_dims") == (pair.a.rank() < pair.dim)
+        calls.clear()
+        assert smith_blocks_reference(pair) == rho
+        assert calls.count("smith") == 1
 
 
 # -- the Krylov route of decompose (A invertible) --------------------------------------
 
 
 def _route_log(monkeypatch):
-    """The kernels that ``decompose`` calls, by name, in call order."""
+    """The kernels that ``decompose`` and ``pfaffian_form`` call, by name, in
+    call order, with every Smith elimination logged as "smith"."""
     calls = []
-    for name in ("_charpoly", "_nullities", "smith_form"):
+    for name in ("_charpoly", "_nullities", "_split", "_wong_dims", "factor"):
         fn = getattr(pencil, name)
-        monkeypatch.setattr(pencil, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        monkeypatch.setattr(pencil, name, lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
+    smith = linalg._smith_diagonal
+    monkeypatch.setattr(linalg, "_smith_diagonal", lambda *args: calls.append("smith") or smith(*args))
     return calls
 
 
@@ -343,8 +343,8 @@ def _repeated_divisor_blocks(spec, rng):
 @pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
 def test_krylov_route_repeated_divisors(spec, monkeypatch):
     # the Krylov route against the reference and against the Smith route on
-    # the same pair; the kernels of powers of f(M) run once for each f of
-    # exponent >= 2 in sqrt(chi)
+    # the same pair; h is factored once, and the kernels of powers of f(M)
+    # run once for each f of exponent >= 2 in sqrt(chi)
     rng = random.Random(0x4E7 + spec.k)
     calls = _route_log(monkeypatch)
     for blocks in _repeated_divisor_blocks(spec, rng):
@@ -355,16 +355,16 @@ def test_krylov_route_repeated_divisors(spec, monkeypatch):
         exponents = {}
         for (point, e), m in blocks.items():
             exponents[point] = exponents.get(point, 0) + e * m
-        assert calls == ["_charpoly"] + ["_nullities"] * sum(e >= 2 for e in exponents.values())
-        assert ClassFunction.from_dict(spec, pencil._smith_blocks(pair, pair.dim)) == rho
+        assert calls == ["_charpoly", "factor"] + ["_nullities"] * sum(e >= 2 for e in exponents.values())
+        assert smith_blocks_reference(pair) == rho
         assert kronecker_invariants(pair) == kronecker_reference(pair)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 9])
 def test_routes_agree_on_random_pairs(k, monkeypatch):
     # 60 random pairs per field, dims 6-16: A invertible takes the Krylov
-    # route and agrees with the Smith route on the same pair, A singular takes
-    # the Smith route; both agree with the reference
+    # route, A singular the Wong split (one walk); neither calls Smith, and
+    # both agree with the Smith route and with the reference
     spec = FieldSpec.gf(k)
     rng = random.Random(11)
     calls = _route_log(monkeypatch)
@@ -374,12 +374,13 @@ def test_routes_agree_on_random_pairs(k, monkeypatch):
         rank_a = pair.a.rank()
         calls.clear()
         rho = decompose(pair)
-        route = "_charpoly" if rank_a == pair.dim else "smith_form"
-        assert calls[0] == route and "smith_form" not in calls[1:]
+        route = "_charpoly" if rank_a == pair.dim else "_split"
+        assert calls[0] == route and calls.count("_wong_dims") == (route == "_split")
+        assert "smith" not in calls and calls.count("factor") <= 1
         routes.add(route)
-        assert ClassFunction.from_dict(spec, pencil._smith_blocks(pair, rank_a)) == rho
+        assert smith_blocks_reference(pair) == rho
         assert kronecker_invariants(pair) == kronecker_reference(pair)
-    assert routes == {"_charpoly", "smith_form"}
+    assert routes == {"_charpoly", "_split"}
 
 
 @pytest.mark.parametrize("name", ["_charpoly", "_nullities"])
@@ -513,21 +514,10 @@ def _invertible_a_pair(spec, rng, n):
 @pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
 def test_pfaffian_routes_match_interpolation(spec, monkeypatch):
     # A invertible goes through the Krylov characteristic polynomial alone;
-    # with A singular the Wong sequence decides: a singular pencil (an eps
-    # block) is zero without Smith, and a regular one (an x2 divisor) keeps
-    # the Smith pass
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(pencil, "_charpoly", counted("krylov", pencil._charpoly))
-    monkeypatch.setattr(pencil, "_wong_dims", counted("wong", pencil._wong_dims))
-    monkeypatch.setattr(pencil, "_smith_diagonal", counted("smith", pencil._smith_diagonal))
+    # with A singular the Wong walk decides: a singular pencil (an eps block)
+    # is zero, and a regular one (an x2 divisor) takes the split to the
+    # Krylov sequences of A_Y^-1 B_Y; no route calls Smith or factor
+    calls = _route_log(monkeypatch)
 
     def route(pair):
         calls.clear()
@@ -536,17 +526,17 @@ def test_pfaffian_routes_match_interpolation(spec, monkeypatch):
     rng = random.Random(0x2F + spec.k)
     for n in (2, 4, 6, 8, 10):
         pf, ran = route(transform_congruence(_invertible_a_pair(spec, rng, n), random_invertible(spec, rng, n)))
-        assert ran == ["krylov"] and pf.poly.degree == pf.degree == n // 2
+        assert ran == ["_charpoly"] and pf.poly.degree == pf.degree == n // 2
         pair = direct_sum([_invertible_a_pair(spec, rng, n - 2), build_infinity(1, spec)])
         pf, ran = route(transform_congruence(pair, random_invertible(spec, rng, n)))
-        assert ran == ["wong", "smith"] and pf.poly.degree == pf.degree - 1 == n // 2 - 1
+        assert ran == ["_split", "_wong_dims", "_charpoly"] and pf.poly.degree == pf.degree - 1 == n // 2 - 1
         pf, ran = route(_rank_deficient_pair(spec, rng, n))
-        assert ran == ["wong"] and pf.is_zero()
+        assert ran == ["_split", "_wong_dims"] and pf.is_zero()
 
 
 def _wong_shapes(spec, rng):
     """Pencils with A singular: eps blocks with eps = 0 (found singular at
-    the first Wong step) and up to eps = 4, x2 chains up to length 8 without
+    the first Wong step) and up to eps = 5, x2 chains up to length 8 without
     eps blocks (regular), eps blocks beside a longer x2 chain, and regular
     pencils with both A and B singular (x2 and x1 divisors)."""
     x1, x2 = BinaryForm.x1(spec), BinaryForm.x2(spec)
@@ -559,6 +549,7 @@ def _wong_shapes(spec, rng):
         {(EPS, 2): 2},
         {(EPS, 3): 1, (EPS, 5): 1, (f1, 1): 1},
         {(EPS, 5): 2},
+        {(EPS, 6): 1, (x2, 2): 1, (x1, 1): 1},
         {(x2, 1): 1},
         {(x2, 3): 1, (x2, 1): 2, (f2, 1): 1},
         {(x2, 5): 1, (x2, 2): 1, (f1, 2): 1},
@@ -589,15 +580,15 @@ def test_wong_singularity_matches_smith_rank(spec, monkeypatch):
     # the decision against the Smith rank of the reference and the minimal
     # indices of the Kronecker reference; a singular pencil stops at step
     # min eps + 1, a regular one runs to the limit, the longest x2 chain, and
-    # one more image (two eliminations per step); pfaffian_form calls Smith
-    # only on the regular ones
+    # one more image (two eliminations per step); pfaffian_form calls no
+    # Smith, and on a regular pencil the split adds two kernels to the walk,
+    # a basis of W* from the walk's last rows and one of W*^perp_B
     seed = 0x3B9 + spec.k
     assert _wong_singularity_mismatches(spec, seed) == []
-    steps, calls = [], []
+    steps = []
     kernel_images = pencil._kernel_images
     monkeypatch.setattr(pencil, "_kernel_images", lambda *args: steps.append(1) or kernel_images(*args))
-    smith_diagonal = pencil._smith_diagonal
-    monkeypatch.setattr(pencil, "_smith_diagonal", lambda *args: calls.append(1) or smith_diagonal(*args))
+    calls = _route_log(monkeypatch)
     rng = random.Random(seed)
     x2 = BinaryForm.x2(spec)
     for blocks in _wong_shapes(spec, rng):
@@ -607,11 +598,13 @@ def test_wong_singularity_matches_smith_rank(spec, monkeypatch):
         singular = pencil._wong_dims(pair.a, pair.b, injective=True) is None
         assert singular == bool(eps) == bool(kronecker_reference(pair).minimal_indices)
         chain = max((n for (p, n) in blocks if p == x2), default=0)
-        assert len(steps) == (2 * min(eps) if eps else 2 * chain + 1)
+        walk = 2 * min(eps) if eps else 2 * chain + 1
+        assert len(steps) == walk
         if pair.dim % 2 == 0:
+            steps.clear()
             calls.clear()
             assert checked_pfaffian(pair).is_zero() == singular
-            assert len(calls) == (not singular)
+            assert "smith" not in calls and len(steps) == walk + 2 * (not singular)
 
 
 # _wong_dims with ">=" for ">" (regular pencils found singular), and without
@@ -627,6 +620,119 @@ WONG_MUTANTS = {
 def test_wong_singularity_mutants_disagree(spec, name, monkeypatch):
     monkeypatch.setattr(pencil, "_wong_dims", mutant(pencil._wong_dims, *WONG_MUTANTS[name]))
     assert _wong_singularity_mismatches(spec, 0x3B9 + spec.k)
+
+
+# -- the Wong split of decompose and pfaffian_form (A singular) -------------------------
+
+
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_split_route_wong_shapes(spec, monkeypatch):
+    # eps up to 5, x2 chains up to 8 and x1 blocks: the split against the
+    # Smith route and the Kronecker reference, with one walk, no Smith and at
+    # most one factor call
+    rng = random.Random(0x5B1 + spec.k)
+    calls = _route_log(monkeypatch)
+    for blocks in _wong_shapes(spec, rng):
+        pair = scrambled(spec, rng, blocks)
+        calls.clear()
+        rho = decompose(pair)
+        assert rho == ClassFunction.from_dict(spec, blocks)
+        assert calls[:2] == ["_split", "_wong_dims"] and calls.count("_wong_dims") == 1
+        assert "smith" not in calls and calls.count("factor") <= 1
+        assert smith_blocks_reference(pair) == rho
+        assert kronecker_invariants(pair) == kronecker_reference(pair)
+
+
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_split_congruence(spec):
+    # with E = Y^perp_A & X^perp_B (the kernel of Y's A-images and X's
+    # B-images), S with rows E, X and Y is invertible; both forms vanish
+    # between X and Y, A between E and Y and B between E and X.  E has the
+    # dimension of the odd blocks, and the pencil on X (on Y) has the x2
+    # (the finite) blocks.  A between E and X and B between E and Y need
+    # not vanish: the pivots pick X and Y as complements of the radical U,
+    # not as the canonical summands, and for some shapes no complement of
+    # X + Y is then orthogonal to it under both forms
+    rng = random.Random(0xC06 + spec.k)
+    x2 = BinaryForm.x2(spec)
+    pk = spec.packing
+    for blocks in _wong_shapes(spec, rng):
+        pair = scrambled(spec, rng, blocks)
+        _, (_, nil), _, rows = pencil._split(pair)
+        x, y = rows[: len(nil)], rows[len(nil) :]
+        cut_out = [r for vs, m in ((y, pair.a), (x, pair.b)) for r in (Mat(tuple(vs), pair.dim, spec) @ m).packed]
+        e = _kernel_images(pk, cut_out, pair.dim, [1 << (j * pk.w) for j in range(pair.dim)])
+        s = Mat(tuple(e + x + y), pair.dim, spec)
+        assert s.is_invertible()
+        cut = {"E": range(len(e)), "X": range(len(e), len(e) + len(x)), "Y": range(len(e) + len(x), pair.dim)}
+        grams = {}
+        for name, m in (("A", pair.a), ("B", pair.b)):
+            grams[name] = s @ m @ s.transpose()
+            g = grams[name].rows
+            zero = [("X", "Y"), ("E", "Y" if name == "A" else "X")]
+            assert not any(g[i][j] for p, q in zero for i in cut[p] for j in cut[q])
+        parts = {"E": {}, "X": {}, "Y": {}}
+        for (point, n), mult in blocks.items():
+            parts["E" if point is EPS else "X" if point == x2 else "Y"][(point, n)] = mult
+        assert len(e) == sum((2 * n - 1) * m for (_, n), m in parts["E"].items())
+        for name in ("X", "Y"):
+            sub = AlternatingPair(*(submatrix(grams[f], cut[name], cut[name]) for f in ("A", "B")))
+            assert decompose(sub) == ClassFunction.from_dict(spec, parts[name])
+
+
+# pencil._split with Y' cut out by the B-images of X' alone, which drops the
+# rows of the radical U (W*^perp_B then takes in the L_eps^T rows of the odd
+# blocks), and with Y's pivots taken from B's Gram matrix, which misses the
+# part of Y where B is singular (x1 divisors)
+SPLIT_MUTANTS = {
+    "radical": ("[v >> 2 * shift for v in top]", "[top[i] >> 2 * shift for i in px]"),
+    "pivots": ("py = _rref(pk, list(ya)", "py = _rref(pk, list(yb)"),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_MUTANTS))
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_split_mutants_disagree(spec, name, monkeypatch):
+    # each mutant fails an invariant or gives a wrong class on every shape
+    # where it changes Y: an eps >= 1 block for the radical, an x1 block
+    # for the pivots
+    monkeypatch.setattr(pencil, "_split", mutant(pencil._split, *SPLIT_MUTANTS[name]))
+    rng = random.Random(0x3D1 + spec.k)
+    x1 = BinaryForm.x1(spec)
+    reached = 0
+    for blocks in _wong_shapes(spec, rng):
+        pair = scrambled(spec, rng, blocks)
+        bites = {"radical": any(p is EPS and n > 1 for p, n in blocks), "pivots": any(p == x1 for p, _ in blocks)}
+        if bites[name]:
+            reached += 1
+            with pytest.raises(AssertionError):
+                assert decompose(pair) == ClassFunction.from_dict(spec, blocks)
+    assert reached >= 2
+
+
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_pfaffian_split_matches_interpolation(spec):
+    # regular pencils with A singular: x2 blocks beside finite and x1
+    # blocks, and one x2 chain of length 8, each under a congruence S with
+    # det S != 1 where the field has one, so Pf = det S * Pf(canonical sum)
+    rng = random.Random(0x5F1 + spec.k)
+    x1, x2 = BinaryForm.x1(spec), BinaryForm.x2(spec)
+    f1, f2 = (point_from_poly(random_irreducible(spec, rng, d)) for d in (1, 2))
+    shapes = [
+        {(x2, 1): 1, (f1, 1): 1},
+        {(x2, 2): 1, (x1, 1): 1, (f2, 1): 1},
+        {(x2, 3): 1, (x2, 1): 1, (x1, 2): 1},
+        {(x2, 1): 2, (f1, 2): 1, (f2, 1): 1},
+        {(x2, 8): 1},
+    ]
+    for blocks in shapes:
+        rho = ClassFunction.from_dict(spec, blocks)
+        pair = assemble(rho)
+        while True:
+            s = random_invertible(spec, rng, pair.dim)
+            if s.det() != 1 or spec.k == 1:
+                break
+        assert checked_pfaffian(transform_congruence(pair, s)) == pfaffian_of_class(rho).scale(s.det())
 
 
 def test_pfaffian_matches_interpolation_scrambled_canonical_sums():
