@@ -8,7 +8,9 @@ time, and adding a multiple of the pivot row to another row is one xor of
 that row with an entry of the pivot row's table of multiples
 (``Packing.multiples``; below its cost threshold the entry is one kernel
 product), however many columns there are.  Rank, kernels, determinant and
-inverse share one elimination, ``_rref``; ``_charpoly`` reduces Krylov
+inverse share one elimination, ``_rref``, which can also leave a reduced
+echelon form at any rank by back substitution after the pass down (the
+echelon that ``pencil._wong_dims`` walks on); ``_charpoly`` reduces Krylov
 sequences against one echelon of such rows, and ``_nullities`` takes the
 kernels of powers of f(M) from echelon bases.  The Smith form reads t*A + B
 straight from the rows of A and B and gives each entry a field of several
@@ -179,9 +181,10 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool | None = True)
     """Bring packed rows to echelon form in place, pivoting on the first
     ``ncols`` columns; the pivot rows end up first, in order.  With
     ``reduced`` the pivots are also cleared above (reduced row echelon
-    form); with ``reduced=None`` only if every column has a pivot, by back
-    substitution from the top with each pivot row's multiples as the pass
-    down left it (zero before its pivot, so later pivots clear what it adds).
+    form); ``reduced=None`` gives the same rows by a pass down and then back
+    substitution over the pivots found, at any rank, with each pivot row's
+    multiples as the pass down left it (zero before its pivot, so later
+    pivots clear what it adds; the rows below the rank are not touched).
 
     Returns the pivot columns and the product of the pivot values before
     they are scaled to 1.  Row swaps and added multiples keep the
@@ -218,10 +221,10 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool | None = True)
         work[row] = p
         pivots.append(col)
         tables.append(t)
-    if reduced is None and len(pivots) == ncols:
-        for col in range(1, ncols):  # the pivot of column col is row col
-            shift, t = col * w, tables[col]
-            for r in range(col):
+    if reduced is None:
+        for row in range(1, len(pivots)):
+            shift, t = pivots[row] * w, tables[row]
+            for r in range(row):
                 if f := work[r] >> shift & mask:
                     work[r] ^= t[f]
     return pivots, det

@@ -8,10 +8,15 @@ A invertible, the divisors are those of M = A^-1 B, from Krylov sequences
 and kernels of powers of f(M).  Otherwise the limit of the Wong sequence
 splits the pencil: its dimensions give the minimal indices, and two
 sub-pencils, one with B and one with A invertible, give the divisors at x2
-and the finite ones by the same kernels (``decompose`` has the proofs).
-The Pfaffian comes from the same Krylov sequences: on the whole pencil
-when A is invertible, and otherwise zero when the Wong sequence shows the
-pencil singular, or a product over the split when it is regular.
+and the finite ones by the same kernels, or for a regular pencil the x2
+divisors straight from the Wong dimensions (``decompose`` has the proofs).
+One elimination of [A | B] serves both routes: it gives M, or the echelon
+on which the Wong sequence is walked, staircase fashion, without another
+elimination (``_wong_dims``: the free slots of G w vanish iff B w is in
+im A, and then A G w = B w).  The Pfaffian comes from the same Krylov
+sequences: on the whole pencil when A is invertible, and otherwise zero
+when the Wong sequence shows the pencil singular, or a product over the
+split when it is regular.
 """
 
 from __future__ import annotations
@@ -154,15 +159,17 @@ def assemble(rho: ClassFunction) -> AlternatingPair:
 
 
 def _front(pk: Packing, rows_a: Sequence[int], rows_b: Sequence[int]) -> tuple[int, int, list[int]]:
-    """rank A, det A and, for A invertible, the packed rows of M = A^-1 B,
-    from one forward elimination of the rows [A | B] (B's shifted past A's)
-    on A's columns; only at full rank does back substitution give [I | M]."""
+    """rank A, det A and packed rows from one elimination of the rows [A | B]
+    (B's shifted past A's) to reduced echelon form on A's columns,
+    E [A | B] = [R | EB] with E invertible: for A invertible R = I and the
+    rows are those of M = A^-1 B; otherwise they are the rows [R | EB]
+    themselves, the pivot rows first, which ``_wong_dims`` walks on."""
     n = len(rows_a)
     shift = n * pk.w
     rows = [a | b << shift for a, b in zip(rows_a, rows_b)]
     pivots, det = _rref(pk, rows, n, reduced=None)
     if len(pivots) < n:
-        return len(pivots), 0, []
+        return len(pivots), 0, rows
     return n, det, [r >> shift for r in rows]
 
 
@@ -205,10 +212,11 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
     pk = spec.packing
     rank_a, det, m = _front(pk, pair.a.packed, pair.b.packed)
     if rank_a < n:
-        split = _split(pair, injective=True)
+        split = _split(pair, m, injective=True)
         if split is None:
             return BinaryForm.zero(spec)
-        _, (det_x, _), (det, m), s = split
+        _, x, (det, m), s = split
+        det_x = _block_front(pk, *x)[0]
         pivots, det_s = _rref(pk, s, n, reduced=False)
         if len(pivots) < n:
             raise AssertionError(f"the bases of X and Y span {len(pivots)} of {n} dimensions")
@@ -222,27 +230,83 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
 # -- decomposition -----------------------------------------------------------------
 
 
-def _wong_dims(a: Mat, b: Mat, injective: bool = False) -> tuple[list[int], list[int]] | None:
-    """dim W_0, dim W_1, ... for W_0 = 0, W_(i+1) = {v : a v in b W_i}, until
-    W_i repeats (the W_i increase, so then it stays), and packed rows that
-    cut out the limit W*; with ``injective``, None at the first W_i on which
-    b is not injective.
+def _wong_dims(
+    pk: Packing, front: list[int], rows_b: Sequence[int], injective: bool = False
+) -> tuple[list[int], list[int]] | None:
+    """dim W_0, dim W_1, ... for W_0 = 0, W_(i+1) = {v : A v in B W_i}, until
+    W_i repeats (the W_i increase, so then it stays), and a basis of the
+    limit W* whose vectors carry their A- and B-images (slots n to 3n); with
+    ``injective``, None as soon as B kills a vector of some W_i.
 
-    Rows of C a cut out W_i (C = I for W_1).  As b is symmetric, the images
-    under b of their kernel basis are the rows of W_i^T b, whose kernel is
-    the left kernel C' of b W_i; the images under a of its basis are the rows
-    of C' a, which cut out W_(i+1).  So a step is two eliminations of packed
-    rows, and rank(b W_i) = n - len(C')."""
-    pk, n, rows_a, rows_b = a.spec.packing, a.cols, a.packed, b.packed
-    dims, rows = [0], list(rows_a)
-    while True:
-        image = _kernel_images(pk, rows, n, rows_b)
-        if len(image) == dims[-1]:
-            return dims, rows
-        dims.append(len(image))
-        rows = _kernel_images(pk, image, n, rows_a)
-        if injective and len(image) + len(rows) > n:
-            return None
+    ``front`` holds the rows [R | EB] of ``_front`` for a singular A, R in
+    reduced echelon form of rank r < n.  W_1 = ker A has one basis vector
+    per free column f of R: e_f plus R's column f at the pivots.  G puts row
+    i < r of EB at the i-th pivot column and row r + j at the j-th free
+    column.  The free slots of G w are the rows of EB below the rank, the
+    left kernel of A times B w, so they vanish iff B w is in im A; then
+    R (G w) is the top of E B w (R is the identity on the pivot columns),
+    so E A (G w) = E B w, and as E is invertible A (G w) = B w.  As the
+    slots of G w are those of E B w, G w = 0 iff B w = 0.
+
+    So W_(i+1) = W_i + {G w : w in W_i, free slots of G w zero} for i >= 1,
+    as W_1 = ker A lies in W_i, and the walk keeps one echelon across the
+    steps, staircase fashion (Van Dooren, Linear Algebra Appl. 27 (1979)):
+    that of the G w of every W vector so far, pivoting on free slots first.
+    Reduced against it, the G w of a new vector becomes G w' for some w' in
+    W_i: 0 if B kills w' (w' != 0, as the W vectors are independent), a
+    constraint if a free slot leads, and otherwise a vector of W_(i+1) with
+    A (G w') = B w'; the rows of the echelon with no free slot span the
+    G w' whose free slots vanish.  Each W vector is one int v | Av | Bv | Gv:
+    a new one from G w' takes Av = B w' from the reduction and Bv and Gv
+    from one product, and joins the next layer if it is independent of the
+    echelon of the W vectors.  So the walk costs no elimination beyond the
+    front's, and one row product per vector of W*."""
+    n, w, mask, inv = len(front), pk.w, pk.mask, pk.inv_table
+    shift = n * w
+    low = (1 << shift) - 1
+    pivots = [((a & -a).bit_length() - 1) // w for a in (row & low for row in front) if a]
+    free = sorted(set(range(n)).difference(pivots))
+    g = [0] * n
+    for c, row in zip(pivots + free, front):
+        g[c] = row >> shift
+    products = [pk.multiples(b << 2 * shift | c << 3 * shift, n) for b, c in zip(rows_b, _transpose(g, n, w))]
+    constraint = sum(mask << (f * w) for f in free)
+    kernel = [1 << (f * w) | sum((row >> (f * w) & mask) << (p * w) for p, row in zip(pivots, front)) for f in free]
+    spanned = [(f * w, pk.multiples(v, n)) for f, v in zip(free, kernel)]  # the W echelon, on v
+    images: list[tuple[int, list]] = []  # the echelon of the G v, free slots first
+    layer = [v | _times(pk, v, products, n) for v in kernel]
+    dims, basis = [0], []
+    while layer:
+        dims.append(dims[-1] + len(layer))
+        basis += layer
+        found = []
+        for x in layer:
+            for bit, t in images:
+                if f := x >> bit & mask:
+                    x ^= t[f]
+            if not (u := x >> 3 * shift):
+                if injective:
+                    return None
+                continue
+            lead = u & constraint or u
+            bit = ((lead & -lead).bit_length() - 1) // w * w
+            if (f := u >> bit & mask) != 1:
+                x = pk.mul(inv[f], x)
+            images.append((bit + 3 * shift, pk.multiples(x, n)))
+            if u & constraint:
+                continue
+            y = x >> 3 * shift | (x >> 2 * shift & low) << shift
+            for bit, t in spanned:
+                if f := y >> bit & mask:
+                    y ^= t[f]
+            if v := y & low:
+                bit = ((v & -v).bit_length() - 1) // w * w
+                if (f := v >> bit & mask) != 1:
+                    y, v = pk.mul(inv[f], y), pk.mul(inv[f], v)
+                spanned.append((bit, pk.multiples(y, n)))
+                found.append(y | _times(pk, v, products, n))
+        layer = found
+    return dims, [x & (1 << 3 * shift) - 1 for x in basis]
 
 
 def _grams(pk: Packing, basis: list[int], n: int) -> tuple[list[int], list[int]]:
@@ -261,28 +325,37 @@ def _principal(pk: Packing, g: list[int], p: list[int]) -> list[int]:
     return [t[i] for i in p]
 
 
-def _split(pair: AlternatingPair, injective: bool = False):
-    """The split of a pencil with A singular (``decompose`` has the proof):
-    the Wong dimensions, det B_X with the rows of B_X^-1 A_X, det A_Y with
-    the rows of A_Y^-1 B_Y, and the rows of a basis of X and then one of Y;
-    with ``injective``, None for a singular pencil."""
-    walk = _wong_dims(pair.a, pair.b, injective)
+def _split(pair: AlternatingPair, front: list[int], injective: bool = False):
+    """The split of a pencil with A singular (``decompose`` has the proof),
+    from the rows ``front`` of ``_front``: the Wong dimensions, the rows of
+    B_X and of A_X, det A_Y with the rows of A_Y^-1 B_Y, and the rows
+    of a basis of X and then one of Y; with ``injective``, None for a
+    singular pencil.  The walk hands over a basis of W* with its A- and
+    B-images."""
+    pk, n = pair.spec.packing, pair.dim
+    walk = _wong_dims(pk, front, pair.b.packed, injective)
     if walk is None:
         return None
-    (dims, rows), pk, n = walk, pair.spec.packing, pair.dim
+    dims, top = walk
     shift, low = n * pk.w, (1 << n * pk.w) - 1
     wide = [1 << (j * pk.w) | a << shift | b << 2 * shift for j, (a, b) in enumerate(zip(pair.a.packed, pair.b.packed))]
-    top = _kernel_images(pk, rows, n, wide)
     ga, gb = _grams(pk, top, n)
     px = _rref(pk, list(gb), len(top), reduced=False)[0]
     part = _kernel_images(pk, [v >> 2 * shift for v in top], n, wide)
     ya, yb = _grams(pk, part, n)
     py = _rref(pk, list(ya), len(part), reduced=False)[0]
-    x = _front(pk, _principal(pk, gb, px), _principal(pk, ga, px))
-    y = _front(pk, _principal(pk, ya, py), _principal(pk, yb, py))
-    if x[0] < len(px) or y[0] < len(py):
+    x = _principal(pk, gb, px), _principal(pk, ga, px)
+    y = _block_front(pk, _principal(pk, ya, py), _principal(pk, yb, py))
+    return dims, x, y, [top[i] & low for i in px] + [part[i] & low for i in py]
+
+
+def _block_front(pk: Packing, rows_a: list[int], rows_b: list[int]) -> tuple[int, list[int]]:
+    """det A and the rows of A^-1 B for a principal block A on the pivots of
+    a Gram matrix, which is nonsingular (``decompose`` has the proof)."""
+    rank, det, m = _front(pk, rows_a, rows_b)
+    if rank < len(rows_a):
         raise AssertionError("a principal block on the pivots of a Gram matrix is singular")
-    return dims, x[1:], y[1:], [top[i] & low for i in px] + [part[i] & low for i in py]
+    return det, m
 
 
 def _chains(dims: list[int], known: Mapping[int, int]) -> dict[int, int]:
@@ -304,7 +377,11 @@ def _divisor_blocks(pk: Packing, m: list[int], f: Poly, point: BinaryForm, top: 
     dims = _nullities(pk, m, len(m), f, top)
     if dims[-1] != top or any(k % f.degree for k in dims):
         raise AssertionError(f"kernels of powers of {format_form(point)} reach {dims}, not {top}")
-    chains = _chains([0] + [k // f.degree for k in dims], {})
+    return _paired(point, _chains([0] + [k // f.degree for k in dims], {}))
+
+
+def _paired(point: BinaryForm, chains: Mapping[int, int]) -> dict:
+    """One block (point, e) per two chains of length e (divisors f^e)."""
     for e, c in chains.items():
         if c % 2:
             raise AssertionError(f"elementary divisor ({format_form(point)}, {e}) has odd multiplicity {c}")
@@ -326,7 +403,7 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
     each minimal index i is one entry (eps, i + 1), and each pair of equal
     elementary divisors (g, e) is one entry (g, e).
 
-    One forward elimination of [A | B] gives rank A.  If A is invertible,
+    One elimination of [A | B] (``_front``) gives rank A.  If A is invertible,
     t*A + B = A (t*I + M) with M = A^-1 B is strictly equivalent to t*I + M
     (multiply by A^-1 on the left): the pencil is regular, x2 carries
     nothing, and the divisors are the elementary divisors f^e of M.  M is
@@ -363,7 +440,9 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
     and Y.  N = B_X^-1 A_X is nilpotent, and the kernels of its powers give
     the x2 divisors as those of f(M) do for (A_Y, B_Y), which takes the route
     above.  Less two chains of length e per entry (x2, e), the Wong
-    dimensions count the chains of length eps + 1 of the odd blocks.
+    dimensions count the chains of length eps + 1 of the odd blocks.  When
+    the pivots take all of W*, U = 0: there is no odd block, the Wong
+    dimensions count the x2 chains alone, and no kernel of N is taken.
     """
     require_valid(pair)
     n, spec = pair.dim, pair.spec
@@ -372,8 +451,12 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
     if rank_a == n:
         blocks = _krylov_blocks(spec, m)
     else:
-        dims, (_, nil), (_, m), _ = _split(pair)
-        x2 = _divisor_blocks(pk, nil, Poly.t(spec), BinaryForm.x2(spec), len(nil))
+        dims, x, (_, m), _ = _split(pair, m)
+        if len(x[0]) == dims[-1]:  # U = 0: the walk's chains are the x2 chains
+            x2 = _paired(BinaryForm.x2(spec), _chains(dims, {}))
+        else:
+            nil = _block_front(pk, *x)[1]
+            x2 = _divisor_blocks(pk, nil, Poly.t(spec), BinaryForm.x2(spec), len(nil))
         eps = _chains(dims, {e: 2 * c for (_, e), c in x2.items()})
         blocks = {**_krylov_blocks(spec, m), **x2, **{(EPS, s): c for s, c in eps.items()}}
     rho = ClassFunction.from_dict(spec, blocks)

@@ -16,7 +16,7 @@ from altpairs.chernikov import GroupPresentation, PresentationError, WitnessErro
 from altpairs.cli import ParseError
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_mul
 from altpairs.linalg import Mat, _charpoly, _kernel_images, _nullities, congruence, smith_form
-from altpairs.pencil import ClassFunction, _chains, _wong_dims, assemble, decompose, require_valid
+from altpairs.pencil import ClassFunction, _chains, assemble, decompose, require_valid
 from altpairs.polyring import (
     EPS,
     BinaryForm,
@@ -731,6 +731,28 @@ def kronecker_reference(pair: AlternatingPair) -> KroneckerInvariants:
     return KroneckerInvariants(minimal, tuple(ordered))
 
 
+def wong_dims_reference(a: Mat, b: Mat, injective: bool = False) -> tuple[list[int], list[int]] | None:
+    """dim W_0, dim W_1, ... for W_0 = 0, W_(i+1) = {v : a v in b W_i} by two
+    eliminations per step, independent of ``pencil._wong_dims``: until W_i
+    repeats, with packed rows that cut out the limit W*; with ``injective``,
+    None at the first W_i on which b is not injective.
+
+    Rows of C a cut out W_i (C = I for W_1).  As b is symmetric, the images
+    under b of their kernel basis are the rows of W_i^T b, whose kernel is
+    the left kernel C' of b W_i; the images under a of its basis are the rows
+    of C' a, which cut out W_(i+1).  So rank(b W_i) = n - len(C')."""
+    pk, n, rows_a, rows_b = a.spec.packing, a.cols, a.packed, b.packed
+    dims, rows = [0], list(rows_a)
+    while True:
+        image = _kernel_images(pk, rows, n, rows_b)
+        if len(image) == dims[-1]:
+            return dims, rows
+        dims.append(len(image))
+        rows = _kernel_images(pk, image, n, rows_a)
+        if injective and len(image) + len(rows) > n:
+            return None
+
+
 def smith_blocks_reference(pair: AlternatingPair) -> ClassFunction:
     """The class function by the route that ``decompose`` took for A
     singular before the Wong split: one Smith pass of t*A + B, whose
@@ -758,7 +780,7 @@ def smith_blocks_reference(pair: AlternatingPair) -> ClassFunction:
             blocks[key] = blocks.get(key, 0) + 1
 
     def walk(a: Mat, b: Mat, stop: int | None = None) -> list[int]:
-        dims = _wong_dims(a, b)[0]
+        dims = wong_dims_reference(a, b)[0]
         return dims[: dims.index(stop) + 1] if stop in dims else dims
 
     eps: dict[int, int] = {}  # eps + 1 -> number of odd blocks

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import altpairs
-from altpairs.blocks import build_finite, build_infinity, direct_sum
+from altpairs.blocks import build_finite, build_infinity, build_plus, direct_sum
 from altpairs.cli import (
     ParseError,
     format_pair_document,
@@ -568,17 +568,19 @@ def test_internal_error_exit3_names_the_file(capsys, monkeypatch, tmp_path):
 
 
 def test_dropped_invariant_factor_exit3(capsys, monkeypatch, tmp_path):
-    # the x2 divisors of the Wong split come from the kernels of the powers
-    # of the nilpotent B_X^-1 A_X; kernels that lose their last dimension
-    # stop short of dim X, which fails an invariant instead of printing a
-    # wrong class; A is singular on both documents, so the finite block
-    # comes with an x2 block
+    # beside an eps block (U != 0) the x2 divisors of the Wong split come
+    # from the kernels of the powers of the nilpotent B_X^-1 A_X; kernels
+    # that lose their last dimension stop short of dim X, which fails an
+    # invariant instead of printing a wrong class; both documents have an x2
+    # block and an eps block, one of them a finite block too (a regular
+    # pencil, U = 0, reads its x2 divisors off the walk and never gets here)
     from altpairs import pencil
 
     nullities = pencil._nullities
     monkeypatch.setattr(pencil, "_nullities", lambda *args: (d := nullities(*args))[:-1] + [d[-1] - 1])
-    fin = direct_sum([build_finite(tp("t^2+t+1"), 1), build_infinity(1)])
-    docs = {"fin.pair": format_pair_document(fin), "inf.pair": INF1_DOC}
+    fin = direct_sum([build_finite(tp("t^2+t+1"), 1), build_infinity(1), build_plus(1)])
+    inf = direct_sum([build_infinity(1), build_plus(1)])
+    docs = {"fin.pair": format_pair_document(fin), "inf.pair": format_pair_document(inf)}
     for name, text in docs.items():
         (tmp_path / name).write_text(text)
     for argv, where in [(["canonical", str(tmp_path / name)], tmp_path / name) for name in docs] + [

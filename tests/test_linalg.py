@@ -8,7 +8,7 @@ import pytest
 from altpairs.blocks import build_finite, direct_sum
 from altpairs.cli import format_pair_document, parse_pair_document
 from altpairs.field import FieldError
-from altpairs.linalg import LinAlgError, Mat, _charpoly, _nullities, _smith_diagonal, congruence, smith_form
+from altpairs.linalg import LinAlgError, Mat, _charpoly, _nullities, _rref, _smith_diagonal, congruence, smith_form
 from altpairs.pencil import assemble
 from altpairs.polyring import (
     Poly,
@@ -348,6 +348,30 @@ def test_rank_and_nullspace_match_reference(spec):
         assert nullspace(m) == expected
         if nr == nc:
             assert (m.det() != 0) == (rank == nr)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF16, GF512], ids=str)
+def test_rref_back_substitution_at_any_rank(spec):
+    # reduced=None (a pass down, then back substitution over the pivots
+    # found) leaves the rows and pivots of reduced=True on rows [M | N]
+    # pivoted on M's columns, at rank below n and at full rank, where its
+    # product of pivot values is det M
+    rng = random.Random(0x4EF + spec.k)
+    pk = spec.packing
+    deficient = 0
+    for _ in range(24):
+        n = rng.randrange(1, 13)
+        m = (random_matrix if rng.randrange(2) else _rank_deficient)(spec, rng, n, n)
+        tail = random_matrix(spec, rng, n, n)
+        rows = [a | b << (n * pk.w) for a, b in zip(m.packed, tail.packed)]
+        lazy, full = list(rows), list(rows)
+        pivots, det = _rref(pk, lazy, n, reduced=None)
+        assert (pivots, lazy) == (_rref(pk, full, n)[0], full)
+        assert det == _rref(pk, list(rows), n, reduced=False)[1]
+        if len(pivots) == n:
+            assert det == m.det() != 0
+        deficient += len(pivots) < n
+    assert deficient >= 8
 
 
 # -- characteristic polynomial by Krylov sequences ------------------------------------

@@ -54,6 +54,7 @@ from conftest import (
     smith_reference,
     submatrix,
     transform_congruence,
+    wong_dims_reference,
 )
 
 
@@ -561,6 +562,14 @@ def _wong_shapes(spec, rng):
     ]
 
 
+def _walk(pair, injective=False):
+    """``pencil._wong_dims`` on the front of a pair with A singular."""
+    pk = pair.spec.packing
+    rank_a, _, front = pencil._front(pk, pair.a.packed, pair.b.packed)
+    assert rank_a < pair.dim
+    return pencil._wong_dims(pk, front, pair.b.packed, injective)
+
+
 def _wong_singularity_mismatches(spec, seed):
     """The shapes of ``_wong_shapes``, scrambled, on which the Wong decision
     of ``pfaffian_form`` (``_wong_dims`` returns None) differs from a Smith
@@ -569,7 +578,7 @@ def _wong_singularity_mismatches(spec, seed):
     wrong = []
     for blocks in _wong_shapes(spec, rng):
         pair = scrambled(spec, rng, blocks)
-        singular = pencil._wong_dims(pair.a, pair.b, injective=True) is None
+        singular = _walk(pair, injective=True) is None
         if singular != (len(smith_reference(pair.a, pair.b)) < pair.dim):
             wrong.append(blocks)
     return wrong
@@ -578,40 +587,50 @@ def _wong_singularity_mismatches(spec, seed):
 @pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
 def test_wong_singularity_matches_smith_rank(spec, monkeypatch):
     # the decision against the Smith rank of the reference and the minimal
-    # indices of the Kronecker reference; a singular pencil stops at step
-    # min eps + 1, a regular one runs to the limit, the longest x2 chain, and
-    # one more image (two eliminations per step); pfaffian_form calls no
-    # Smith, and on a regular pencil the split adds two kernels to the walk,
-    # a basis of W* from the walk's last rows and one of W*^perp_B
+    # indices of the Kronecker reference; a regular pencil's walk runs to
+    # the limit, the longest x2 chain.  The walk eliminates nothing: on a
+    # singular pencil pfaffian_form runs one _rref, the front's, and on a
+    # regular one the split adds the kernel of W*'s B-images, the pivots of
+    # two Gram matrices, two sub-fronts and det S
     seed = 0x3B9 + spec.k
     assert _wong_singularity_mismatches(spec, seed) == []
-    steps = []
-    kernel_images = pencil._kernel_images
-    monkeypatch.setattr(pencil, "_kernel_images", lambda *args: steps.append(1) or kernel_images(*args))
+    kernels, rrefs = [], []
+    kernel_images, rref = pencil._kernel_images, pencil._rref
+    monkeypatch.setattr(pencil, "_kernel_images", lambda *args: kernels.append(1) or kernel_images(*args))
+    monkeypatch.setattr(pencil, "_rref", lambda *a, **kw: rrefs.append(1) or rref(*a, **kw))
     calls = _route_log(monkeypatch)
     rng = random.Random(seed)
     x2 = BinaryForm.x2(spec)
     for blocks in _wong_shapes(spec, rng):
         pair = scrambled(spec, rng, blocks)
         eps = [n for (p, n) in blocks if p is EPS]
-        steps.clear()
-        singular = pencil._wong_dims(pair.a, pair.b, injective=True) is None
+        pk = pair.spec.packing
+        front = pencil._front(pk, pair.a.packed, pair.b.packed)[2]
+        kernels.clear()
+        rrefs.clear()
+        walk = pencil._wong_dims(pk, front, pair.b.packed, injective=True)
+        singular = walk is None
         assert singular == bool(eps) == bool(kronecker_reference(pair).minimal_indices)
-        chain = max((n for (p, n) in blocks if p == x2), default=0)
-        walk = 2 * min(eps) if eps else 2 * chain + 1
-        assert len(steps) == walk
+        assert not kernels and not rrefs
+        if not singular:
+            assert len(walk[0]) - 1 == max(n for (p, n) in blocks if p == x2)
         if pair.dim % 2 == 0:
-            steps.clear()
+            kernels.clear()
+            rrefs.clear()
             calls.clear()
             assert checked_pfaffian(pair).is_zero() == singular
-            assert "smith" not in calls and len(steps) == walk + 2 * (not singular)
+            assert "smith" not in calls
+            assert (len(rrefs), len(kernels)) == ((1, 0) if singular else (6, 1))
 
 
-# _wong_dims with ">=" for ">" (regular pencils found singular), and without
-# the check at the first step (eps = 0 beside no x2 chain found regular)
+# _wong_dims without the exit at the first W_i (eps = 0 beside no x2 chain
+# found regular), without the free-slot test (constraints taken as new W
+# vectors), and with the leading slot of G w taken as its first nonzero slot,
+# not its first free one
 WONG_MUTANTS = {
-    "ge": ("len(image) + len(rows) > n", "len(image) + len(rows) >= n"),
-    "from-step-2": ("if injective and", "if injective and len(dims) > 2 and"),
+    "from-step-2": ("if injective:", "if injective and len(dims) > 2:"),
+    "free-slot": ("if u & constraint:", "if False:"),
+    "lead-slot": ("lead = u & constraint or u", "lead = u"),
 }
 
 
@@ -620,6 +639,58 @@ WONG_MUTANTS = {
 def test_wong_singularity_mutants_disagree(spec, name, monkeypatch):
     monkeypatch.setattr(pencil, "_wong_dims", mutant(pencil._wong_dims, *WONG_MUTANTS[name]))
     assert _wong_singularity_mismatches(spec, 0x3B9 + spec.k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 9], ids=lambda k: f"k{k}")
+def test_wong_walk_matches_reference(k):
+    # the staircase walk against the two-elimination walk of the reference
+    # on the scrambled shapes and on random pairs with A singular: the same
+    # dimensions, the same W* (the two bases stacked have rank dim W*) and
+    # the same decision with injective; every A- and B-image the walk
+    # carries is the Mat product
+    spec = FieldSpec.gf(k)
+    pk, rng = spec.packing, random.Random(0x3A1 + k)
+    pairs = [scrambled(spec, rng, blocks) for blocks in _wong_shapes(spec, rng)]
+    pairs += [_rank_deficient_pair(spec, rng, n) for n in range(1, 15)]
+    pairs += [p for p in (random_alternating_pair(spec, rng, n) for n in range(1, 15)) if p.a.rank() < p.dim]
+    for pair in pairs:
+        n = pair.dim
+        dims, basis = _walk(pair)
+        ref_dims, ref_rows = wong_dims_reference(pair.a, pair.b)
+        assert dims == ref_dims
+        low = (1 << n * pk.w) - 1
+        vectors = [v & low for v in basis]
+        ref_basis = _kernel_images(pk, list(ref_rows), n, [1 << (j * pk.w) for j in range(n)])
+        assert len(basis) == len(ref_basis) == dims[-1]
+        assert Mat(tuple(vectors + ref_basis), n, spec).rank() == dims[-1]
+        for v, x in zip(vectors, basis):
+            row = Mat((v,), n, spec)
+            assert (row @ pair.a).packed[0] == x >> n * pk.w & low
+            assert (row @ pair.b).packed[0] == x >> 2 * n * pk.w
+        assert (_walk(pair, injective=True) is None) == (wong_dims_reference(pair.a, pair.b, injective=True) is None)
+    assert len(pairs) >= 16 + 14 + 7  # every odd dimension has A singular
+
+
+@pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
+def test_regular_split_reads_x2_chains_off_the_walk(spec, monkeypatch):
+    # U = 0 (no eps block): the walk's chains are the x2 chains, so the
+    # kernels of powers of B_X^-1 A_X are skipped and _nullities runs only
+    # for the repeated finite divisors of Y
+    rng = random.Random(0x7B2 + spec.k)
+    calls = _route_log(monkeypatch)
+    x2 = BinaryForm.x2(spec)
+    regular = [blocks for blocks in _wong_shapes(spec, rng) if not any(p is EPS for p, _ in blocks)]
+    for blocks in regular:
+        pair = scrambled(spec, rng, blocks)
+        calls.clear()
+        rho = decompose(pair)
+        assert rho == ClassFunction.from_dict(spec, blocks) == smith_blocks_reference(pair)
+        exponents = {}
+        for (point, e), m in blocks.items():
+            if point != x2:
+                exponents[point] = exponents.get(point, 0) + e * m
+        assert calls.count("_nullities") == sum(e >= 2 for e in exponents.values())
+    assert len(regular) >= 6
 
 
 # -- the Wong split of decompose and pfaffian_form (A singular) -------------------------
@@ -658,8 +729,9 @@ def test_split_congruence(spec):
     pk = spec.packing
     for blocks in _wong_shapes(spec, rng):
         pair = scrambled(spec, rng, blocks)
-        _, (_, nil), _, rows = pencil._split(pair)
-        x, y = rows[: len(nil)], rows[len(nil) :]
+        front = pencil._front(pk, pair.a.packed, pair.b.packed)[2]
+        _, (bx, _), _, rows = pencil._split(pair, front)
+        x, y = rows[: len(bx)], rows[len(bx) :]
         cut_out = [r for vs, m in ((y, pair.a), (x, pair.b)) for r in (Mat(tuple(vs), pair.dim, spec) @ m).packed]
         e = _kernel_images(pk, cut_out, pair.dim, [1 << (j * pk.w) for j in range(pair.dim)])
         s = Mat(tuple(e + x + y), pair.dim, spec)
