@@ -7,6 +7,18 @@ and division are the kernel's, the same that ``linalg`` runs Smith and
 elimination on.  A ``BinaryForm`` is a ``Poly``, its dehomogenization, with
 its total degree, which records the power of x2 dividing it; its arithmetic
 and the GL(2) action run on the same packed ints.
+
+``factor`` and ``is_irreducible`` build ``Poly`` objects only for their
+argument and result.  In between, gcd, division, the derivative and the
+Frobenius square root are helpers on packed ints that call only the
+kernel's ``mul``, ``divmod`` and ``multiples``, and every power is a chain
+of squarings modulo one modulus, whose reductions all read one table of
+its multiples (``_squaring``).  A residue modulo a multiple of p reduces to
+the residue modulo p, so the modulus stays put while the divisors shrink:
+the distinct-degree split keeps t^(q^d) modulo the squarefree part f, and
+takes gcd(t^(q^d) - t, r) for what is left r of f; the equal-degree split
+takes one trace per draw modulo the product of its pending pieces, and
+refines each piece p by gcd(trace, p).
 """
 
 from __future__ import annotations
@@ -14,10 +26,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Sequence
 
-from .field import FieldError, FieldSpec
+from .field import FieldError, FieldSpec, Packing
 
 
 class PolyError(ValueError):
@@ -110,11 +122,8 @@ class Poly:
         b = self._check(other).bits
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        pk, spec = self.spec.packing, self.spec
-        # the division reads one multiple of b per coefficient of the quotient
-        uses = (self.bits.bit_length() - b.bit_length()) // pk.w + 1
-        q, r = pk.divmod(self.bits, b, pk.multiples(b, uses))
-        return Poly(q, spec), Poly(r, spec)
+        q, r = _divmod(self.spec.packing, self.bits, b)
+        return Poly(q, self.spec), Poly(r, self.spec)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -123,9 +132,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if not self.bits:
-            return self
-        return self.scale(self.spec.inv(self.leading))
+        return Poly(_monic(self.spec.packing, self.bits), self.spec)
 
     # -- ordering and display --------------------------------------------------
 
@@ -137,172 +144,162 @@ class Poly:
     def __str__(self) -> str:
         return format_poly(self)
 
-    # mod-power helper used by factoring
-    def powmod(self, n: int, modulus: "Poly") -> "Poly":
-        """self^n mod modulus, every reduction reading one table of the
-        multiples of the modulus."""
-        base = (self % modulus).bits
-        pk, m = self.spec.packing, modulus.bits
-        t = pk.multiples(m, 2 * n.bit_length() * modulus.degree)
-        r = 1
-        while n:
-            if n & 1:
-                r = pk.divmod(pk.mul(r, base), m, t)[1]
-            base = pk.divmod(pk.mul(base, base), m, t)[1]
-            n >>= 1
-        return Poly(r, self.spec)
+
+def _divmod(pk: Packing, a: int, b: int) -> tuple[int, int]:
+    """(a // b, a % b) of packed polynomials, b != 0; the division reads one
+    multiple of b per coefficient of the quotient."""
+    return pk.divmod(a, b, pk.multiples(b, (a.bit_length() - b.bit_length()) // pk.w + 1))
+
+
+def _monic(pk: Packing, a: int) -> int:
+    return pk.mul(pk.inv_table[a >> (a.bit_length() - 1) // pk.w * pk.w], a) if a else 0
+
+
+def _gcd(pk: Packing, a: int, b: int) -> int:
+    """Monic gcd of packed polynomials: Euclid on a monic divisor, one product
+    per quotient coefficient (about two per divisor, too few for a table)."""
+    w, inv = pk.w, pk.inv_table
+    while b:
+        top = (b.bit_length() - 1) // w * w
+        b = pk.mul(inv[b >> top], b)
+        while (n := a.bit_length()) > top:
+            s = (n - 1) // w * w
+            a ^= pk.mul(a >> s, b) << s - top
+        a, b = b, a
+    return _monic(pk, a)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd."""
-    a._check(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return Poly(_gcd(a.spec.packing, a.bits, a._check(b).bits), a.spec)
 
 
-def derivative(f: Poly) -> Poly:
+def _derivative(pk: Packing, f: int) -> int:
     """Formal derivative; even-exponent terms vanish in characteristic 2."""
-    return Poly.make(f.spec, [c if i % 2 else 0 for i, c in enumerate(f.coeffs)][1:])
+    coeffs = pk.unpack(f, f.bit_length() // pk.w + 1)
+    return pk.pack([c if i % 2 else 0 for i, c in enumerate(coeffs)][1:])
+
+
+def _sqrt(spec: FieldSpec, f: int) -> int:
+    """Square root of a perfect square (Frobenius inverse per coefficient);
+    every caller has one by construction, so an odd term fails an invariant."""
+    coeffs = spec.packing.unpack(f, f.bit_length() // spec.packing.w + 1)
+    if any(coeffs[1::2]):
+        raise AssertionError("polynomial is not a square")
+    return spec.packing.pack([spec.sqrt(c) for c in coeffs[::2]])
 
 
 def poly_sqrt(f: Poly) -> Poly:
-    """Square root of a perfect square (Frobenius inverse per coefficient);
-    every caller has one by construction, so an odd term fails an invariant."""
-    coeffs, spec = f.coeffs, f.spec
-    if any(coeffs[1::2]):
-        raise AssertionError("polynomial is not a square")
-    return Poly.make(spec, [spec.sqrt(c) for c in coeffs[::2]])
+    return Poly(_sqrt(f.spec, f.bits), f.spec)
 
 
 # -- irreducibility and factorization -----------------------------------------
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _squaring(pk: Packing, f: int, squarings: int):
+    """a -> a^2 mod f, for a caller that squares about ``squarings`` times:
+    every reduction reads one table of the multiples of f."""
+    t = pk.multiples(f, squarings * ((f.bit_length() - 1) // pk.w))
+    return lambda a: pk.divmod(pk.mul(a, a), f, t)[1]
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test over GF(q), q = 2^k."""
-    d = f.degree
+    """Rabin's test over GF(q), q = 2^k: monic f of degree d >= 1 is
+    irreducible iff t^(q^d) = t mod f and gcd(t^(q^(d/p)) - t, f) = 1 for
+    every prime p dividing d."""
+    d, pk = f.degree, f.spec.packing
     if d < 1:
         return False
-    f = f.monic()
-    q = f.spec.order
-    t = Poly.t(f.spec)
-    if t.powmod(q**d, f) != t % f:
-        return False
-    for p in _prime_divisors(d):
-        h = t.powmod(q ** (d // p), f) + (t % f)
-        if poly_gcd(f, h).degree != 0:
-            return False
-    return True
+    m = _monic(pk, f.bits)
+    square, t = _squaring(pk, m, pk.k * d), _divmod(pk, 1 << pk.w, m)[1]
+    powers = [h := t] + [h := square(h) for _ in range(d * pk.k)]  # t^(2^j) mod f at j
+    primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % r for r in range(2, p))]
+    return h == t and all(_gcd(pk, m, powers[d // p * pk.k] ^ t) == 1 for p in primes)
 
 
-def _squarefree_decomposition(f: Poly) -> dict[Poly, int]:
-    """Monic f as a product of pairwise-coprime squarefree parts to powers.
-
-    Characteristic-2 aware: when the derivative vanishes, f is a perfect
-    square and the multiplicities double through the coefficient Frobenius
-    inverse.
-    """
-    out: dict[Poly, int] = {}
-    if f.degree < 1:
-        return out
-    df = derivative(f)
-    if df.is_zero():
-        for g, m in _squarefree_decomposition(poly_sqrt(f)).items():
-            out[g] = out.get(g, 0) + 2 * m
-        return out
-    c = poly_gcd(f, df)
-    w = f // c
-    i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        z = w // y
-        if z.degree > 0:
-            out[z] = out.get(z, 0) + i
-        c = c // y
-        w = y
-        i += 1
-    if c.degree > 0:
-        for g, m in _squarefree_decomposition(poly_sqrt(c)).items():
+def _squarefree_decomposition(spec: FieldSpec, f: int) -> dict[int, int]:
+    """Monic f as pairwise-coprime squarefree parts to powers.  The factors
+    of even multiplicity stay in c, a square (all of f when its derivative
+    vanishes), and their multiplicities double through its square root."""
+    pk, w = spec.packing, spec.packing.w
+    out: dict[int, int] = {}
+    c = _gcd(pk, f, _derivative(pk, f))
+    v, i = _divmod(pk, f, c)[0], 1
+    while v >> w:
+        y = _gcd(pk, v, c)
+        if (z := _divmod(pk, v, y)[0]) >> w:
+            out[z] = i
+        c, v, i = _divmod(pk, c, y)[0], y, i + 1
+    if c >> w:
+        for g, m in _squarefree_decomposition(spec, _sqrt(spec, c)).items():
             out[g] = out.get(g, 0) + 2 * m
     return out
 
 
-def _distinct_degree_split(f: Poly) -> list[tuple[Poly, int]]:
-    """Squarefree monic f -> [(product of its degree-d factors, d)]."""
-    spec = f.spec
-    q = spec.order
-    out = []
-    t = Poly.t(spec)
-    h = t % f
-    d = 0
-    while f.degree >= 2 * (d + 1):
+def _distinct_degree_split(pk: Packing, f: int) -> list[tuple[int, int]]:
+    """Squarefree monic f -> [(product of its degree-d factors, d)], from
+    h = t^(q^d) mod f and gcd(h - t, rest of f)."""
+    w, out, d, rest = pk.w, [], 0, f
+    square = _squaring(pk, f, pk.k * ((f.bit_length() - 1) // w) // 2)
+    t = h = 1 << w
+    while (rest.bit_length() - 1) // w >= 2 * (d + 1):
         d += 1
-        h = h.powmod(q, f)
-        g = poly_gcd(h + t, f)
-        if g.degree > 0:
+        for _ in range(pk.k):
+            h = square(h)
+        if (g := _gcd(pk, h ^ t, rest)) >> w:
             out.append((g, d))
-            f = f // g
-            h = h % f
-    if f.degree > 0:
-        out.append((f, f.degree))
+            rest = _divmod(pk, rest, g)[0]
+    if rest >> w:
+        out.append((rest, (rest.bit_length() - 1) // w))
     return out
 
 
-def _equal_degree_split(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Split a squarefree product of degree-d irreducibles (char-2 trace maps)."""
-    if f.degree == d:
-        return [f]
-    spec = f.spec
-    n = f.degree
+def _equal_degree_split(pk: Packing, f: int, d: int, rng: random.Random) -> list[int]:
+    """The degree-d irreducible factors of a squarefree product f of them:
+    the trace r + r^2 + ... + r^(2^(kd - 1)) of a random r is 0 or 1 modulo
+    each factor, so its gcd with a piece splits the piece unless it is 0 or
+    1 on all of its factors."""
+    w, top = pk.w, (d + 1) * pk.w  # a piece of degree d has at most top bits
+    done, pending = [], [f]
     while True:
-        r = Poly.make(spec, [rng.randrange(spec.order) for _ in range(n)])
-        if r.degree < 1:
-            continue
-        # trace to GF(2): r + r^2 + r^4 + ... over kd squarings
-        acc = r % f
-        term = r % f
-        for _ in range(spec.k * d - 1):
-            term = (term * term) % f
-            acc = acc + term
-        g = poly_gcd(acc, f)
-        if 0 < g.degree < n:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
-        g = poly_gcd(acc + Poly.one(spec), f)
-        if 0 < g.degree < n:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
+        done += [p for p in pending if p.bit_length() <= top]
+        if not (pending := [p for p in pending if p.bit_length() > top]):
+            return done
+        # the product of the pending pieces is the modulus until one is done
+        f = reduce(pk.mul, pending)
+        n, square = (f.bit_length() - 1) // w, _squaring(pk, f, pk.k * d - 1)
+        while all(p.bit_length() > top for p in pending):
+            acc = term = pk.pack([rng.randrange(1 << pk.k) for _ in range(n)])
+            for _ in range(pk.k * d - 1):
+                term = square(term)
+                acc ^= term
+            pieces = []
+            for p in pending:
+                g = _gcd(pk, acc, p)
+                pieces += [g, _divmod(pk, p, g)[0]] if g >> w and g != p else [p]
+            pending = pieces
 
 
 def factor(g: Poly) -> list[tuple[Poly, int]]:
-    """Factor into monic irreducibles with multiplicities.
+    """Factor into monic irreducibles with multiplicities (Cantor and
+    Zassenhaus, Math. Comp. 36 (1981)): the squarefree, distinct-degree and
+    equal-degree splits, on packed ints.
 
     Deterministic output order: by degree, then coefficient order from the
     leading term down.  The product of the factors times the leading
-    coefficient of g reproduces g.  The equal-degree splitting draws from its
+    coefficient of g reproduces g.  The equal-degree split draws from its
     own fixed-seed generator; the factors do not depend on the draws.
     """
     if g.is_zero():
         raise PolyError("cannot factor the zero polynomial")
-    rng = random.Random(0x5EED)
-    out: dict[Poly, int] = {}
-    for part, mult in _squarefree_decomposition(g.monic()).items():
-        for block, d in _distinct_degree_split(part):
-            for irr in _equal_degree_split(block, d, rng):
-                out[irr] = out.get(irr, 0) + mult
-    return sorted(out.items(), key=lambda it: it[0].sort_key())
+    spec, pk, rng = g.spec, g.spec.packing, random.Random(0x5EED)
+    out: dict[int, int] = {}
+    for part, mult in _squarefree_decomposition(spec, _monic(pk, g.bits)).items():
+        for block, d in _distinct_degree_split(pk, part):
+            for irr in _equal_degree_split(pk, block, d, rng):
+                out[irr] = mult
+    # packed ints of reduced coefficients order like ``Poly.sort_key``
+    return [(Poly(f, spec), m) for f, m in sorted(out.items())]
 
 
 def monic_irreducibles(spec: FieldSpec, degree: int) -> Iterator[Poly]:

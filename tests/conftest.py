@@ -800,6 +800,112 @@ def smith_blocks_reference(pair: AlternatingPair) -> ClassFunction:
     return ClassFunction.from_dict(spec, blocks)
 
 
+# -- reference factorization, one Poly operation at a time --------------------------
+
+
+def _gcd_reference(a: Poly, b: Poly) -> Poly:
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
+def _powmod_reference(a: Poly, n: int, m: Poly) -> Poly:
+    r, a = Poly.one(a.spec), a % m
+    while n:
+        if n & 1:
+            r = (r * a) % m
+        a = (a * a) % m
+        n >>= 1
+    return r
+
+
+def _sqrt_reference(f: Poly) -> Poly:
+    coeffs = f.coeffs
+    assert not any(coeffs[1::2]), f"{f} is not a square"
+    return Poly.make(f.spec, [f.spec.sqrt(c) for c in coeffs[::2]])
+
+
+def _squarefree_decomposition_reference(f: Poly) -> dict[Poly, int]:
+    """Monic f as pairwise-coprime squarefree parts to powers; a vanishing
+    derivative makes f a square, whose multiplicities double."""
+    out: dict[Poly, int] = {}
+    if f.degree < 1:
+        return out
+    df = Poly.make(f.spec, [c if i % 2 else 0 for i, c in enumerate(f.coeffs)][1:])
+    if df.is_zero():
+        for g, m in _squarefree_decomposition_reference(_sqrt_reference(f)).items():
+            out[g] = out.get(g, 0) + 2 * m
+        return out
+    c = _gcd_reference(f, df)
+    w = f // c
+    i = 1
+    while w.degree > 0:
+        y = _gcd_reference(w, c)
+        z = w // y
+        if z.degree > 0:
+            out[z] = out.get(z, 0) + i
+        c = c // y
+        w = y
+        i += 1
+    if c.degree > 0:
+        for g, m in _squarefree_decomposition_reference(_sqrt_reference(c)).items():
+            out[g] = out.get(g, 0) + 2 * m
+    return out
+
+
+def _distinct_degree_split_reference(f: Poly) -> list[tuple[Poly, int]]:
+    """Squarefree monic f -> [(product of its degree-d factors, d)], with
+    t^(q^d) reduced modulo what is left of f."""
+    q, t = f.spec.order, Poly.t(f.spec)
+    out = []
+    h = t % f
+    d = 0
+    while f.degree >= 2 * (d + 1):
+        d += 1
+        h = _powmod_reference(h, q, f)
+        g = _gcd_reference(h + t, f)
+        if g.degree > 0:
+            out.append((g, d))
+            f = f // g
+            h = h % f
+    if f.degree > 0:
+        out.append((f, f.degree))
+    return out
+
+
+def _equal_degree_split_reference(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+    """Split a squarefree product of degree-d irreducibles by the trace to
+    GF(2) of random draws, recursing on each proper factor found."""
+    if f.degree == d:
+        return [f]
+    spec, n = f.spec, f.degree
+    while True:
+        r = Poly.make(spec, [rng.randrange(spec.order) for _ in range(n)])
+        if r.degree < 1:
+            continue
+        acc = term = r % f
+        for _ in range(spec.k * d - 1):
+            term = (term * term) % f
+            acc = acc + term
+        for cand in (acc, acc + Poly.one(spec)):
+            g = _gcd_reference(cand, f)
+            if 0 < g.degree < n:
+                return _equal_degree_split_reference(g, d, rng) + _equal_degree_split_reference(f // g, d, rng)
+
+
+def factor_reference(g: Poly) -> list[tuple[Poly, int]]:
+    """Monic irreducible factors with multiplicities, sorted by ``sort_key``:
+    the squarefree, distinct-degree and equal-degree splits on ``Poly``
+    objects, each reduction dividing by the ``Poly`` operators."""
+    rng = random.Random(0x5EED)
+    out: dict[Poly, int] = {}
+    for part, mult in _squarefree_decomposition_reference(g.monic()).items():
+        for block, d in _distinct_degree_split_reference(part):
+            for irr in _equal_degree_split_reference(block, d, rng):
+                out[irr] = out.get(irr, 0) + mult
+    return sorted(out.items(), key=lambda it: it[0].sort_key())
+
+
 # -- test-only views of library objects --------------------------------------------
 
 

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 
 import pytest
 
@@ -13,9 +14,11 @@ from altpairs.polyring import (
     BinaryForm,
     Poly,
     PolyError,
+    _derivative,
+    _divmod,
     _equal_degree_split,
+    _squaring,
     dehomogenize,
-    derivative,
     factor,
     format_form,
     format_poly,
@@ -41,6 +44,7 @@ from conftest import (
     _poly_divmod,
     _poly_submul,
     enumerate_bits,
+    factor_reference,
     form_value,
     is_unital,
     moebius_act_reference,
@@ -188,8 +192,15 @@ def test_powmod_matches_repeated_tuple_products(spec):
                 expected = (1,)
                 for _ in range(n):
                     expected = _poly_divmod(rows, inv, _poly_submul(rows, (), expected, bc), mc)[1]
-                got = Poly.make(spec, bc).powmod(n, Poly.make(spec, mc))
-                assert got.coeffs == expected
+                # square and multiply, the squares from the squaring map of m
+                pk, m = spec.packing, Poly.make(spec, mc).bits
+                square = _squaring(pk, m, 2 * n.bit_length())
+                base, r = _divmod(pk, Poly.make(spec, bc).bits, m)[1], 1
+                for bit in range(n.bit_length()):
+                    if n >> bit & 1:
+                        r = _divmod(pk, pk.mul(r, base), m)[1]
+                    base = square(base)
+                assert Poly(r, spec).coeffs == expected
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=str)
@@ -414,8 +425,53 @@ def test_equal_degree_split_does_not_depend_on_the_seed():
         for g in fs:
             f = f * g
         for seed in range(10):
-            split = _equal_degree_split(f, d, random.Random(seed))
-            assert sorted(split, key=Poly.sort_key) == fs
+            split = _equal_degree_split(spec.packing, f.bits, d, random.Random(seed))
+            assert sorted((Poly(g, spec) for g in split), key=Poly.sort_key) == fs
+
+
+def _factor_cases(spec, rng, top):
+    """Polynomials of degree at most ``top`` under random nonzero leads:
+    products of random monics of degree 1-4 to powers 1-4, squares (zero
+    derivative), and products of distinct irreducibles of one degree."""
+
+    def monic(d):
+        return Poly.make(spec, [rng.randrange(spec.order) for _ in range(d)] + [1])
+
+    cases = []
+    for _ in range(16):
+        f = Poly.constant(spec, rng.randrange(1, spec.order))
+        while (room := top - f.degree) > 0 and (f.degree < 1 or rng.randrange(4)):
+            g, e = monic(rng.randrange(1, min(room, 4) + 1)), rng.randrange(1, 5)
+            while e * g.degree > room:
+                e -= 1
+            for _ in range(e):
+                f = f * g
+        cases.append(f)
+    for _ in range(4):
+        g = monic(rng.randrange(1, top // 2 + 1)).scale(rng.randrange(1, spec.order))
+        cases.append(g * g)
+    for d in (1, 2, 3):
+        fs = {random_irreducible(spec, rng, d) for _ in range(top // d)}
+        cases.append(reduce(lambda a, b: a * b, fs, Poly.constant(spec, rng.randrange(1, spec.order))))
+    return cases
+
+
+@pytest.mark.parametrize("k, top", [(1, 24), (2, 24), (3, 24), (4, 24), (8, 24), (9, 16), (16, 12)])
+def test_factor_matches_reference(k, top):
+    # the packed-int factor against the Poly-level path it replaced: the
+    # same factors and multiplicities, each monic and irreducible, sorted
+    spec = FieldSpec.gf(k)
+    rng = random.Random(0x24 + k)
+    for f in _factor_cases(spec, rng, top):
+        fs = factor(f)
+        assert fs == factor_reference(f), str(f)
+        assert all(g.is_monic() and is_irreducible(g) for g, _ in fs)
+        assert [g.sort_key() for g, _ in fs] == sorted(g.sort_key() for g, _ in fs)
+        prod = Poly.constant(spec, f.leading)
+        for g, e in fs:
+            for _ in range(e):
+                prod = prod * g
+        assert prod == f
 
 
 def test_is_irreducible_matches_trial_division():
@@ -440,7 +496,7 @@ def test_monic_irreducible_counts():
 def test_squarefree_char2_derivative_zero_case():
     # f = (t^2+t+1)^2 has zero derivative; factorization must still split it
     f = P2(0b111) * P2(0b111)
-    assert derivative(f).is_zero()
+    assert _derivative(GF2.packing, f.bits) == 0
     assert factor(f) == [(P2(0b111), 2)]
     assert poly_sqrt(f) == P2(0b111)
     with pytest.raises(AssertionError, match="not a square"):
