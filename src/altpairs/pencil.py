@@ -331,24 +331,22 @@ def _split(pair: AlternatingPair, front: list[int], injective: bool = False):
     B_X and of A_X, det A_Y with the rows of A_Y^-1 B_Y, and the rows
     of a basis of X and then one of Y; with ``injective``, None for a
     singular pencil.  The walk hands over a basis of W* with its A- and
-    B-images; when W* is the whole space, Y = 0 and no kernel is taken."""
+    B-images."""
     pk, n = pair.spec.packing, pair.dim
     walk = _wong_dims(pk, front, pair.b.packed, injective)
     if walk is None:
         return None
     dims, top = walk
     shift, low = n * pk.w, (1 << n * pk.w) - 1
+    wide = [1 << (j * pk.w) | a << shift | b << 2 * shift for j, (a, b) in enumerate(zip(pair.a.packed, pair.b.packed))]
     ga, gb = _grams(pk, top, n)
     px = _rref(pk, list(gb), len(top), reduced=False)[0]
-    x, s = (_principal(pk, gb, px), _principal(pk, ga, px)), [top[i] & low for i in px]
-    if dims[-1] == n:
-        return dims, x, (1, []), s
-    wide = [1 << (j * pk.w) | a << shift | b << 2 * shift for j, (a, b) in enumerate(zip(pair.a.packed, pair.b.packed))]
     part = _kernel_images(pk, [v >> 2 * shift for v in top], n, wide)
     ya, yb = _grams(pk, part, n)
     py = _rref(pk, list(ya), len(part), reduced=False)[0]
+    x = _principal(pk, gb, px), _principal(pk, ga, px)
     y = _block_front(pk, _principal(pk, ya, py), _principal(pk, yb, py))
-    return dims, x, y, s + [part[i] & low for i in py]
+    return dims, x, y, [top[i] & low for i in px] + [part[i] & low for i in py]
 
 
 def _block_front(pk: Packing, rows_a: list[int], rows_b: list[int]) -> tuple[int, list[int]]:

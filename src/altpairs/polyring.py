@@ -265,19 +265,17 @@ def _equal_degree_split(pk: Packing, f: int, d: int, rng: random.Random) -> list
         done += [p for p in pending if p.bit_length() <= top]
         if not (pending := [p for p in pending if p.bit_length() > top]):
             return done
-        # the product of the pending pieces is the modulus until one is done
-        f = reduce(pk.mul, pending)
+        f = reduce(pk.mul, pending)  # each pending piece divides the modulus
         n, square = (f.bit_length() - 1) // w, _squaring(pk, f, pk.k * d - 1)
-        while all(p.bit_length() > top for p in pending):
-            acc = term = pk.pack([rng.randrange(1 << pk.k) for _ in range(n)])
-            for _ in range(pk.k * d - 1):
-                term = square(term)
-                acc ^= term
-            pieces = []
-            for p in pending:
-                g = _gcd(pk, acc, p)
-                pieces += [g, _divmod(pk, p, g)[0]] if g >> w and g != p else [p]
-            pending = pieces
+        acc = term = pk.pack([rng.randrange(1 << pk.k) for _ in range(n)])
+        for _ in range(pk.k * d - 1):
+            term = square(term)
+            acc ^= term
+        pieces = []
+        for p in pending:
+            g = _gcd(pk, acc, p)
+            pieces += [g, _divmod(pk, p, g)[0]] if g >> w and g != p else [p]
+        pending = pieces
 
 
 def factor(g: Poly) -> list[tuple[Poly, int]]:

@@ -353,11 +353,17 @@ def moebius_act_reference(q, coeffs: tuple, spec: FieldSpec) -> tuple:
 
 
 def random_irreducible(spec: FieldSpec, rng: random.Random, degree: int) -> Poly:
-    """A monic irreducible of the given degree, by rejection sampling."""
-    while True:
+    """A monic irreducible of the given degree, by rejection sampling.  A wrong
+    ``is_irreducible`` fails here instead of hanging a caller: about one
+    monic in ``degree`` is irreducible, so 50 times that many draws without
+    a hit (odds about e^-50) fail, and so does a sample that the reference
+    distinct-degree split finds factors of lower degree in."""
+    for _ in range(50 * degree):
         f = Poly.make(spec, [rng.randrange(spec.order) for _ in range(degree)] + [1])
         if is_irreducible(f):
+            assert _distinct_degree_split_reference(f) == [(f, degree)], f"{f} is reducible"
             return f
+    raise AssertionError(f"no irreducible of degree {degree} in {50 * degree} draws over GF(2^{spec.k})")
 
 
 def unital_normalize(form: BinaryForm) -> tuple[BinaryForm, int]:

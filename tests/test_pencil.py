@@ -591,8 +591,7 @@ def test_wong_singularity_matches_smith_rank(spec, monkeypatch):
     # the limit, the longest x2 chain.  The walk eliminates nothing: on a
     # singular pencil pfaffian_form runs one _rref, the front's, and on a
     # regular one the split adds the kernel of W*'s B-images, the pivots of
-    # two Gram matrices, two sub-fronts and det S (Y != 0), or the pivots of
-    # B's Gram matrix, X's sub-front and det S (Y = 0)
+    # two Gram matrices, two sub-fronts and det S
     seed = 0x3B9 + spec.k
     assert _wong_singularity_mismatches(spec, seed) == []
     kernels, rrefs = [], []
@@ -621,10 +620,7 @@ def test_wong_singularity_matches_smith_rank(spec, monkeypatch):
             calls.clear()
             assert checked_pfaffian(pair).is_zero() == singular
             assert "smith" not in calls
-            # with x2 blocks alone W* is the whole space: Y = 0 takes no kernel,
-            # no pivots of A's Gram matrix and no sub-front of its own
-            y = any(p not in (EPS, x2) for p, _ in blocks)
-            assert (len(rrefs), len(kernels)) == ((1, 0) if singular else (6, 1) if y else (4, 0))
+            assert (len(rrefs), len(kernels)) == ((1, 0) if singular else (6, 1))
 
 
 # _wong_dims without the exit at the first W_i (eps = 0 beside no x2 chain
@@ -716,34 +712,6 @@ def test_split_route_wong_shapes(spec, monkeypatch):
         assert "smith" not in calls and calls.count("factor") <= 1
         assert smith_blocks_reference(pair) == rho
         assert kronecker_invariants(pair) == kronecker_reference(pair)
-
-
-@pytest.mark.parametrize("spec", [GF2, GF16, GF512], ids=lambda s: f"k{s.k}")
-def test_split_skips_y_when_the_walk_fills_the_space(spec, monkeypatch):
-    # x2 chains alone or beside eps = 0 blocks: W* is the whole space, so
-    # Y = 0 and _split takes no kernel of W*'s B-images; beside a finite
-    # block Y != 0 and it takes one
-    rng = random.Random(0x24F + spec.k)
-    x1, x2 = BinaryForm.x1(spec), BinaryForm.x2(spec)
-    kernels = []
-    kernel_images = pencil._kernel_images
-    monkeypatch.setattr(pencil, "_kernel_images", lambda *a: kernels.append(len(a[1])) or kernel_images(*a))
-    shapes = [
-        {(x2, 1): 1},
-        {(x2, 3): 1, (x2, 1): 2},
-        {(x2, 8): 1},
-        {(EPS, 1): 1, (x2, 2): 1},
-        {(EPS, 1): 3, (x2, 5): 1, (x2, 1): 1},
-    ]
-    for blocks in shapes:
-        pair = scrambled(spec, rng, blocks)
-        rho = ClassFunction.from_dict(spec, blocks)
-        assert decompose(pair) == rho == smith_blocks_reference(pair)
-        assert pfaffian_form(pair) == pfaffian_interpolation_reference(pair)
-        assert kernels == []
-    pair = scrambled(spec, rng, {(x2, 2): 1, (x1, 1): 1})
-    assert decompose(pair) == smith_blocks_reference(pair)
-    assert len(kernels) == 1
 
 
 @pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
