@@ -93,16 +93,13 @@ def build_finite(f: Poly, n: int) -> AlternatingPair:
 
 
 def build_infinity(n: int, spec: FieldSpec | None = None) -> AlternatingPair:
-    """The 2n x 2n block at the infinite point; equals the finite block for
-    t^n with its two matrices swapped."""
+    """The 2n x 2n block at the infinite point: the finite block for t^n
+    with its two matrices swapped (``companion(t^n)`` is the nilpotent
+    lower Jordan block)."""
     if n < 1:
         raise BlockError("size must be positive")
-    spec = spec or FieldSpec.gf2()
-    w = spec.packing.w
-    jordan = Mat(tuple(i and 1 << ((i - 1) * w) for i in range(n)), n, spec)
-    a = _paired(jordan)
-    b = _paired(Mat.identity(spec, n))
-    return AlternatingPair(a, b)
+    fin = build_finite(Poly.t(spec or FieldSpec.gf2()), n)
+    return AlternatingPair(fin.b, fin.a)
 
 
 def build_plus(eps: int, spec: FieldSpec | None = None) -> AlternatingPair:
@@ -227,7 +224,3 @@ class BlockId:
             return BlockId.finite(parse_poly(spec, ptext), n)
         raise BlockError(f"bad block id {text!r}")
 
-
-def block_for_point(point: ProjPoint, n: int, spec: FieldSpec) -> AlternatingPair:
-    """The canonical pair attached to a projective point with multiplicity n."""
-    return BlockId.of_point(point, n).build(spec)

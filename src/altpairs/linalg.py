@@ -8,15 +8,17 @@ time, and adding a multiple of the pivot row to another row is one xor of
 that row with an entry of the pivot row's table of multiples
 (``Packing.multiples``; below its cost threshold the entry is one kernel
 product), however many columns there are.  Rank, kernels, determinant and
-inverse share one elimination, ``_rref``, which can also leave a reduced
-echelon form at any rank by back substitution after the pass down (the
-echelon that ``pencil._wong_dims`` walks on); ``_charpoly`` reduces Krylov
-sequences against one echelon of such rows, and ``_nullities`` takes the
-kernels of powers of f(M) from echelon bases.  The Smith form reads t*A + B
-straight from the rows of A and B and gives each entry a field of several
-slots, so a row operation with a polynomial multiplier is one xor per
-coefficient of the multiplier, and each diagonal entry is already the packed
-int of a ``Poly``.
+inverse share one elimination, ``_rref``, with two modes: a pass down to
+echelon form, or one that also clears above each pivot and so leaves the
+reduced echelon form at any rank.  ``_front`` is the one solve: it reduces
+[A | B] on A's columns, which gives A^-1 B for A invertible (``Mat.inv``
+takes B = I) and otherwise the echelon that ``pencil._wong_dims`` walks on.
+``_charpoly`` reduces Krylov sequences against one echelon of such rows,
+and ``_nullities`` takes the kernels of powers of f(M) from echelon bases.
+The Smith form reads t*A + B straight from the rows of A and B and gives
+each entry a field of several slots, so a row operation with a polynomial
+multiplier is one xor per coefficient of the multiplier, and each diagonal
+entry is already the packed int of a ``Poly``.
 """
 
 from __future__ import annotations
@@ -137,14 +139,10 @@ class Mat:
     def inv(self) -> "Mat":
         if self.nrows != self.cols:
             raise LinAlgError("inverse of a non-square matrix")
-        n = self.nrows
-        pk = self.spec.packing
-        shift = n * pk.w
-        # reduce [M | I] on M's columns: then the right half is M^-1
-        work = [r | 1 << (shift + i * pk.w) for i, r in enumerate(self.packed)]
-        if len(_rref(pk, work, n)[0]) < n:
+        _, det, rows = _front(self.spec.packing, self.packed, Mat.identity(self.spec, self.cols).packed)
+        if not det:
             raise LinAlgError("matrix is singular")
-        return Mat(tuple(r >> shift for r in work), n, self.spec)
+        return Mat(tuple(rows), self.cols, self.spec)
 
 
 def _transpose(packed: Sequence[int], ncols: int, w: int) -> tuple[int, ...]:
@@ -177,14 +175,14 @@ def _swap_masks(size: int, w: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool | None = True) -> tuple[list[int], int]:
+def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool = True) -> tuple[list[int], int]:
     """Bring packed rows to echelon form in place, pivoting on the first
     ``ncols`` columns; the pivot rows end up first, in order.  With
-    ``reduced`` the pivots are also cleared above (reduced row echelon
-    form); ``reduced=None`` gives the same rows by a pass down and then back
-    substitution over the pivots found, at any rank, with each pivot row's
-    multiples as the pass down left it (zero before its pivot, so later
-    pivots clear what it adds; the rows below the rank are not touched).
+    ``reduced`` each pivot also clears its column above, which leaves the
+    reduced row echelon form at any rank: a pivot row is zero before its
+    pivot, so it changes no earlier pivot column.  Both modes find the same
+    pivots with the same values, as clearing above touches only rows that
+    have pivoted already.
 
     Returns the pivot columns and the product of the pivot values before
     they are scaled to 1.  Row swaps and added multiples keep the
@@ -194,7 +192,6 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool | None = True)
     w, mask, inv, table = pk.w, pk.mask, pk.inv_table, pk.mul_table
     nr = len(work)
     pivots = []
-    tables = []
     det = 1
     for col in range(ncols):
         row = len(pivots)
@@ -214,20 +211,29 @@ def _rref(pk: Packing, work: list[int], ncols: int, reduced: bool | None = True)
             det = table[det][f]
             p = pk.mul(inv[f], p)
         start = 0 if reduced else row + 1
-        t = pk.multiples(p, nr - 1 if reduced is None else nr - start)
+        t = pk.multiples(p, nr - start)
         for r in range(start, nr):
             if f := work[r] >> shift & mask:
                 work[r] ^= t[f]
         work[row] = p
         pivots.append(col)
-        tables.append(t)
-    if reduced is None:
-        for row in range(1, len(pivots)):
-            shift, t = pivots[row] * w, tables[row]
-            for r in range(row):
-                if f := work[r] >> shift & mask:
-                    work[r] ^= t[f]
     return pivots, det
+
+
+def _front(pk: Packing, rows_a: Sequence[int], rows_b: Sequence[int]) -> tuple[list[int], int, list[int]]:
+    """The pivot columns of A, det A and packed rows from one elimination of
+    the rows [A | B] (B's shifted past A's) to reduced echelon form on A's
+    columns, E [A | B] = [R | EB] with E invertible: for A invertible R = I
+    and the rows are those of A^-1 B; otherwise det A = 0 and they are the
+    rows [R | EB] themselves, the pivot rows first, which
+    ``pencil._wong_dims`` walks on."""
+    n = len(rows_a)
+    shift = n * pk.w
+    rows = [a | b << shift for a, b in zip(rows_a, rows_b)]
+    pivots, det = _rref(pk, rows, n)
+    if len(pivots) < n:
+        return pivots, 0, rows
+    return pivots, det, [r >> shift for r in rows]
 
 
 def _times(pk: Packing, x: int, tables: list, n: int) -> int:

@@ -10,13 +10,13 @@ splits the pencil: its dimensions give the minimal indices, and two
 sub-pencils, one with B and one with A invertible, give the divisors at x2
 and the finite ones by the same kernels, or for a regular pencil the x2
 divisors straight from the Wong dimensions (``decompose`` has the proofs).
-One elimination of [A | B] serves both routes: it gives M, or the echelon
-on which the Wong sequence is walked, staircase fashion, without another
-elimination (``_wong_dims``: the free slots of G w vanish iff B w is in
-im A, and then A G w = B w).  The Pfaffian comes from the same Krylov
-sequences: on the whole pencil when A is invertible, and otherwise zero
-when the Wong sequence shows the pencil singular, or a product over the
-split when it is regular.
+One elimination of [A | B] (``linalg._front``) serves both routes: it gives
+M, or the echelon on which the Wong sequence is walked, staircase fashion,
+without another elimination (``_wong_dims``: the free slots of G w vanish
+iff B w is in im A, and then A G w = B w).  The Pfaffian comes from the
+same Krylov sequences: on the whole pencil when A is invertible, and
+otherwise zero when the Wong sequence shows the pencil singular, or a
+product over the split when it is regular.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .blocks import AlternatingPair, BlockId, block_for_point, direct_sum
+from .blocks import AlternatingPair, BlockId, direct_sum
 from .field import FieldError, FieldSpec, Packing
-from .linalg import Mat, _charpoly, _kernel_images, _nullities, _rref, _times, _transpose
+from .linalg import Mat, _charpoly, _front, _kernel_images, _nullities, _rref, _times, _transpose
 from .linalg import smith_form  # noqa: F401  (perfbench traces this name; see ROADMAP item 2c)
 from .polyring import (
     EPS,
@@ -150,27 +150,11 @@ def assemble(rho: ClassFunction) -> AlternatingPair:
     """The canonical orthogonal direct sum realizing a class function."""
     parts = []
     for point, n, mult in rho.entries:
-        block = block_for_point(point, n, rho.spec)
-        parts.extend([block] * mult)
+        parts.extend([BlockId.of_point(point, n).build(rho.spec)] * mult)
     return direct_sum(parts, spec=rho.spec)
 
 
 # -- Pfaffian ---------------------------------------------------------------------
-
-
-def _front(pk: Packing, rows_a: Sequence[int], rows_b: Sequence[int]) -> tuple[int, int, list[int]]:
-    """rank A, det A and packed rows from one elimination of the rows [A | B]
-    (B's shifted past A's) to reduced echelon form on A's columns,
-    E [A | B] = [R | EB] with E invertible: for A invertible R = I and the
-    rows are those of M = A^-1 B; otherwise they are the rows [R | EB]
-    themselves, the pivot rows first, which ``_wong_dims`` walks on."""
-    n = len(rows_a)
-    shift = n * pk.w
-    rows = [a | b << shift for a, b in zip(rows_a, rows_b)]
-    pivots, det = _rref(pk, rows, n, reduced=None)
-    if len(pivots) < n:
-        return len(pivots), 0, rows
-    return n, det, [r >> shift for r in rows]
 
 
 def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
@@ -210,9 +194,9 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
     if n % 2 == 1:
         return BinaryForm.zero(spec)
     pk = spec.packing
-    rank_a, det, m = _front(pk, pair.a.packed, pair.b.packed)
-    if rank_a < n:
-        split = _split(pair, m, injective=True)
+    pivots, det, m = _front(pk, pair.a.packed, pair.b.packed)
+    if len(pivots) < n:
+        split = _split(pair, pivots, m, injective=True)
         if split is None:
             return BinaryForm.zero(spec)
         _, x, (det, m), s = split
@@ -231,7 +215,7 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
 
 
 def _wong_dims(
-    pk: Packing, front: list[int], rows_b: Sequence[int], injective: bool = False
+    pk: Packing, pivots: list[int], front: list[int], rows_b: Sequence[int], injective: bool = False
 ) -> tuple[list[int], list[int]] | None:
     """dim W_0, dim W_1, ... for W_0 = 0, W_(i+1) = {v : A v in B W_i}, until
     W_i repeats (the W_i increase, so then it stays), and a basis of the
@@ -239,14 +223,15 @@ def _wong_dims(
     ``injective``, None as soon as B kills a vector of some W_i.
 
     ``front`` holds the rows [R | EB] of ``_front`` for a singular A, R in
-    reduced echelon form of rank r < n.  W_1 = ker A has one basis vector
-    per free column f of R: e_f plus R's column f at the pivots.  G puts row
-    i < r of EB at the i-th pivot column and row r + j at the j-th free
-    column.  The free slots of G w are the rows of EB below the rank, the
-    left kernel of A times B w, so they vanish iff B w is in im A; then
-    R (G w) is the top of E B w (R is the identity on the pivot columns),
-    so E A (G w) = E B w, and as E is invertible A (G w) = B w.  As the
-    slots of G w are those of E B w, G w = 0 iff B w = 0.
+    reduced echelon form with the r < n pivot columns ``pivots``.
+    W_1 = ker A has one basis vector per free column f of R: e_f plus R's
+    column f at the pivots.  G puts row i < r of EB at the i-th pivot column
+    and row r + j at the j-th free column.  The free slots of G w are the
+    rows of EB below the rank, the left kernel of A times B w, so they
+    vanish iff B w is in im A; then R (G w) is the top of E B w (R is the
+    identity on the pivot columns), so E A (G w) = E B w, and as E is
+    invertible A (G w) = B w.  As the slots of G w are those of E B w,
+    G w = 0 iff B w = 0.
 
     So W_(i+1) = W_i + {G w : w in W_i, free slots of G w zero} for i >= 1,
     as W_1 = ker A lies in W_i, and the walk keeps one echelon across the
@@ -264,7 +249,6 @@ def _wong_dims(
     n, w, mask, inv = len(front), pk.w, pk.mask, pk.inv_table
     shift = n * w
     low = (1 << shift) - 1
-    pivots = [((a & -a).bit_length() - 1) // w for a in (row & low for row in front) if a]
     free = sorted(set(range(n)).difference(pivots))
     g = [0] * n
     for c, row in zip(pivots + free, front):
@@ -325,15 +309,15 @@ def _principal(pk: Packing, g: list[int], p: list[int]) -> list[int]:
     return [t[i] for i in p]
 
 
-def _split(pair: AlternatingPair, front: list[int], injective: bool = False):
+def _split(pair: AlternatingPair, pivots: list[int], front: list[int], injective: bool = False):
     """The split of a pencil with A singular (``decompose`` has the proof),
-    from the rows ``front`` of ``_front``: the Wong dimensions, the rows of
-    B_X and of A_X, det A_Y with the rows of A_Y^-1 B_Y, and the rows
-    of a basis of X and then one of Y; with ``injective``, None for a
-    singular pencil.  The walk hands over a basis of W* with its A- and
+    from the pivots and rows ``front`` of ``_front``: the Wong dimensions,
+    the rows of B_X and of A_X, det A_Y with the rows of A_Y^-1 B_Y, and
+    the rows of a basis of X and then one of Y; with ``injective``, None for
+    a singular pencil.  The walk hands over a basis of W* with its A- and
     B-images."""
     pk, n = pair.spec.packing, pair.dim
-    walk = _wong_dims(pk, front, pair.b.packed, injective)
+    walk = _wong_dims(pk, pivots, front, pair.b.packed, injective)
     if walk is None:
         return None
     dims, top = walk
@@ -352,8 +336,8 @@ def _split(pair: AlternatingPair, front: list[int], injective: bool = False):
 def _block_front(pk: Packing, rows_a: list[int], rows_b: list[int]) -> tuple[int, list[int]]:
     """det A and the rows of A^-1 B for a principal block A on the pivots of
     a Gram matrix, which is nonsingular (``decompose`` has the proof)."""
-    rank, det, m = _front(pk, rows_a, rows_b)
-    if rank < len(rows_a):
+    pivots, det, m = _front(pk, rows_a, rows_b)
+    if len(pivots) < len(rows_a):
         raise AssertionError("a principal block on the pivots of a Gram matrix is singular")
     return det, m
 
@@ -403,7 +387,7 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
     each minimal index i is one entry (eps, i + 1), and each pair of equal
     elementary divisors (g, e) is one entry (g, e).
 
-    One elimination of [A | B] (``_front``) gives rank A.  If A is invertible,
+    One elimination of [A | B] (``_front``) gives A's pivots.  If A is invertible,
     t*A + B = A (t*I + M) with M = A^-1 B is strictly equivalent to t*I + M
     (multiply by A^-1 on the left): the pencil is regular, x2 carries
     nothing, and the divisors are the elementary divisors f^e of M.  M is
@@ -447,11 +431,11 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
     require_valid(pair)
     n, spec = pair.dim, pair.spec
     pk = spec.packing
-    rank_a, _, m = _front(pk, pair.a.packed, pair.b.packed)
-    if rank_a == n:
+    pivots, _, m = _front(pk, pair.a.packed, pair.b.packed)
+    if len(pivots) == n:
         blocks = _krylov_blocks(spec, m)
     else:
-        dims, x, (_, m), _ = _split(pair, m)
+        dims, x, (_, m), _ = _split(pair, pivots, m)
         if len(x[0]) == dims[-1]:  # U = 0: the walk's chains are the x2 chains
             x2 = _paired(BinaryForm.x2(spec), _chains(dims, {}))
         else:

@@ -19,6 +19,8 @@ from altpairs.polyring import EPS, BinaryForm, Poly, monic_irreducibles, parse_p
 from conftest import (
     GF2,
     GF4,
+    GF16,
+    GF512,
     monomial,
     res_at_infinity,
     residue_oracle,
@@ -101,6 +103,26 @@ def test_infinity_is_swapped_finite_t_block():
         fin = build_finite(tp("t"), n)
         swapped = AlternatingPair(inf.b, inf.a)
         assert decompose(swapped) == decompose(fin)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF16, GF512], ids=str)
+def test_infinity_block_equals_swapped_t_block(spec):
+    # A = [[0, J], [J^T, 0]] with J the lower Jordan block and
+    # B = [[0, I], [I, 0]], entry by entry, and equal to the finite block
+    # for t^n with its two matrices swapped
+    for n in (1, 2, 5):
+
+        def paired(upper):
+            top = [[0] * n + row for row in upper]
+            return top + [[upper[j][i] for j in range(n)] + [0] * n for i in range(n)]
+
+        jordan = [[int(j == i - 1) for j in range(n)] for i in range(n)]
+        identity = [[int(j == i) for j in range(n)] for i in range(n)]
+        inf = build_infinity(n, spec)
+        assert inf.a == Mat.from_rows(spec, paired(jordan))
+        assert inf.b == Mat.from_rows(spec, paired(identity))
+        fin = build_finite(Poly.t(spec), n)
+        assert inf == AlternatingPair(fin.b, fin.a)
 
 
 def test_build_plus_degenerate():

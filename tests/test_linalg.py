@@ -1,6 +1,7 @@
 """Exact matrix algebra and Smith normal form."""
 
 import random
+from functools import reduce
 from operator import xor
 
 import pytest
@@ -71,6 +72,23 @@ def test_inverse_roundtrip():
 def test_inverse_of_singular_raises():
     with pytest.raises(LinAlgError):
         Mat.zeros(GF2, 2, 2).inv()
+
+
+def test_inverse_refusals_at_every_field():
+    # rank n - 1 (one row a combination of the others) and a non-square
+    # matrix, with field tables (k <= 8) and without them (k = 9)
+    rng = random.Random(0x1E7)
+    for spec in (GF2, GF4, GF16, GF512):
+        for n in (2, 5):
+            rows = list(random_invertible(spec, rng, n).packed)
+            rows[0] = reduce(xor, [spec.packing.mul(rng.randrange(spec.order), r) for r in rows[1:]])
+            rng.shuffle(rows)
+            m = Mat(tuple(rows), n, spec)
+            assert rref_reference(m)[1] == n - 1
+            with pytest.raises(LinAlgError, match="singular"):
+                m.inv()
+        with pytest.raises(LinAlgError, match="non-square"):
+            random_matrix(spec, rng, 2, 3).inv()
 
 
 def test_det_multiplicative():
@@ -351,11 +369,11 @@ def test_rank_and_nullspace_match_reference(spec):
 
 
 @pytest.mark.parametrize("spec", [GF2, GF16, GF512], ids=str)
-def test_rref_back_substitution_at_any_rank(spec):
-    # reduced=None (a pass down, then back substitution over the pivots
-    # found) leaves the rows and pivots of reduced=True on rows [M | N]
-    # pivoted on M's columns, at rank below n and at full rank, where its
-    # product of pivot values is det M
+def test_rref_reduced_at_any_rank(spec):
+    # reduced=True on rows [M | N] pivoted on M's columns, at rank below n
+    # and at full rank: M's columns become M's reduced echelon form with the
+    # reference's pivots, the rows span what they spanned before, and the
+    # product of pivot values is that of the pass down, det M at full rank
     rng = random.Random(0x4EF + spec.k)
     pk = spec.packing
     deficient = 0
@@ -364,13 +382,18 @@ def test_rref_back_substitution_at_any_rank(spec):
         m = (random_matrix if rng.randrange(2) else _rank_deficient)(spec, rng, n, n)
         tail = random_matrix(spec, rng, n, n)
         rows = [a | b << (n * pk.w) for a, b in zip(m.packed, tail.packed)]
-        lazy, full = list(rows), list(rows)
-        pivots, det = _rref(pk, lazy, n, reduced=None)
-        assert (pivots, lazy) == (_rref(pk, full, n)[0], full)
+        work = list(rows)
+        pivots, det = _rref(pk, work, n)
+        ref_rows, rank, ref_pivots = rref_reference(m)
+        assert pivots == ref_pivots
+        low = (1 << n * pk.w) - 1
+        assert Mat(tuple(r & low for r in work), n, spec).rows == tuple(map(tuple, ref_rows))
+        spans = [rref_reference(Mat(tuple(vs), 2 * n, spec))[1] for vs in (rows, work, rows + work)]
+        assert spans == [spans[0]] * 3
         assert det == _rref(pk, list(rows), n, reduced=False)[1]
-        if len(pivots) == n:
+        if rank == n:
             assert det == m.det() != 0
-        deficient += len(pivots) < n
+        deficient += rank < n
     assert deficient >= 8
 
 
