@@ -3,28 +3,29 @@ pencils t*A + B over GF(2^k)[t].
 
 A matrix is its rows, each one int packed by the field's GF(2^k)[t] kernel
 (``FieldSpec.packing``, whose reduction masks widen to any row length): entry
-j sits in slot j, so a sum, a scalar multiple or a product is a row at a
-time, and adding a multiple of the pivot row to another row is one xor of
-that row with an entry of the pivot row's table of multiples
-(``Packing.multiples``; below its cost threshold the entry is one kernel
-product), however many columns there are.  Rank, kernels, determinant and
-inverse share one elimination, ``_rref``, with two modes: a pass down to
-echelon form, or one that also clears above each pivot and so leaves the
-reduced echelon form at any rank.  ``_front`` is the one solve: it reduces
-[A | B] on A's columns, which gives A^-1 B for A invertible (``Mat.inv``
-takes B = I) and otherwise the echelon that ``pencil._wong_dims`` walks on.
-``_charpoly`` reduces Krylov sequences against one echelon of such rows,
-and ``_nullities`` takes the kernels of powers of f(M) from echelon bases.
-The Smith form reads t*A + B straight from the rows of A and B and gives
-each entry a field of several slots, so a row operation with a polynomial
-multiplier is one xor per coefficient of the multiplier, and each diagonal
-entry is already the packed int of a ``Poly``.
+j sits in slot j, so a sum or a scalar multiple is a row at a time, and adding
+a multiple of the pivot row to another row is one xor of that row with an
+entry of the pivot row's table of multiples (``Packing.multiples``; below its
+cost threshold the entry is one kernel product), however many columns there
+are.  A row x times a matrix (``_times``) reads x's slots in place and xors in
+one table entry per nonzero slot until the rest of x is zero.  Rank, kernels,
+determinant and inverse share one elimination, ``_rref``, with two modes: a
+pass down to echelon form, or one that also clears above each pivot and so
+leaves the reduced echelon form at any rank.  ``_front`` is the one solve: it
+reduces [A | B] on A's columns, which gives A^-1 B for A invertible
+(``Mat.inv`` takes B = I) and otherwise the echelon that ``pencil._wong_dims``
+walks on.  ``_charpoly`` reduces Krylov sequences against one echelon of such
+rows, and ``_nullities`` takes the kernels of powers of f(M) from echelon
+bases.  The Smith form reads t*A + B straight from the rows of A and B and
+gives each entry a field of several slots, so a row operation with a
+polynomial multiplier is one xor per coefficient of the multiplier, and each
+diagonal entry is already the packed int of a ``Poly``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -114,7 +115,7 @@ class Mat:
             raise LinAlgError(f"shape mismatch {self.shape} @ {other.shape}")
         pk = self.spec.packing
         tables = [pk.multiples(r, self.nrows) for r in other.packed]
-        return Mat(tuple(_times(pk, r, tables, self.cols) for r in self.packed), other.cols, self.spec)
+        return Mat(tuple(_times(pk, r, tables) for r in self.packed), other.cols, self.spec)
 
     def is_zero(self) -> bool:
         return not any(self.packed)
@@ -236,10 +237,16 @@ def _front(pk: Packing, rows_a: Sequence[int], rows_b: Sequence[int]) -> tuple[l
     return pivots, det, [r >> shift for r in rows]
 
 
-def _times(pk: Packing, x: int, tables: list, n: int) -> int:
-    """The packed row x of n slots times the matrix whose rows have the
-    tables of multiples ``tables``: the xor of their multiples by x's entries."""
-    return reduce(xor, [t[c] for t, c in zip(tables, pk.unpack(x, n)) if c], 0)
+def _times(pk: Packing, x: int, tables: list) -> int:
+    """The packed row x times the matrix whose rows have the tables ``tables``."""
+    w, mask, r = pk.w, pk.mask, 0
+    for t in tables:
+        if not x:
+            break
+        if c := x & mask:
+            r ^= t[c]
+        x >>= w
+    return r
 
 
 def _kernel_images(pk: Packing, work: list[int], ncols: int, images: list[int]) -> list[int]:
@@ -295,7 +302,7 @@ def _charpoly(pk: Packing, rows: list[int], n: int) -> int:
             if (f := v >> (p * w) & mask) != 1:
                 v = pk.mul(inv[f], v)
             echelon.append((p, v, pk.multiples(v, n - len(echelon))))
-            x = _times(pk, x, tables, n)
+            x = _times(pk, x, tables)
             coord <<= w
         if len(echelon) == start:
             raise AssertionError("a Krylov sequence started inside the span")
@@ -315,7 +322,7 @@ def _nullities(pk: Packing, rows: list[int], n: int, f: Poly, top: int) -> list[
     for i, r in enumerate(rows):
         v = r ^ low[-1] << (i * w)
         for c in reversed(low[:-1]):
-            v = _times(pk, v, tables, n) ^ c << (i * w)
+            v = _times(pk, v, tables) ^ c << (i * w)
         f_rows.append(v)
     work, tables, dims = list(f_rows), None, []
     while True:
@@ -324,7 +331,7 @@ def _nullities(pk: Packing, rows: list[int], n: int, f: Poly, top: int) -> list[
         if dims[-1] >= top or len(dims) > 1 and dims[-1] == dims[-2]:
             return dims
         tables = tables or [pk.multiples(r, rank) for r in f_rows]
-        work = [_times(pk, v, tables, n) for v in work[:rank]]
+        work = [_times(pk, v, tables) for v in work[:rank]]
 
 
 def congruence(s: Mat, a: Mat) -> Mat:

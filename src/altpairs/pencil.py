@@ -258,7 +258,7 @@ def _wong_dims(
     kernel = [1 << (f * w) | sum((row >> (f * w) & mask) << (p * w) for p, row in zip(pivots, front)) for f in free]
     spanned = [(f * w, pk.multiples(v, n)) for f, v in zip(free, kernel)]  # the W echelon, on v
     images: list[tuple[int, list]] = []  # the echelon of the G v, free slots first
-    layer = [v | _times(pk, v, products, n) for v in kernel]
+    layer = [v | _times(pk, v, products) for v in kernel]
     dims, basis = [0], []
     while layer:
         dims.append(dims[-1] + len(layer))
@@ -288,7 +288,7 @@ def _wong_dims(
                 if (f := v >> bit & mask) != 1:
                     y, v = pk.mul(inv[f], y), pk.mul(inv[f], v)
                 spanned.append((bit, pk.multiples(y, n)))
-                found.append(y | _times(pk, v, products, n))
+                found.append(y | _times(pk, v, products))
         layer = found
     return dims, [x & (1 << 3 * shift) - 1 for x in basis]
 
@@ -299,7 +299,7 @@ def _grams(pk: Packing, basis: list[int], n: int) -> tuple[list[int], list[int]]
     shift, d = n * pk.w, len(basis)
     low = (1 << shift) - 1
     tables = [pk.multiples(r, 2 * d) for r in _transpose([v & low for v in basis], n, pk.w)]
-    g = [_times(pk, v >> s & low, tables, n) for s in (shift, 2 * shift) for v in basis]
+    g = [_times(pk, v >> s & low, tables) for s in (shift, 2 * shift) for v in basis]
     return g[:d], g[d:]
 
 

@@ -62,10 +62,6 @@ class Poly:
     def t(spec: FieldSpec) -> "Poly":
         return Poly(1 << spec.packing.w, spec)
 
-    @staticmethod
-    def constant(spec: FieldSpec, bits: int) -> "Poly":
-        return Poly(bits, spec)
-
     # -- basic structure -----------------------------------------------------
 
     @property
@@ -167,11 +163,6 @@ def _gcd(pk: Packing, a: int, b: int) -> int:
             a ^= pk.mul(a >> s, b) << s - top
         a, b = b, a
     return _monic(pk, a)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd."""
-    return Poly(_gcd(a.spec.packing, a.bits, a._check(b).bits), a.spec)
 
 
 def _derivative(pk: Packing, f: int) -> int:

@@ -11,6 +11,7 @@ from functools import lru_cache, partial, reduce
 from itertools import product
 from operator import xor
 
+from altpairs import linalg, pencil
 from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
 from altpairs.cli import ParseError
@@ -24,6 +25,7 @@ from altpairs.polyring import (
     PolyError,
     ProjPoint,
     _EpsType,
+    _gcd,
     dehomogenize,
     factor,
     homogenize,
@@ -52,6 +54,16 @@ def enumerate_bits(spec: FieldSpec) -> range:
 def monomial(spec: FieldSpec, deg: int) -> Poly:
     """The polynomial t^deg."""
     return Poly(1 << (deg * spec.packing.w), spec)
+
+
+def poly_constant(spec: FieldSpec, bits: int) -> Poly:
+    """The constant polynomial with value ``bits``."""
+    return Poly(bits, spec)
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd, by the library's packed Euclid."""
+    return Poly(_gcd(a.spec.packing, a.bits, a._check(b).bits), a.spec)
 
 
 def gl2_swap(spec: FieldSpec) -> GL2Element:
@@ -1615,3 +1627,12 @@ def krylov_mutants() -> dict:
         ),
         "_nullities": mutant(_nullities, "dims.append(n - rank)", "dims.append(n - rank + 1)"),
     }
+
+
+def kernel_mutants() -> list[tuple]:
+    """(owner, attribute, broken copy) for each place the row-kernel mutant
+    is patched in: ``_times`` without its last slot, under both modules that
+    call it.  It is built on each call, so it fails alone if the source of
+    ``_times`` moves."""
+    times = mutant(linalg._times, "for t in tables:", "for t in tables[:-1]:")
+    return [(linalg, "_times", times), (pencil, "_times", times)]

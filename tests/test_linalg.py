@@ -6,9 +6,10 @@ from operator import xor
 
 import pytest
 
+from altpairs import linalg
 from altpairs.blocks import build_finite, direct_sum
 from altpairs.cli import format_pair_document, parse_pair_document
-from altpairs.field import FieldError
+from altpairs.field import FieldError, FieldSpec
 from altpairs.linalg import LinAlgError, Mat, _charpoly, _nullities, _rref, _smith_diagonal, congruence, smith_form
 from altpairs.pencil import assemble
 from altpairs.polyring import (
@@ -23,6 +24,7 @@ from conftest import (
     GF4,
     GF16,
     GF512,
+    kernel_mutants,
     mat_apply,
     nullspace,
     random_alternating,
@@ -240,6 +242,34 @@ def test_generic_and_packed_paths_agree():
                         acc ^= mul(rows_a[i][k], rows_b[k][j])
                     expected[i][j] = acc
             assert [list(r) for r in prod_packed.rows] == expected
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF16, FieldSpec.gf(8), GF512], ids=str)
+def test_times_matches_entrywise_product(spec):
+    # a packed row x times a matrix, read off x's slots in place, against the
+    # product entry by entry over mul_table and Mat.rows: x = 0, no rows
+    # (n = 0), x whose top slots are zero (the early stop), and the tables
+    # both built and stood in
+    rng = random.Random(61 + spec.k)
+    pk, rows = spec.packing, spec.mul_table
+    for n, m in [(0, 0), (0, 3), (1, 1), (3, 5), (8, 8), (13, 6)]:
+        mat = random_matrix(spec, rng, n, m)
+        for uses in (1, 1 << spec.k):
+            tables = [pk.multiples(r, uses) for r in mat.packed]
+            for top in range(n + 1):  # x is zero from slot top on
+                x = [rng.randrange(spec.order) for _ in range(top)] + [0] * (n - top)
+                expected = [reduce(xor, (rows[c][row[j]] for c, row in zip(x, mat.rows)), 0) for j in range(m)]
+                assert linalg._times(pk, pk.pack(x), tables) == pk.pack(expected), (n, m, top)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF16, GF512], ids=str)
+def test_times_mutant_is_killed(spec, monkeypatch):
+    # _times without its last slot, patched under both names that reach it,
+    # fails test_times_matches_entrywise_product
+    for owner, name, fn in kernel_mutants():
+        monkeypatch.setattr(owner, name, fn)
+    with pytest.raises(AssertionError):
+        test_times_matches_entrywise_product(spec)
 
 
 def _canonical(m: Mat) -> Mat:
