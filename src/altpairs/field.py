@@ -276,11 +276,19 @@ class Packing:
         if b << 1 > masks[0]:
             masks = self._widen(b << 1)
         hi, modulus = masks[-1], self.modulus
-        t = [0, b]
-        for _ in range(k - 1):
-            b <<= 1
-            b ^= ((b & hi) >> k) * modulus  # b*x: clear bit k of every slot
-            t += [v ^ b for v in t]
+        c = b << 1
+        c ^= ((c & hi) >> k) * modulus  # b*x: clear bit k of every slot
+        t = [0, b, c, b ^ c]
+        for _ in range(k // 2 - 1):  # bits i and i + 1 of f in one pass
+            b = c << 1
+            b ^= ((b & hi) >> k) * modulus
+            c = b << 1
+            c ^= ((c & hi) >> k) * modulus
+            t += [v ^ u for u in (b, c, b ^ c) for v in t]
+        if k % 2:
+            c <<= 1
+            c ^= ((c & hi) >> k) * modulus
+            t += [v ^ c for v in t]
         return t
 
     def scale(self, q: int, b: int, t) -> int:

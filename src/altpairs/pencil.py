@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .blocks import AlternatingPair, BlockId, direct_sum
 from .field import FieldError, FieldSpec, Packing
-from .linalg import Mat, _charpoly, _front, _kernel_images, _nullities, _rref, _times, _transpose
+from .linalg import Mat, _front, _kernel_images, _krylov, _nullities, _rref, _times, _transpose
 from .linalg import smith_form  # noqa: F401  (perfbench traces this name; see ROADMAP item 2c)
 from .polyring import (
     EPS,
@@ -165,13 +165,16 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
     For A invertible, reducing [A | B] to [I | M] gives det A and
     M = A^-1 B, and t*A + B = A (t*I + M), so det(t*A + B) = det A * chi,
     chi = det(t*I + M).  The spans of the Krylov sequences of
-    ``linalg._charpoly`` are invariant under x -> x M, so M is block
+    ``linalg._krylov`` are invariant under x -> x M, so M is block
     triangular in a basis through them, with the companion matrices of the
     sequences' relative minimal polynomials on the diagonal: chi is their
     product.  chi = (Pf(t*A + B) / Pf(A))^2, and a square in characteristic
     2 is sum c_i^2 t^(2i), so chi has no odd terms (``poly_sqrt`` checks)
     and its root takes the field square root of each even coefficient.  As chi is monic of degree
     n and sqrt(det A) != 0, sqrt(det A) * sqrt(chi) has degree exactly n/2.
+    As M is similar to N + N (``decompose``), sqrt(chi) = det(t*I + N), and
+    the first sequence's polynomial divides the minimal polynomial of N,
+    which divides sqrt(chi): at degree n/2 it is sqrt(chi).
 
     Otherwise the pencil is singular, and the Pfaffian zero, iff B is not
     injective on some W_i of the Wong sequence W_0 = 0,
@@ -205,10 +208,34 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
         if len(pivots) < n:
             raise AssertionError(f"the bases of X and Y span {len(pivots)} of {n} dimensions")
         det = spec.mul(spec.mul(det_x, det), spec.inv(spec.mul(det_s, det_s)))
-    chi = Poly(_charpoly(pk, m, len(m)), spec)
-    if chi.degree != len(m):
-        raise AssertionError(f"characteristic polynomial of degree {chi.degree} in dimension {len(m)}")
-    return homogenize(poly_sqrt(chi).scale(spec.sqrt(det)), n // 2)
+    return homogenize(_charpoly_root(spec, m).scale(spec.sqrt(det)), n // 2)
+
+
+def _charpoly_root(spec: FieldSpec, m: list[int]) -> Poly:
+    """h = sqrt(det(t*I + M)) for the rows m of M = A^-1 B, A invertible:
+    the polynomial of the first Krylov sequence (``linalg._krylov``) when it
+    has degree n/2 (``decompose`` has the proof), and then h(M) must kill
+    the next sequence's start, one Horner pass over the tables of M's rows;
+    otherwise the square root of the product of all the sequences'
+    polynomials."""
+    pk, n = spec.packing, len(m)
+    tables = [pk.multiples(r, n) for r in m]
+    sequences = _krylov(pk, tables)
+    mu, x = next(sequences, (1, 0))
+    h = Poly(mu, spec)
+    if 2 * h.degree == n:
+        v = 0
+        for c in reversed(h.coeffs):
+            v = _times(pk, v, tables) ^ c * x  # x is a unit vector
+        if v:
+            raise AssertionError("the first Krylov sequence's polynomial does not kill the next one's start")
+        return h
+    for f, _ in sequences:
+        mu = pk.mul(mu, f)
+    chi = Poly(mu, spec)
+    if chi.degree != n:
+        raise AssertionError(f"characteristic polynomial of degree {chi.degree} in dimension {n}")
+    return poly_sqrt(chi)
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -374,7 +401,7 @@ def _paired(point: BinaryForm, chains: Mapping[int, int]) -> dict:
 
 def _krylov_blocks(spec: FieldSpec, m: list[int]) -> dict[tuple[ProjPoint, int], int]:
     """The blocks of a pencil with A invertible, from the rows of M = A^-1 B."""
-    h = poly_sqrt(Poly(_charpoly(spec.packing, m, len(m)), spec))
+    h = _charpoly_root(spec, m)
     blocks: dict[tuple[ProjPoint, int], int] = {}
     for f, e in factor(h) if h.degree else ():
         p = point_from_poly(f)
@@ -399,7 +426,9 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
     chi = det(t*I + M), the product of all divisors.  They pair up, so
     chi = h^2, and the f-exponent of h is the sum of e over the pairs at f:
     when it is 1, f has one pair (f, 1), the entry (f, 1, 1), and no kernel
-    is computed.  h is factored once.
+    is computed.  h is factored once.  The pairing makes M similar to N + N
+    with h = det(t*I + N), and the minimal polynomial of the first Krylov
+    sequence divides that of N, which divides h: at degree n/2 it is h.
 
     If A is singular, the Wong sequence W_0 = 0, W_(i+1) = {v : A v in B W_i}
     (Berger, Ilchmann and Trenn, SIAM J. Matrix Anal. Appl. 33 (2012)) splits

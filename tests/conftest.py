@@ -16,7 +16,7 @@ from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
 from altpairs.cli import ParseError
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_mul
-from altpairs.linalg import Mat, _charpoly, _kernel_images, _nullities, congruence, smith_form
+from altpairs.linalg import Mat, _kernel_images, _krylov, _nullities, congruence, smith_form
 from altpairs.pencil import ClassFunction, _chains, assemble, decompose, require_valid
 from altpairs.polyring import (
     EPS,
@@ -1617,15 +1617,30 @@ def mutant(fn, old: str, new: str):
 
 
 def krylov_mutants() -> dict:
-    """Broken copies of the kernels of ``decompose``'s Krylov route, by the
-    name ``pencil`` reaches them under: a characteristic polynomial without
-    the first Krylov sequence's factor, and kernel dimensions one too
-    large."""
+    """Broken copies of the kernels of the Krylov route of ``decompose`` and
+    ``pfaffian_form``, keyed by the result they break: (the name ``pencil``
+    reaches the broken kernel under, the broken copy).  Each comment names
+    the tests that kill it."""
+    first = "yield v >> shift, x"
     return {
-        "_charpoly": mutant(
-            _charpoly, "chi = pk.mul(chi, v >> shift)", "chi = pk.mul(chi, v >> shift) if start else chi"
+        # det(t*I + M) without the first sequence's factor:
+        # test_krylov_route_mutants_raise, test_krylov_mutant_exit3 and
+        # test_charpoly_root_mutants_are_killed
+        "_charpoly": ("_krylov", mutant(_krylov, first, "yield (v >> shift if start else 1), x")),
+        # the first sequence's polynomial with its constant term flipped: the
+        # shortcut's check in test_charpoly_root_mutants_are_killed and
+        # test_pfaffian_shortcut_check_exit3, and on the fallback the odd-term
+        # check in test_pfaffian_with_an_odd_term_exit3
+        "_krylov": ("_krylov", mutant(_krylov, first, "yield v >> shift ^ (not start), x")),
+        # h from a first sequence one degree short, where M = I passes the
+        # shortcut's check: the differential in test_charpoly_root_mutants_are_killed
+        "_charpoly_root": (
+            "_charpoly_root",
+            mutant(pencil._charpoly_root, "if 2 * h.degree == n:", "if 2 * h.degree >= n - 2:"),
         ),
-        "_nullities": mutant(_nullities, "dims.append(n - rank)", "dims.append(n - rank + 1)"),
+        # kernel dimensions one too large: test_krylov_route_mutants_raise and
+        # test_krylov_mutant_exit3
+        "_nullities": ("_nullities", mutant(_nullities, "dims.append(n - rank)", "dims.append(n - rank + 1)")),
     }
 
 

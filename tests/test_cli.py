@@ -593,18 +593,37 @@ def test_dropped_invariant_factor_exit3(capsys, monkeypatch, tmp_path):
         assert "Traceback" not in err
 
 
+# A = B = J + J, J = [[0,1],[1,0]]: M = I, so the first Krylov sequence closes
+# at degree 1 < dim/2 and h is the square root of det(t*I + M)
+SCALAR_DOCUMENT = "field gf2\ndim 4\nmatrix A\n0 1 0 0\n1 0 0 0\n0 0 0 1\n0 0 1 0\nmatrix B\n0 1 0 0\n1 0 0 0\n0 0 0 1\n0 0 1 0\n"
+
+
 def test_pfaffian_with_an_odd_term_exit3(capsys, monkeypatch, tmp_path):
     # det(t*I + A^-1 B) with a term of odd degree is no square: the check
-    # that replaces the pairing of invariant factors when A is invertible
+    # that replaces the pairing of invariant factors when A is invertible.
+    # The first sequence's t + 1 with its constant flipped makes it t (t + 1)^3
     from altpairs import pencil
 
-    charpoly = pencil._charpoly
-    monkeypatch.setattr(pencil, "_charpoly", lambda pk, rows, n: charpoly(pk, rows, n) ^ 1 << pk.w)
-    path = tmp_path / "fin.pair"
-    path.write_text(format_pair_document(build_finite(tp("t^2+t+1"), 1)))
+    monkeypatch.setattr(pencil, *krylov_mutants()["_krylov"])
+    path = tmp_path / "scalar.pair"
+    path.write_text(SCALAR_DOCUMENT)
     code, out, err = run(capsys, ["pfaffian", str(path)])
     assert (code, out) == (3, "")
     assert err == f"internal error: {path}: polynomial is not a square\n"
+
+
+def test_pfaffian_shortcut_check_exit3(capsys, monkeypatch, tmp_path):
+    # the first sequence closes at degree dim/2 and its polynomial is taken
+    # for h; with its constant flipped, h(M) no longer kills the next start
+    from altpairs import pencil
+
+    monkeypatch.setattr(pencil, *krylov_mutants()["_krylov"])
+    path = tmp_path / "fin.pair"
+    path.write_text(format_pair_document(build_finite(tp("t^2+t+1"), 1)))
+    for command in ("pfaffian", "decompose"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert (code, out) == (3, "")
+        assert err == f"internal error: {path}: the first Krylov sequence's polynomial does not kill the next one's start\n"
 
 
 @pytest.mark.parametrize("name", ["_charpoly", "_nullities"])
@@ -614,7 +633,7 @@ def test_krylov_mutant_exit3(capsys, monkeypatch, tmp_path, name):
     # printing a wrong class
     from altpairs import pencil
 
-    monkeypatch.setattr(pencil, name, krylov_mutants()[name])
+    monkeypatch.setattr(pencil, *krylov_mutants()[name])
     path = tmp_path / "fin2.pair"
     path.write_text(format_pair_document(build_finite(tp("t^2+t+1"), 2)))
     code, out, err = run(capsys, ["decompose", str(path)])

@@ -13,7 +13,7 @@ from altpairs.blocks import (
     direct_sum,
 )
 from altpairs.field import FieldError, FieldSpec, _Computed
-from altpairs.linalg import Mat, _kernel_images
+from altpairs.linalg import Mat, _charpoly, _front, _kernel_images, _krylov
 from altpairs.pencil import (
     ClassFunction,
     assemble,
@@ -25,9 +25,11 @@ from altpairs.pencil import (
 from altpairs.polyring import (
     EPS,
     BinaryForm,
+    Poly,
     monic_irreducibles,
     parse_poly,
     point_from_poly,
+    poly_sqrt,
 )
 
 from conftest import (
@@ -312,7 +314,7 @@ def _route_log(monkeypatch):
     """The kernels that ``decompose`` and ``pfaffian_form`` call, by name, in
     call order, with every Smith elimination logged as "smith"."""
     calls = []
-    for name in ("_charpoly", "_nullities", "_split", "_wong_dims", "factor"):
+    for name in ("_charpoly_root", "_nullities", "_split", "_wong_dims", "factor"):
         fn = getattr(pencil, name)
         monkeypatch.setattr(pencil, name, lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
     smith = linalg._smith_diagonal
@@ -356,7 +358,7 @@ def test_krylov_route_repeated_divisors(spec, monkeypatch):
         exponents = {}
         for (point, e), m in blocks.items():
             exponents[point] = exponents.get(point, 0) + e * m
-        assert calls == ["_charpoly", "factor"] + ["_nullities"] * sum(e >= 2 for e in exponents.values())
+        assert calls == ["_charpoly_root", "factor"] + ["_nullities"] * sum(e >= 2 for e in exponents.values())
         assert smith_blocks_reference(pair) == rho
         assert kronecker_invariants(pair) == kronecker_reference(pair)
 
@@ -375,23 +377,25 @@ def test_routes_agree_on_random_pairs(k, monkeypatch):
         rank_a = pair.a.rank()
         calls.clear()
         rho = decompose(pair)
-        route = "_charpoly" if rank_a == pair.dim else "_split"
+        route = "_charpoly_root" if rank_a == pair.dim else "_split"
         assert calls[0] == route and calls.count("_wong_dims") == (route == "_split")
         assert "smith" not in calls and calls.count("factor") <= 1
         routes.add(route)
         assert smith_blocks_reference(pair) == rho
         assert kronecker_invariants(pair) == kronecker_reference(pair)
-    assert routes == {"_charpoly", "_split"}
+    assert routes == {"_charpoly_root", "_split"}
 
 
-@pytest.mark.parametrize("name", ["_charpoly", "_nullities"])
+@pytest.mark.parametrize("label", ["_charpoly", "_nullities"])
 @pytest.mark.parametrize("spec", INVARIANT_FIELDS, ids=lambda s: f"k{s.k}")
-def test_krylov_route_mutants_raise(spec, name, monkeypatch):
+def test_krylov_route_mutants_raise(spec, label, monkeypatch):
     # each mutant fails an invariant (AssertionError, CLI exit 3) on every
     # shape that reaches it, and never returns a class function; the
-    # Pfaffian, which shares _charpoly, refuses the first one too
+    # Pfaffian, which shares the Krylov sequences, refuses the first one too
     rng = random.Random(0x3C7 + spec.k)
-    monkeypatch.setattr(pencil, name, krylov_mutants()[name])
+    name, broken = krylov_mutants()[label]
+    monkeypatch.setattr(pencil, name, broken)
+    logged = {"_krylov": "_charpoly_root"}.get(name, name)  # the log has _krylov's caller
     calls = _route_log(monkeypatch)
     reached = 0
     for blocks in _repeated_divisor_blocks(spec, rng):
@@ -402,11 +406,72 @@ def test_krylov_route_mutants_raise(spec, name, monkeypatch):
         except AssertionError:
             reached += 1
         else:
-            assert name not in calls, rho
-        if name == "_charpoly":
+            assert logged not in calls, rho
+        if label == "_charpoly":
             with pytest.raises(AssertionError):
                 pfaffian_form(pair)
     assert reached >= 10
+
+
+def _charpoly_root_cases(spec, rng):
+    """A-invertible pairs for both branches of ``pencil._charpoly_root``:
+    random pairs (the first Krylov sequence nearly always reaches dim/2), the
+    repeated-divisor shapes and M = f(0) I at dim 4 (C(f) + C(f) for N) under
+    a congruence, and canonical sums, where e_0 is an eigenvector of M."""
+    f1, f2 = (point_from_poly(random_irreducible(spec, rng, d)) for d in (1, 2))
+    shapes = _repeated_divisor_blocks(spec, rng) + [{(f1, 1): 2}]
+    pairs = [_invertible_a_pair(spec, rng, n) for n in (2, 4, 6, 8, 10, 12) for _ in range(2)]
+    pairs += [scrambled(spec, rng, blocks) for blocks in shapes]
+    sums = [{(f1, 1): 2}, {(f1, 1): 1, (f2, 1): 1}, {(f1, 1): 1, (f2, 2): 1}, {(f2, 1): 1, (f1, 2): 1}]
+    return pairs + [assemble(ClassFunction.from_dict(spec, blocks)) for blocks in sums]
+
+
+def _charpoly_root_mismatches(spec, seed):
+    """Where ``pencil._charpoly_root`` disagrees with the square root of
+    ``linalg._charpoly`` or ``pfaffian_form`` with the interpolation
+    reference, as (shortcut taken, error message or "differs"), and how
+    often the first sequence closed at dim/2."""
+    pk, rng = spec.packing, random.Random(seed)
+    mismatches, shortcuts = [], []
+    for pair in _charpoly_root_cases(spec, rng):
+        n = pair.dim
+        _, _, m = _front(pk, pair.a.packed, pair.b.packed)
+        mu, _ = next(_krylov(pk, [pk.multiples(r, n) for r in m]))
+        shortcuts.append(2 * Poly(mu, spec).degree == n)
+        try:
+            same = pencil._charpoly_root(spec, m) == poly_sqrt(Poly(_charpoly(pk, m, n), spec))
+            same = same and pfaffian_form(pair) == pfaffian_interpolation_reference(pair)
+        except AssertionError as exc:
+            mismatches.append((shortcuts[-1], str(exc)))
+        else:
+            if not same:
+                mismatches.append((shortcuts[-1], "differs"))
+    return mismatches, shortcuts
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 9], ids=lambda k: f"k{k}")
+def test_charpoly_root_matches_references(k):
+    # h from the first Krylov sequence when it closes at dim/2, and from the
+    # square root of the whole characteristic polynomial otherwise, against
+    # that square root and the Pfaffian against interpolation; both branches
+    # are taken
+    mismatches, shortcuts = _charpoly_root_mismatches(FieldSpec.gf(k), 0x3E5 + k)
+    assert not mismatches
+    assert shortcuts.count(True) >= 12 and shortcuts.count(False) >= 8
+
+
+@pytest.mark.parametrize("name", ["_charpoly", "_krylov", "_charpoly_root"])
+@pytest.mark.parametrize("k", [1, 2, 4, 9], ids=lambda k: f"k{k}")
+def test_charpoly_root_mutants_are_killed(k, name, monkeypatch):
+    # the differential above fails under each mutant of krylov_mutants that
+    # reaches _charpoly_root; a flipped constant in the first polynomial
+    # fails the shortcut's check wherever the shortcut is taken
+    monkeypatch.setattr(pencil, *krylov_mutants()[name])
+    mismatches, shortcuts = _charpoly_root_mismatches(FieldSpec.gf(k), 0x3E5 + k)
+    assert mismatches
+    if name == "_krylov":
+        check = "the first Krylov sequence's polynomial does not kill the next one's start"
+        assert [why for short, why in mismatches if short] == [check] * shortcuts.count(True)
 
 
 # -- decomposition --------------------------------------------------------------------
@@ -527,10 +592,10 @@ def test_pfaffian_routes_match_interpolation(spec, monkeypatch):
     rng = random.Random(0x2F + spec.k)
     for n in (2, 4, 6, 8, 10):
         pf, ran = route(transform_congruence(_invertible_a_pair(spec, rng, n), random_invertible(spec, rng, n)))
-        assert ran == ["_charpoly"] and pf.poly.degree == pf.degree == n // 2
+        assert ran == ["_charpoly_root"] and pf.poly.degree == pf.degree == n // 2
         pair = direct_sum([_invertible_a_pair(spec, rng, n - 2), build_infinity(1, spec)])
         pf, ran = route(transform_congruence(pair, random_invertible(spec, rng, n)))
-        assert ran == ["_split", "_wong_dims", "_charpoly"] and pf.poly.degree == pf.degree - 1 == n // 2 - 1
+        assert ran == ["_split", "_wong_dims", "_charpoly_root"] and pf.poly.degree == pf.degree - 1 == n // 2 - 1
         pf, ran = route(_rank_deficient_pair(spec, rng, n))
         assert ran == ["_split", "_wong_dims"] and pf.is_zero()
 
