@@ -14,15 +14,11 @@ pass down to echelon form, or one that also clears above each pivot and so
 leaves the reduced echelon form at any rank.  ``_front`` is the one solve: it
 reduces [A | B] on A's columns, which gives A^-1 B for A invertible
 (``Mat.inv`` takes B = I) and otherwise the echelon that ``pencil._wong_dims``
-walks on.  ``_krylov`` reduces Krylov sequences against one echelon of such
-rows and yields each sequence's polynomial as it closes, so a caller that
-has what it needs from the first sequence stops there (``pencil`` does when
-it closes at half the dimension); ``_charpoly`` is the product of them all.
-``_nullities`` takes the kernels of powers of f(M) from echelon bases.  The
-Smith form reads t*A + B straight from the rows of A and B and gives each
-entry a field of several slots, so a row operation with a polynomial
-multiplier is one xor per coefficient of the multiplier, and each diagonal
-entry is already the packed int of a ``Poly``.
+walks on.  ``_nullities`` takes the kernels of powers of f(M) from echelon
+bases.  The Smith form reads t*A + B straight from the rows of A and B and
+gives each entry a field of several slots, so a row operation with a
+polynomial multiplier is one xor per coefficient of the multiplier, and
+each diagonal entry is already the packed int of a ``Poly``.
 """
 
 from __future__ import annotations
@@ -267,60 +263,6 @@ def _kernel_images(pk: Packing, work: list[int], ncols: int, images: list[int]) 
             if c := row >> (f * w) & mask:
                 out[i] ^= t[c]
     return out
-
-
-def _charpoly(pk: Packing, rows: list[int], n: int) -> int:
-    """det(t*I + M), packed, for the n x n matrix M with packed rows ``rows``:
-    the product of the polynomials of its Krylov sequences (``_krylov``;
-    ``pencil.pfaffian_form`` has the proof)."""
-    chi = 1
-    for mu, _ in _krylov(pk, [pk.multiples(r, n) for r in rows]):
-        chi = pk.mul(chi, mu)
-    return chi
-
-
-def _krylov(pk: Packing, tables: list):
-    """For the n x n matrix M whose rows have the tables ``tables``, one
-    (mu, x) per Krylov sequence x, xM, xM^2, ... (Keller-Gehrig, TCS 36
-    (1985)) as it closes: mu is its minimal polynomial relative to the span
-    of the sequences before it, packed, and x is the start of the next one,
-    0 once they span everything.
-
-    The sequences are reduced against one echelon, whose rows carry their
-    coordinates in the current sequence from column n on, as ``Mat.inv``
-    carries [M | I].  A sequence starts at the unit vector of the first
-    column without a pivot, which is not in the span, and closes when a
-    vector reduces to zero: its coordinates are then mu.  Closed rows drop
-    their coordinates, which the next sequence's would read as its own; a
-    caller that stops after a yield skips that rebuild.
-    """
-    n, w, mask, inv = len(tables), pk.w, pk.mask, pk.inv_table
-    shift = n * w
-    low = (1 << shift) - 1
-    echelon: list[tuple] = []  # (pivot column, row scaled to 1 there, its multiples)
-    start, x = 0, 1 if n else 0
-    while x:
-        coord = 1 << shift
-        while True:
-            v = x | coord
-            for p, _, t in echelon:
-                if f := v >> (p * w) & mask:
-                    v ^= t[f]
-            if not v & low:
-                break
-            p = ((v & -v).bit_length() - 1) // w  # the first nonzero column
-            if (f := v >> (p * w) & mask) != 1:
-                v = pk.mul(inv[f], v)
-            echelon.append((p, v, pk.multiples(v, n - len(echelon))))
-            x = _times(pk, x, tables)
-            coord <<= w
-        if len(echelon) == start:
-            raise AssertionError("a Krylov sequence started inside the span")
-        free = set(range(n)).difference(p for p, _, _ in echelon)
-        x = 1 << (min(free) * w) if free else 0
-        yield v >> shift, x
-        echelon[start:] = [(p, r & low, pk.multiples(r & low, n)) for p, r, _ in echelon[start:]]
-        start = len(echelon)
 
 
 def _nullities(pk: Packing, rows: list[int], n: int, f: Poly, top: int) -> list[int]:

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .blocks import AlternatingPair, BlockId, direct_sum
 from .field import FieldError, FieldSpec, Packing
-from .linalg import Mat, _front, _kernel_images, _krylov, _nullities, _rref, _times, _transpose
+from .linalg import Mat, _front, _kernel_images, _nullities, _rref, _times, _transpose
 from .linalg import smith_form  # noqa: F401  (perfbench traces this name; see ROADMAP item 2c)
 from .polyring import (
     EPS,
@@ -165,16 +165,19 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
     For A invertible, reducing [A | B] to [I | M] gives det A and
     M = A^-1 B, and t*A + B = A (t*I + M), so det(t*A + B) = det A * chi,
     chi = det(t*I + M).  The spans of the Krylov sequences of
-    ``linalg._krylov`` are invariant under x -> x M, so M is block
+    ``_charpoly_root`` are invariant under x -> x M, so M is block
     triangular in a basis through them, with the companion matrices of the
     sequences' relative minimal polynomials on the diagonal: chi is their
     product.  chi = (Pf(t*A + B) / Pf(A))^2, and a square in characteristic
     2 is sum c_i^2 t^(2i), so chi has no odd terms (``poly_sqrt`` checks)
-    and its root takes the field square root of each even coefficient.  As chi is monic of degree
-    n and sqrt(det A) != 0, sqrt(det A) * sqrt(chi) has degree exactly n/2.
-    As M is similar to N + N (``decompose``), sqrt(chi) = det(t*I + N), and
-    the first sequence's polynomial divides the minimal polynomial of N,
-    which divides sqrt(chi): at degree n/2 it is sqrt(chi).
+    and its root takes the field square root of each even coefficient.  As
+    chi is monic of degree n and sqrt(det A) != 0, sqrt(det A) * sqrt(chi)
+    has degree exactly n/2.  As M is similar to N + N (``decompose``),
+    sqrt(chi) = det(t*I + N), and the first sequence's polynomial divides
+    the minimal polynomial of N, which divides sqrt(chi): at degree n/2 it
+    is sqrt(chi).  ``_charpoly_root`` checks that h = sqrt(chi) kills the
+    second sequence's start, and on the square-root branch that the first
+    sequence's polynomial kills e_0 (AssertionError, CLI exit 3).
 
     Otherwise the pencil is singular, and the Pfaffian zero, iff B is not
     injective on some W_i of the Wong sequence W_0 = 0,
@@ -212,30 +215,76 @@ def pfaffian_form(pair: AlternatingPair) -> BinaryForm:
 
 
 def _charpoly_root(spec: FieldSpec, m: list[int]) -> Poly:
-    """h = sqrt(det(t*I + M)) for the rows m of M = A^-1 B, A invertible:
-    the polynomial of the first Krylov sequence (``linalg._krylov``) when it
-    has degree n/2 (``decompose`` has the proof), and then h(M) must kill
-    the next sequence's start, one Horner pass over the tables of M's rows;
-    otherwise the square root of the product of all the sequences'
-    polynomials."""
+    """h = sqrt(det(t*I + M)) for the rows m of M = A^-1 B, A invertible,
+    from the Krylov sequences x, xM, xM^2, ... of M (Keller-Gehrig, TCS 36
+    (1985)): the polynomial of the first sequence when it closes at degree
+    n/2, and otherwise the square root of the product of all the sequences'
+    polynomials (``pfaffian_form`` and ``decompose`` have the proofs).
+
+    The sequences are reduced against one echelon, whose rows carry their
+    coordinates in the current sequence from column n on, as ``Mat.inv``
+    carries [M | I].  A sequence starts at the unit vector of the first
+    column without a pivot, which is not in the span, and closes when a
+    vector reduces to zero: its coordinates are then its minimal polynomial
+    relative to the span of the sequences before it.  Closed rows drop their
+    coordinates, which the next sequence's would read as its own.
+
+    Checks, each one Horner pass over the tables of M's rows: h(M) must kill
+    the second sequence's start, and when h is a square root the first
+    sequence's polynomial must kill e_0 too.  A wrong factor can leave the
+    product a square whose root still kills all of M: the sequences t^2,
+    t^2, t^2, t^2, t, t of a nilpotent M with M^2 = 0 give t^4 (t + 1) when
+    the first constant is flipped.
+    """
     pk, n = spec.packing, len(m)
+    w, mask, inv = pk.w, pk.mask, pk.inv_table
+    shift = n * w
+    low = (1 << shift) - 1
     tables = [pk.multiples(r, n) for r in m]
-    sequences = _krylov(pk, tables)
-    mu, x = next(sequences, (1, 0))
-    h = Poly(mu, spec)
-    if 2 * h.degree == n:
+    echelon: list[tuple] = []  # (pivot column, row scaled to 1 there, its multiples)
+    start, x, chi = 0, 1 if n else 0, 1
+    first, second, shortcut = Poly.one(spec), 0, not n
+    while x:
+        coord = 1 << shift
+        while True:
+            v = x | coord
+            for p, _, t in echelon:
+                if f := v >> (p * w) & mask:
+                    v ^= t[f]
+            if not v & low:
+                break
+            p = ((v & -v).bit_length() - 1) // w  # the first nonzero column
+            if (f := v >> (p * w) & mask) != 1:
+                v = pk.mul(inv[f], v)
+            echelon.append((p, v, pk.multiples(v, n - len(echelon))))
+            x = _times(pk, x, tables)
+            coord <<= w
+        if len(echelon) == start:
+            raise AssertionError("a Krylov sequence started inside the span")
+        free = set(range(n)).difference(p for p, _, _ in echelon)
+        x = 1 << (min(free) * w) if free else 0
+        mu = v >> shift
+        if not start:
+            first, second = Poly(mu, spec), x
+            if shortcut := 2 * first.degree == n:
+                break
+        chi = pk.mul(chi, mu)
+        echelon[start:] = [(p, r & low, pk.multiples(r & low, n)) for p, r, _ in echelon[start:]]
+        start = len(echelon)
+    if shortcut:
+        h = first
+    else:
+        chi = Poly(chi, spec)
+        if chi.degree != n:
+            raise AssertionError(f"characteristic polynomial of degree {chi.degree} in dimension {n}")
+        h = poly_sqrt(chi)
+    for f, y in [(h, second)] if shortcut else [(h, second), (first, 1)]:
         v = 0
-        for c in reversed(h.coeffs):
-            v = _times(pk, v, tables) ^ c * x  # x is a unit vector
+        for c in reversed(f.coeffs):
+            v = _times(pk, v, tables) ^ c * y  # y is a unit vector
         if v:
-            raise AssertionError("the first Krylov sequence's polynomial does not kill the next one's start")
-        return h
-    for f, _ in sequences:
-        mu = pk.mul(mu, f)
-    chi = Poly(mu, spec)
-    if chi.degree != n:
-        raise AssertionError(f"characteristic polynomial of degree {chi.degree} in dimension {n}")
-    return poly_sqrt(chi)
+            raise AssertionError("h(M) or the first sequence's polynomial does not kill a Krylov start")
+    return h
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -429,6 +478,8 @@ def decompose(pair: AlternatingPair) -> ClassFunction:
     is computed.  h is factored once.  The pairing makes M similar to N + N
     with h = det(t*I + N), and the minimal polynomial of the first Krylov
     sequence divides that of N, which divides h: at degree n/2 it is h.
+    ``_charpoly_root`` computes h either way, with the checks that
+    ``pfaffian_form`` names.
 
     If A is singular, the Wong sequence W_0 = 0, W_(i+1) = {v : A v in B W_i}
     (Berger, Ilchmann and Trenn, SIAM J. Matrix Anal. Appl. 33 (2012)) splits

@@ -16,7 +16,7 @@ from altpairs.blocks import AlternatingPair, BlockError, BlockId
 from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
 from altpairs.cli import ParseError
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_mul
-from altpairs.linalg import Mat, _kernel_images, _krylov, _nullities, congruence, smith_form
+from altpairs.linalg import Mat, _kernel_images, _nullities, congruence, smith_form
 from altpairs.pencil import ClassFunction, _chains, assemble, decompose, require_valid
 from altpairs.polyring import (
     EPS,
@@ -1237,6 +1237,27 @@ def rref_reference(m: Mat) -> tuple[list[list[int]], int, list[int]]:
     return work, len(pivots), pivots
 
 
+def charpoly_reference(m: Mat) -> Poly:
+    """det(t*I + m), the product of the monic Smith diagonal of t*I + m by
+    entries (``smith_reference``)."""
+    chi = Poly.one(m.spec)
+    for d in smith_reference(Mat.identity(m.spec, m.cols), m):
+        chi = chi * d.monic()
+    return chi
+
+
+def krylov_degree_reference(m: Mat) -> int:
+    """The degree of the minimal polynomial of e_0 under x -> x m, which is
+    where the first Krylov sequence closes: the rank of e_0, e_0 m, e_0 m^2,
+    ... by entries (``rref_reference``)."""
+    spec, n, rows = m.spec, m.cols, m.rows
+    x, krylov = [1] + [0] * (n - 1), []
+    for _ in range(n):
+        krylov.append(x)
+        x = [reduce(xor, (spec.mul(x[i], rows[i][j]) for i in range(n)), 0) for j in range(n)]
+    return rref_reference(Mat.from_rows(spec, krylov, n))[1]
+
+
 # -- residue-form oracle for the finite blocks ------------------------------------
 
 
@@ -1621,23 +1642,21 @@ def krylov_mutants() -> dict:
     ``pfaffian_form``, keyed by the result they break: (the name ``pencil``
     reaches the broken kernel under, the broken copy).  Each comment names
     the tests that kill it."""
-    first = "yield v >> shift, x"
+    first, root = "mu = v >> shift", pencil._charpoly_root
     return {
         # det(t*I + M) without the first sequence's factor:
         # test_krylov_route_mutants_raise, test_krylov_mutant_exit3 and
         # test_charpoly_root_mutants_are_killed
-        "_charpoly": ("_krylov", mutant(_krylov, first, "yield (v >> shift if start else 1), x")),
-        # the first sequence's polynomial with its constant term flipped: the
-        # shortcut's check in test_charpoly_root_mutants_are_killed and
-        # test_pfaffian_shortcut_check_exit3, and on the fallback the odd-term
-        # check in test_pfaffian_with_an_odd_term_exit3
-        "_krylov": ("_krylov", mutant(_krylov, first, "yield v >> shift ^ (not start), x")),
+        "_charpoly": ("_charpoly_root", mutant(root, first, "mu = v >> shift if start else 1")),
+        # the first sequence's polynomial with its constant term flipped, which
+        # raises on every case of test_charpoly_root_mutants_are_killed: h(M)
+        # leaves the second start (test_pfaffian_shortcut_check_exit3), the
+        # square root meets an odd term (test_pfaffian_with_an_odd_term_exit3)
+        # or the flipped polynomial leaves e_0 (test_pfaffian_fallback_check_exit3)
+        "_krylov": ("_charpoly_root", mutant(root, first, "mu = v >> shift ^ (not start)")),
         # h from a first sequence one degree short, where M = I passes the
-        # shortcut's check: the differential in test_charpoly_root_mutants_are_killed
-        "_charpoly_root": (
-            "_charpoly_root",
-            mutant(pencil._charpoly_root, "if 2 * h.degree == n:", "if 2 * h.degree >= n - 2:"),
-        ),
+        # check: the differential in test_charpoly_root_mutants_are_killed
+        "_charpoly_root": ("_charpoly_root", mutant(root, "2 * first.degree == n", "2 * first.degree >= n - 2")),
         # kernel dimensions one too large: test_krylov_route_mutants_raise and
         # test_krylov_mutant_exit3
         "_nullities": ("_nullities", mutant(_nullities, "dims.append(n - rank)", "dims.append(n - rank + 1)")),

@@ -612,6 +612,9 @@ def test_pfaffian_with_an_odd_term_exit3(capsys, monkeypatch, tmp_path):
     assert err == f"internal error: {path}: polynomial is not a square\n"
 
 
+KRYLOV_CHECK = "h(M) or the first sequence's polynomial does not kill a Krylov start"
+
+
 def test_pfaffian_shortcut_check_exit3(capsys, monkeypatch, tmp_path):
     # the first sequence closes at degree dim/2 and its polynomial is taken
     # for h; with its constant flipped, h(M) no longer kills the next start
@@ -623,7 +626,31 @@ def test_pfaffian_shortcut_check_exit3(capsys, monkeypatch, tmp_path):
     for command in ("pfaffian", "decompose"):
         code, out, err = run(capsys, [command, str(path)])
         assert (code, out) == (3, "")
-        assert err == f"internal error: {path}: the first Krylov sequence's polynomial does not kill the next one's start\n"
+        assert err == f"internal error: {path}: {KRYLOV_CHECK}\n"
+
+
+# (x1, 2) + (x1, 1) under a congruence: M is nilpotent with M^2 = 0, and the
+# first Krylov sequence, from e_0 outside ker M, closes at t^2, below dim/2
+NILPOTENT_DOCUMENT = (
+    "field gf2\ndim 6\nmatrix A\n0 0 0 1 0 0\n0 0 1 0 0 0\n0 1 0 0 0 0\n1 0 0 0 0 0\n0 0 0 0 0 1\n0 0 0 0 1 0\n"
+    "matrix B\n0 0 0 0 0 0\n0 0 0 0 1 1\n0 0 0 0 0 0\n0 0 0 0 1 1\n0 1 0 1 0 0\n0 1 0 1 0 0\n"
+)
+
+
+def test_pfaffian_fallback_check_exit3(capsys, monkeypatch, tmp_path):
+    # h is the square root of det(t*I + M); with the first constant flipped,
+    # t^2 becomes (t + 1)^2, det(t*I + M) stays a square and its root
+    # t^2 (t + 1) still kills all of M, but t^2 + 1 no longer kills e_0
+    from altpairs import pencil
+
+    path = tmp_path / "nilpotent.pair"
+    path.write_text(NILPOTENT_DOCUMENT)
+    assert run(capsys, ["pfaffian", str(path)]) == (0, "x1^3\n", "")
+    monkeypatch.setattr(pencil, *krylov_mutants()["_krylov"])
+    for command in ("pfaffian", "decompose"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert (code, out) == (3, "")
+        assert err == f"internal error: {path}: {KRYLOV_CHECK}\n"
 
 
 @pytest.mark.parametrize("name", ["_charpoly", "_nullities"])

@@ -10,8 +10,8 @@ from altpairs import linalg
 from altpairs.blocks import build_finite, direct_sum
 from altpairs.cli import format_pair_document, parse_pair_document
 from altpairs.field import FieldError, FieldSpec
-from altpairs.linalg import LinAlgError, Mat, _charpoly, _nullities, _rref, _smith_diagonal, congruence, smith_form
-from altpairs.pencil import assemble
+from altpairs.linalg import LinAlgError, Mat, _nullities, _rref, _smith_diagonal, congruence, smith_form
+from altpairs.pencil import _charpoly_root, assemble
 from altpairs.polyring import (
     Poly,
     factor,
@@ -24,7 +24,9 @@ from conftest import (
     GF4,
     GF16,
     GF512,
+    charpoly_reference,
     kernel_mutants,
+    krylov_degree_reference,
     mat_apply,
     nullspace,
     random_alternating,
@@ -460,23 +462,24 @@ def _derogatory(spec, rng):
 
 @pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
 def test_charpoly_is_the_product_of_the_invariant_factors(spec):
-    # det(tI + M) from the Krylov sequences against the monic Smith diagonal
-    # of tI + M by entries, and Cayley-Hamilton: chi(M) = 0
+    # h = sqrt(det(tI + M + M)) from the Krylov sequences of M + M, whose
+    # divisors pair up by construction, against det(tI + M) by the monic
+    # Smith diagonal of tI + M by entries, on both branches of h, and
+    # Cayley-Hamilton: chi(M) = 0
     rng = random.Random(83 + spec.k)
-    pk = spec.packing
-    assert _charpoly(pk, [], 0) == 1
+    assert _charpoly_root(spec, []) == Poly.one(spec)
     mats = [random_matrix(spec, rng, n, n) for n in (1, 2, 3, 6, 9)] + _derogatory(spec, rng)
+    shortcuts = set()
     for m in (c for base in mats for c in _conjugates(spec, rng, base)):
-        n = m.nrows
-        chi = Poly(_charpoly(pk, [pk.pack(r) for r in m.rows], n), spec)
-        expected = Poly.one(spec)
-        for d in smith_reference(Mat.identity(spec, n), m):
-            expected = expected * d.monic()
-        assert chi == expected
+        n, double = m.nrows, Mat.block_diag(spec, [m, m])
+        chi = _charpoly_root(spec, list(double.packed))
+        assert chi == charpoly_reference(m)
+        shortcuts.add(krylov_degree_reference(double) == n)
         value = Mat.zeros(spec, n, n)
         for c in reversed(chi.coeffs):
             value = value @ m + Mat.identity(spec, n).scale(c)
         assert value.is_zero()
+    assert shortcuts == {True, False}
 
 
 @pytest.mark.parametrize("spec", [GF2, GF4, GF16, GF512], ids=str)
@@ -490,7 +493,7 @@ def test_nullities_match_ranks_of_powers(spec):
     for m in (c for base in mats for c in _conjugates(spec, rng, base)):
         n = m.nrows
         rows = [pk.pack(r) for r in m.rows]
-        for f, _ in factor(Poly(_charpoly(pk, rows, n), spec)):
+        for f, _ in factor(charpoly_reference(m)):
             value = Mat.zeros(spec, n, n)
             for c in reversed(f.coeffs):
                 value = value @ m + Mat.identity(spec, n).scale(c)

@@ -13,7 +13,7 @@ from altpairs.blocks import (
     direct_sum,
 )
 from altpairs.field import FieldError, FieldSpec, _Computed
-from altpairs.linalg import Mat, _charpoly, _front, _kernel_images, _krylov
+from altpairs.linalg import Mat, _front, _kernel_images
 from altpairs.pencil import (
     ClassFunction,
     assemble,
@@ -25,11 +25,9 @@ from altpairs.pencil import (
 from altpairs.polyring import (
     EPS,
     BinaryForm,
-    Poly,
     monic_irreducibles,
     parse_poly,
     point_from_poly,
-    poly_sqrt,
 )
 
 from conftest import (
@@ -38,12 +36,14 @@ from conftest import (
     GF16,
     GF512,
     KroneckerInvariants,
+    charpoly_reference,
     class_function_from_json,
     embed,
     form_value,
     parse_form,
     kronecker_invariants,
     kronecker_reference,
+    krylov_degree_reference,
     krylov_mutants,
     mutant,
     pfaffian_interpolation_reference,
@@ -395,7 +395,6 @@ def test_krylov_route_mutants_raise(spec, label, monkeypatch):
     rng = random.Random(0x3C7 + spec.k)
     name, broken = krylov_mutants()[label]
     monkeypatch.setattr(pencil, name, broken)
-    logged = {"_krylov": "_charpoly_root"}.get(name, name)  # the log has _krylov's caller
     calls = _route_log(monkeypatch)
     reached = 0
     for blocks in _repeated_divisor_blocks(spec, rng):
@@ -406,7 +405,7 @@ def test_krylov_route_mutants_raise(spec, label, monkeypatch):
         except AssertionError:
             reached += 1
         else:
-            assert logged not in calls, rho
+            assert name not in calls, rho
         if label == "_charpoly":
             with pytest.raises(AssertionError):
                 pfaffian_form(pair)
@@ -428,18 +427,19 @@ def _charpoly_root_cases(spec, rng):
 
 def _charpoly_root_mismatches(spec, seed):
     """Where ``pencil._charpoly_root`` disagrees with the square root of
-    ``linalg._charpoly`` or ``pfaffian_form`` with the interpolation
-    reference, as (shortcut taken, error message or "differs"), and how
-    often the first sequence closed at dim/2."""
+    det(t*I + M) by entries or ``pfaffian_form`` with the interpolation
+    reference, as (shortcut taken, error message or "differs"), and for each
+    case whether the first Krylov sequence closes at dim/2, from the degree
+    of the minimal polynomial of e_0 by entries."""
     pk, rng = spec.packing, random.Random(seed)
     mismatches, shortcuts = [], []
     for pair in _charpoly_root_cases(spec, rng):
         n = pair.dim
-        _, _, m = _front(pk, pair.a.packed, pair.b.packed)
-        mu, _ = next(_krylov(pk, [pk.multiples(r, n) for r in m]))
-        shortcuts.append(2 * Poly(mu, spec).degree == n)
+        m = Mat(tuple(_front(pk, pair.a.packed, pair.b.packed)[2]), n, spec)
+        shortcuts.append(2 * krylov_degree_reference(m) == n)
         try:
-            same = pencil._charpoly_root(spec, m) == poly_sqrt(Poly(_charpoly(pk, m, n), spec))
+            h = pencil._charpoly_root(spec, list(m.packed))
+            same = h * h == charpoly_reference(m)
             same = same and pfaffian_form(pair) == pfaffian_interpolation_reference(pair)
         except AssertionError as exc:
             mismatches.append((shortcuts[-1], str(exc)))
@@ -465,12 +465,14 @@ def test_charpoly_root_matches_references(k):
 def test_charpoly_root_mutants_are_killed(k, name, monkeypatch):
     # the differential above fails under each mutant of krylov_mutants that
     # reaches _charpoly_root; a flipped constant in the first polynomial
-    # fails the shortcut's check wherever the shortcut is taken
+    # raises on every case, on either branch, and on the shortcut it is the
+    # check that h(M) kills the second start
     monkeypatch.setattr(pencil, *krylov_mutants()[name])
     mismatches, shortcuts = _charpoly_root_mismatches(FieldSpec.gf(k), 0x3E5 + k)
     assert mismatches
     if name == "_krylov":
-        check = "the first Krylov sequence's polynomial does not kill the next one's start"
+        assert len(mismatches) == len(shortcuts) and "differs" not in {why for _, why in mismatches}
+        check = "h(M) or the first sequence's polynomial does not kill a Krylov start"
         assert [why for short, why in mismatches if short] == [check] * shortcuts.count(True)
 
 
