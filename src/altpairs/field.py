@@ -2,11 +2,11 @@
 
 Elements are plain ints, their coefficient bitmask: bit i is the coefficient
 of t^i in the residue class modulo the defining polynomial, and ``FieldSpec``
-does the arithmetic on them by table lookup.  The tables come from the
-field's ``Packing``: row a of the multiplication table is the table of
-multiples of a (below), and the inverse of a is read off that row.  A
-modulus is checked by ``polyring.is_irreducible`` over GF(2), so the field
-has one product, one table builder and one irreducibility test.
+does the arithmetic on them by lookup in the tables of the field's
+``Packing``: row a of the multiplication table is the table of multiples of
+a (below), and the inverse of a is read off that row.  A modulus is checked
+by ``polyring.is_irreducible`` over GF(2), so the field has one product,
+one table builder and one irreducibility test.
 
 ``Packing`` is the only product and division in GF(2^k)[t]: ``polyring.Poly``
 and the eliminations of ``linalg`` all run on it.  It stores a polynomial
@@ -84,20 +84,12 @@ def default_modulus(k: int) -> int:
 class FieldSpec:
     """GF(2^k) together with its defining modulus bitmask.
 
-    ``mul_table[a][b]`` is a*b and ``inv_table[a]`` the inverse of a != 0.
-    Both are the tables of ``packing``, the GF(2^k)[t] kernel, which builds
-    them once per (k, modulus) for all equal specs: row a is
-    ``packing.multiples(a, 2^k)``.  For k <= _TABLE_MAX_K the tables are
-    lists (row a is (0, a) at k = 1); above that they are ``_Computed``
-    stand-ins whose rows call ``Packing.mul`` on each read and whose inverse
-    of a is ``pow(a, 2^k - 2)``, taken once, so every caller indexes them
-    the same way.
+    ``packing`` is the GF(2^k)[t] kernel, one for all equal specs; ``mul``
+    and ``inv`` read its tables.
     """
 
     k: int
     modulus: int
-    mul_table: list | _Computed = field(init=False, repr=False, compare=False)
-    inv_table: list | _Computed = field(init=False, repr=False, compare=False)
     packing: Packing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,10 +99,7 @@ class FieldSpec:
             raise FieldError(f"modulus 0x{self.modulus:x} does not have degree {self.k}")
         if not _irreducible_modulus(self.modulus):
             raise FieldError(f"modulus 0x{self.modulus:x} is reducible over GF(2)")
-        packing = _shared_packing(self)
-        object.__setattr__(self, "packing", packing)
-        object.__setattr__(self, "mul_table", packing.mul_table)
-        object.__setattr__(self, "inv_table", packing.inv_table)
+        object.__setattr__(self, "packing", _shared_packing(self))
 
     # -- construction ------------------------------------------------------
 
@@ -161,11 +150,8 @@ class FieldSpec:
             raise FieldError(f"value 0x{bits:x} out of range for {self}")
         return bits
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
+        return self.packing.mul_table[a][b]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -182,7 +168,7 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in " + str(self))
-        return self.inv_table[a]
+        return self.packing.inv_table[a]
 
     def sqrt(self, a: int) -> int:
         """Unique square root: the Frobenius inverse a^(2^(k-1))."""
@@ -215,6 +201,13 @@ class Packing:
     length.  A row scaled many times gets a table of its multiples
     (``multiples``); ``scale`` and ``divmod`` read polynomial products off
     such a table.
+
+    ``mul_table[a][b]`` is a*b and ``inv_table[a]`` the inverse of a != 0,
+    built once per (k, modulus): row a is ``multiples(a, 2^k)``.  For k <=
+    _TABLE_MAX_K the tables are lists (row a is (0, a) at k = 1); above that
+    they are ``_Computed`` stand-ins whose rows call ``mul`` on each read and
+    whose inverse of a is ``FieldSpec.pow(a, 2^k - 2)``, taken once, so
+    every caller indexes them the same way.
     """
 
     __slots__ = ("k", "w", "mask", "modulus", "masks", "mul_table", "inv_table")

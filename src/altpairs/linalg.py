@@ -116,9 +116,6 @@ class Mat:
         tables = [pk.multiples(r, self.nrows) for r in other.packed]
         return Mat(tuple(_times(pk, r, tables) for r in self.packed), other.cols, self.spec)
 
-    def is_zero(self) -> bool:
-        return not any(self.packed)
-
     def __str__(self) -> str:
         return "\n".join(" ".join(f"{v:x}" for v in r) for r in self.rows)
 

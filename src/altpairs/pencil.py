@@ -118,12 +118,6 @@ class ClassFunction:
         items.sort(key=lambda e: (point_sort_key(e[0]), e[1]))
         return ClassFunction(tuple(items), spec)
 
-    def get(self, point: ProjPoint, n: int) -> int:
-        for p, k, mult in self.entries:
-            if k == n and p == point:
-                return mult
-        return 0
-
     @property
     def total_dim(self) -> int:
         return sum(BlockId.of_point(p, n).dim * m for p, n, m in self.entries)

@@ -130,12 +130,7 @@ class Poly:
     def monic(self) -> "Poly":
         return Poly(_monic(self.spec.packing, self.bits), self.spec)
 
-    # -- ordering and display --------------------------------------------------
-
-    def sort_key(self) -> tuple:
-        # for equal degrees the packed ints order like the coefficients read
-        # from the leading one down
-        return (self.degree, self.bits)
+    # -- display ---------------------------------------------------------------
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -287,7 +282,7 @@ def factor(g: Poly) -> list[tuple[Poly, int]]:
         for block, d in _distinct_degree_split(pk, part):
             for irr in _equal_degree_split(pk, block, d, rng):
                 out[irr] = mult
-    # packed ints of reduced coefficients order like ``Poly.sort_key``
+    # the packed ints order by degree, then by the coefficients from the top down
     return [(Poly(f, spec), m) for f, m in sorted(out.items())]
 
 
@@ -381,12 +376,6 @@ class BinaryForm:
         poly = self.poly * other.poly
         return BinaryForm(poly, self.degree + other.degree if poly else -1)
 
-    def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        poly = self.poly + other.poly
-        if self.degree != other.degree and self.poly and other.poly:
-            raise PolyError("cannot add forms of different degrees")
-        return BinaryForm(poly, max(self.degree, other.degree) if poly else -1)
-
     def scale(self, bits: int) -> "BinaryForm":
         poly = self.poly.scale(bits)
         return BinaryForm(poly, self.degree if poly else -1)
@@ -464,14 +453,14 @@ def moebius_act(q: Sequence[Sequence[int]], point: ProjPoint, spec: FieldSpec) -
     act(Q1*Q2, g) = act(Q1, act(Q2, g)).
     """
     (q11, q12), (q21, q22) = q
-    rows = spec.mul_table
+    pk = spec.packing
+    rows = pk.mul_table
     if rows[q11][q22] ^ rows[q12][q21] == 0:
         raise PolyError("singular substitution matrix")
     if isinstance(point, _EpsType):
         return EPS
     # Horner on the packed coefficients with y1, y2 the images of x1, x2:
     # acc_{j+1} = acc_j * y1 + c_{d-j-1} * y2^(j+1), ending at sum c_i y1^i y2^(d-i).
-    pk = spec.packing
     mul, w, mask = pk.mul, pk.w, pk.mask
     y1, y2 = q21 | q11 << w, q22 | q12 << w
     bits, d = point.poly.bits, point.degree

@@ -131,15 +131,10 @@ def pgl2_enumerate(spec: FieldSpec) -> Iterator[GL2Element]:
                     yield GL2Element(1, b, c, d, spec)
 
 
-def point_action(q: GL2Element, point):
-    """The substitution action on projective points (eps is fixed)."""
-    return moebius_act(q.rows(), point, q.spec)
-
-
 def _relabel(rho: ClassFunction, q: GL2Element) -> ClassFunction:
     acc: dict = {}
     for point, n, mult in rho.entries:
-        key = (point_action(q, point), n)
+        key = (moebius_act(q.rows(), point, q.spec), n)
         acc[key] = acc.get(key, 0) + mult
     return ClassFunction.from_dict(rho.spec, acc)
 

@@ -339,7 +339,7 @@ def moebius_act_reference(q, coeffs: tuple, spec: FieldSpec) -> tuple:
     coefficients and scaled to leading coefficient 1; x2, (1, 0), when x2
     divides the image."""
     (q11, q12), (q21, q22) = q
-    rows = spec.mul_table
+    rows = spec.packing.mul_table
     if rows[q11][q22] ^ rows[q12][q21] == 0:
         raise PolyError("singular substitution matrix")
     d = len(coeffs) - 1
@@ -912,7 +912,7 @@ def _equal_degree_split_reference(f: Poly, d: int, rng: random.Random) -> list[P
 
 
 def factor_reference(g: Poly) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors with multiplicities, sorted by ``sort_key``:
+    """Monic irreducible factors with multiplicities, sorted by packed int:
     the squarefree, distinct-degree and equal-degree splits on ``Poly``
     objects, each reduction dividing by the ``Poly`` operators."""
     rng = random.Random(0x5EED)
@@ -921,7 +921,7 @@ def factor_reference(g: Poly) -> list[tuple[Poly, int]]:
         for block, d in _distinct_degree_split_reference(part):
             for irr in _equal_degree_split_reference(block, d, rng):
                 out[irr] = out.get(irr, 0) + mult
-    return sorted(out.items(), key=lambda it: it[0].sort_key())
+    return sorted(out.items(), key=lambda it: it[0].bits)
 
 
 # -- test-only views of library objects --------------------------------------------
@@ -1195,12 +1195,12 @@ def smith_reference(a: Mat, b: Mat) -> list[Poly]:
         [(y, x) if x else (y,) if y else () for x, y in zip(ra, rb)]
         for ra, rb in zip(a.rows, b.rows)
     ]
-    rows = spec.mul_table
+    rows = spec.packing.mul_table
     diagonal = _smith_raw(
         raw,
         a.shape,
         len,
-        partial(_poly_divmod, rows, spec.inv_table),
+        partial(_poly_divmod, rows, spec.packing.inv_table),
         partial(_poly_submul, rows),
         (1,),
     )
@@ -1209,11 +1209,11 @@ def smith_reference(a: Mat, b: Mat) -> list[Poly]:
 
 def rref_reference(m: Mat) -> tuple[list[list[int]], int, list[int]]:
     """Reduced row echelon form by Gaussian elimination on lists of entries,
-    reading rows of ``FieldSpec.mul_table``; returns (rows, rank, pivot
+    reading rows of ``Packing.mul_table``; returns (rows, rank, pivot
     columns)."""
     spec = m.spec
     nr, nc = m.shape
-    rows, inv = spec.mul_table, spec.inv
+    rows, inv = spec.packing.mul_table, spec.inv
     work = [list(r) for r in m.rows]
     pivots = []
     row = 0

@@ -224,12 +224,12 @@ def test_criterion_6_orbit_sanity():
     started = time.perf_counter()
     from altpairs.pencil import ClassFunction
     from conftest import parse_form
-    from altpairs.weakeq import point_action
+    from altpairs.polyring import moebius_act
 
     points = [parse_form(GF2, t) for t in ("x1", "x2", "x1+x2")]
     # one orbit of the projective line under GL(2,2)
     orbit = {
-        tuple(point_action(q, points[0]).coeffs) for q in gl2_enumerate(GF2)
+        tuple(moebius_act(q.rows(), points[0], GF2).coeffs) for q in gl2_enumerate(GF2)
     }
     assert orbit == {(0, 1), (1, 0), (1, 1)}
     reps = []
