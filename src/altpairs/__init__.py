@@ -32,8 +32,6 @@ from .polyring import (
 from .weakeq import GL2Element, act_on_class, canonical_rep, gl2_enumerate, weakly_equivalent
 from .chernikov import (
     FiniteQuotient,
-    GroupPresentation,
-    build_quotient,
     iso_from_witness,
     presentation_from_class,
     presentation_from_tuple,
@@ -50,7 +48,6 @@ __all__ = [
     "FieldSpec",
     "FiniteQuotient",
     "GL2Element",
-    "GroupPresentation",
     "Mat",
     "Poly",
     "act_on_class",
@@ -58,7 +55,6 @@ __all__ = [
     "build_finite",
     "build_infinity",
     "build_plus",
-    "build_quotient",
     "canonical_rep",
     "companion",
     "congruence",

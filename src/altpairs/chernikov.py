@@ -1,17 +1,18 @@
 """From classification data to class-2 nilpotent 2-groups.
 
-A presentation has involutive top generators h_1..h_num_h over a central
-bottom (Z/2^e)^m; the commutator [h_i, h_j] is a vector of order-2 bottom
-elements read off a tuple of alternating matrices over GF(2).  A class
-function's group reads the same table off its canonical pair, so the block
-matrices of ``blocks.py`` are the one definition of each block.  The explicit
-finite model multiplies exponent vectors with the standard lower-triangle
-2-cocycle, so h-lifts square to the identity.  Its m forms are stored once
-as n strided rows, form k at bits [k n, (k+1) n) of each row (packed GF(2)
-rows, as in Albrecht, Bard and Hart, ACM TOMS 2010), so one xor pass over
-the set bits of x gives all of them.  A ``QuotientMap`` holds its top map and
-m quadratic corrections in one such set of rows and its linear corrections
-as e bit-planes per bottom coordinate, so ``apply`` also makes one pass.
+The group has involutive top generators h_1..h_num_h over a central bottom
+(Z/2^e)^m; the commutator [h_i, h_j] is a vector of order-2 bottom elements
+read off a tuple of alternating matrices over GF(2).  A class function's
+group reads the same table off its canonical pair, so the block matrices of
+``blocks.py`` are the one definition of each block.  ``FiniteQuotient`` holds
+the group once, as its commutator table in n strided lower-triangle rows,
+form k at bits [k n, (k+1) n) (packed GF(2) rows, as in Albrecht, Bard and
+Hart, ACM TOMS 2010).  The renderers spell the presentation out of those
+rows, and the finite model multiplies through them as its 2-cocycle, so
+h-lifts square to the identity and one xor pass over the set bits of x gives
+all m forms.  A ``QuotientMap`` holds its top map and m quadratic
+corrections in one such set of rows and its linear corrections as e
+bit-planes per bottom coordinate, so ``apply`` also makes one pass.
 
 ``iso_from_witness`` turns a weak-equivalence witness (S, Q) into an explicit
 isomorphism of finite models.  The top maps through S^-1 and the bottom
@@ -31,7 +32,7 @@ decide bijectivity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .field import FieldSpec
@@ -49,14 +50,6 @@ class PresentationError(ValueError):
     """Invalid presentation input."""
 
 
-def _check_model(num_h: int, m: int, e: int) -> None:
-    """PresentationError unless e >= 1 and 2^(num_h + e*m) <= 2^MAX_ORDER_LOG2."""
-    if e < 1:
-        raise PresentationError("quotient exponent must be positive")
-    if (bits := num_h + e * m) > MAX_ORDER_LOG2:
-        raise PresentationError(f"finite model order 2^{bits} exceeds 2^{MAX_ORDER_LOG2}")
-
-
 class WitnessError(ValueError):
     """The supplied (S, Q) witness does not transform the tuples correctly."""
 
@@ -67,31 +60,80 @@ class IsoObstructionError(ValueError):
 
 
 Element = tuple[int, tuple[int, ...]]
-CommutatorTable = tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+
+
+def _xor_rows(rows: Sequence[int], x: int) -> int:
+    """Bitmask vector x times the GF(2) matrix with packed ``rows``: the xor
+    of the rows x selects."""
+    acc = 0
+    while x:
+        low = x & -x
+        acc ^= rows[low.bit_length() - 1]
+        x ^= low
+    return acc
 
 
 @dataclass(frozen=True)
-class GroupPresentation:
-    """Generators and relations: num_h involutive generators over a central
-    (Z/2^e)^m bottom, commutators given by vectors in F_2^m."""
+class FiniteQuotient:
+    """The group of num_h involutive generators h_i over a central
+    (Z/2^e)^m bottom, order 2^(num_h + e*m), fixed by its commutator table:
+    bit k*n + i of row j of ``cocycle`` (n = num_h, i < j) is coordinate k
+    of [h_i, h_j] in F_2^m.  Elements are pairs (x, a) of an exponent
+    bitmask and a bottom vector, multiplied through that lower-triangle
+    cocycle lifted into the socle."""
 
     num_h: int
     m: int
-    commutators: CommutatorTable  # ((i, j) 0-based, i < j) -> F_2^m vector
-    e: int = 1
+    e: int
+    cocycle: tuple[int, ...]
 
     def __post_init__(self):
-        _check_model(self.num_h, self.m, self.e)
-        for (i, j), vec in self.commutators:
-            if not 0 <= i < j < self.num_h:
-                raise PresentationError(f"bad commutator index ({i}, {j})")
-            if len(vec) != self.m or any(v not in (0, 1) for v in vec):
-                raise PresentationError("commutator vectors live in F_2^m")
+        if self.e < 1:
+            raise PresentationError("quotient exponent must be positive")
+        if (bits := self.num_h + self.e * self.m) > MAX_ORDER_LOG2:
+            raise PresentationError(f"finite model order 2^{bits} exceeds 2^{MAX_ORDER_LOG2}")
+        n = self.num_h
+        if len(self.cocycle) != n:
+            raise PresentationError(f"cocycle has {len(self.cocycle)} rows, need {n}")
+        fields = sum(1 << (k * n) for k in range(self.m))
+        for j, row in enumerate(self.cocycle):
+            if row & ~(((1 << j) - 1) * fields):
+                raise PresentationError(f"cocycle row {j} has a bit outside its lower triangle")
 
-    @staticmethod
-    def from_dict(num_h: int, m: int, data: dict, e: int = 1) -> "GroupPresentation":
-        items = tuple(sorted((ij, tuple(vec)) for ij, vec in data.items() if any(vec)))
-        return GroupPresentation(num_h, m, items, e)
+    @property
+    def order(self) -> int:
+        return 1 << (self.num_h + self.e * self.m)
+
+    @property
+    def identity(self) -> Element:
+        return (0, (0,) * self.m)
+
+    @property
+    def socle_unit(self) -> int:
+        return 1 << (self.e - 1)
+
+    @property
+    def commutators(self) -> tuple[tuple[tuple[int, int], tuple[int, ...]], ...]:
+        """The nonzero [h_i, h_j] as ((i, j), F_2^m vector), 0-based, sorted by (i, j)."""
+        n, rows = self.num_h, self.cocycle
+        table = (
+            ((i, j), tuple(rows[j] >> (k * n + i) & 1 for k in range(self.m)))
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        return tuple(entry for entry in table if any(entry[1]))
+
+    def mul(self, g: Element, h: Element) -> Element:
+        x, a = g
+        y, b = h
+        n, socle, mask = self.num_h, self.socle_unit, (1 << self.e) - 1
+        # beta_k(x, y): the parity of y masked by field k of the rows x selects
+        acc = _xor_rows(self.cocycle, x)
+        out = []
+        for av, bv in zip(a, b):
+            out.append((av + bv + socle * ((acc & y).bit_count() & 1)) & mask)
+            acc >>= n
+        return (x ^ y, tuple(out))
 
     # -- rendering -----------------------------------------------------------
 
@@ -101,8 +143,8 @@ class GroupPresentation:
         ]
 
     def relators(self) -> list[str]:
-        """GAP-style relator spellings for the finite model at exponent e."""
-        socle = 1 << (self.e - 1)
+        """GAP-style relator spellings for the model at exponent e."""
+        socle = self.socle_unit
         rel = [f"h{i + 1}^2" for i in range(self.num_h)]
         rel += [f"a{k + 1}^{1 << self.e}" for k in range(self.m)]
         rel += [
@@ -115,7 +157,7 @@ class GroupPresentation:
             for i in range(self.num_h)
             for k in range(self.m)
         ]
-        table = {ij: vec for ij, vec in self.commutators}
+        table = dict(self.commutators)
         for i in range(self.num_h):
             for j in range(i + 1, self.num_h):
                 vec = table.get((i, j))
@@ -147,9 +189,11 @@ class GroupPresentation:
 # -- building presentations -----------------------------------------------------
 
 
-def presentation_from_tuple(mats: Sequence[Mat], e: int = 1) -> GroupPresentation:
-    """Read the commutator table directly off an m-tuple of alternating
-    matrices over GF(2); a refusal names a bad matrix by its position, from 1."""
+def presentation_from_tuple(mats: Sequence[Mat], e: int = 1) -> FiniteQuotient:
+    """The model whose commutator table is an m-tuple of alternating
+    matrices over GF(2): row j of its cocycle is the lower triangle of row j
+    of each matrix, matrix k in field k.  A refusal names a bad matrix by its
+    position, from 1."""
     if not mats:
         raise PresentationError("need at least one matrix")
     spec = mats[0].spec
@@ -161,92 +205,19 @@ def presentation_from_tuple(mats: Sequence[Mat], e: int = 1) -> GroupPresentatio
             raise PresentationError("matrices must share a square GF(2) shape")
         if fault := _alternating_fault(str(index), m):
             raise PresentationError(fault.message)
-    data = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = tuple(m.packed[i] >> j & 1 for m in mats)
-            if any(vec):
-                data[(i, j)] = vec
-    return GroupPresentation.from_dict(n, len(mats), data, e)
+    cocycle = tuple(
+        sum((m.packed[j] & (1 << j) - 1) << (k * n) for k, m in enumerate(mats))
+        for j in range(n)
+    )
+    return FiniteQuotient(n, len(mats), e, cocycle)
 
 
-def presentation_from_class(rho: ClassFunction, e: int = 1) -> GroupPresentation:
-    """Presentation of the group attached to a class function over GF(2):
-    the commutator table of its canonical pair ``assemble(rho)``, so each
-    block's commutators are its block matrices and cross-block ones vanish.
+def presentation_from_class(rho: ClassFunction, e: int = 1) -> FiniteQuotient:
+    """The model attached to a class function over GF(2): the commutator
+    table of its canonical pair ``assemble(rho)``, so each block's
+    commutators are its block matrices and cross-block ones vanish.
     ``presentation_from_tuple`` refuses any other field."""
     return presentation_from_tuple(list(assemble(rho).matrices), e)
-
-
-# -- explicit finite models ------------------------------------------------------
-
-
-def _xor_rows(rows: Sequence[int], x: int) -> int:
-    """Bitmask vector x times the GF(2) matrix with packed ``rows``: the xor
-    of the rows x selects."""
-    acc = 0
-    while x:
-        low = x & -x
-        acc ^= rows[low.bit_length() - 1]
-        x ^= low
-    return acc
-
-
-def _strided_forms(pres: GroupPresentation) -> tuple[int, ...]:
-    """The commutator table as strided lower-triangle rows: bit k*n + i of
-    row j is coordinate k of [h_i, h_j], i < j."""
-    n = pres.num_h
-    rows = [0] * n
-    for (i, j), vec in pres.commutators:
-        for k, bit in enumerate(vec):
-            if bit:
-                rows[j] |= 1 << (k * n + i)
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class FiniteQuotient:
-    """Explicit model of order 2^(num_h + e*m): pairs (x, a) of an exponent
-    bitmask and a bottom vector, multiplied through the lower-triangle
-    cocycle lifted into the socle."""
-
-    num_h: int
-    m: int
-    e: int
-    # n strided rows: bits [k*n, (k+1)*n) of row i are row i of form k, and
-    # bit k*n + j is the coefficient of x_i y_j
-    cocycle: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_model(self.num_h, self.m, self.e)
-
-    @property
-    def order(self) -> int:
-        return 1 << (self.num_h + self.e * self.m)
-
-    @property
-    def identity(self) -> Element:
-        return (0, (0,) * self.m)
-
-    @property
-    def socle_unit(self) -> int:
-        return 1 << (self.e - 1)
-
-    def mul(self, g: Element, h: Element) -> Element:
-        x, a = g
-        y, b = h
-        n, socle, mask = self.num_h, self.socle_unit, (1 << self.e) - 1
-        # beta_k(x, y): the parity of y masked by field k of the rows x selects
-        acc = _xor_rows(self.cocycle, x)
-        out = []
-        for av, bv in zip(a, b):
-            out.append((av + bv + socle * ((acc & y).bit_count() & 1)) & mask)
-            acc >>= n
-        return (x ^ y, tuple(out))
-
-
-def build_quotient(pres: GroupPresentation, e: int) -> FiniteQuotient:
-    return FiniteQuotient(pres.num_h, pres.m, e, _strided_forms(pres))
 
 
 # -- isomorphisms from weak-equivalence witnesses ---------------------------------
@@ -287,14 +258,14 @@ class QuotientMap:
 
 
 def iso_from_witness(
-    p: GroupPresentation,
-    r: GroupPresentation,
+    p: FiniteQuotient,
+    r: FiniteQuotient,
     s: Mat,
     q: GL2Element,
     e: int,
 ) -> QuotientMap:
-    """Isomorphism FiniteQuotient(p, e) -> FiniteQuotient(r, e) from a
-    witness with r's tuple equal to the S, Q transform of p's, that is
+    """Isomorphism from p to r, both taken at exponent e, from a witness
+    with r's tuple equal to the S, Q transform of p's, that is
     R_k = sum_l q_lk S A_l S^T.
 
     Top vectors map through S^-1, the bottom through the 0/1 lift of Q; the
@@ -331,7 +302,6 @@ def iso_from_witness(
     except LinAlgError as exc:
         raise WitnessError("S is singular") from exc
     qrows = q.rows()
-    cocycle_p, cocycle_r = _strided_forms(p), _strided_forms(r)
     mrows = minv.packed
     full = (1 << n) - 1
     # discrepancy forms delta(x, y) = beta_R(x S^-1, y S^-1) - beta_P(x, y) Q
@@ -339,8 +309,8 @@ def iso_from_witness(
     # S^-1 L S^-T, so each field of a row of S^-1 C_R goes through S^-T
     pull = [c << (k * n) for k in range(2) for c in _transpose(mrows, n, 1)]
     delta = []
-    for t, row_p in zip(mrows, cocycle_p):
-        row = _xor_rows(pull, _xor_rows(cocycle_r, t))
+    for t, row_p in zip(mrows, p.cocycle):
+        row = _xor_rows(pull, _xor_rows(r.cocycle, t))
         for l in range(2):
             for k in range(2):
                 if qrows[l][k]:
@@ -356,7 +326,7 @@ def iso_from_witness(
             "e = 1 quotients admit no map of the prescribed shape for this "
             "witness: the basis change flips the square of a lifted generator"
         )
-    src, dst = FiniteQuotient(n, 2, e, cocycle_p), FiniteQuotient(n, 2, e, cocycle_r)
+    src, dst = replace(p, e=e), replace(r, e=e)
     # off the diagonal delta is absorbed by q(x) = sum_{j < i} x_i x_j delta_ij
     lower = [((1 << i) - 1) * (1 | 1 << n) for i in range(n)]
     qmap = QuotientMap(

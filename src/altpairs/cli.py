@@ -48,7 +48,7 @@ from functools import cache
 from typing import Callable
 
 from .blocks import AlternatingPair, BlockError, BlockId
-from .chernikov import PresentationError, build_quotient, presentation_from_tuple
+from .chernikov import PresentationError, presentation_from_tuple
 from .field import FieldError, FieldSpec
 from .linalg import Mat
 from .pencil import (
@@ -236,15 +236,14 @@ def cmd_equiv(args) -> Result:
 
 def cmd_group(args) -> Result:
     mats = [m for _, m in parse_pair_document(_read_input(args.file)).matrices]
-    pres = presentation_from_tuple(mats, e=args.quotient_exp)
-    quotient = build_quotient(pres, args.quotient_exp)
+    group = presentation_from_tuple(mats, e=args.quotient_exp)
     payload = {
-        "presentation": pres.to_json_dict(),
-        "quotient": {"order": quotient.order, "e": quotient.e},
+        "presentation": group.to_json_dict(),
+        "quotient": {"order": group.order, "e": group.e},
     }
 
     def text() -> str:
-        return f"{pres.to_gap_text()}\nfinite model order: {quotient.order} (e = {quotient.e})"
+        return f"{group.to_gap_text()}\nfinite model order: {group.order} (e = {group.e})"
 
     return payload, text, 0
 

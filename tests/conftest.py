@@ -13,7 +13,7 @@ from operator import xor
 
 from altpairs import linalg, pencil
 from altpairs.blocks import AlternatingPair, BlockError, BlockId
-from altpairs.chernikov import GroupPresentation, PresentationError, WitnessError, iso_from_witness
+from altpairs.chernikov import FiniteQuotient, PresentationError, WitnessError, iso_from_witness
 from altpairs.cli import ParseError
 from altpairs.field import FieldError, FieldSpec, _gf2_poly_mul
 from altpairs.linalg import Mat, _kernel_images, _nullities, congruence, smith_form
@@ -939,7 +939,7 @@ def nullspace(m: Mat) -> list[tuple[int, ...]]:
     return [pk.unpack(v, cols) for v in _kernel_images(pk, list(m.packed), cols, units)]
 
 
-def presentation_matrices(p: GroupPresentation) -> list[Mat]:
+def presentation_matrices(p: FiniteQuotient) -> list[Mat]:
     """The m alternating matrices over GF(2) carrying the commutator data."""
     n = p.num_h
     rows = [[[0] * n for _ in range(n)] for _ in range(p.m)]
@@ -1353,7 +1353,18 @@ def _plus_block_commutators(eps: int) -> dict:
     return out
 
 
-def block_commutators_reference(rho: ClassFunction, e: int = 1) -> GroupPresentation:
+def quotient_from_table(num_h: int, m: int, table: dict, e: int = 1) -> FiniteQuotient:
+    """The model with commutator table ``table``, ((i, j) 0-based, i < j) ->
+    F_2^m vector, set into the strided cocycle rows one entry at a time."""
+    rows = [0] * num_h
+    for (i, j), vec in table.items():
+        for k, bit in enumerate(vec):
+            if bit:
+                rows[j] |= 1 << (k * num_h + i)
+    return FiniteQuotient(num_h, m, e, tuple(rows))
+
+
+def block_commutators_reference(rho: ClassFunction, e: int = 1) -> FiniteQuotient:
     """The group presentation of a GF(2) class function from hand-written
     commutator tables, one per block family, with no block matrices: one
     generator batch per block, cross-block commutators zero.  Independent of
@@ -1373,10 +1384,9 @@ def block_commutators_reference(rho: ClassFunction, e: int = 1) -> GroupPresenta
                     g = g * bid.f
                 local = _finite_block_commutators([g.coeff(i) for i in range(g.degree)], g.degree)
             for (i, j), vec in local.items():
-                if any(vec):
-                    data[(offset + i, offset + j)] = tuple(vec)
+                data[(offset + i, offset + j)] = tuple(vec)
             offset += bid.dim
-    return GroupPresentation.from_dict(offset, 2, data, e)
+    return quotient_from_table(offset, 2, data, e)
 
 
 def iso_from_witness_dense(p, r, s: Mat, q: GL2Element, e: int):

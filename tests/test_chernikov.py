@@ -8,13 +8,11 @@ import pytest
 from altpairs.blocks import AlternatingPair, build_finite
 from altpairs.chernikov import (
     FiniteQuotient,
-    GroupPresentation,
     IsoObstructionError,
     MAX_ORDER_LOG2,
     PresentationError,
     QuotientMap,
     WitnessError,
-    build_quotient,
     iso_from_witness,
     presentation_from_class,
     presentation_from_tuple,
@@ -44,6 +42,7 @@ from conftest import (
     mul_reference,
     order_of_element,
     presentation_matrices,
+    random_alternating,
     random_alternating_pair,
     random_class_function,
     random_invertible,
@@ -181,9 +180,9 @@ def test_presentation_refuses_nonpositive_exponent():
         with pytest.raises(PresentationError, match="^quotient exponent must be positive$"):
             presentation_from_tuple([a], e=e)
         with pytest.raises(PresentationError, match="^quotient exponent must be positive$"):
-            GroupPresentation.from_dict(2, 1, {}, e)
+            FiniteQuotient(2, 1, e, (0, 0))
         with pytest.raises(PresentationError, match="^quotient exponent must be positive$"):
-            build_quotient(presentation_from_tuple([a]), e)
+            replace(presentation_from_tuple([a]), e=e)
 
 
 def test_presentation_refuses_order_beyond_bound():
@@ -196,13 +195,13 @@ def test_presentation_refuses_order_beyond_bound():
     # at the bound both print
     pres = presentation_from_tuple([a] * 4, e=(MAX_ORDER_LOG2 - 2) // 4)
     assert pres.to_gap_text()
-    assert str(build_quotient(pres, pres.e).order)
+    assert str(pres.order)
     with pytest.raises(PresentationError):
-        GroupPresentation.from_dict(MAX_ORDER_LOG2 + 1, 0, {})
+        FiniteQuotient(MAX_ORDER_LOG2 + 1, 0, 1, (0,) * (MAX_ORDER_LOG2 + 1))
     # a model built at another exponent meets the same bound
     small = presentation_from_tuple([a, a])
     with pytest.raises(PresentationError, match="^finite model order 2\\^40002 exceeds"):
-        build_quotient(small, 20000)
+        replace(small, e=20000)
     with pytest.raises(PresentationError, match="^finite model order 2\\^40002 exceeds"):
         iso_from_witness(small, small, Mat.identity(GF2, 2), GL2Element(1, 0, 0, 1, GF2), 20000)
 
@@ -222,6 +221,39 @@ def test_presentation_matrices_roundtrip():
     assert mats[1].rows == pair.b.rows
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 33])
+def test_presentation_matrices_roundtrip_other_ranks(n):
+    rng = random.Random(n)
+    for m in (1, 3):
+        for _ in range(4):
+            mats = [random_alternating(GF2, rng, n) for _ in range(m)]
+            pres = presentation_from_tuple(mats)
+            assert (pres.num_h, pres.m) == (n, m)
+            assert presentation_matrices(pres) == mats
+
+
+def test_quotient_refuses_cocycle_outside_the_lower_triangle():
+    # n = 3, m = 2: row j may set bits i and 3 + i for i < j only
+    assert FiniteQuotient(3, 2, 1, (0, 0b1001, 0b11011)).commutators == (
+        ((0, 1), (1, 1)),
+        ((0, 2), (1, 1)),
+        ((1, 2), (1, 1)),
+    )
+    outside = (
+        (0, 0b10, 0),  # the diagonal
+        (0, 0b10000, 0),  # the diagonal of form 2
+        (0b100, 0, 0),  # above the diagonal
+        (0, 0b100000, 0),  # above the diagonal of form 2
+        (0, 0, 1 << 6),  # past the last form
+    )
+    for rows in outside:
+        with pytest.raises(PresentationError, match="^cocycle row [0-2] has a bit outside its lower triangle$"):
+            FiniteQuotient(3, 2, 1, rows)
+    for rows in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(PresentationError, match=f"^cocycle has {len(rows)} rows, need 3$"):
+            FiniteQuotient(3, 2, 1, rows)
+
+
 def test_presentation_text_and_json():
     pres = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
     text = pres.to_gap_text()
@@ -235,16 +267,14 @@ def test_presentation_text_and_json():
 
 
 def test_quotient_abelian_order_and_exponent():
-    pres = GroupPresentation.from_dict(1, 2, {})
-    g = build_quotient(pres, 1)
+    g = FiniteQuotient(1, 2, 1, (0,))
     assert g.order == 8
     for el in elements(g):
         assert g.mul(el, el) == g.identity  # exponent 2
 
 
 def test_quotient_infinity_block_order16():
-    pres = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
-    g = build_quotient(pres, 1)
+    g = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
     assert g.order == 16
     assert not is_abelian(g)
     els = list(elements(g))
@@ -255,8 +285,7 @@ def test_quotient_infinity_block_order16():
 
 
 def test_quotient_associativity_exhaustive_small():
-    pres = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
-    g = build_quotient(pres, 1)
+    g = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
     els = list(elements(g))
     for a in els:
         for b in els:
@@ -267,7 +296,7 @@ def test_quotient_associativity_exhaustive_small():
 
 def test_quotient_associativity_random_larger():
     rho = rho_of(((point_from_poly(tp("t^2+t+1")), 1), 1), ((EPS, 1), 1))
-    g = build_quotient(presentation_from_class(rho), 2)
+    g = presentation_from_class(rho, 2)
     assert g.order == 2 ** (5 + 2 * 2)
     rng = random.Random(3)
     els = list(elements(g))
@@ -279,7 +308,7 @@ def test_quotient_associativity_random_larger():
 def test_quotient_inverses_and_orders():
     pres = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 2), 1)))
     for e in (1, 2, 3):
-        g = build_quotient(pres, e)
+        g = replace(pres, e=e)
         rng = random.Random(5)
         els = list(elements(g))
         for _ in range(200):
@@ -292,7 +321,7 @@ def test_quotient_inverses_and_orders():
 def test_quotient_h_lifts_are_involutions():
     rho = rho_of(((point_from_poly(tp("t^2+t+1")), 1), 1))
     for e in (1, 2, 3):
-        g = build_quotient(presentation_from_class(rho), e)
+        g = presentation_from_class(rho, e)
         for i in range(g.num_h):
             h = h_generator(g, i)
             assert g.mul(h, h) == g.identity
@@ -301,7 +330,7 @@ def test_quotient_h_lifts_are_involutions():
 def test_quotient_commutators_lie_in_socle():
     rho = rho_of(((BinaryForm.x2(GF2), 1), 1), ((BinaryForm.x1(GF2), 1), 1))
     for e in (1, 2):
-        g = build_quotient(presentation_from_class(rho), e)
+        g = presentation_from_class(rho, e)
         socle_unit = g.socle_unit
         els = list(elements(g))
         rng = random.Random(9)
@@ -322,8 +351,7 @@ def test_iso_identity_witness():
     qmap = iso_from_witness(
         pres, pres, Mat.identity(GF2, n), GL2Element.identity(GF2), 1
     )
-    g = build_quotient(pres, 1)
-    for el in elements(g):
+    for el in elements(pres):
         assert qmap.apply(el) == el
 
 
@@ -336,10 +364,9 @@ def test_iso_swap_witness_order16():
     p2 = presentation_from_tuple(list(moved.matrices))
     qmap = iso_from_witness(p1, p2, s, q, 1)
     # spot: h-part maps identically, a-parts swapped
-    g1 = build_quotient(p1, 1)
     img = qmap.apply((0, (1, 0)))
     assert img == (0, (0, 1))
-    assert brute_force_isomorphic(build_quotient(p1, 1), build_quotient(p2, 1))
+    assert brute_force_isomorphic(p1, p2)
 
 
 def _random_witnesses():
@@ -655,7 +682,10 @@ def test_iso_large_witnesses(n):
 
 
 def _random_model(rng, n, m, e):
-    return FiniteQuotient(n, m, e, tuple(rng.getrandbits(m * n) for _ in range(n)))
+    """A model with random bits in the lower triangle of each field."""
+    fields = sum(1 << (k * n) for k in range(m))
+    rows = tuple(rng.getrandbits(m * n) & ((1 << j) - 1) * fields for j in range(n))
+    return FiniteQuotient(n, m, e, rows)
 
 
 def _random_map(rng, n, m, e):
@@ -713,7 +743,7 @@ def test_witness_maps_respect_every_product_at_small_orders():
 def test_cocycle_rows_are_the_commutator_table():
     rho = rho_of(((point_from_poly(tp("t^2+t+1")), 1), 1), ((BinaryForm.x2(GF2), 1), 1))
     pres = presentation_from_class(rho)
-    forms = cocycle_forms(build_quotient(pres, 2))
+    forms = cocycle_forms(pres)
     for (i, j), vec in pres.commutators:
         assert tuple(forms[k][j] >> i & 1 for k in range(2)) == vec
     assert sum(bin(row).count("1") for rows in forms for row in rows) == sum(
@@ -725,16 +755,13 @@ def test_cocycle_rows_are_the_commutator_table():
 
 
 def test_brute_force_self():
-    pres = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
-    g = build_quotient(pres, 1)
+    g = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
     assert brute_force_isomorphic(g, g)
 
 
 def test_brute_force_abelian_vs_nonabelian():
-    abelian = build_quotient(GroupPresentation.from_dict(2, 2, {}), 1)
-    nonabelian = build_quotient(
-        presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1))), 1
-    )
+    abelian = FiniteQuotient(2, 2, 1, (0, 0))
+    nonabelian = presentation_from_class(rho_of(((BinaryForm.x2(GF2), 1), 1)))
     assert abelian.order == nonabelian.order == 16
     assert not brute_force_isomorphic(abelian, nonabelian)
 
@@ -749,12 +776,12 @@ def test_brute_force_arf_counterexample_regression():
     from altpairs.blocks import AlternatingPair
 
     assert congruent(AlternatingPair(a, z), AlternatingPair(c, z))
-    g1 = build_quotient(presentation_from_tuple([a, z]), 1)
-    g2 = build_quotient(presentation_from_tuple([c, z]), 1)
+    g1 = presentation_from_tuple([a, z])
+    g2 = presentation_from_tuple([c, z])
     assert not brute_force_isomorphic(g1, g2)
 
 
 def test_brute_force_cap():
-    pres = GroupPresentation.from_dict(8, 2, {})
+    g = FiniteQuotient(8, 2, 3, (0,) * 8)
     with pytest.raises(PresentationError):
-        brute_force_isomorphic(build_quotient(pres, 3), build_quotient(pres, 3))
+        brute_force_isomorphic(g, g)
