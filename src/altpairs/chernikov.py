@@ -377,11 +377,11 @@ def verify_quotient_map(qmap: QuotientMap, rng: random.Random | None = None) -> 
     and phi(x, a) = phi(x, a').  Q is invertible mod 2^e iff det Q is odd,
     that is iff Q is invertible mod 2.  Both ranks are taken over GF(2).
 
-    A bit outside the fields (n rows of (m + 1) n bits, m times e planes of
-    n bits) is refused first.  The literal product property is also
-    spot-checked on 500 pairs of elements, each drawn uniformly from the
-    group by one ``getrandbits(n + e m)``: x, then e bits per bottom
-    coordinate.  Raises ``WitnessError`` if any check fails.
+    A bit outside the fields (n rows of (m + 1) n bits, an m x m bottom, m
+    times e planes of n bits) is refused first.  The literal product
+    property is also spot-checked on 500 pairs of elements, each drawn
+    uniformly from the group by one ``getrandbits(n + e m)``: x, then e bits
+    per bottom coordinate.  Raises ``WitnessError`` if any check fails.
     """
     src, dst = qmap.src, qmap.dst
     n, m, e = src.num_h, src.m, src.e
@@ -390,6 +390,8 @@ def verify_quotient_map(qmap: QuotientMap, rng: random.Random | None = None) -> 
     if (
         len(qmap.rows) != n
         or any(row >> ((m + 1) * n) for row in qmap.rows)
+        or len(qmap.bottom) != m
+        or any(len(row) != m for row in qmap.bottom)
         or len(qmap.linear) != m
         or any(len(planes) != e or any(p >> n for p in planes) for planes in qmap.linear)
     ):

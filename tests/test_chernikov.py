@@ -645,6 +645,16 @@ def test_certificate_matches_exhaustive_oracle(maps):
     assert {cert for cert, _ in verdicts} == {True, False}
 
 
+def test_certificate_refuses_bottom_not_m_by_m():
+    # apply reads one bottom row per coordinate: an extra row went unread
+    # and the map was accepted, a short row raised IndexError
+    for qmap in _small_maps():
+        rows = qmap.bottom
+        for bottom in (rows + rows[:1], rows[:-1], (rows[0][:-1],) + rows[1:], (rows[0] + (0,),) + rows[1:]):
+            with pytest.raises(WitnessError, match="outside its field"):
+                verify_quotient_map(replace(qmap, bottom=bottom))
+
+
 def test_certificate_rejects_trivial_map_at_n12():
     # above the old exhaustive cap only products were sampled, and the map
     # sending every element to the identity is a homomorphism

@@ -415,6 +415,8 @@ def test_group_command_quotient_exp(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["quotient"]["order"] == 2 ** (2 + 2 * 2)
     assert payload["presentation"]["relators"].count("h1^2") == 1
+    code, out, _ = run(capsys, ["group", "--quotient-exp", "2"], stdin=INF1_DOC, monkeypatch=monkeypatch)
+    assert (code, out.splitlines()[-1]) == (0, "finite model order: 64 (e = 2)")
 
 
 def test_group_command_refuses_nonpositive_exponent(capsys, monkeypatch):
@@ -528,6 +530,11 @@ def test_unreadable_inputs_exit2_without_traceback(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+# altpairs.cli in a process of its own, under -X dev -W error
+CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "altpairs.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(altpairs.__file__)))
+
+
 @pytest.mark.parametrize(
     "argv, code", [(["gen-block", "inf:2", "--field", "gf2^8"], 0), (["equiv", "a.pair", "b.pair"], 1)]
 )
@@ -536,17 +543,31 @@ def test_output_closed_early_keeps_the_exit_code(tmp_path, argv, code):
     # first write fails with EPIPE however short the output is
     for name, block in (("a", build_infinity(1)), ("b", build_infinity(2))):
         (tmp_path / f"{name}.pair").write_text(format_pair_document(block))
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(altpairs.__file__)))
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "altpairs.cli", *argv],
-            stdout=write, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, timeout=60,
+            [*CLI, *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=CLI_ENV, cwd=tmp_path, timeout=60,
         )
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (code, "")
+
+
+def test_pipe_between_two_processes(tmp_path):
+    # gen-block inf:2 | decompose, through an operating-system pipe
+    with subprocess.Popen(
+        [*CLI, "gen-block", "inf:2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CLI_ENV, cwd=tmp_path,
+    ) as writer:
+        reader = subprocess.run(
+            [*CLI, "decompose"],
+            stdin=writer.stdout, capture_output=True, text=True, env=CLI_ENV, cwd=tmp_path, timeout=60,
+        )
+        writer_err = writer.communicate(timeout=60)[1]
+    assert (writer.returncode, writer_err) == (0, "")
+    assert (reader.returncode, reader.stdout, reader.stderr) == (0, "rho(x2, 2) = 1\n", "")
 
 
 def test_internal_error_exit3_names_the_file(capsys, monkeypatch, tmp_path):

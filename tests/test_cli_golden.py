@@ -7,7 +7,20 @@ few non-alternating documents and a weak image of one sum for ``equiv``.
 ``corpus`` also runs on an empty directory, and ``gen-block`` on ids it
 refuses.  ``decompose`` runs on documents that fail to parse, and blocks and
 sums whose points have degree 1 come at k = 8 and 9, on both sides of the
-field's table limit.  A change that means to alter CLI output
+field's table limit.
+
+Last come the route inputs, one per classifier route at k = 8 and 9: h from
+the first Krylov sequence (``fin:t+1^2``, and ``fin:t^2+t+1^2`` at k = 9,
+where t^2+t+1 stays irreducible; ``gen-block`` refuses it at k = 8); the
+square-root fallback (A = B = J+J, J = [[0,1],[1,0]], and the dim-10 sum
+2*(x1, 2) + (x1, 1), whose eight Krylov sequences are multiplied); with A
+singular, the Wong test (plus:1 + plus:0, Pf 0), the Wong split
+(inf:1 + fin:t+1^1) and the longest Wong walk (``inf:8``); and the
+equal-degree split of h = (t+1)(t+2)(t+3) at k = 8, 9 and 16.  Two refusals
+follow: ``group`` on a gf2^8 document and the entry 200 at gf2^9.  These
+replace a hand-written list of CLI checks that ran only in CI.
+
+A change that means to alter CLI output
 regenerates the file with ``PYTHONPATH=src python tests/test_cli_golden.py``
 and says so.
 """
@@ -190,7 +203,50 @@ def _generate() -> dict:
             for command in COMMANDS:
                 cases.append({"argv": [command], "input": name})
                 cases.append({"argv": ["--json", command], "input": name})
+    # appended last: one input per classifier route at k = 8 and 9 (and the
+    # equal-degree split at k = 16), from gen-block or written out as upper
+    # entries {(i, j): value} of A and B; then two refusals
+    routes = []
+    for k in (8, 9):
+        field = str(FieldSpec.gf(k))
+        for bid in ("fin:t+1^2", "inf:8", "fin:t^2+t+1^2"):
+            argv = ["gen-block", bid, "--field", field]
+            cases.append({"argv": argv, "input": None})
+            cases.append({"argv": ["--json", *argv], "input": None})
+            code, doc, _ = _run(argv, None)
+            if code == 0:  # t^2+t+1 splits at k = 8, and gen-block refuses it
+                routes.append((f"k{k}-route-{bid}", doc))
+        for name, dim, a, b in (
+            ("sqrt-jj", 4, {(0, 1): 1, (2, 3): 1}, {(0, 1): 1, (2, 3): 1}),
+            ("sqrt-nil10", 10, {(0, 1): 1, (2, 4): 1, (3, 5): 1, (6, 8): 1, (7, 9): 1}, {(3, 4): 1, (7, 8): 1}),
+            ("wong-singular", 4, {(0, 1): 1}, {(0, 2): 1}),
+            ("wong-split", 4, {(2, 3): 1}, {(0, 1): 1, (2, 3): 1}),
+        ):
+            routes.append((f"k{k}-route-{name}", _upper_doc(field, dim, a, b)))
+    for k in (8, 9, 16):
+        a, b = {(0, 1): 1, (2, 3): 1, (4, 5): 1}, {(0, 1): 1, (2, 3): 2, (4, 5): 3}
+        routes.append((f"k{k}-route-equal-degree", _upper_doc(f"gf2^{k}", 6, a, b)))
+    for name, doc in routes:
+        inputs[name] = doc
+        for command in COMMANDS:
+            cases.append({"argv": [command], "input": name})
+            cases.append({"argv": ["--json", command], "input": name})
+    inputs["k8-group-refused"] = _run(["gen-block", "inf:1", "--field", "gf2^8"], None)[1]
+    inputs["parse-entry-at-order-k9"] = _upper_doc("gf2^9", 2, {(0, 1): 0x200}, {})
+    for argv, name in ((["group"], "k8-group-refused"), (["decompose"], "parse-entry-at-order-k9")):
+        cases.append({"argv": argv, "input": name})
+        cases.append({"argv": ["--json", *argv], "input": name})
     return {"inputs": inputs, "corpus": corpus, "cases": cases}
+
+
+def _upper_doc(field: str, dim: int, a: dict, b: dict) -> str:
+    """A pair document whose matrices have the given upper entries, mirrored."""
+
+    def rows(upper: dict) -> str:
+        full = {**upper, **{(j, i): v for (i, j), v in upper.items()}}
+        return "".join(" ".join(f"{full.get((i, j), 0):x}" for j in range(dim)) + "\n" for i in range(dim))
+
+    return f"field {field}\ndim {dim}\nmatrix A\n{rows(a)}matrix B\n{rows(b)}"
 
 
 if __name__ == "__main__":
