@@ -25,15 +25,15 @@ only for e >= 2; for e = 1 a nonzero diagonal discrepancy is a hard
 obstruction (the two models can even be non-isomorphic groups) and is
 reported as such.  Every map is checked by ``verify_quotient_map``, an exact
 certificate for every order: the homomorphism defect is bilinear, so n^2
-generator pairs decide it, and the map is triangular, so two GF(2) ranks
-decide bijectivity.
+generator pairs decide it, read off one row per generator, and the map is
+triangular, so two GF(2) ranks decide bijectivity.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .field import FieldSpec
 from .linalg import LinAlgError, Mat, _rref, _transpose
@@ -90,6 +90,8 @@ class FiniteQuotient:
     def __post_init__(self):
         if self.e < 1:
             raise PresentationError("quotient exponent must be positive")
+        if self.m < 0:
+            raise PresentationError("bottom rank must be non-negative")
         if (bits := self.num_h + self.e * self.m) > MAX_ORDER_LOG2:
             raise PresentationError(f"finite model order 2^{bits} exceeds 2^{MAX_ORDER_LOG2}")
         n = self.num_h
@@ -257,6 +259,22 @@ class QuotientMap:
         return (top, tuple(out))
 
 
+def _discrepancy(p: FiniteQuotient, r: FiniteQuotient, tops: Sequence[int], q) -> Iterator[int]:
+    """Row i of delta(x, y) = beta_R(T x, T y) - beta_P(x, y) Q mod 2, T e_i =
+    ``tops[i]`` and Q = ``q`` mod 2, field k holding delta_k(e_i, .): the
+    target cocycle row T e_i selects, pulled back through T^T (the pullback
+    of a form with matrix L is T L T^T), plus the fields of P's row i."""
+    n, full = p.num_h, (1 << p.num_h) - 1
+    pull = [c << (k * n) for k in range(p.m) for c in _transpose(tops, n, 1)]
+    for t, row_p in zip(tops, p.cocycle):
+        row = _xor_rows(pull, _xor_rows(r.cocycle, t))
+        for l, qrow in enumerate(q):
+            for k, v in enumerate(qrow):
+                if v & 1:
+                    row ^= (row_p >> (l * n) & full) << (k * n)
+        yield row
+
+
 def iso_from_witness(
     p: FiniteQuotient,
     r: FiniteQuotient,
@@ -284,9 +302,9 @@ def iso_from_witness(
     Refusals come in this order: shape, singular S, witness, the e = 1
     obstruction, then ``PresentationError`` for e < 1 or a model order
     2^(n + 2e) beyond 2^MAX_ORDER_LOG2.  Before it is returned the map
-    passes ``verify_quotient_map``: the exact certificate (n^2 generator
-    pairs for the homomorphism property, GF(2) ranks of S^-1 and Q for
-    bijectivity) and a random spot check of products.
+    passes ``verify_quotient_map``: the exact certificate (one pulled-back
+    row per generator for the homomorphism property, GF(2) ranks of S^-1
+    and Q for bijectivity) and a random spot check of products.
     """
     if p.m != 2 or r.m != 2:
         raise WitnessError("witness maps need bottom rank 2")
@@ -304,18 +322,7 @@ def iso_from_witness(
     qrows = q.rows()
     mrows = minv.packed
     full = (1 << n) - 1
-    # discrepancy forms delta(x, y) = beta_R(x S^-1, y S^-1) - beta_P(x, y) Q
-    # as strided full rows; the pullback of a form with matrix L is
-    # S^-1 L S^-T, so each field of a row of S^-1 C_R goes through S^-T
-    pull = [c << (k * n) for k in range(2) for c in _transpose(mrows, n, 1)]
-    delta = []
-    for t, row_p in zip(mrows, p.cocycle):
-        row = _xor_rows(pull, _xor_rows(r.cocycle, t))
-        for l in range(2):
-            for k in range(2):
-                if qrows[l][k]:
-                    row ^= (row_p >> (l * n) & full) << (k * n)
-        delta.append(row)
+    delta = list(_discrepancy(p, r, mrows, qrows))
     forms = [tuple(row >> (k * n) & full for row in delta) for k in range(2)]
     if any(_transpose(form, n, 1) != form for form in forms):
         raise WitnessError("witness fails verification: tuples do not match")
@@ -326,12 +333,11 @@ def iso_from_witness(
             "e = 1 quotients admit no map of the prescribed shape for this "
             "witness: the basis change flips the square of a lifted generator"
         )
-    src, dst = replace(p, e=e), replace(r, e=e)
     # off the diagonal delta is absorbed by q(x) = sum_{j < i} x_i x_j delta_ij
     lower = [((1 << i) - 1) * (1 | 1 << n) for i in range(n)]
     qmap = QuotientMap(
-        src=src,
-        dst=dst,
+        src=replace(p, e=e),
+        dst=replace(r, e=e),
         rows=tuple(t | (row & low) << n for t, row, low in zip(mrows, delta, lower)),
         bottom=tuple(tuple(qrows[l][k] for k in range(2)) for l in range(2)),
         linear=tuple(tuple(d if b == e - 2 else 0 for b in range(e)) for d in diag),
@@ -366,9 +372,10 @@ def verify_quotient_map(qmap: QuotientMap, rng: random.Random | None = None) -> 
     so a GF(2)-bilinear c gives s c(x, y) = sum_ij x_i y_j s c(e_i, e_j);
     beta_R(T x, T y) is GF(2)-bilinear because T is linear; and since
     (x xor y)_i = x_i + y_i mod 2, q(x xor y) - q(x) - q(y) is the polar
-    form of q, GF(2)-bilinear too.  So D(x, y) = sum_ij x_i y_j D(e_i, e_j),
-    and phi is a homomorphism iff D vanishes on the n^2 ordered generator
-    pairs (e_i, e_j), i = j included; these are checked.
+    form of q, GF(2)-bilinear too.  So phi is a homomorphism iff D vanishes on
+    the n^2 generator pairs.  D(e_i, e_j) = s c_ij - 2 [i = j] L(e_i), and row
+    i of c is ``_discrepancy``'s pulled-back row xor the polar form of q (field
+    k + 1 of row i and of column i): 0 off the diagonal, s c_ii = 2 L(e_i).
 
     Bijectivity.  phi(x, a) = (T x, a Q + f(x)) is triangular.  If T is
     invertible over GF(2) and Q is invertible mod 2^e, the inverse is
@@ -405,15 +412,18 @@ def verify_quotient_map(qmap: QuotientMap, rng: random.Random | None = None) -> 
         or len(_rref(pk, bottom, m, reduced=False)[0]) < m
     ):
         raise WitnessError("map is not a bijection")
-    zero = (0,) * m
-    basis = [(1 << i, zero) for i in range(n)]
-    images = [qmap.apply(g) for g in basis]
-    for i, g in enumerate(basis):
-        for j, h in enumerate(basis):
-            if qmap.apply(src.mul(g, h)) != dst.mul(images[i], images[j]):
-                raise WitnessError(f"homomorphism fails on generator pair h{i + 1}, h{j + 1}")
-    rng = rng or random.Random(0xC0C)
+    quad = [[row >> ((k + 1) * n) & full for row in qmap.rows] for k in range(m)]
+    cols = [_transpose(rows, n, 1) for rows in quad]
     mask = (1 << e) - 1
+    for i, row in enumerate(_discrepancy(src, dst, [t & full for t in qmap.rows], qmap.bottom)):
+        bad = 0
+        for k, planes in enumerate(qmap.linear):
+            c = (row >> (k * n) ^ quad[k][i] ^ cols[k][i]) & full
+            lin = sum((plane >> i & 1) << b for b, plane in enumerate(planes))
+            bad |= c & ~(1 << i) | bool(dst.socle_unit * (c >> i & 1) - 2 * lin & mask) << i
+        if bad:
+            raise WitnessError(f"homomorphism fails on generator pair h{i + 1}, h{(bad & -bad).bit_length()}")
+    rng = rng or random.Random(0xC0C)
 
     def draw() -> Element:
         bits = rng.getrandbits(n + e * m)

@@ -1527,6 +1527,22 @@ def verify_exhaustive(qmap) -> bool:
     return True
 
 
+def certificate_reference(qmap):
+    """The literal generator-pair certificate: the first pair (i, j), in
+    row-major order, with phi(h_i h_j) != phi(h_i) phi(h_j), or None if every
+    pair holds.  n^2 ``apply`` and ``mul`` calls, against which the
+    row-at-a-time certificate of ``chernikov.verify_quotient_map`` is
+    checked."""
+    src, dst = qmap.src, qmap.dst
+    basis = [h_generator(src, i) for i in range(src.num_h)]
+    images = [qmap.apply(g) for g in basis]
+    for i, g in enumerate(basis):
+        for j, h in enumerate(basis):
+            if qmap.apply(src.mul(g, h)) != dst.mul(images[i], images[j]):
+                return i, j
+    return None
+
+
 @lru_cache(maxsize=1)
 def _pure_top_products(g) -> tuple[list, list]:
     """The pure exponent vectors of a model and the table of their products;

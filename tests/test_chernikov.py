@@ -1,7 +1,9 @@
 """Group presentations, finite models, witness isomorphisms, brute force."""
 
 import random
+import re
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -30,6 +32,7 @@ from conftest import (
     apply_reference,
     block_commutators_reference,
     brute_force_isomorphic,
+    certificate_reference,
     cocycle_forms,
     commutator,
     elements,
@@ -40,6 +43,7 @@ from conftest import (
     iso_from_witness_dense,
     map_parts,
     mul_reference,
+    mutant,
     order_of_element,
     presentation_matrices,
     random_alternating,
@@ -252,6 +256,19 @@ def test_quotient_refuses_cocycle_outside_the_lower_triangle():
     for rows in ((0, 0), (0, 0, 0, 0)):
         with pytest.raises(PresentationError, match=f"^cocycle has {len(rows)} rows, need 3$"):
             FiniteQuotient(3, 2, 1, rows)
+
+
+def test_quotient_refuses_negative_bottom_rank():
+    # (2, -1, 1) was accepted with order 2, (0, -3, 2) raised a bare
+    # ValueError from order, and m = -1 let num_h = MAX_ORDER_LOG2 + 1 under
+    # the order cap
+    for args in ((2, -1, 1, (0, 0)), (0, -3, 2, ()), (MAX_ORDER_LOG2 + 1, -1, 1, (0,) * (MAX_ORDER_LOG2 + 1))):
+        with pytest.raises(PresentationError, match="^bottom rank must be non-negative$"):
+            FiniteQuotient(*args)
+    # a bottom of rank 0 is the elementary abelian top alone
+    g = FiniteQuotient(2, 0, 3, (0, 0))
+    assert (g.order, g.identity, g.commutators) == (4, (0, ()), ())
+    assert g.mul((1, ()), (3, ())) == (2, ())
 
 
 def test_presentation_text_and_json():
@@ -586,12 +603,20 @@ def test_spot_check_draws_whole_elements():
         assert rng.widths == [n + e * m] * 1000
 
 
-def _certificate_accepts(qmap):
+def _certificate_verdict(qmap):
+    """What ``verify_quotient_map`` says with the spot check idle: None if it
+    accepts, the 0-based generator pair it names, or the message of another
+    refusal."""
     try:
         verify_quotient_map(qmap, _NoSamples())
-    except WitnessError:
-        return False
-    return True
+    except WitnessError as exc:
+        pair = re.fullmatch(r"homomorphism fails on generator pair h(\d+), h(\d+)", str(exc))
+        return (int(pair[1]) - 1, int(pair[2]) - 1) if pair else str(exc)
+    return None
+
+
+def _certificate_accepts(qmap):
+    return _certificate_verdict(qmap) is None
 
 
 def _small_maps():
@@ -667,6 +692,134 @@ def test_certificate_rejects_trivial_map_at_n12():
         assert trivial.apply(g) == trivial.dst.identity
     with pytest.raises(WitnessError):
         verify_quotient_map(trivial)
+
+
+def _matches_literal_reference(maps):
+    """The certificate's verdict against ``certificate_reference`` on every
+    map of ``maps`` that passes the field and rank checks: the same
+    acceptance, and on a refusal the same first failing pair.  Returns the
+    verdicts."""
+    verdicts = []
+    for qmap in maps:
+        verdict = _certificate_verdict(qmap)
+        if verdict is None or isinstance(verdict, tuple):
+            assert verdict == certificate_reference(qmap), (qmap, verdict)
+            verdicts.append(verdict)
+    return verdicts
+
+
+def _dense_witness_maps():
+    # random dense witnesses of the benchmark's kind, at 16 and 33 generators
+    for n in (16, 33):
+        rng = random.Random(n)
+        pair = random_alternating_pair(GF2, rng, n)
+        s = random_invertible(GF2, rng, n)
+        q = rng.choice(list(gl2_enumerate(GF2)))
+        p1 = presentation_from_tuple(list(pair.matrices))
+        p2 = presentation_from_tuple(list(transform_weak(pair, s, q).matrices))
+        for e in (2, 3):
+            yield iso_from_witness(p1, p2, s, q, e)
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [_small_maps, _acceptance_7_maps, _random_witness_maps, _dense_witness_maps],
+    ids=lambda f: f.__name__,
+)
+def test_certificate_matches_literal_reference(maps):
+    # the row-at-a-time certificate against the literal n^2 products, on
+    # the maps as built and their one-entry mutants
+    rng = random.Random(maps.__name__)
+    verdicts = _matches_literal_reference(
+        mutated for qmap in maps() for mutated, _ in _mutants(qmap, rng)
+    )
+    assert None in verdicts and any(verdicts)
+
+
+def _bijective(qmap):
+    """qmap with its top made unit lower triangular and its bottom lower
+    triangular mod 2 with an odd diagonal, so both ranks pass."""
+    n = qmap.src.num_h
+    rows = tuple(row & ~((1 << n) - (1 << i)) | 1 << i for i, row in enumerate(qmap.rows))
+    bottom = tuple(
+        tuple(v | 1 if k == l else v & ~1 if k > l else v for k, v in enumerate(row))
+        for l, row in enumerate(qmap.bottom)
+    )
+    return replace(qmap, rows=rows, bottom=bottom)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 33, 64])
+def test_certificate_matches_literal_reference_on_random_maps(n):
+    rng = random.Random(n)
+    maps = []
+    for m in (1, 2, 3):
+        for e in (1, 2, 3):
+            for _ in range(3):
+                qmap = _random_map(rng, n, m, e)
+                maps += [qmap, _bijective(qmap)]
+    verdicts = _matches_literal_reference(maps)
+    assert len(verdicts) >= 27 and (n == 0 or any(verdicts))
+
+
+def test_certificate_refuses_non_bijections():
+    # homomorphisms between abelian models with no correction that are not
+    # bijective: a singular top over an invertible bottom, and an invertible
+    # top over a bottom singular mod 2, by a repeated row or by an even entry
+    n, m, e = 4, 2, 2
+    g = FiniteQuotient(n, m, e, (0,) * n)
+    identity = tuple(1 << i for i in range(n))
+    for rows, bottom in (
+        ((0b0011, 0b0011, 0b0100, 0b1000), ((1, 0), (0, 1))),
+        (identity, ((1, 1), (1, 1))),
+        (identity, ((1, 0), (0, 2))),
+    ):
+        qmap = QuotientMap(g, g, rows, bottom, ((0, 0), (0, 0)))
+        assert certificate_reference(qmap) is None and not verify_exhaustive(qmap)
+        assert _certificate_verdict(qmap) == "map is not a bijection"
+
+
+# verify_quotient_map with one part of its certificate broken: the last row
+# skipped, the i = j condition dropped, the 2 L(e_i) term dropped, the polar
+# form of q dropped whole or its column (transposed-field) half, the
+# beta_P Q term dropped, and each rank check dropped.  The third entry is the
+# test that kills it, run with the broken copy in place of
+# verify_quotient_map; each of them runs with the spot check idle
+CERTIFICATE_MUTANTS = {
+    "row-skipped": (
+        "if bad:", "if bad and i < n - 1:",
+        partial(test_certificate_matches_literal_reference, _acceptance_7_maps),
+    ),
+    "diagonal": (
+        " | bool(dst.socle_unit * (c >> i & 1) - 2 * lin & mask) << i", "",
+        partial(test_certificate_matches_literal_reference, _acceptance_7_maps),
+    ),
+    "linear-term": (
+        " - 2 * lin", "",
+        partial(test_certificate_matches_literal_reference, _acceptance_7_maps),
+    ),
+    "polar-term": (
+        " ^ quad[k][i] ^ cols[k][i]", "",
+        partial(test_certificate_matches_literal_reference, _acceptance_7_maps),
+    ),
+    "column-term": (
+        " ^ cols[k][i]", "",
+        partial(test_certificate_matches_literal_reference, _acceptance_7_maps),
+    ),
+    "bottom-term": (
+        "qmap.bottom)):", "[[0] * m] * m)):",
+        partial(test_certificate_matches_literal_reference, _acceptance_7_maps),
+    ),
+    "top-rank": ("[0]) < n", "[0]) < 0", test_certificate_refuses_non_bijections),
+    "bottom-rank": ("[0]) < m", "[0]) < 0", test_certificate_refuses_non_bijections),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_MUTANTS))
+def test_certificate_mutants_are_killed(name, monkeypatch):
+    old, new, killer = CERTIFICATE_MUTANTS[name]
+    monkeypatch.setitem(globals(), "verify_quotient_map", mutant(verify_quotient_map, old, new))
+    with pytest.raises(AssertionError):
+        killer()
 
 
 @pytest.mark.parametrize("n", [64, 128])
