@@ -4,6 +4,7 @@ import random
 import re
 from dataclasses import replace
 from functools import partial
+from itertools import islice
 
 import pytest
 
@@ -269,6 +270,26 @@ def test_quotient_refuses_negative_bottom_rank():
     g = FiniteQuotient(2, 0, 3, (0, 0))
     assert (g.order, g.identity, g.commutators) == (4, (0, ()), ())
     assert g.mul((1, ()), (3, ())) == (2, ())
+
+
+def test_quotient_refuses_negative_generator_count():
+    # num_h = -1 fell through to the row count: "cocycle has 0 rows, need -1"
+    for args in ((-1, 1, 1, ()), (-2, 0, 2, ())):
+        with pytest.raises(PresentationError, match="^generator count must be non-negative$"):
+            FiniteQuotient(*args)
+
+
+def test_models_are_slotted_and_replace_still_checks():
+    # the benchmark keeps every map, so no per-instance dict; replace builds
+    # through __init__ and so still runs the refusals of __post_init__ (a
+    # QuotientMap has none of its own: verify_quotient_map checks it)
+    qmap = next(_small_maps())
+    p = qmap.src
+    assert not hasattr(p, "__dict__") and not hasattr(qmap, "__dict__")
+    with pytest.raises(PresentationError, match="^quotient exponent must be positive$"):
+        replace(p, e=0)
+    with pytest.raises(PresentationError, match="^cocycle row 1 has a bit outside its lower triangle$"):
+        replace(p, cocycle=(0, 0b10))
 
 
 def test_presentation_text_and_json():
@@ -583,24 +604,44 @@ class _NoSamples(random.Random):
 
 
 class _CountingDraws(random.Random):
-    """Records the width of every getrandbits draw."""
+    """Records the width and the value of every getrandbits draw."""
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.widths = []
+        self.widths, self.values = [], []
 
     def getrandbits(self, k):
         self.widths.append(k)
-        return super().getrandbits(k)
+        self.values.append(super().getrandbits(k))
+        return self.values[-1]
 
 
 def test_spot_check_draws_whole_elements():
-    # 500 pairs, each element one draw over all n + e*m bits of the group
-    for qmap in _small_maps():
-        rng = _CountingDraws(0xC0C)
-        verify_quotient_map(qmap, rng)
+    # 500 pairs, each element one draw over all n + e*m bits of the group:
+    # x is the low n bits, coordinate k the e bits at n + e*k.  The spot
+    # check applies exactly the elements its draws encode, g*h then g then
+    # h for each pair (the order the comparison evaluates them in)
+    original = QuotientMap.apply
+    for qmap in [*_small_maps(), *islice(_dense_witness_maps(), 2)]:
         n, m, e = qmap.src.num_h, qmap.src.m, qmap.src.e
+        rng, applied = _CountingDraws(0xC0C), []
+
+        def recording(self, g):
+            applied.append(g)
+            return original(self, g)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(QuotientMap, "apply", recording)
+            verify_quotient_map(qmap, rng)
         assert rng.widths == [n + e * m] * 1000
+        drawn = [
+            (v & ((1 << n) - 1), tuple(v >> (n + e * k) & ((1 << e) - 1) for k in range(m)))
+            for v in rng.values
+        ]
+        expected = []
+        for g, h in zip(drawn[::2], drawn[1::2]):
+            expected += [mul_reference(qmap.src, g, h), g, h]
+        assert applied == expected
 
 
 def _certificate_verdict(qmap):
@@ -781,9 +822,10 @@ def test_certificate_refuses_non_bijections():
 # verify_quotient_map with one part of its certificate broken: the last row
 # skipped, the i = j condition dropped, the 2 L(e_i) term dropped, the polar
 # form of q dropped whole or its column (transposed-field) half, the
-# beta_P Q term dropped, and each rank check dropped.  The third entry is the
-# test that kills it, run with the broken copy in place of
-# verify_quotient_map; each of them runs with the spot check idle
+# beta_P Q term dropped, and each rank check dropped; last, the spot check
+# with h decoded from g's draw.  The third entry is the test that kills it,
+# run with the broken copy in place of verify_quotient_map; each certificate
+# killer runs with the spot check idle
 CERTIFICATE_MUTANTS = {
     "row-skipped": (
         "if bad:", "if bad and i < n - 1:",
@@ -811,6 +853,9 @@ CERTIFICATE_MUTANTS = {
     ),
     "top-rank": ("[0]) < n", "[0]) < 0", test_certificate_refuses_non_bijections),
     "bottom-rank": ("[0]) < m", "[0]) < 0", test_certificate_refuses_non_bijections),
+    "spot-check-decode": (
+        "h = (w & full, tuple([w >>", "h = (u & full, tuple([u >>", test_spot_check_draws_whole_elements,
+    ),
 }
 
 
@@ -873,10 +918,22 @@ def test_packed_layout_matches_per_form_reference(n):
         for e in (1, 2, 3):
             for _ in range(3):
                 qmap = _random_map(rng, n, m, e)
+                # the same map with plane k % e of coordinate k and the last
+                # bottom row zero, so apply's zero-term skips are reached
+                zeroed = replace(
+                    qmap,
+                    bottom=qmap.bottom[:-1] + ((0,) * m,),
+                    linear=tuple(
+                        tuple(0 if b == k % e else plane for b, plane in enumerate(planes))
+                        for k, planes in enumerate(qmap.linear)
+                    ),
+                )
                 for _ in range(20):
                     g, h = _random_element(rng, qmap.src), _random_element(rng, qmap.src)
                     assert qmap.src.mul(g, h) == mul_reference(qmap.src, g, h)
-                    assert qmap.apply(g) == apply_reference(qmap, g)
+                    for f in (qmap, zeroed):
+                        for el in (g, (g[0], (0,) * m)):
+                            assert f.apply(el) == apply_reference(f, el)
 
 
 def test_packed_mul_matches_reference_on_every_pair():
